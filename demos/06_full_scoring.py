@@ -60,7 +60,8 @@ def shoal(lon_lo_m, lon_hi_m, lat_lo_m, lat_hi_m, depth):
             "geometry": {"type": "Polygon", "coordinates": [ring]}}
 
 
-work = Path(tempfile.mkdtemp(prefix="seamanship_demo_"))
+tmp = tempfile.TemporaryDirectory(prefix="seamanship_demo_")
+work = Path(tmp.name)
 ais = work / "strait.csv"
 with ais.open("w", newline="") as fh:
     writer = csv.writer(fh)
@@ -93,8 +94,8 @@ kin = KinodynamicParams(v_min=0.0, v_max=10.0)
 star = sr_star_series(scenario.tracks, own, series.times, hyper, kin,
                       risk_params, obstacles=scenario.obstacles)
 
-proposed = score_series(own, series.times, series.scenario, star)
-baseline = score_series(own, series.times, series.scenario, None)
+proposed = score_series(own, series.times, series.scenario, star, risk_params=risk_params)
+baseline = score_series(own, series.times, series.scenario, None, risk_params=risk_params)
 
 print(f"{'t':>5} {'cr':>7} {'gr':>7} {'sr':>7} {'floor':>7} {'graded':>7}")
 for i in range(0, len(series.times), 2):
@@ -121,3 +122,4 @@ print(f"  seamanship safest-path --scenario out/scenario.json --ownship {own} "
       "--time 60 --output out/")
 print("(parameters above map to overrides such as --set risk.horizon_T=120 "
       "--set search.n_alpha=5)")
+tmp.cleanup()

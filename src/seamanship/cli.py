@@ -27,9 +27,16 @@ from .planner import (
     branch_and_bound,
     sr_star_series,
 )
-from .risk import RiskParams, compute_risk_series
+from .risk import DEFAULT_GRID_N, RiskParams, compute_risk_series
 from .scoring import ScoreParams, score_series
-from .speedmodel import SpeedChangeModel, detect_encounters, fit_model
+from .speedmodel import (
+    DEFAULT_DCPA_THRESHOLD,
+    DEFAULT_MIN_SAMPLES,
+    DEFAULT_WINDOW,
+    SpeedChangeModel,
+    detect_encounters,
+    fit_model,
+)
 
 log = logging.getLogger(__name__)
 
@@ -49,10 +56,10 @@ PARAM_BLOCKS = {
 
 # encounter detection and probabilistic-risk knobs without a dataclass home
 SPEED_DEFAULTS = {
-    "dcpa_threshold": 1852.0,
-    "window": 60.0,
-    "min_samples": 30,
-    "grid_n": 64,
+    "dcpa_threshold": DEFAULT_DCPA_THRESHOLD,
+    "window": DEFAULT_WINDOW,
+    "min_samples": DEFAULT_MIN_SAMPLES,
+    "grid_n": DEFAULT_GRID_N,
 }
 
 
@@ -393,8 +400,8 @@ def cmd_score(args) -> int:
         dp,
         scenario.obstacles,
     )
-    proposed = score_series(ownship, series.times, series.scenario, sr_star, sp)
-    baseline = score_series(ownship, series.times, series.scenario, None, sp)
+    proposed = score_series(ownship, series.times, series.scenario, sr_star, sp, rp)
+    baseline = score_series(ownship, series.times, series.scenario, None, sp, rp)
 
     inputs = _digests({**scenario_paths, **model_paths})
     parameters = parameter_echo(

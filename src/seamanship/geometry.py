@@ -108,11 +108,11 @@ class DomainParams:
     """Coefficients sizing the off-center elliptic ship domain.
 
     The domain is an ellipse fixed to the vessel, its major axis along the
-    heading, its center displaced forward of the vessel position:
-
-        semi_major = (major_base + major_per_knot * v_knots) * length
-        semi_minor = minor_factor * length
-        center offset forward = offset_fraction * semi_major
+    heading, its center displaced forward of the vessel position. In hull
+    lengths, the semi-major axis is ``major_base`` plus ``major_per_knot``
+    per knot of speed and the semi-minor axis is ``minor_factor`` (see
+    :func:`domain_axes`); the center sits ``offset_fraction`` of the
+    semi-major axis ahead.
 
     Defaults give a 100 m vessel at rest a 400 m by 160 m domain whose
     center sits 100 m ahead of the vessel.
@@ -195,17 +195,26 @@ def unproject(point: LocalPoint, origin: tuple[float, float]) -> tuple[float, fl
     return lat, lon
 
 
+def domain_axes(speed, length, params: DomainParams):
+    """Semi-major and semi-minor domain axes, meters, at ``speed`` m/s.
+
+    Semi-major grows linearly with speed; semi-minor depends on hull length
+    only. Accepts scalars or arrays and does no validation, so it is cheap
+    on per-pair and per-offset paths.
+    """
+    v_knots = speed / KNOTS_TO_MPS
+    semi_major = (params.major_base + params.major_per_knot * v_knots) * length
+    return semi_major, params.minor_factor * length
+
+
 def make_domain(state: VesselState, params: DomainParams | None = None) -> DomainSpec:
     """Build the elliptic domain for a vessel state.
 
-    Semi-major grows linearly with speed; semi-minor depends on hull length
-    only. The center sits ahead of the vessel by a fixed fraction of the
-    semi-major axis.
+    Axes follow :func:`domain_axes`; the center sits ahead of the vessel by
+    a fixed fraction of the semi-major axis.
     """
     params = params or DomainParams()
-    v_knots = state.speed / KNOTS_TO_MPS
-    semi_major = (params.major_base + params.major_per_knot * v_knots) * state.length
-    semi_minor = params.minor_factor * state.length
+    semi_major, semi_minor = domain_axes(state.speed, state.length, params)
     return DomainSpec(
         semi_major=semi_major,
         semi_minor=semi_minor,
@@ -456,21 +465,14 @@ def find_tdv(
         return None
     ij = np.searchsorted(track_j.times, times)
     ik = np.searchsorted(track_k.times, times)
-    v_knots = track_j.speed[ij] / KNOTS_TO_MPS
-    semi_major = (params.major_base + params.major_per_knot * v_knots) * track_j.length
-    semi_minor = params.minor_factor * track_j.length
+    semi_major, semi_minor = domain_axes(track_j.speed[ij], track_j.length, params)
     x, y = _domain_frame(
         track_j.heading[ij],
         track_k.north[ik] - track_j.north[ij],
         track_k.east[ik] - track_j.east[ij],
     )
     f = _scale_factor_xy(
-        semi_major,
-        np.full_like(semi_major, semi_minor),
-        params.offset_fraction * semi_major,
-        0.0,
-        x,
-        y,
+        semi_major, semi_minor, params.offset_fraction * semi_major, 0.0, x, y
     )
     hits = np.nonzero(f < 1.0)[0]
     if hits.size == 0:

@@ -118,10 +118,11 @@ def _parse_timestamp(text: str, schema: AisSchema) -> float:
 def parse_ais(path, schema: AisSchema | None = None) -> tuple[dict[str, RawTrack], int]:
     """Read an AIS CSV into per-vessel raw tracks.
 
-    Rows with unparseable essentials (timestamp, position, mmsi) are
-    skipped and counted. A heading of 511 (unavailable) falls back to the
-    course over ground; a blank hull length falls back to a per-type
-    default. Duplicate (mmsi, timestamp) rows keep the first occurrence.
+    Rows with unparseable essentials (timestamp, position, mmsi) or a
+    non-finite SOG, COG or heading are skipped and counted. A heading of
+    511 (unavailable) falls back to the course over ground; a blank or
+    non-finite hull length falls back to a per-type default. Duplicate
+    (mmsi, timestamp) rows keep the first occurrence.
     Returns (tracks keyed by mmsi, skipped row count).
     """
     schema = schema or AisSchema()
@@ -151,6 +152,8 @@ def parse_ais(path, schema: AisSchema | None = None) -> tuple[dict[str, RawTrack
                 cog = float(row.get(schema.cog) or 0.0)
                 heading = row.get(schema.heading)
                 hdg = float(heading) if heading not in (None, "") else HEADING_UNAVAILABLE
+                if not (math.isfinite(sog) and math.isfinite(cog) and math.isfinite(hdg)):
+                    raise ValueError("non-finite motion field")
             except (ValueError, KeyError):
                 skipped += 1
                 continue
@@ -170,7 +173,7 @@ def parse_ais(path, schema: AisSchema | None = None) -> tuple[dict[str, RawTrack
                 if length_text:
                     try:
                         value = float(length_text)
-                        if value > 0.0:
+                        if math.isfinite(value) and value > 0.0:
                             track.length = value
                     except ValueError:
                         pass
@@ -186,10 +189,6 @@ def parse_ais(path, schema: AisSchema | None = None) -> tuple[dict[str, RawTrack
         for name in ("times", "lat", "lon", "speed", "heading"):
             setattr(track, name, [getattr(track, name)[i] for i in order])
     return dict(sorted(tracks.items())), skipped
-
-
-def _unwrap_headings(headings: np.ndarray) -> np.ndarray:
-    return np.unwrap(headings)
 
 
 def resample(
@@ -215,7 +214,7 @@ def resample(
     north = np.array([p.north for p in pts])
     east = np.array([p.east for p in pts])
     speed = np.asarray(raw.speed, dtype=float)
-    heading = _unwrap_headings(np.asarray(raw.heading, dtype=float))
+    heading = np.unwrap(np.asarray(raw.heading, dtype=float))
     breaks = np.nonzero(np.diff(times) > max_gap)[0]
     bounds = [0, *(int(b) + 1 for b in breaks), times.size]
     segments: list[VesselTrack] = []

@@ -4,9 +4,10 @@ The action space is a grid of speed commands and normalized rudder
 settings applied over a fixed number of equal time levels. Candidate
 states advance along circular arcs whose curvature scales with rudder and
 inversely with hull length; each candidate is scored by the full scenario
-risk against recorded target tracks and charted obstacles. A greedy
-level-wise branch and bound keeps only minimum-risk nodes (with ties) per
-level; an exhaustive enumerator provides the ground truth on small grids.
+risk against recorded target tracks and charted obstacles. One level-wise
+search serves two pruning policies: branch and bound keeps only the
+minimum-risk nodes (with ties) of each level, while the exhaustive
+enumerator keeps every node and provides the ground truth on small grids.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -286,17 +287,52 @@ def _survivors(
     return [row[4] for row in tied[:beam_width]]
 
 
-def _setup(scene_tracks, ownship_id, t):
-    if ownship_id not in scene_tracks:
+def _level_search(
+    tracks: Mapping[str, VesselTrack],
+    ownship_id: str,
+    t: float,
+    hyper: Hyperparameters,
+    kin: KinodynamicParams | None,
+    params: RiskParams | None,
+    domain_params: DomainParams | None,
+    obstacles: ObstacleSet | None,
+    prune: Callable[[list[SearchNode], SearchNode], list[SearchNode]],
+) -> tuple[list[SearchNode], bool, int]:
+    """Expand the ownship state at ``t`` level by level over the action grid.
+
+    Each of the ``n_t`` levels lasts ``horizon_T / n_t`` seconds. After a
+    level is scored, ``prune(children, root)`` picks the nodes the next
+    level expands. Returns (last-level nodes, whether any target was held,
+    nodes expanded).
+    """
+    kin = kin or KinodynamicParams()
+    rp = params or RiskParams()
+    dp = domain_params or DomainParams()
+    if ownship_id not in tracks:
         raise KeyError(f"ownship {ownship_id!r} not among tracks")
-    own = scene_tracks[ownship_id]
+    own = tracks[ownship_id]
     if not own.covers(t):
         raise ValueError(
             f"ownship {ownship_id!r} not defined at t={t} "
             f"(track spans [{own.t_start}, {own.t_end}])"
         )
-    targets = [tr for tid, tr in sorted(scene_tracks.items()) if tid != ownship_id]
-    return own, targets
+    targets = [tr for tid, tr in sorted(tracks.items()) if tid != ownship_id]
+    root_state = own.state_at(t)
+    root_risk, held_any = _evaluate(root_state, t, targets, obstacles, rp, dp)
+    root = SearchNode(state=root_state, scenario_risk=root_risk, depth=0)
+    dt = hyper.horizon_T / hyper.n_t
+    v_grid = hyper.v_grid(kin)
+    alpha_grid = hyper.alpha_grid()
+    queue: list[SearchNode] = [root]
+    expanded = 0
+    for level in range(1, hyper.n_t + 1):
+        children, held = _expand_level(
+            queue, level, dt, v_grid, alpha_grid, kin, targets, obstacles, rp, dp
+        )
+        expanded += len(children)
+        held_any = held_any or held
+        queue = prune(children, root)
+    return queue, held_any, expanded
 
 
 def branch_and_bound(
@@ -321,27 +357,13 @@ def branch_and_bound(
     minimum path risk; it is exact for a single level.
     """
     hyper = hyper or Hyperparameters()
-    kin = kin or KinodynamicParams()
-    rp = params or RiskParams()
-    dp = domain_params or DomainParams()
-    own, targets = _setup(tracks, ownship_id, t)
-    root_state = own.state_at(t)
-    root_risk, root_held = _evaluate(root_state, t, targets, obstacles, rp, dp)
-    root = SearchNode(state=root_state, scenario_risk=root_risk, depth=0)
-    dt = hyper.horizon_T / hyper.n_t
-    v_grid = hyper.v_grid(kin)
-    alpha_grid = hyper.alpha_grid()
-    queue: list[SearchNode] = [root]
-    held_any = root_held
-    expanded = 0
-    for level in range(1, hyper.n_t + 1):
-        children, held = _expand_level(
-            queue, level, dt, v_grid, alpha_grid, kin, targets, obstacles, rp, dp
-        )
-        expanded += len(children)
-        held_any = held_any or held
-        queue = _survivors(children, hyper.tie_eps, hyper.beam_width, root_state.speed)
-    paths = [node.lineage() for node in queue]
+    leaves, held_any, expanded = _level_search(
+        tracks, ownship_id, t, hyper, kin, params, domain_params, obstacles,
+        prune=lambda children, root: _survivors(
+            children, hyper.tie_eps, hyper.beam_width, root.speed
+        ),
+    )
+    paths = [node.lineage() for node in leaves]
     risks = [_path_risk(p) for p in paths]
     order = sorted(range(len(paths)), key=lambda i: (risks[i], i))
     paths = [paths[i] for i in order]
@@ -369,35 +391,21 @@ def exhaustive_search(
 ) -> PathResult:
     """Enumerate every action sequence and return the true minimum.
 
-    Ground-truth oracle for :func:`branch_and_bound` on small grids; the
-    sequence count (n_alpha * n_v) ** n_t must not exceed
-    ``max_sequences``.
+    Ground-truth oracle for :func:`branch_and_bound` on small grids: the
+    same level-wise search with no pruning. The sequence count
+    (n_alpha * n_v) ** n_t must not exceed ``max_sequences``.
     """
     hyper = hyper or Hyperparameters()
-    kin = kin or KinodynamicParams()
-    rp = params or RiskParams()
-    dp = domain_params or DomainParams()
-    own, targets = _setup(tracks, ownship_id, t)
     n_seq = (hyper.n_alpha * hyper.n_v) ** hyper.n_t
     if n_seq > max_sequences:
         raise ValueError(
             f"{n_seq} action sequences exceed the exhaustive budget {max_sequences}"
         )
-    root_state = own.state_at(t)
-    root_risk, held_any = _evaluate(root_state, t, targets, obstacles, rp, dp)
-    root = SearchNode(state=root_state, scenario_risk=root_risk, depth=0)
-    dt = hyper.horizon_T / hyper.n_t
-    v_grid = hyper.v_grid(kin)
-    alpha_grid = hyper.alpha_grid()
-    level_nodes: list[SearchNode] = [root]
-    expanded = 0
-    for level in range(1, hyper.n_t + 1):
-        level_nodes, held = _expand_level(
-            level_nodes, level, dt, v_grid, alpha_grid, kin, targets, obstacles, rp, dp
-        )
-        expanded += len(level_nodes)
-        held_any = held_any or held
-    paths = [leaf.lineage() for leaf in level_nodes]
+    leaves, held_any, expanded = _level_search(
+        tracks, ownship_id, t, hyper, kin, params, domain_params, obstacles,
+        prune=lambda children, root: children,
+    )
+    paths = [leaf.lineage() for leaf in leaves]
     risks = np.array([_path_risk(p) for p in paths])
     best = float(risks.min())
     keep = [i for i in range(len(paths)) if risks[i] <= best + hyper.tie_eps]

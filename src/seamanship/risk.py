@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from .geometry import (
-    KNOTS_TO_MPS,
     ArenaSpec,
     DomainParams,
     DomainSpec,
@@ -27,11 +26,14 @@ from .geometry import (
     VesselTrack,
     _domain_frame,
     _scale_factor_xy,
+    domain_axes,
     make_domain,
     predict_positions,
 )
 
 MUTUAL_MODES = ("max", "prob_or")
+# rates sampled by the density-weighted collision risk
+DEFAULT_GRID_N = 64
 
 
 @dataclass(frozen=True)
@@ -45,13 +47,10 @@ class RiskParams:
         horizon_step: sampling step inside the horizon, seconds.
         arena_radius: radius of the circular watch region, meters
             (default half a nautical mile, i.e. a 1 NM diameter).
-        risk_clamp_eps: clamp applied before logistic inversion downstream.
         mutual_mode: "max" combines the two directed domain indices by
             maximum; "prob_or" uses a + b - a*b.
         grounding_horizon_max: apply the horizon-max to the grounding
             domain index instead of evaluating it instantaneously.
-        obstacle_spacing: boundary discretization step for obstacle
-            polygons, meters.
         channel_adjust: shrink the domain beam inside narrow channels.
         channel_gamma: fraction of the measured channel width the adjusted
             domain beam may occupy.
@@ -64,10 +63,8 @@ class RiskParams:
     horizon_T: float = 600.0
     horizon_step: float = 30.0
     arena_radius: float = 926.0
-    risk_clamp_eps: float = 1e-6
     mutual_mode: str = "max"
     grounding_horizon_max: bool = False
-    obstacle_spacing: float = 50.0
     channel_adjust: bool = True
     channel_gamma: float = 0.8
     channel_corridor: float | None = None
@@ -79,12 +76,8 @@ class RiskParams:
             raise ValueError("horizon_T must be >= 0 and horizon_step > 0")
         if self.arena_radius <= 0.0:
             raise ValueError("arena_radius must be positive")
-        if not 0.0 < self.risk_clamp_eps < 0.5:
-            raise ValueError("risk_clamp_eps must lie in (0, 0.5)")
         if self.mutual_mode not in MUTUAL_MODES:
             raise ValueError(f"mutual_mode must be one of {MUTUAL_MODES}")
-        if self.obstacle_spacing <= 0.0:
-            raise ValueError("obstacle_spacing must be positive")
         if not 0.0 < self.channel_gamma <= 1.0:
             raise ValueError("channel_gamma must lie in (0, 1]")
 
@@ -122,9 +115,7 @@ def _directed_index_max(
     each horizon offset. Returns the per-offset index array."""
     on, oe, ov = predict_positions(own, offsets, own_rate)
     tn, te, _ = predict_positions(tgt, offsets, tgt_rate)
-    v_knots = ov / KNOTS_TO_MPS
-    semi_major = (dp.major_base + dp.major_per_knot * v_knots) * own.length
-    semi_minor = np.full_like(semi_major, dp.minor_factor * own.length)
+    semi_major, semi_minor = domain_axes(ov, own.length, dp)
     x, y = _domain_frame(own.heading, tn - on, te - oe)
     f = _scale_factor_xy(
         semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0, x, y
@@ -266,18 +257,6 @@ def densify_boundaries(
     return np.vstack(points), np.asarray(index, dtype=int)
 
 
-def sample_obstacle_points(
-    polygons: Sequence[np.ndarray], arena: ArenaSpec, spacing: float
-) -> np.ndarray:
-    """Boundary points of the given rings, discretized at ``spacing`` and
-    filtered to those strictly inside the arena. Returns an (M, 2) array."""
-    pts, _ = densify_boundaries([np.asarray(p, dtype=float) for p in polygons], spacing)
-    if pts.size == 0:
-        return np.empty((0, 2))
-    d = pts - np.array([arena.center.north, arena.center.east])
-    return pts[np.hypot(d[:, 0], d[:, 1]) < arena.radius]
-
-
 def adjust_domain_for_channel(
     domain: DomainSpec,
     state: VesselState,
@@ -351,23 +330,16 @@ def grounding_risk(
     if rp.grounding_horizon_max:
         offsets = rp.horizon_offsets()
         on, oe, ov = predict_positions(state, offsets, 0.0)
-        v_knots = ov / KNOTS_TO_MPS
-        semi_major = (dp.major_base + dp.major_per_knot * v_knots) * state.length
-        # semi-minor is speed-independent, so the channel-adjusted value holds
-        # across the whole horizon
-        semi_minor = np.full_like(semi_major, domain.semi_minor)
+        semi_major = domain_axes(ov, state.length, dp)[0][:, None]
         x, y = _domain_frame(
             state.heading,
             pts[None, :, 0] - on[:, None],
             pts[None, :, 1] - oe[:, None],
         )
+        # semi-minor is speed-independent, so the channel-adjusted value holds
+        # across the whole horizon
         f = _scale_factor_xy(
-            semi_major[:, None],
-            semi_minor[:, None],
-            dp.offset_fraction * semi_major[:, None],
-            0.0,
-            x,
-            y,
+            semi_major, domain.semi_minor, dp.offset_fraction * semi_major, 0.0, x, y
         )
         r_d = np.max(risk_index(f, rp), axis=0)
     else:
@@ -427,7 +399,7 @@ def scenario_risk_for_state(
     domain_params: DomainParams | None = None,
     hold_targets: bool = False,
     models: Mapping | None = None,
-    wavg_grid_n: int = 64,
+    wavg_grid_n: int = DEFAULT_GRID_N,
 ) -> StepRisk:
     """Scenario risk of a (possibly hypothetical) ownship state at time t.
 
@@ -454,8 +426,10 @@ def scenario_risk_for_state(
         collision[track.track_id] = cr
         model = models.get(track.vessel_type) if models else None
         if model is not None:
-            collision_wavg[track.track_id] = _weighted_risk_over_rates(
-                own_state, tgt_state, model, wavg_grid_n, rp, dp
+            collision_wavg[track.track_id] = rate_weighted_mean(
+                lambda rate: _overall_from_states(own_state, tgt_state, rate, rp, dp),
+                model,
+                wavg_grid_n,
             )
     gr_max = 0.0
     if obstacles is not None and not obstacles.is_empty:
@@ -477,38 +451,28 @@ def scenario_risk_for_state(
     )
 
 
-def _weighted_risk_over_rates(
-    own_state: VesselState,
-    tgt_state: VesselState,
-    model,
-    grid_n: int,
-    rp: RiskParams,
-    dp: DomainParams,
-) -> float:
-    """Density-weighted mean of collision risk over target speed-change
-    rates, trapezoid rule over the model support."""
+def rate_weighted_mean(value_at: Callable[[float], float], model, grid_n: int) -> float:
+    """Density-weighted mean of ``value_at(rate)`` over speed-change rates.
+
+    Samples ``grid_n`` rates spanning ``model.support`` and weights each
+    value by ``model.density`` times the composite trapezoid coefficient.
+    A single-point support collapses to the value at that rate; a density
+    with zero mass over the grid falls back to the value at rate 0.
+    """
     lo, hi = model.support
     if hi - lo <= 1e-15:
-        return _overall_from_states(own_state, tgt_state, 0.5 * (lo + hi), rp, dp)
+        return value_at(0.5 * (lo + hi))
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     rates = np.linspace(lo, hi, grid_n)
-    dens = np.asarray(model.density(rates), dtype=float)
-    weights = dens * trapezoid_coefficients(grid_n)
+    trapezoid = np.ones(grid_n)
+    trapezoid[0] = trapezoid[-1] = 0.5
+    weights = np.asarray(model.density(rates), dtype=float) * trapezoid
     total = float(weights.sum())
     if total <= 0.0:
-        return _overall_from_states(own_state, tgt_state, 0.0, rp, dp)
-    risks = np.array(
-        [_overall_from_states(own_state, tgt_state, float(r), rp, dp) for r in rates]
-    )
-    return float(np.dot(weights, risks) / total)
-
-
-def trapezoid_coefficients(n: int) -> np.ndarray:
-    """Composite trapezoid weights on a uniform grid, spacing factored out."""
-    if n < 2:
-        raise ValueError("trapezoid rule needs at least 2 points")
-    w = np.ones(n)
-    w[0] = w[-1] = 0.5
-    return w
+        return value_at(0.0)
+    values = np.array([value_at(float(r)) for r in rates])
+    return float(np.dot(weights, values) / total)
 
 
 @dataclass
@@ -535,7 +499,7 @@ def compute_risk_series(
     params: RiskParams | None = None,
     domain_params: DomainParams | None = None,
     models: Mapping | None = None,
-    wavg_grid_n: int = 64,
+    wavg_grid_n: int = DEFAULT_GRID_N,
 ) -> RiskSeries:
     """Per-step risk breakdown for one vessel over [t_start, t_end].
 

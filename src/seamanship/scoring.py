@@ -24,18 +24,16 @@ log = logging.getLogger(__name__)
 class ScoreParams:
     """Knobs of the normalization and grading steps.
 
-    ``kappa`` and ``f50`` must match the risk-index parameters used to
-    produce the series being scored. ``beta`` weighs the cumulative term
-    against the peak term. ``sr_star_eps`` is the level below which the
-    best-achievable risk counts as zero (no normalization);
-    ``sr_max_eps`` is the peak level below which the whole passage counts
-    as risk-free. Risks are clamped to [eps, 1 - eps] before logistic
-    inversion.
+    The logistic (``kappa``, ``f50``) is not set here: normalization reads
+    it from the :class:`RiskParams` that produced the series being scored.
+    ``beta`` weighs the cumulative term against the peak term.
+    ``sr_star_eps`` is the level below which the best-achievable risk
+    counts as zero (no normalization); ``sr_max_eps`` is the peak level
+    below which the whole passage counts as risk-free. Risks are clamped to
+    [eps, 1 - eps] before logistic inversion.
     """
 
     beta: float = 0.5
-    kappa: float = 10.0
-    f50: float = 1.0
     sr_star_eps: float = 1e-3
     risk_clamp_eps: float = 1e-6
     sr_max_eps: float = 1e-9
@@ -44,8 +42,6 @@ class ScoreParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.kappa <= 0.0:
-            raise ValueError("kappa must be positive")
         if not 0.0 < self.sr_star_eps < 0.5:
             raise ValueError("sr_star_eps must lie in (0, 0.5)")
         if not 0.0 < self.risk_clamp_eps < 0.5:
@@ -53,9 +49,6 @@ class ScoreParams:
 
     def clamp(self, r: float) -> float:
         return min(max(r, self.risk_clamp_eps), 1.0 - self.risk_clamp_eps)
-
-    def index(self, f: float) -> float:
-        return risk_index(f, RiskParams(kappa=self.kappa, f50=self.f50))
 
 
 def invert_risk(r: float, kappa: float = 10.0, f50: float = 1.0) -> float:
@@ -66,7 +59,12 @@ def invert_risk(r: float, kappa: float = 10.0, f50: float = 1.0) -> float:
     return (1.0 / kappa) * math.log(1.0 / r - 1.0) + f50
 
 
-def normalize_risk(sr: float, sr_star: float, params: ScoreParams | None = None) -> float:
+def normalize_risk(
+    sr: float,
+    sr_star: float,
+    params: ScoreParams | None = None,
+    risk_params: RiskParams | None = None,
+) -> float:
     """Express a risk relative to the best achievable at the same instant.
 
     With ``sr_star`` effectively zero the raw risk passes through. Otherwise
@@ -79,9 +77,11 @@ def normalize_risk(sr: float, sr_star: float, params: ScoreParams | None = None)
     the best-achievable risk is at least the boundary level; below that the
     denominator flips sign, so the raw risk is returned unchanged (logged).
     A taken risk below the best achievable beyond ``consistency_tol`` is a
-    data inconsistency and is rejected.
+    data inconsistency and is rejected. The logistic and its inverse use
+    the ``kappa`` and ``f50`` of ``risk_params``.
     """
     p = params or ScoreParams()
+    rp = risk_params or RiskParams()
     if not 0.0 <= sr <= 1.0 or not 0.0 <= sr_star <= 1.0:
         raise ValueError(f"risks must lie in [0, 1], got sr={sr} sr_star={sr_star}")
     if sr < sr_star - p.consistency_tol:
@@ -92,7 +92,7 @@ def normalize_risk(sr: float, sr_star: float, params: ScoreParams | None = None)
     sr = max(sr, sr_star)
     if sr_star <= p.sr_star_eps:
         return sr
-    f_star = invert_risk(p.clamp(sr_star), p.kappa, p.f50)
+    f_star = invert_risk(p.clamp(sr_star), rp.kappa, rp.f50)
     denom = 1.0 - f_star
     if denom < 1e-9:
         # best-achievable risk below the boundary level: re-anchoring would
@@ -101,13 +101,16 @@ def normalize_risk(sr: float, sr_star: float, params: ScoreParams | None = None)
             "normalization skipped: f(sr_star)=%.6f leaves no headroom", f_star
         )
         return sr
-    f_sr = invert_risk(p.clamp(sr), p.kappa, p.f50)
+    f_sr = invert_risk(p.clamp(sr), rp.kappa, rp.f50)
     f_norm = 1.0 + (f_sr - f_star) / denom
-    return p.clamp(p.index(f_norm))
+    return p.clamp(risk_index(f_norm, rp))
 
 
 def normalize_series(
-    sr: np.ndarray, sr_star: np.ndarray, params: ScoreParams | None = None
+    sr: np.ndarray,
+    sr_star: np.ndarray,
+    params: ScoreParams | None = None,
+    risk_params: RiskParams | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Normalize an aligned pair of risk series.
 
@@ -115,6 +118,7 @@ def normalize_series(
     code path engaged (pass-through, re-anchored, no-headroom fallback).
     """
     p = params or ScoreParams()
+    rp = risk_params or RiskParams()
     sr = np.asarray(sr, dtype=float)
     sr_star = np.asarray(sr_star, dtype=float)
     if sr.shape != sr_star.shape:
@@ -130,10 +134,10 @@ def normalize_series(
             # recorded series
             star = raw
             flags["clamped_star"] += 1
-        out[i] = normalize_risk(raw, star, p)
+        out[i] = normalize_risk(raw, star, p, rp)
         if star <= p.sr_star_eps:
             flags["passthrough"] += 1
-        elif invert_risk(p.clamp(star), p.kappa, p.f50) > 1.0 - 1e-9:
+        elif invert_risk(p.clamp(star), rp.kappa, rp.f50) > 1.0 - 1e-9:
             flags["no_headroom"] += 1
         else:
             flags["normalized"] += 1
@@ -233,19 +237,22 @@ def score_series(
     sr_series: np.ndarray,
     sr_star: np.ndarray | None = None,
     params: ScoreParams | None = None,
+    risk_params: RiskParams | None = None,
 ) -> GssReport:
     """Normalize a risk series against its best-achievable series and grade it.
 
     With ``sr_star`` omitted (or all zero) the raw series is graded as-is,
-    which serves as the un-normalized baseline.
+    which serves as the un-normalized baseline. ``risk_params`` must be the
+    parameters that produced the series; its logistic drives normalization.
     """
     p = params or ScoreParams()
+    rp = risk_params or RiskParams()
     times = np.asarray(times, dtype=float)
     sr_series = np.asarray(sr_series, dtype=float)
     if sr_star is None:
         sr_star = np.zeros_like(sr_series)
     sr_star = np.asarray(sr_star, dtype=float)
-    sr_norm, flags = normalize_series(sr_series, sr_star, p)
+    sr_norm, flags = normalize_series(sr_series, sr_star, p, rp)
     j_m, j_c, score = gss(sr_norm, times, p)
     integral = float(np.trapezoid(sr_norm, times)) if times.size > 1 else float(sr_norm[0])
     return GssReport(
@@ -263,8 +270,8 @@ def score_series(
         risk_integral=integral,
         parameters={
             "beta": p.beta,
-            "kappa": p.kappa,
-            "f50": p.f50,
+            "kappa": rp.kappa,
+            "f50": rp.f50,
             "sr_star_eps": p.sr_star_eps,
             "risk_clamp_eps": p.risk_clamp_eps,
             "sr_max_eps": p.sr_max_eps,

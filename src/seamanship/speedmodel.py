@@ -17,11 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geometry import DomainParams, VesselTrack, VesselType, find_tdv
-from .risk import (
-    RiskParams,
-    _overall_from_states,
-    trapezoid_coefficients,
-)
+from .risk import DEFAULT_GRID_N, RiskParams, _overall_from_states, rate_weighted_mean
 
 log = logging.getLogger(__name__)
 
@@ -271,7 +267,7 @@ def probabilistic_cr(
     track_k: VesselTrack,
     t: float,
     model: SpeedChangeModel,
-    grid_n: int = 64,
+    grid_n: int = DEFAULT_GRID_N,
     params: RiskParams | None = None,
     domain_params: DomainParams | None = None,
 ) -> float:
@@ -279,41 +275,15 @@ def probabilistic_cr(
 
     Slices the overall collision risk at ``grid_n`` rates spanning the
     model support and weights each slice by the model density (trapezoid
-    rule); the rate applies to the target only. A zero-mass density falls
-    back to the deterministic risk at rate 0; a single-point support
-    collapses to the risk at that rate.
+    rule, see :func:`~seamanship.risk.rate_weighted_mean`); the rate
+    applies to the target only. A zero-mass density falls back to the
+    deterministic risk at rate 0; a single-point support collapses to the
+    risk at that rate.
     """
     rp = params or RiskParams()
     dp = domain_params or DomainParams()
     sj = track_j.state_at(t)
     sk = track_k.state_at(t)
-    lo, hi = model.support
-    if hi - lo <= 1e-15:
-        return _overall_from_states(sj, sk, 0.5 * (lo + hi), rp, dp)
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
-    rates = np.linspace(lo, hi, grid_n)
-    weights = np.asarray(model.density(rates), dtype=float) * trapezoid_coefficients(grid_n)
-    total = float(weights.sum())
-    if total <= 0.0:
-        return _overall_from_states(sj, sk, 0.0, rp, dp)
-    risks = np.array([_overall_from_states(sj, sk, float(r), rp, dp) for r in rates])
-    return float(np.dot(weights, risks) / total)
-
-
-def weighted_rate_average(rates, densities, values) -> float:
-    """Trapezoid-weighted mean of ``values`` over a uniform rate grid.
-
-    The quadrature core behind :func:`probabilistic_cr`, exposed for direct
-    verification: sum(w_i P_i V_i) / sum(w_i P_i) with trapezoid w.
-    """
-    rates = np.asarray(rates, dtype=float)
-    densities = np.asarray(densities, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if rates.size != densities.size or rates.size != values.size:
-        raise ValueError("rates, densities, values must align")
-    weights = densities * trapezoid_coefficients(rates.size)
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError("density mass is zero over the grid")
-    return float(np.dot(weights, values) / total)
+    return rate_weighted_mean(
+        lambda rate: _overall_from_states(sj, sk, rate, rp, dp), model, grid_n
+    )

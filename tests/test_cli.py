@@ -11,6 +11,8 @@ import pytest
 from seamanship.cli import main
 from seamanship.geometry import VesselState, VesselType
 from seamanship.planner import KinodynamicParams, step_kinodynamics
+from seamanship.risk import RiskParams
+from seamanship.scoring import ScoreParams, score_series
 
 LAT_PER_METER = math.degrees(1.0 / 6_371_000.0)
 MPS_10_KNOTS = 10.0 * 1852.0 / 3600.0
@@ -305,6 +307,22 @@ class TestScoreCommand:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["code"] == 3
 
+    def test_risk_kappa_drives_normalization(self, head_on_ais, tmp_path):
+        scenario = ingest(head_on_ais, tmp_path / "ing")
+        # a straight-ahead-only search leaves a floor high enough to normalize
+        out = self.score(
+            scenario, tmp_path / "score", "--set", "risk.kappa=12", "--set", "search.n_alpha=1"
+        )
+        doc = json.loads((out / "gss.json").read_text())
+        assert doc["parameters"]["kappa"] == 12
+        assert doc["flags"]["normalized"] > 0
+        rp = RiskParams(kappa=12, horizon_T=120, horizon_step=60)
+        report = score_series(
+            "111000001", doc["times"], doc["sr_series"], doc["sr_star_series"],
+            ScoreParams(), rp,
+        )
+        assert doc["sr_norm_series"] == report.sr_norm_series.tolist()
+
     def test_rerun_is_byte_identical(self, head_on_ais, chart_file, tmp_path):
         scenario = ingest(head_on_ais, tmp_path / "ing", chart_file)
         a = self.score(scenario, tmp_path / "s1")
@@ -418,6 +436,18 @@ class TestConfigHandling:
         )
         assert code == 2
         assert "nonsense" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize(
+        "key", ["score.kappa", "score.f50", "risk.risk_clamp_eps", "risk.obstacle_spacing"]
+    )
+    def test_removed_key_exits_2(self, head_on_ais, tmp_path, capsys, key):
+        scenario = ingest(head_on_ais, tmp_path / "ing")
+        code = run(
+            "score", "--scenario", scenario, "--ownship", "111000001",
+            "--output", tmp_path / "run", *FAST_SEARCH, "--set", f"{key}=0.1",
+        )
+        assert code == 2
+        assert key.split(".")[1] in json.loads(capsys.readouterr().err)["message"]
 
     def test_bad_config_json_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -111,6 +111,24 @@ class TestParseAis:
         assert tracks["219000001"].length == 180.0
         assert tracks["219000001"].vessel_type is VesselType.TANKER
 
+    @pytest.mark.parametrize(
+        "column,value", [(4, "nan"), (4, "inf"), (5, "nan"), (6, "nan"), (6, "-inf")]
+    )
+    def test_non_finite_motion_field_is_skipped_and_counted(self, tmp_path, column, value):
+        rows = simple_rows(n=3)
+        rows[1][column] = value
+        tracks, skipped = parse_ais(write_ais(tmp_path / "a.csv", rows))
+        assert skipped == 1
+        track = tracks["219000001"]
+        assert len(track.times) == 2
+        assert np.all(np.isfinite(track.speed)) and np.all(np.isfinite(track.heading))
+
+    def test_infinite_length_defaults_by_type(self, tmp_path):
+        rows = simple_rows(n=1)
+        rows[0][8] = "inf"
+        tracks, _ = parse_ais(write_ais(tmp_path / "a.csv", rows))
+        assert tracks["219000001"].length == 150.0
+
     def test_unsorted_rows_are_ordered_by_time(self, tmp_path):
         rows = simple_rows(n=3)
         rows.reverse()

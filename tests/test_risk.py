@@ -23,7 +23,6 @@ from seamanship.risk import (
     mutual_collision_risk,
     overall_collision_risk,
     risk_index,
-    sample_obstacle_points,
     scenario_risk_for_state,
 )
 from .test_geometry import straight_track
@@ -111,27 +110,31 @@ class TestMutualAndOverall:
         assert 0.0 <= cr <= r
 
 
+def points_in_arena(polygons, arena, spacing):
+    return ObstacleSet(polygons, spacing=spacing).points_in_arena(arena)
+
+
 class TestObstacleSampling:
     def test_empty_polygons(self):
         arena = ArenaSpec(926.0, LocalPoint(0.0, 0.0))
-        assert sample_obstacle_points([], arena, 50.0).shape == (0, 2)
+        assert points_in_arena([], arena, 50.0).shape == (0, 2)
 
     def test_square_point_count(self):
         # 100 m sides at 25 m spacing: 4 points per side
         arena = ArenaSpec(5000.0, LocalPoint(0.0, 0.0))
-        pts = sample_obstacle_points([closed_square(0.0, 0.0, 50.0)], arena, 25.0)
+        pts = points_in_arena([closed_square(0.0, 0.0, 50.0)], arena, 25.0)
         assert pts.shape == (16, 2)
 
     def test_arena_filter(self):
         arena = ArenaSpec(200.0, LocalPoint(0.0, 0.0))
-        pts = sample_obstacle_points([closed_square(0.0, 300.0, 150.0)], arena, 10.0)
+        pts = points_in_arena([closed_square(0.0, 300.0, 150.0)], arena, 10.0)
         assert pts.shape[0] > 0
         assert np.all(np.hypot(pts[:, 0], pts[:, 1]) < 200.0)
 
     def test_spacing_upper_bound(self):
         ring = closed_square(0.0, 0.0, 130.0)
         arena = ArenaSpec(10000.0, LocalPoint(0.0, 0.0))
-        pts = sample_obstacle_points([ring], arena, 40.0)
+        pts = points_in_arena([ring], arena, 40.0)
         # consecutive points along one side are at most `spacing` apart
         side = pts[np.isclose(pts[:, 1], -130.0)]
         gaps = np.diff(np.sort(side[:, 0]))

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from seamanship.geometry import VesselTrack, VesselType
-from seamanship.risk import RiskParams, overall_collision_risk
+from seamanship.risk import RiskParams, overall_collision_risk, rate_weighted_mean
 from seamanship.speedmodel import (
     EncounterEvent,
     SpeedChangeModel,
@@ -14,7 +14,6 @@ from seamanship.speedmodel import (
     probabilistic_cr,
     silverman_bandwidth,
     speed_change_at,
-    weighted_rate_average,
 )
 from .test_geometry import straight_track
 
@@ -187,10 +186,24 @@ class TestProbabilisticCr:
         assert probabilistic_cr(self.a, far, 100.0, model) == pytest.approx(0.0, abs=1e-9)
 
     def test_two_point_hand_average(self):
-        assert weighted_rate_average(
-            [-0.02, 0.02], [1.0, 1.0], [0.2, 0.6]
-        ) == pytest.approx(0.4, abs=1e-15)
+        # uniform density on a two-point grid: the plain mean of the values
+        model = SpeedChangeModel(
+            VesselType.CARGO, np.empty(0), 0.02, (-0.02, 0.02), degenerate=True
+        )
+        values = {-0.02: 0.2, 0.02: 0.6}
+        assert rate_weighted_mean(values.__getitem__, model, 2) == pytest.approx(
+            0.4, abs=1e-15
+        )
 
-    def test_weighted_average_zero_mass_rejected(self):
+    def test_weighted_average_zero_mass_falls_back_to_rate_zero(self):
+        # kernels centered far outside the support underflow to zero density
+        model = SpeedChangeModel(VesselType.CARGO, np.array([10.0]), 1e-3, (0.0, 1.0))
+        assert float(np.sum(model.density(np.linspace(0.0, 1.0, 8)))) == 0.0
+        assert rate_weighted_mean(lambda r: 0.3 + r, model, 8) == 0.3
+
+    def test_grid_n_below_two_rejected(self):
+        model = SpeedChangeModel(
+            VesselType.CARGO, np.empty(0), 0.02, (-0.02, 0.02), degenerate=True
+        )
         with pytest.raises(ValueError):
-            weighted_rate_average([0.0, 1.0], [0.0, 0.0], [0.1, 0.2])
+            probabilistic_cr(self.a, self.b, 100.0, model, grid_n=1)
