@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -125,11 +126,26 @@ def build_block(name: str, config: dict):
 
 
 def speed_options(config: dict) -> dict:
+    """The ``speed`` section over its defaults: integer ``min_samples`` and
+    ``grid_n``, finite ``dcpa_threshold`` and positive finite ``window``."""
     section = config.get("speed", {})
+    if not isinstance(section, dict):
+        raise CliError("config section 'speed' must be an object")
     unknown = sorted(set(section) - set(SPEED_DEFAULTS))
     if unknown:
         raise CliError(f"unknown keys in config section 'speed': {unknown}")
-    return {**SPEED_DEFAULTS, **section}
+    opts = {**SPEED_DEFAULTS, **section}
+    for key, value in opts.items():
+        # bool is an int subclass, but true/false is no count or distance
+        is_int = isinstance(value, int) and not isinstance(value, bool)
+        if key in ("min_samples", "grid_n"):
+            if not is_int:
+                raise CliError(f"config speed.{key} must be an integer, got {value!r}")
+        elif not (is_int or (isinstance(value, float) and math.isfinite(value))):
+            raise CliError(f"config speed.{key} must be a finite number, got {value!r}")
+    if opts["window"] <= 0:
+        raise CliError(f"config speed.window must be positive, got {opts['window']!r}")
+    return opts
 
 
 def _resolve_path(config: dict, args, key: str, required: bool = False):
@@ -519,9 +535,12 @@ def cmd_safest_path(args) -> int:
         rows = []
         for n_t in sweep_nt:
             swept = dataclasses.replace(hyper, n_t=n_t)
-            sr = branch_and_bound(
-                scenario.tracks, ownship, t, swept, kin, rp, dp, scenario.obstacles
-            ).sr_star
+            if n_t == hyper.n_t:
+                sr = result.sr_star
+            else:
+                sr = branch_and_bound(
+                    scenario.tracks, ownship, t, swept, kin, rp, dp, scenario.obstacles
+                ).sr_star
             rows.append((n_t, swept.n_alpha, swept.n_v, sr))
         (outdir / "sr_star_grid.csv").write_text(
             _csv_text(["n_t", "n_alpha", "n_v", "sr_star"], rows, provenance),

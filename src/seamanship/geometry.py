@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +39,9 @@ class VesselType(Enum):
 
 
 def normalize_heading(angle: float) -> float:
-    """Wrap an angle in radians to [0, 2*pi)."""
+    """Wrap an angle in radians to [0, 2*pi); a non-finite angle is rejected."""
+    if not math.isfinite(angle):
+        raise ValueError(f"non-finite heading {angle}")
     wrapped = float(angle) % TWO_PI
     # float modulo may round up to the modulus itself for tiny negatives
     return wrapped if wrapped < TWO_PI else 0.0
@@ -92,6 +95,11 @@ class VesselState:
     vessel_type: VesselType = VesselType.OTHER
 
     def __post_init__(self) -> None:
+        values = (self.time, self.north, self.east, self.speed, self.heading, self.length)
+        if not all(map(math.isfinite, values)):
+            names = ("time", "north", "east", "speed", "heading", "length")
+            name, value = next(nv for nv in zip(names, values) if not math.isfinite(nv[1]))
+            raise ValueError(f"non-finite {name} {value}")
         if self.speed < 0.0:
             raise ValueError(f"negative speed {self.speed}")
         if self.length <= 0.0:
@@ -101,6 +109,33 @@ class VesselState:
     @property
     def position(self) -> LocalPoint:
         return LocalPoint(self.north, self.east)
+
+
+class StateArrays(NamedTuple):
+    """Kinematics of several vessels as parallel arrays, one entry per
+    vessel: north, east, speed, heading and hull length. Field names match
+    :class:`VesselState`, so code reading those fields accepts either."""
+
+    north: np.ndarray
+    east: np.ndarray
+    speed: np.ndarray
+    heading: np.ndarray
+    length: np.ndarray
+
+    @classmethod
+    def of(cls, states: Sequence[VesselState]) -> "StateArrays":
+        return cls(*(np.array([getattr(s, name) for s in states], dtype=float)
+                     for name in cls._fields))
+
+    def select(self, index) -> "StateArrays":
+        """The vessels at ``index`` (a slice or an index array)."""
+        return StateArrays(*(a[index] for a in self))
+
+    def expand(self, axis: int, ndim: int) -> "StateArrays":
+        """Each field reshaped to ``ndim`` dimensions, vessels along ``axis``."""
+        shape = [1] * ndim
+        shape[axis] = -1
+        return StateArrays(*(a.reshape(shape) for a in self))
 
 
 @dataclass(frozen=True)
@@ -298,19 +333,19 @@ def ddv(f):
     return np.maximum(1.0 - np.asarray(f, dtype=float), 0.0)
 
 
-def travel_distance(speed: float, dt, rate: float = 0.0):
+def travel_distance(speed, dt, rate=0.0):
     """Distance covered in ``dt`` seconds under a constant speed-change rate.
 
     Speed is clamped at zero: a decelerating vessel stops and stays stopped.
-    ``dt`` may be an array.
+    Arguments may be arrays and broadcast together.
     """
     dt = np.asarray(dt, dtype=float)
     if np.any(dt < 0.0):
         raise ValueError("dt must be non-negative")
-    if rate >= 0.0:
-        return speed * dt + 0.5 * rate * dt * dt
-    t_stop = speed / -rate
-    tau = np.minimum(dt, t_stop)
+    rate = np.asarray(rate, dtype=float)
+    # a decelerating vessel moves only until it stops; others move all of dt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = np.where(rate < 0.0, np.minimum(dt, speed / -rate), dt)
     return speed * tau + 0.5 * rate * tau * tau
 
 
@@ -332,15 +367,17 @@ def predict_state(state: VesselState, dt: float, speed_change_rate: float = 0.0)
     )
 
 
-def predict_positions(state: VesselState, dts: np.ndarray, rate: float = 0.0):
+def predict_positions(state: VesselState | StateArrays, dts: np.ndarray, rate=0.0):
     """Vectorized constant-course prediction over an array of lead times.
 
-    Returns (north, east, speed) arrays aligned with ``dts``.
+    ``state`` is one state or a :class:`StateArrays` shaped to broadcast
+    against ``dts`` and ``rate``. Returns (north, east, speed) arrays of
+    the broadcast shape.
     """
     dts = np.asarray(dts, dtype=float)
     dist = travel_distance(state.speed, dts, rate)
-    north = state.north + dist * math.cos(state.heading)
-    east = state.east + dist * math.sin(state.heading)
+    north = state.north + dist * np.cos(state.heading)
+    east = state.east + dist * np.sin(state.heading)
     speed = np.maximum(0.0, state.speed + rate * dts)
     return north, east, speed
 
@@ -368,13 +405,19 @@ class VesselTrack:
         self.north = np.asarray(self.north, dtype=float)
         self.east = np.asarray(self.east, dtype=float)
         self.speed = np.asarray(self.speed, dtype=float)
-        self.heading = np.mod(np.asarray(self.heading, dtype=float), TWO_PI)
+        self.heading = np.asarray(self.heading, dtype=float)
         n = self.times.size
         if n < 1:
             raise ValueError(f"track {self.track_id!r} is empty")
-        for name in ("north", "east", "speed", "heading"):
-            if getattr(self, name).size != n:
+        for name in ("times", "north", "east", "speed", "heading"):
+            values = getattr(self, name)
+            if values.size != n:
                 raise ValueError(f"track {self.track_id!r}: {name} length mismatch")
+            if not np.isfinite(values).all():
+                raise ValueError(f"track {self.track_id!r}: non-finite {name}")
+        if not math.isfinite(self.length):
+            raise ValueError(f"track {self.track_id!r}: non-finite length {self.length}")
+        self.heading = np.mod(self.heading, TWO_PI)
         if n > 1 and np.any(np.diff(self.times) <= 0.0):
             raise ValueError(f"track {self.track_id!r}: times not strictly increasing")
         if np.any(self.speed < 0.0):

@@ -8,19 +8,26 @@ risk against recorded target tracks and charted obstacles. One level-wise
 search serves two pruning policies: branch and bound keeps only the
 minimum-risk nodes (with ties) of each level, while the exhaustive
 enumerator keeps every node and provides the ground truth on small grids.
+
+All children of a level share one time, so a level is advanced and scored
+as arrays: the targets are interpolated once, every child moves in one
+vectorized arc step, and one risk-kernel pass scores every child against
+every target. The chart is scanned once per level for points near any
+child before each child's own arena test. Search nodes are kept as parallel
+arrays with parent indices; :class:`SearchNode` objects are built only for
+the paths a search returns.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import DomainParams, LocalPoint, VesselState, VesselTrack, normalize_heading
-from .risk import ObstacleSet, RiskParams, scenario_risk_for_state
+from .geometry import TWO_PI, DomainParams, LocalPoint, StateArrays, VesselState, VesselTrack
+from .risk import ObstacleSet, RiskParams, scenario_risks
 
 ALPHA_EPS = 1e-6
 
@@ -81,6 +88,30 @@ class Hyperparameters:
         return np.linspace(kin.v_min, kin.v_max, self.n_v)
 
 
+def _arc_step(
+    north, east, speed, heading, length, alpha, v_cmd, dt: float, kin: KinodynamicParams
+):
+    """Constant-rudder arc step of states given as broadcastable arrays.
+
+    Returns (north, east, heading) after ``dt``; see :func:`step_kinodynamics`.
+    """
+    run = speed * dt
+    cos_h = np.cos(heading)
+    sin_h = np.sin(heading)
+    straight = np.abs(alpha) < ALPHA_EPS
+    curvature = np.where(straight, 1.0, alpha * kin.max_curvature(length))
+    dpsi = run * curvature
+    fwd = np.where(straight, run, np.sin(dpsi) / curvature)
+    stb = np.where(straight, 0.0, (1.0 - np.cos(dpsi)) / curvature)
+    turned = np.mod(heading + dpsi, TWO_PI)
+    # the modulo may round a tiny negative angle up to 2*pi itself
+    new_heading = np.where(straight, heading, np.where(turned < TWO_PI, turned, 0.0))
+    # body-to-world: forward along heading, starboard 90 degrees clockwise
+    north = north + fwd * cos_h - stb * sin_h
+    east = east + fwd * sin_h + stb * cos_h
+    return north, east, new_heading
+
+
 def step_kinodynamics(
     state: VesselState,
     alpha: float,
@@ -103,27 +134,16 @@ def step_kinodynamics(
         raise ValueError(f"v_cmd {v_cmd} outside [{kin.v_min}, {kin.v_max}]")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    run = state.speed * dt
-    cos_h = math.cos(state.heading)
-    sin_h = math.sin(state.heading)
-    if abs(alpha) < ALPHA_EPS:
-        fwd, stb = run, 0.0
-        new_heading = state.heading
-    else:
-        curvature = alpha * kin.max_curvature(state.length)
-        dpsi = run * curvature
-        fwd = math.sin(dpsi) / curvature
-        stb = (1.0 - math.cos(dpsi)) / curvature
-        new_heading = normalize_heading(state.heading + dpsi)
-    # body-to-world: forward along heading, starboard 90 degrees clockwise
-    north = state.north + fwd * cos_h - stb * sin_h
-    east = state.east + fwd * sin_h + stb * cos_h
+    north, east, heading = _arc_step(
+        state.north, state.east, state.speed, state.heading, state.length,
+        alpha, v_cmd, dt, kin,
+    )
     return VesselState(
         time=state.time + dt,
-        north=north,
-        east=east,
+        north=float(north),
+        east=float(east),
         speed=float(v_cmd),
-        heading=new_heading,
+        heading=float(heading),
         length=state.length,
         vessel_type=state.vessel_type,
     )
@@ -213,78 +233,52 @@ class PathResult:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _path_risk(path: Sequence[SearchNode]) -> float:
-    """Maximum scenario risk over the path, root excluded; 0 for a bare root."""
-    risks = [n.scenario_risk for n in path[1:]]
-    return max(risks) if risks else 0.0
+@dataclass
+class _Level:
+    """Kept nodes of one search level as parallel arrays.
 
+    ``speed`` is each node's speed command (the root's own speed at level
+    0); ``path_risk`` is the maximum scenario risk from level 1 down to the
+    node; ``parent`` indexes the kept nodes of the previous level.
+    """
 
-def _evaluate(
-    state: VesselState,
-    t: float,
-    targets: Sequence[VesselTrack],
-    obstacles: ObstacleSet | None,
-    rp: RiskParams,
-    dp: DomainParams,
-) -> tuple[float, bool]:
-    step = scenario_risk_for_state(
-        state, t, targets, obstacles, rp, dp, hold_targets=True
-    )
-    return step.scenario, step.targets_held
+    time: float
+    north: np.ndarray
+    east: np.ndarray
+    speed: np.ndarray
+    heading: np.ndarray
+    alpha: np.ndarray
+    risk: np.ndarray
+    path_risk: np.ndarray
+    parent: np.ndarray
 
-
-def _expand_level(
-    queue: Sequence[SearchNode],
-    level: int,
-    dt: float,
-    v_grid: np.ndarray,
-    alpha_grid: np.ndarray,
-    kin: KinodynamicParams,
-    targets: Sequence[VesselTrack],
-    obstacles: ObstacleSet | None,
-    rp: RiskParams,
-    dp: DomainParams,
-) -> tuple[list[SearchNode], bool]:
-    children: list[SearchNode] = []
-    held_any = False
-    for node in queue:
-        for v_cmd in v_grid:
-            for alpha in alpha_grid:
-                child_state = step_kinodynamics(node.state, float(alpha), float(v_cmd), dt, kin)
-                risk, held = _evaluate(child_state, child_state.time, targets, obstacles, rp, dp)
-                held_any = held_any or held
-                children.append(
-                    SearchNode(
-                        state=child_state,
-                        scenario_risk=risk,
-                        depth=level,
-                        parent=node,
-                        alpha=float(alpha),
-                        v_cmd=float(v_cmd),
-                    )
-                )
-    return children, held_any
+    def select(self, index: np.ndarray) -> "_Level":
+        return _Level(
+            self.time, self.north[index], self.east[index], self.speed[index],
+            self.heading[index], self.alpha[index], self.risk[index],
+            self.path_risk[index], self.parent[index],
+        )
 
 
 def _survivors(
-    children: Sequence[SearchNode],
+    risk: np.ndarray,
+    alpha: np.ndarray,
+    v_cmd: np.ndarray,
     tie_eps: float,
     beam_width: int,
     root_speed: float,
-) -> list[SearchNode]:
-    """Minimum-risk children within tie_eps, capped at beam_width.
+) -> np.ndarray:
+    """Indices of the minimum-risk children within tie_eps, capped at beam_width.
 
     Among ties, straighter and closer-to-current-speed candidates rank
-    first so a risk-free scene keeps its hold-course path through the cap.
+    first so a risk-free scene keeps its hold-course path through the cap;
+    the child index breaks the remaining ties.
     """
-    best = min(c.scenario_risk for c in children)
-    tied = [
-        (c.scenario_risk, abs(c.alpha), abs(c.v_cmd - root_speed), i, c)
-        for i, c in enumerate(children)
-        if c.scenario_risk <= best + tie_eps
-    ]
-    tied.sort(key=lambda row: row[:4])
-    return [row[4] for row in tied[:beam_width]]
+    tied = np.flatnonzero(risk <= risk.min() + tie_eps)
+    order = np.lexsort(
+        (tied, np.abs(v_cmd[tied] - root_speed), np.abs(alpha[tied]), risk[tied])
+    )
+    return tied[order[:beam_width]]
 
 
 def _level_search(
@@ -296,14 +290,16 @@ def _level_search(
     params: RiskParams | None,
     domain_params: DomainParams | None,
     obstacles: ObstacleSet | None,
-    prune: Callable[[list[SearchNode], SearchNode], list[SearchNode]],
-) -> tuple[list[SearchNode], bool, int]:
+    prune: Callable[[np.ndarray, np.ndarray, np.ndarray, float], np.ndarray],
+) -> tuple[list[_Level], VesselState, bool, int]:
     """Expand the ownship state at ``t`` level by level over the action grid.
 
-    Each of the ``n_t`` levels lasts ``horizon_T / n_t`` seconds. After a
-    level is scored, ``prune(children, root)`` picks the nodes the next
-    level expands. Returns (last-level nodes, whether any target was held,
-    nodes expanded).
+    Each of the ``n_t`` levels lasts ``horizon_T / n_t`` seconds; children
+    are enumerated parent, then speed command, then rudder. After a level
+    is scored, ``prune(risk, alpha, v_cmd, root_speed)`` returns the
+    indices of the children the next level expands. Returns (kept nodes
+    per level, root first; root state; whether any target was held; nodes
+    expanded).
     """
     kin = kin or KinodynamicParams()
     rp = params or RiskParams()
@@ -318,21 +314,75 @@ def _level_search(
         )
     targets = [tr for tid, tr in sorted(tracks.items()) if tid != ownship_id]
     root_state = own.state_at(t)
-    root_risk, held_any = _evaluate(root_state, t, targets, obstacles, rp, dp)
-    root = SearchNode(state=root_state, scenario_risk=root_risk, depth=0)
+    root = StateArrays.of([root_state])
+    step = scenario_risks(root, t, targets, obstacles, rp, dp, hold_targets=True)
+    held_any = step.targets_held
+    levels = [_Level(
+        root_state.time, root.north, root.east, root.speed, root.heading,
+        np.full(1, np.nan), step.scenario, np.full(1, -np.inf), np.full(1, -1),
+    )]
     dt = hyper.horizon_T / hyper.n_t
-    v_grid = hyper.v_grid(kin)
     alpha_grid = hyper.alpha_grid()
-    queue: list[SearchNode] = [root]
+    act_v = np.repeat(hyper.v_grid(kin), alpha_grid.size)
+    act_alpha = np.tile(alpha_grid, act_v.size // alpha_grid.size)
     expanded = 0
-    for level in range(1, hyper.n_t + 1):
-        children, held = _expand_level(
-            queue, level, dt, v_grid, alpha_grid, kin, targets, obstacles, rp, dp
+    for _ in range(hyper.n_t):
+        prev = levels[-1]
+        n_parents = prev.north.size
+        parent = np.repeat(np.arange(n_parents), act_v.size)
+        alpha = np.tile(act_alpha, n_parents)
+        v_cmd = np.tile(act_v, n_parents)
+        north, east, heading = _arc_step(
+            prev.north[parent], prev.east[parent], prev.speed[parent],
+            prev.heading[parent], root_state.length, alpha, v_cmd, dt, kin,
         )
-        expanded += len(children)
-        held_any = held_any or held
-        queue = prune(children, root)
-    return queue, held_any, expanded
+        # accumulated level by level, as each child's time is its parent's plus dt
+        time = prev.time + dt
+        children = StateArrays(north, east, v_cmd, heading, np.full(north.size, float(root_state.length)))
+        step = scenario_risks(children, time, targets, obstacles, rp, dp, hold_targets=True)
+        held_any = held_any or step.targets_held
+        expanded += north.size
+        level = _Level(
+            time, north, east, v_cmd, heading, alpha, step.scenario,
+            np.maximum(prev.path_risk[parent], step.scenario), parent,
+        )
+        levels.append(level.select(prune(step.scenario, alpha, v_cmd, root_state.speed)))
+    return levels, root_state, held_any, expanded
+
+
+def _paths(
+    levels: list[_Level], root_state: VesselState, leaves: Sequence[int]
+) -> list[list[SearchNode]]:
+    """Root-to-leaf node lists of the given last-level nodes. Nodes shared
+    by several paths are the same objects."""
+    built: dict[tuple[int, int], SearchNode] = {
+        (0, 0): SearchNode(
+            state=root_state, scenario_risk=float(levels[0].risk[0]), depth=0
+        )
+    }
+
+    def node(depth: int, i: int) -> SearchNode:
+        if (depth, i) not in built:
+            lv = levels[depth]
+            built[depth, i] = SearchNode(
+                state=VesselState(
+                    time=lv.time,
+                    north=float(lv.north[i]),
+                    east=float(lv.east[i]),
+                    speed=float(lv.speed[i]),
+                    heading=float(lv.heading[i]),
+                    length=root_state.length,
+                    vessel_type=root_state.vessel_type,
+                ),
+                scenario_risk=float(lv.risk[i]),
+                depth=depth,
+                parent=node(depth - 1, int(lv.parent[i])),
+                alpha=float(lv.alpha[i]),
+                v_cmd=float(lv.speed[i]),
+            )
+        return built[depth, i]
+
+    return [node(len(levels) - 1, int(i)).lineage() for i in leaves]
 
 
 def branch_and_bound(
@@ -357,21 +407,20 @@ def branch_and_bound(
     minimum path risk; it is exact for a single level.
     """
     hyper = hyper or Hyperparameters()
-    leaves, held_any, expanded = _level_search(
+    levels, root_state, held_any, expanded = _level_search(
         tracks, ownship_id, t, hyper, kin, params, domain_params, obstacles,
-        prune=lambda children, root: _survivors(
-            children, hyper.tie_eps, hyper.beam_width, root.speed
+        prune=lambda risk, alpha, v_cmd, root_speed: _survivors(
+            risk, alpha, v_cmd, hyper.tie_eps, hyper.beam_width, root_speed
         ),
     )
-    paths = [node.lineage() for node in leaves]
-    risks = [_path_risk(p) for p in paths]
-    order = sorted(range(len(paths)), key=lambda i: (risks[i], i))
-    paths = [paths[i] for i in order]
-    risks = [risks[i] for i in order]
+    risks = levels[-1].path_risk
+    order = np.argsort(risks, kind="stable")
+    best = float(risks[order[0]])
+    paths = _paths(levels, root_state, order)
     return PathResult(
         states=paths[0],
-        path_risk=risks[0],
-        sr_star=risks[0],
+        path_risk=best,
+        sr_star=best,
         paths=paths,
         targets_held=held_any,
         nodes_expanded=expanded,
@@ -401,21 +450,20 @@ def exhaustive_search(
         raise ValueError(
             f"{n_seq} action sequences exceed the exhaustive budget {max_sequences}"
         )
-    leaves, held_any, expanded = _level_search(
+    levels, root_state, held_any, expanded = _level_search(
         tracks, ownship_id, t, hyper, kin, params, domain_params, obstacles,
-        prune=lambda children, root: children,
+        prune=lambda risk, *_: np.arange(risk.size),
     )
-    paths = [leaf.lineage() for leaf in leaves]
-    risks = np.array([_path_risk(p) for p in paths])
+    risks = levels[-1].path_risk
     best = float(risks.min())
-    keep = [i for i in range(len(paths)) if risks[i] <= best + hyper.tie_eps]
-    keep.sort(key=lambda i: (risks[i], i))
-    keep = keep[: hyper.beam_width]
+    keep = np.flatnonzero(risks <= best + hyper.tie_eps)
+    keep = keep[np.argsort(risks[keep], kind="stable")][: hyper.beam_width]
+    paths = _paths(levels, root_state, keep)
     return PathResult(
-        states=paths[keep[0]],
+        states=paths[0],
         path_risk=float(risks[keep[0]]),
         sr_star=best,
-        paths=[paths[i] for i in keep],
+        paths=paths,
         targets_held=held_any,
         nodes_expanded=expanded,
     )

@@ -6,6 +6,10 @@ at boundary contact, saturating toward 1 deep inside the domain and toward 0
 far outside. Collision risk couples a horizon-max mutual domain index with an
 instantaneous arena proximity index; grounding risk does the same against
 points sampled on shallow-water polygon boundaries.
+
+One broadcast kernel, :func:`collision_risk_grid`, evaluates collision risk
+for many own states against many targets at many target speed-change rates
+in one array pass; the single-pair functions call it with one of each.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .geometry import (
     DomainParams,
     DomainSpec,
     LocalPoint,
+    StateArrays,
     VesselState,
     VesselTrack,
     _domain_frame,
@@ -34,6 +39,14 @@ from .geometry import (
 MUTUAL_MODES = ("max", "prob_or")
 # rates sampled by the density-weighted collision risk
 DEFAULT_GRID_N = 64
+# elements of the (own, targets, rates, offsets) grid scored per kernel
+# pass: about a dozen temporaries of this size are alive at once, so a tied
+# planner level (up to 64 x 39 candidates) stays within a couple of
+# megabytes instead of tens
+KERNEL_CHUNK_ELEMS = 8192
+# meters added to the shared arena prefilter radius so that rounding never
+# drops a point the exact per-state test would keep
+ARENA_SLACK = 1.0
 
 
 @dataclass(frozen=True)
@@ -102,25 +115,64 @@ def risk_index(f, params: RiskParams | None = None):
     return float(out) if out.ndim == 0 else out
 
 
-def _directed_index_max(
-    own: VesselState,
-    tgt: VesselState,
-    offsets: np.ndarray,
-    own_rate: float,
-    tgt_rate: float,
-    rp: RiskParams,
-    dp: DomainParams,
-) -> np.ndarray:
-    """Domain index of the target inside the owner's predicted domain at
-    each horizon offset. Returns the per-offset index array."""
-    on, oe, ov = predict_positions(own, offsets, own_rate)
-    tn, te, _ = predict_positions(tgt, offsets, tgt_rate)
-    semi_major, semi_minor = domain_axes(ov, own.length, dp)
-    x, y = _domain_frame(own.heading, tn - on, te - oe)
+def _domain_index(
+    heading, semi_major, semi_minor, d_north, d_east, rp: RiskParams, dp: DomainParams
+):
+    """Domain index of points displaced (d_north, d_east) from a vessel with
+    the given heading and domain axes, the center ``offset_fraction`` of the
+    semi-major axis ahead. All arguments broadcast."""
+    x, y = _domain_frame(heading, d_north, d_east)
     f = _scale_factor_xy(
         semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0, x, y
     )
     return risk_index(f, rp)
+
+
+def _mutual_index(
+    own: StateArrays, tgt: StateArrays, rates: np.ndarray, rp: RiskParams, dp: DomainParams
+) -> np.ndarray:
+    """Horizon-max mutual domain index, shape (own, targets, rates).
+
+    Own vessels hold speed and course; each target changes speed at each
+    rate. Both directed indices are evaluated on the (own, targets, rates,
+    horizon offsets) grid and combined per ``rp.mutual_mode``.
+    """
+    offsets = rp.horizon_offsets()
+    o = own.expand(0, 4)
+    g = tgt.expand(1, 4)
+    on, oe, ov = predict_positions(o, offsets, 0.0)
+    tn, te, tv = predict_positions(g, offsets, rates[:, None])
+    r_own = _domain_index(o.heading, *domain_axes(ov, o.length, dp), tn - on, te - oe, rp, dp)
+    r_tgt = _domain_index(g.heading, *domain_axes(tv, g.length, dp), on - tn, oe - te, rp, dp)
+    if rp.mutual_mode == "prob_or":
+        combined = r_own + r_tgt - r_own * r_tgt
+    else:
+        combined = np.maximum(r_own, r_tgt)
+    return combined.max(axis=-1)
+
+
+def collision_risk_grid(
+    own: StateArrays, tgt: StateArrays, rates, rp: RiskParams, dp: DomainParams
+) -> np.ndarray:
+    """Collision risk of every own state against every target state at
+    every target speed-change rate, shape (own, targets, rates).
+
+    The horizon-max mutual index is weighted by the instantaneous arena
+    index, a logistic of distance over arena radius. Own states are taken
+    in chunks of about ``KERNEL_CHUNK_ELEMS`` grid elements, which bounds
+    the size of the temporaries.
+    """
+    rates = np.atleast_1d(np.asarray(rates, dtype=float))
+    n_own = own.north.size
+    out = np.empty((n_own, tgt.north.size, rates.size))
+    per_own = tgt.north.size * rates.size * rp.horizon_offsets().size
+    chunk = max(1, KERNEL_CHUNK_ELEMS // max(per_own, 1))
+    for lo in range(0, n_own, chunk):
+        part = own.select(slice(lo, lo + chunk))
+        dist = np.hypot(part.north[:, None] - tgt.north, part.east[:, None] - tgt.east)
+        arena = risk_index(dist / rp.arena_radius, rp)
+        out[lo:lo + chunk] = _mutual_index(part, tgt, rates, rp, dp) * arena[:, :, None]
+    return out
 
 
 def mutual_collision_risk(
@@ -141,29 +193,9 @@ def mutual_collision_risk(
     """
     rp = params or RiskParams()
     dp = domain_params or DomainParams()
-    sj = track_j.state_at(t)
-    sk = track_k.state_at(t)
-    return _mutual_from_states(sj, sk, rate, rp, dp)
-
-
-def _mutual_from_states(
-    sj: VesselState, sk: VesselState, rate: float, rp: RiskParams, dp: DomainParams
-) -> float:
-    offsets = rp.horizon_offsets()
-    r_jk = _directed_index_max(sj, sk, offsets, 0.0, rate, rp, dp)
-    r_kj = _directed_index_max(sk, sj, offsets, rate, 0.0, rp, dp)
-    if rp.mutual_mode == "prob_or":
-        combined = r_jk + r_kj - r_jk * r_kj
-    else:
-        combined = np.maximum(r_jk, r_kj)
-    return float(np.max(combined))
-
-
-def arena_index(own: VesselState, target_position: LocalPoint, params: RiskParams) -> float:
-    """Instantaneous arena proximity index: distance over arena radius fed
-    through the logistic."""
-    dist = math.hypot(own.north - target_position.north, own.east - target_position.east)
-    return risk_index(dist / params.arena_radius, params)
+    own = StateArrays.of([track_j.state_at(t)])
+    tgt = StateArrays.of([track_k.state_at(t)])
+    return float(_mutual_index(own, tgt, np.array([float(rate)]), rp, dp)[0, 0, 0])
 
 
 def overall_collision_risk(
@@ -178,16 +210,9 @@ def overall_collision_risk(
     instantaneous arena index at t."""
     rp = params or RiskParams()
     dp = domain_params or DomainParams()
-    sj = track_j.state_at(t)
-    sk = track_k.state_at(t)
-    return _overall_from_states(sj, sk, rate, rp, dp)
-
-
-def _overall_from_states(
-    sj: VesselState, sk: VesselState, rate: float, rp: RiskParams, dp: DomainParams
-) -> float:
-    mutual = _mutual_from_states(sj, sk, rate, rp, dp)
-    return mutual * arena_index(sj, sk.position, rp)
+    own = StateArrays.of([track_j.state_at(t)])
+    tgt = StateArrays.of([track_k.state_at(t)])
+    return float(collision_risk_grid(own, tgt, rate, rp, dp)[0, 0, 0])
 
 
 @dataclass
@@ -222,11 +247,18 @@ class ObstacleSet:
 
     def points_in_arena(self, arena: ArenaSpec) -> np.ndarray:
         """Boundary points strictly inside the arena circle, (M, 2)."""
-        if self.boundary_points.size == 0:
-            return np.empty((0, 2))
-        d = self.boundary_points - np.array([arena.center.north, arena.center.east])
-        inside = np.hypot(d[:, 0], d[:, 1]) < arena.radius
-        return self.boundary_points[inside]
+        return _points_within(
+            self.boundary_points, arena.center.north, arena.center.east, arena.radius
+        )
+
+
+def _points_within(points: np.ndarray, north: float, east: float, radius: float) -> np.ndarray:
+    """Rows of ``points`` strictly closer than ``radius`` to (north, east),
+    in their original order."""
+    if points.size == 0:
+        return np.empty((0, 2))
+    d = points - np.array([north, east])
+    return points[np.hypot(d[:, 0], d[:, 1]) < radius]
 
 
 def densify_boundaries(
@@ -331,17 +363,20 @@ def grounding_risk(
         offsets = rp.horizon_offsets()
         on, oe, ov = predict_positions(state, offsets, 0.0)
         semi_major = domain_axes(ov, state.length, dp)[0][:, None]
-        x, y = _domain_frame(
-            state.heading,
-            pts[None, :, 0] - on[:, None],
-            pts[None, :, 1] - oe[:, None],
-        )
         # semi-minor is speed-independent, so the channel-adjusted value holds
         # across the whole horizon
-        f = _scale_factor_xy(
-            semi_major, domain.semi_minor, dp.offset_fraction * semi_major, 0.0, x, y
+        r_d = np.max(
+            _domain_index(
+                state.heading,
+                semi_major,
+                domain.semi_minor,
+                pts[None, :, 0] - on[:, None],
+                pts[None, :, 1] - oe[:, None],
+                rp,
+                dp,
+            ),
+            axis=0,
         )
-        r_d = np.max(risk_index(f, rp), axis=0)
     else:
         x, y = _domain_frame(
             state.heading, pts[:, 0] - state.north, pts[:, 1] - state.east
@@ -361,26 +396,37 @@ def grounding_risk(
     return per_point, float(np.max(per_point))
 
 
+def _outside_unit(value):
+    """First entry of ``value`` outside [0, 1] (NaN included), else None."""
+    value = np.asarray(value)
+    bad = ~((value >= 0.0) & (value <= 1.0))
+    return value[bad].flat[0] if bad.any() else None
+
+
 def compose_scenario_risk(collision_risks: Iterable[float], grounding_max: float) -> float:
     """Union of independent per-hazard risks.
 
     Folds collision risks and the grounding maximum with
     sr <- r + sr * (1 - r), which equals one minus the product of the
-    complements. Inputs outside [0, 1] are rejected.
+    complements. Inputs outside [0, 1] are rejected. Each risk may also be
+    an array over own states, folded element by element.
     """
     sr = 0.0
     for i, cr in enumerate(collision_risks):
-        if not 0.0 <= cr <= 1.0:
-            raise ValueError(f"collision risk #{i} = {cr} outside [0, 1]")
+        bad = _outside_unit(cr)
+        if bad is not None:
+            raise ValueError(f"collision risk #{i} = {bad} outside [0, 1]")
         sr = cr + sr * (1.0 - cr)
-    if not 0.0 <= grounding_max <= 1.0:
-        raise ValueError(f"grounding risk {grounding_max} outside [0, 1]")
+    bad = _outside_unit(grounding_max)
+    if bad is not None:
+        raise ValueError(f"grounding risk {bad} outside [0, 1]")
     return grounding_max + sr * (1.0 - grounding_max)
 
 
 @dataclass
 class StepRisk:
-    """Risk breakdown for one vessel at one time step."""
+    """Risk breakdown at one time step: floats for one vessel state, or
+    arrays with one entry per own state from :func:`scenario_risks`."""
 
     time: float
     collision: dict[str, float]
@@ -388,6 +434,106 @@ class StepRisk:
     grounding_max: float
     scenario: float
     targets_held: bool = False
+
+
+def _target_states(
+    target_tracks: Sequence[VesselTrack], t: float, hold_targets: bool
+) -> tuple[dict[str, VesselState], bool]:
+    """Target states at t keyed by sorted track id, and whether any target
+    was held at the nearest end of its track."""
+    states: dict[str, VesselState] = {}
+    held_any = False
+    for track in target_tracks:
+        if hold_targets:
+            state, held = track.state_at_clamped(t)
+            held_any = held_any or held
+        elif track.covers(t):
+            state = track.state_at(t)
+        else:
+            continue
+        states[track.track_id] = state
+    return {tid: states[tid] for tid in sorted(states)}, held_any
+
+
+def _grounding_max(
+    own: StateArrays,
+    t: float,
+    obstacles: ObstacleSet | None,
+    rp: RiskParams,
+    dp: DomainParams,
+) -> np.ndarray:
+    """Maximum grounding risk of each own state against charted points.
+
+    The chart is scanned once for points near any of the states (within
+    the arena radius plus the states' spread around their centroid); each
+    state then keeps the points strictly inside its own arena.
+    """
+    out = np.zeros(own.north.size)
+    if obstacles is None or obstacles.is_empty:
+        return out
+    center_n, center_e = float(np.mean(own.north)), float(np.mean(own.east))
+    spread = float(np.max(np.hypot(own.north - center_n, own.east - center_e)))
+    near = obstacles.points_in_arena(
+        ArenaSpec(rp.arena_radius + spread + ARENA_SLACK, LocalPoint(center_n, center_e))
+    )
+    for i, (north, east, speed, heading, length) in enumerate(zip(*own)):
+        pts = _points_within(near, north, east, rp.arena_radius)
+        if pts.size:
+            state = VesselState(t, north, east, speed, heading, length)
+            out[i] = grounding_risk(state, pts, rp, dp)[1]
+    return out
+
+
+def scenario_risks(
+    own: StateArrays,
+    t: float,
+    target_tracks: Sequence[VesselTrack],
+    obstacles: ObstacleSet | None,
+    params: RiskParams | None = None,
+    domain_params: DomainParams | None = None,
+    hold_targets: bool = False,
+    models: Mapping | None = None,
+    wavg_grid_n: int = DEFAULT_GRID_N,
+) -> StepRisk:
+    """Scenario risk of several hypothetical ownship states at time t.
+
+    Arguments are those of :func:`scenario_risk_for_state`; every field of
+    the returned breakdown holds one entry per own state. Targets are
+    interpolated once, and all collision risks come from one
+    :func:`collision_risk_grid` call.
+    """
+    rp = params or RiskParams()
+    dp = domain_params or DomainParams()
+    targets, held_any = _target_states(target_tracks, t, hold_targets)
+    tgt = StateArrays.of(list(targets.values()))
+    cr = collision_risk_grid(own, tgt, 0.0, rp, dp)[:, :, 0]
+    collision = {tid: cr[:, k] for k, tid in enumerate(targets)}
+    collision_wavg: dict[str, np.ndarray] = {}
+    for k, (tid, state) in enumerate(targets.items()):
+        model = models.get(state.vessel_type) if models else None
+        if model is None:
+            continue
+        one = tgt.select(slice(k, k + 1))
+        collision_wavg[tid] = np.array([
+            rate_weighted_mean(
+                lambda rates, c=c: collision_risk_grid(
+                    own.select(slice(c, c + 1)), one, rates, rp, dp
+                )[0, 0],
+                model,
+                wavg_grid_n,
+            )
+            for c in range(own.north.size)
+        ])
+    grounding = _grounding_max(own, t, obstacles, rp, dp)
+    effective = [collision_wavg.get(tid, collision[tid]) for tid in targets]
+    return StepRisk(
+        time=t,
+        collision=collision,
+        collision_wavg=collision_wavg,
+        grounding_max=grounding,
+        scenario=compose_scenario_risk(effective, grounding),
+        targets_held=held_any,
+    )
 
 
 def scenario_risk_for_state(
@@ -408,60 +554,37 @@ def scenario_risk_for_state(
     held at its last state instead of being skipped. When ``models`` maps a
     VesselType to a speed-change model, a probabilistic risk is computed per
     target and used in the composition instead of the deterministic one.
+    Collision risks fold in sorted target-id order.
     """
-    rp = params or RiskParams()
-    dp = domain_params or DomainParams()
-    collision: dict[str, float] = {}
-    collision_wavg: dict[str, float] = {}
-    held_any = False
-    for track in target_tracks:
-        if hold_targets:
-            tgt_state, held = track.state_at_clamped(t)
-            held_any = held_any or held
-        else:
-            if not track.covers(t):
-                continue
-            tgt_state = track.state_at(t)
-        cr = _overall_from_states(own_state, tgt_state, 0.0, rp, dp)
-        collision[track.track_id] = cr
-        model = models.get(track.vessel_type) if models else None
-        if model is not None:
-            collision_wavg[track.track_id] = rate_weighted_mean(
-                lambda rate: _overall_from_states(own_state, tgt_state, rate, rp, dp),
-                model,
-                wavg_grid_n,
-            )
-    gr_max = 0.0
-    if obstacles is not None and not obstacles.is_empty:
-        arena = ArenaSpec(rp.arena_radius, own_state.position)
-        pts = obstacles.points_in_arena(arena)
-        if pts.size:
-            _, gr_max = grounding_risk(own_state, pts, rp, dp)
-    effective = [
-        collision_wavg.get(tid, collision[tid]) for tid in sorted(collision)
-    ]
-    sr = compose_scenario_risk(effective, gr_max)
+    step = scenario_risks(
+        StateArrays.of([own_state]), t, target_tracks, obstacles, params,
+        domain_params, hold_targets, models, wavg_grid_n,
+    )
     return StepRisk(
         time=t,
-        collision=collision,
-        collision_wavg=collision_wavg,
-        grounding_max=gr_max,
-        scenario=sr,
-        targets_held=held_any,
+        collision={tid: float(v[0]) for tid, v in step.collision.items()},
+        collision_wavg={tid: float(v[0]) for tid, v in step.collision_wavg.items()},
+        grounding_max=float(step.grounding_max[0]),
+        scenario=float(step.scenario[0]),
+        targets_held=step.targets_held,
     )
 
 
-def rate_weighted_mean(value_at: Callable[[float], float], model, grid_n: int) -> float:
-    """Density-weighted mean of ``value_at(rate)`` over speed-change rates.
+def rate_weighted_mean(
+    value_at: Callable[[np.ndarray], np.ndarray], model, grid_n: int
+) -> float:
+    """Density-weighted mean of ``value_at(rates)`` over speed-change rates.
 
-    Samples ``grid_n`` rates spanning ``model.support`` and weights each
-    value by ``model.density`` times the composite trapezoid coefficient.
-    A single-point support collapses to the value at that rate; a density
-    with zero mass over the grid falls back to the value at rate 0.
+    ``value_at`` maps an array of rates to the array of values at those
+    rates and is called once. It is evaluated at ``grid_n`` rates spanning
+    ``model.support``, and each value is weighted by ``model.density``
+    times the composite trapezoid coefficient. A single-point support
+    collapses to the value at that rate; a density with zero mass over the
+    grid falls back to the value at rate 0.
     """
     lo, hi = model.support
     if hi - lo <= 1e-15:
-        return value_at(0.5 * (lo + hi))
+        return float(value_at(np.array([0.5 * (lo + hi)]))[0])
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     rates = np.linspace(lo, hi, grid_n)
@@ -470,8 +593,8 @@ def rate_weighted_mean(value_at: Callable[[float], float], model, grid_n: int) -
     weights = np.asarray(model.density(rates), dtype=float) * trapezoid
     total = float(weights.sum())
     if total <= 0.0:
-        return value_at(0.0)
-    values = np.array([value_at(float(r)) for r in rates])
+        return float(value_at(np.zeros(1))[0])
+    values = np.asarray(value_at(rates), dtype=float)
     return float(np.dot(weights, values) / total)
 
 

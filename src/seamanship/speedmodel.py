@@ -16,8 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import DomainParams, VesselTrack, VesselType, find_tdv
-from .risk import DEFAULT_GRID_N, RiskParams, _overall_from_states, rate_weighted_mean
+from .geometry import DomainParams, StateArrays, VesselTrack, VesselType, find_tdv
+from .risk import DEFAULT_GRID_N, RiskParams, collision_risk_grid, rate_weighted_mean
 
 log = logging.getLogger(__name__)
 
@@ -282,8 +282,8 @@ def probabilistic_cr(
     """
     rp = params or RiskParams()
     dp = domain_params or DomainParams()
-    sj = track_j.state_at(t)
-    sk = track_k.state_at(t)
+    own = StateArrays.of([track_j.state_at(t)])
+    tgt = StateArrays.of([track_k.state_at(t)])
     return rate_weighted_mean(
-        lambda rate: _overall_from_states(sj, sk, rate, rp, dp), model, grid_n
+        lambda rates: collision_risk_grid(own, tgt, rates, rp, dp)[0, 0], model, grid_n
     )

@@ -207,6 +207,19 @@ class TestFitSpeedModelCommand:
         b = self.fit(scenario, tmp_path / "f2")
         assert (a / "model_cargo.json").read_bytes() == (b / "model_cargo.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "setting",
+        ["speed.min_samples=abc", 'speed.dcpa_threshold="x"', "speed=5", "speed.window=0"],
+    )
+    def test_bad_speed_block_exits_2(self, head_on_ais, tmp_path, capsys, setting):
+        scenario = ingest(head_on_ais, tmp_path / "ing")
+        code = run(
+            "fit-speed-model", "--scenario", scenario, "--output", tmp_path / "fit",
+            "--set", setting,
+        )
+        assert code == 2
+        assert "speed" in json.loads(capsys.readouterr().err)["message"]
+
     def test_corrupt_archive_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema_version": 1, "tracks": "oops"}', encoding="utf-8")
@@ -386,6 +399,8 @@ class TestSafestPathCommand:
         _, header, rows = read_csv(out / "sr_star_grid.csv")
         assert header == ["n_t", "n_alpha", "n_v", "sr_star"]
         assert [row[0] for row in rows] == [1.0, 2.0]
+        # the row of the configured n_t (1 in FAST_SEARCH) is the main search
+        assert rows[0][3] == json.loads((out / "path.json").read_text())["sr_star"]
 
     def test_missing_time_exits_2(self, solo_ais, tmp_path, capsys):
         scenario = ingest(solo_ais, tmp_path / "ing")

@@ -16,6 +16,7 @@ from seamanship.geometry import (
     find_tdv,
     interp_heading,
     make_domain,
+    normalize_heading,
     predict_state,
     project,
     scale_factor,
@@ -295,3 +296,33 @@ class TestHeadingInterp:
         assert self.circular_gap(interp_heading(h0, h1, 1.0), h1) < 1e-9
         mid = interp_heading(h0, h1, 0.5)
         assert 0.0 <= mid < 2 * math.pi
+
+
+class TestNonFiniteRejected:
+    GOOD_STATE = dict(time=0.0, north=0.0, east=0.0, speed=5.0, heading=1.0, length=100.0)
+
+    @pytest.mark.parametrize("field", list(GOOD_STATE))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_vessel_state(self, field, value):
+        with pytest.raises(ValueError, match=f"non-finite {field}"):
+            VesselState(**{**self.GOOD_STATE, field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_normalize_heading(self, value):
+        with pytest.raises(ValueError, match="non-finite heading"):
+            normalize_heading(value)
+
+    @pytest.mark.parametrize("field", ["times", "north", "east", "speed", "heading"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_vessel_track_arrays(self, field, value):
+        good = straight_track("x", 0.0, 0.0, 0.0, 2.0, 0.0, 5)
+        arrays = {name: getattr(good, name).copy() for name in
+                  ("times", "north", "east", "speed", "heading")}
+        arrays[field][-1] = value
+        with pytest.raises(ValueError, match=f"non-finite {field}"):
+            VesselTrack("x", length=100.0, **arrays)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_vessel_track_length(self, value):
+        with pytest.raises(ValueError, match="non-finite length"):
+            straight_track("x", 0.0, 0.0, 0.0, 2.0, 0.0, 5, length=value)

@@ -1,18 +1,23 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seamanship.geometry import VesselState
 from seamanship.planner import (
     Hyperparameters,
     KinodynamicParams,
+    _level_search,
     branch_and_bound,
     exhaustive_search,
     sr_star_series,
     step_kinodynamics,
 )
-from seamanship.risk import ObstacleSet, RiskParams
+from seamanship import risk
+from seamanship.risk import MUTUAL_MODES, ObstacleSet, RiskParams, scenario_risk_for_state
 from .test_geometry import straight_track
 from .test_risk import closed_square
 
@@ -212,3 +217,74 @@ class TestSrStarSeries:
         scene = crossing_scene()
         out = sr_star_series(scene, "own", [0.0, 0.0, 100.0], hyper, KIN, TOY_RISK)
         assert out[0] == out[1]
+
+
+@st.composite
+def small_scenes(draw):
+    """Ownship plus one to three straight targets, some of which have ended
+    or not yet started at the query time (so the search holds them), an
+    optional square shoal near the ownship, and one of the risk settings."""
+    coord = st.floats(-1500.0, 1500.0)
+    heading = st.floats(0.0, 2.0 * math.pi - 1e-9)
+    tracks = {
+        "own": straight_track(
+            "own", 0.0, 0.0, 0.0, draw(st.floats(1.0, 8.0)), draw(heading), 61
+        )
+    }
+    for k in range(draw(st.integers(1, 3))):
+        tracks[f"t{k}"] = straight_track(
+            f"t{k}", draw(st.sampled_from([0.0, 0.0, 300.0])), draw(coord), draw(coord),
+            draw(st.floats(0.0, 8.0)), draw(heading), draw(st.sampled_from([61, 3])),
+            length=draw(st.floats(50.0, 250.0)),
+        )
+    obstacles = None
+    if draw(st.booleans()):
+        shoal = closed_square(
+            draw(st.floats(-800.0, 800.0)), draw(st.floats(-800.0, 800.0)),
+            draw(st.floats(50.0, 300.0)),
+        )
+        obstacles = ObstacleSet([shoal], spacing=25.0)
+    rp = RiskParams(
+        horizon_T=120.0,
+        horizon_step=60.0,
+        mutual_mode=draw(st.sampled_from(MUTUAL_MODES)),
+        grounding_horizon_max=draw(st.booleans()),
+        channel_adjust=draw(st.booleans()),
+    )
+    return tracks, obstacles, rp
+
+
+class TestBatchedLevels:
+    # small element budgets split a level into several kernel passes
+    @given(small_scenes(), st.sampled_from([1, 25, risk.KERNEL_CHUNK_ELEMS]))
+    @settings(max_examples=30, deadline=None)
+    def test_child_risks_match_scalar_scenario_risk(self, scene, chunk_elems):
+        tracks, obstacles, rp = scene
+        hyper = Hyperparameters(n_t=2, n_alpha=3, n_v=2, horizon_T=120.0)
+        with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk_elems):
+            levels, root, _, expanded = _level_search(
+                tracks, "own", 50.0, hyper, KIN, rp, None, obstacles,
+                prune=lambda scores, *_: np.arange(scores.size),
+            )
+        assert expanded == 6 + 36
+        targets = [tr for tid, tr in sorted(tracks.items()) if tid != "own"]
+        for level in levels:
+            for i in range(level.north.size):
+                state = VesselState(
+                    level.time, level.north[i], level.east[i], level.speed[i],
+                    level.heading[i], root.length,
+                )
+                step = scenario_risk_for_state(
+                    state, level.time, targets, obstacles, rp, hold_targets=True
+                )
+                assert abs(step.scenario - level.risk[i]) <= 1e-12
+
+    @given(small_scenes(), st.sampled_from([(2, 3, 2), (2, 5, 2), (3, 3, 1)]))
+    @settings(max_examples=25, deadline=None)
+    def test_branch_and_bound_never_beats_exhaustive(self, scene, grid):
+        tracks, obstacles, rp = scene
+        n_t, n_alpha, n_v = grid
+        hyper = Hyperparameters(n_t=n_t, n_alpha=n_alpha, n_v=n_v, horizon_T=120.0)
+        bb = branch_and_bound(tracks, "own", 50.0, hyper, KIN, rp, None, obstacles)
+        ex = exhaustive_search(tracks, "own", 50.0, hyper, KIN, rp, None, obstacles)
+        assert bb.sr_star >= ex.sr_star - 1e-12

@@ -10,13 +10,18 @@ from seamanship.geometry import (
     DomainParams,
     DomainSpec,
     LocalPoint,
+    StateArrays,
     VesselState,
     make_domain,
+    predict_state,
+    scale_factor,
 )
 from seamanship.risk import (
+    MUTUAL_MODES,
     ObstacleSet,
     RiskParams,
     adjust_domain_for_channel,
+    collision_risk_grid,
     compose_scenario_risk,
     compute_risk_series,
     grounding_risk,
@@ -292,3 +297,55 @@ class TestRiskSeries:
             own.state_at(100.0), 100.0, [tgt], None, hold_targets=False
         )
         assert skipped.collision == {}
+
+
+def reference_collision_risk(own, tgt, rate, rp, dp):
+    """Pair collision risk written as one scalar loop over horizon offsets,
+    the reference for the broadcast kernel."""
+    mutual = 0.0
+    for dt in rp.horizon_offsets():
+        po = predict_state(own, float(dt))
+        pt = predict_state(tgt, float(dt), rate)
+        r_own = risk_index(scale_factor(make_domain(po, dp), pt.position, po.position), rp)
+        r_tgt = risk_index(scale_factor(make_domain(pt, dp), po.position, pt.position), rp)
+        if rp.mutual_mode == "prob_or":
+            mutual = max(mutual, r_own + r_tgt - r_own * r_tgt)
+        else:
+            mutual = max(mutual, r_own, r_tgt)
+    dist = math.hypot(own.north - tgt.north, own.east - tgt.east)
+    return mutual * risk_index(dist / rp.arena_radius, rp)
+
+
+def random_states(rng, n):
+    return [
+        VesselState(
+            0.0, rng.uniform(-1500.0, 1500.0), rng.uniform(-1500.0, 1500.0),
+            rng.uniform(0.0, 8.0), rng.uniform(0.0, 2.0 * math.pi), rng.uniform(50.0, 250.0),
+        )
+        for _ in range(n)
+    ]
+
+
+class TestCollisionKernel:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(MUTUAL_MODES),
+        shape=st.tuples(st.integers(1, 4), st.integers(0, 3), st.integers(1, 3)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_grid_matches_scalar_reference(self, seed, mode, shape):
+        rng = np.random.default_rng(seed)
+        n_own, n_tgt, n_rates = shape
+        rp = RiskParams(horizon_T=300.0, horizon_step=45.0, mutual_mode=mode)
+        dp = DomainParams()
+        owns, tgts = random_states(rng, n_own), random_states(rng, n_tgt)
+        rates = rng.uniform(-0.05, 0.05, n_rates)
+        grid = collision_risk_grid(
+            StateArrays.of(owns), StateArrays.of(tgts), rates, rp, dp
+        )
+        assert grid.shape == (n_own, n_tgt, n_rates)
+        for c, own in enumerate(owns):
+            for k, tgt in enumerate(tgts):
+                for r, rate in enumerate(rates):
+                    expected = reference_collision_risk(own, tgt, float(rate), rp, dp)
+                    assert abs(grid[c, k, r] - expected) <= 1e-12

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from seamanship.geometry import VesselTrack, VesselType
-from seamanship.risk import RiskParams, overall_collision_risk, rate_weighted_mean
+from seamanship.risk import MUTUAL_MODES, RiskParams, overall_collision_risk, rate_weighted_mean
 from seamanship.speedmodel import (
     EncounterEvent,
     SpeedChangeModel,
@@ -191,7 +193,11 @@ class TestProbabilisticCr:
             VesselType.CARGO, np.empty(0), 0.02, (-0.02, 0.02), degenerate=True
         )
         values = {-0.02: 0.2, 0.02: 0.6}
-        assert rate_weighted_mean(values.__getitem__, model, 2) == pytest.approx(
+
+        def value_at(rates):
+            return np.array([values[float(r)] for r in rates])
+
+        assert rate_weighted_mean(value_at, model, 2) == pytest.approx(
             0.4, abs=1e-15
         )
 
@@ -207,3 +213,31 @@ class TestProbabilisticCr:
         )
         with pytest.raises(ValueError):
             probabilistic_cr(self.a, self.b, 100.0, model, grid_n=1)
+
+
+class TestRateAxis:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        grid_n=st.integers(2, 40),
+        mode=st.sampled_from(MUTUAL_MODES),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_rate_array_integrand_matches_per_rate_loop(self, seed, grid_n, mode):
+        rng = np.random.default_rng(seed)
+        rp = RiskParams(horizon_T=300.0, horizon_step=30.0, mutual_mode=mode)
+        own = straight_track("own", 0.0, 0.0, 0.0, rng.uniform(1.0, 8.0),
+                             rng.uniform(0.0, 2.0 * math.pi), 31)
+        tgt = straight_track("tgt", 0.0, rng.uniform(-1500.0, 1500.0),
+                             rng.uniform(-1500.0, 1500.0), rng.uniform(0.0, 8.0),
+                             rng.uniform(0.0, 2.0 * math.pi), 31)
+        model = fit_model(
+            make_events(rng.normal(rng.uniform(-0.03, 0.03), 0.02, 40)), VesselType.CARGO
+        )
+        looped = rate_weighted_mean(
+            lambda rates: np.array(
+                [overall_collision_risk(own, tgt, 100.0, float(r), rp) for r in rates]
+            ),
+            model,
+            grid_n,
+        )
+        assert abs(probabilistic_cr(own, tgt, 100.0, model, grid_n, rp) - looped) <= 1e-12
