@@ -482,6 +482,8 @@ def _parse_sweep(raw: str | None) -> list[int] | None:
         raise CliError(f"sweep values must be comma-separated integers: {raw!r}")
     if not values:
         raise CliError(f"empty sweep list: {raw!r}")
+    if min(values) < 1:
+        raise CliError(f"sweep level counts must be at least 1: {raw!r}")
     return values
 
 

@@ -9,7 +9,7 @@ a local tangent plane, headings are radians clockwise from true north in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -45,6 +45,18 @@ def normalize_heading(angle: float) -> float:
     wrapped = float(angle) % TWO_PI
     # float modulo may round up to the modulus itself for tiny negatives
     return wrapped if wrapped < TWO_PI else 0.0
+
+
+def require_finite(params) -> None:
+    """Reject a parameter dataclass holding a non-finite float in any field.
+
+    NaN passes every range check written as a comparison, so each parameter
+    block calls this before its own checks.
+    """
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def interp_heading(h0: float, h1: float, frac: float) -> float:
@@ -159,6 +171,7 @@ class DomainParams:
     offset_fraction: float = 0.25
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.major_base <= 0.0 or self.minor_factor <= 0.0:
             raise ValueError("domain axis coefficients must be positive")
         if self.major_per_knot < 0.0:

@@ -24,6 +24,7 @@ from .geometry import (
     VesselTrack,
     VesselType,
     project,
+    require_finite,
 )
 from .risk import ObstacleSet
 
@@ -74,6 +75,7 @@ class IngestParams:
     depth_key: str = "depth"
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.dt <= 0.0 or self.max_gap <= 0.0:
             raise ValueError("dt and max_gap must be positive")
         if self.obstacle_spacing <= 0.0:

@@ -13,20 +13,30 @@ All children of a level share one time, so a level is advanced and scored
 as arrays: the targets are interpolated once, every child moves in one
 vectorized arc step, and one risk-kernel pass scores every child against
 every target. The chart is scanned once per level for points near any
-child before each child's own arena test. Search nodes are kept as parallel
-arrays with parent indices; :class:`SearchNode` objects are built only for
-the paths a search returns.
+child, and one grounding-kernel pass scores every child against the points
+inside its own arena. Search nodes are kept as parallel arrays with parent
+indices; :class:`SearchNode` objects are built only for the paths a search
+returns.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import TWO_PI, DomainParams, LocalPoint, StateArrays, VesselState, VesselTrack
+from .geometry import (
+    TWO_PI,
+    DomainParams,
+    LocalPoint,
+    StateArrays,
+    VesselState,
+    VesselTrack,
+    require_finite,
+)
 from .risk import ObstacleSet, RiskParams, scenario_risks
 
 ALPHA_EPS = 1e-6
@@ -46,6 +56,7 @@ class KinodynamicParams:
     v_max: float = 15.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.turn_radius_lengths <= 0.0:
             raise ValueError("turn_radius_lengths must be positive")
         if self.v_min < 0.0 or self.v_max < self.v_min:
@@ -70,6 +81,12 @@ class Hyperparameters:
     beam_width: int = 64
 
     def __post_init__(self) -> None:
+        require_finite(self)
+        for name in ("n_t", "n_alpha", "n_v", "beam_width"):
+            value = getattr(self, name)
+            # bool is an Integral, but true/false is no count
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_t < 1 or self.n_alpha < 1 or self.n_v < 1:
             raise ValueError("grid sizes must be at least 1")
         if self.horizon_T <= 0.0:

@@ -9,7 +9,12 @@ points sampled on shallow-water polygon boundaries.
 
 One broadcast kernel, :func:`collision_risk_grid`, evaluates collision risk
 for many own states against many targets at many target speed-change rates
-in one array pass; the single-pair functions call it with one of each.
+in one array pass; the single-pair functions call it with one of each. A
+second kernel scores grounding for many own states against the chart
+points near them in one pass, channel-width adjustment included;
+:func:`grounding_risk` calls it with one state, and
+:func:`adjust_domain_for_channel` shares its channel-width step. Chart
+boundaries are densified in one array pass over all polygon edges.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from .geometry import (
     _domain_frame,
     _scale_factor_xy,
     domain_axes,
-    make_domain,
     predict_positions,
+    require_finite,
 )
 
 MUTUAL_MODES = ("max", "prob_or")
@@ -83,6 +88,7 @@ class RiskParams:
     channel_corridor: float | None = None
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.kappa <= 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if self.horizon_T < 0.0 or self.horizon_step <= 0.0:
@@ -246,19 +252,11 @@ class ObstacleSet:
         return len(self.polygons) == 0
 
     def points_in_arena(self, arena: ArenaSpec) -> np.ndarray:
-        """Boundary points strictly inside the arena circle, (M, 2)."""
-        return _points_within(
-            self.boundary_points, arena.center.north, arena.center.east, arena.radius
-        )
-
-
-def _points_within(points: np.ndarray, north: float, east: float, radius: float) -> np.ndarray:
-    """Rows of ``points`` strictly closer than ``radius`` to (north, east),
-    in their original order."""
-    if points.size == 0:
-        return np.empty((0, 2))
-    d = points - np.array([north, east])
-    return points[np.hypot(d[:, 0], d[:, 1]) < radius]
+        """Boundary points strictly inside the arena circle, (M, 2), in
+        their original order."""
+        pts = self.boundary_points
+        d = pts - np.array([arena.center.north, arena.center.east])
+        return pts[np.hypot(d[:, 0], d[:, 1]) < arena.radius]
 
 
 def densify_boundaries(
@@ -268,25 +266,87 @@ def densify_boundaries(
 
     Each edge of length L contributes ceil(L / spacing) points starting at
     the edge's first vertex; the shared end vertex belongs to the next
-    edge, so rings produce no duplicates. Returns (points, ring_index).
+    edge, so rings produce no duplicates. All edges are handled in one
+    array pass. Returns (points, ring_index).
     """
     if spacing <= 0.0:
         raise ValueError("spacing must be positive")
-    points: list[np.ndarray] = []
-    index: list[int] = []
-    for ring_no, ring in enumerate(polygons):
-        for a, b in zip(ring[:-1], ring[1:]):
-            edge = b - a
-            edge_len = float(np.hypot(edge[0], edge[1]))
-            if edge_len == 0.0:
-                continue
-            n = max(1, int(math.ceil(edge_len / spacing - 1e-12)))
-            fracs = np.arange(n) / n
-            points.append(a + fracs[:, None] * edge)
-            index.extend([ring_no] * n)
-    if not points:
+    if not polygons:
         return np.empty((0, 2)), np.empty(0, dtype=int)
-    return np.vstack(points), np.asarray(index, dtype=int)
+    start = np.concatenate([ring[:-1] for ring in polygons])
+    edge = np.concatenate([ring[1:] for ring in polygons]) - start
+    ring_of_edge = np.repeat(np.arange(len(polygons)), [len(ring) - 1 for ring in polygons])
+    edge_len = np.hypot(edge[:, 0], edge[:, 1])
+    if not np.isfinite(edge_len).all():
+        raise ValueError("polygon coordinates must be finite")
+    n = np.where(
+        edge_len == 0.0, 0, np.maximum(1, np.ceil(edge_len / spacing - 1e-12))
+    ).astype(int)
+    # k-th point of its edge: position in the output minus the edge's first slot
+    first = np.cumsum(n) - n
+    k = np.arange(n.sum()) - np.repeat(first, n)
+    fracs = k / np.repeat(n, n)
+    points = np.repeat(start, n, axis=0) + fracs[:, None] * np.repeat(edge, n, axis=0)
+    return points, np.repeat(ring_of_edge, n)
+
+
+def _channel_minor(semi_minor, semi_major, x, y, inside, rp: RiskParams):
+    """Channel-adjusted semi-minor axis of each own state, shape (own, 1).
+
+    ``x``, ``y`` (own, points) are the points in each state's domain frame
+    and ``inside`` marks the points each state sees. Channel width is the
+    nearest perpendicular distance to port plus the nearest to starboard
+    over the seen points in the forward corridor, each side capped at the
+    arena radius. When twice the semi-minor axis exceeds the width, the
+    beam shrinks to ``channel_gamma * width / 2`` (at least 1 mm).
+    """
+    corridor = semi_major if rp.channel_corridor is None else rp.channel_corridor
+    ahead = inside & (x >= 0.0) & (x <= corridor)
+    cap = rp.arena_radius
+    starboard = np.min(np.where(ahead & (y > 0.0), y, cap), axis=1, keepdims=True, initial=cap)
+    port = np.min(np.where(ahead & (y < 0.0), -y, cap), axis=1, keepdims=True, initial=cap)
+    width = port + starboard
+    new_minor = np.maximum(rp.channel_gamma * width / 2.0, 1e-3)
+    return np.where((2.0 * semi_minor > width) & (new_minor < semi_minor), new_minor, semi_minor)
+
+
+def _grounding_grid(
+    own: StateArrays, pts: np.ndarray, reach: float, rp: RiskParams, dp: DomainParams
+) -> np.ndarray:
+    """Grounding risk of every own state against every point, shape
+    (own, points); points at or beyond ``reach`` of a state score 0 and
+    take no part in its channel width.
+
+    Each point acts as a zero-speed virtual vessel: its risk is the domain
+    index times the instantaneous arena index. The domain index is
+    instantaneous, or with ``rp.grounding_horizon_max`` its maximum over
+    the horizon offsets (vessel moves, points stand still).
+    """
+    o = own.expand(0, 2)
+    d_north = pts[:, 0] - o.north
+    d_east = pts[:, 1] - o.east
+    dist = np.hypot(d_north, d_east)
+    inside = dist < reach
+    semi_major, semi_minor = domain_axes(o.speed, o.length, dp)
+    x, y = _domain_frame(o.heading, d_north, d_east)
+    if rp.channel_adjust:
+        semi_minor = _channel_minor(semi_minor, semi_major, x, y, inside, rp)
+    if rp.grounding_horizon_max:
+        o3 = own.expand(0, 3)
+        on, oe, ov = predict_positions(o3, rp.horizon_offsets()[:, None], 0.0)
+        # semi-minor is speed-independent, so the channel-adjusted value
+        # holds across the whole horizon
+        r_d = _domain_index(
+            o3.heading, domain_axes(ov, o3.length, dp)[0], semi_minor[:, :, None],
+            pts[:, 0] - on, pts[:, 1] - oe, rp, dp,
+        ).max(axis=1)
+    else:
+        f = _scale_factor_xy(
+            semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0, x, y
+        )
+        r_d = risk_index(f, rp)
+    r_a = risk_index(dist / rp.arena_radius, rp)
+    return np.where(inside, r_d * r_a, 0.0)
 
 
 def adjust_domain_for_channel(
@@ -307,25 +367,14 @@ def adjust_domain_for_channel(
     the same ratio.
     """
     rp = params or RiskParams()
-    pts = np.asarray(obstacle_points, dtype=float)
-    corridor = rp.channel_corridor if rp.channel_corridor is not None else domain.semi_major
-    port = starboard = rp.arena_radius
-    if pts.size:
-        x, y = _domain_frame(
-            state.heading, pts[:, 0] - state.north, pts[:, 1] - state.east
-        )
-        ahead = (x >= 0.0) & (x <= corridor)
-        stb_side = ahead & (y > 0.0)
-        port_side = ahead & (y < 0.0)
-        if np.any(stb_side):
-            starboard = min(starboard, float(np.min(y[stb_side])))
-        if np.any(port_side):
-            port = min(port, float(np.min(-y[port_side])))
-    width = port + starboard
-    if 2.0 * domain.semi_minor <= width:
-        return domain
-    new_minor = max(rp.channel_gamma * width / 2.0, 1e-3)
-    if new_minor >= domain.semi_minor:
+    pts = np.asarray(obstacle_points, dtype=float).reshape(-1, 2)
+    x, y = _domain_frame(
+        state.heading, pts[None, :, 0] - state.north, pts[None, :, 1] - state.east
+    )
+    new_minor = float(_channel_minor(
+        domain.semi_minor, domain.semi_major, x, y, True, rp
+    )[0, 0])
+    if new_minor == domain.semi_minor:
         return domain
     shrink = new_minor / domain.semi_minor
     return replace(
@@ -345,7 +394,8 @@ def grounding_risk(
 
     Each point acts as a zero-speed virtual vessel: its risk is the domain
     index times the instantaneous arena index. Points are expected to be
-    pre-filtered to the vessel's arena. Returns (per-point risks, max).
+    pre-filtered to the vessel's arena; every given point is scored and
+    counts toward the channel width. Returns (per-point risks, max).
 
     With ``params.grounding_horizon_max`` the domain index takes the
     maximum over the prediction horizon (vessel moves, points stand still)
@@ -356,43 +406,7 @@ def grounding_risk(
     pts = np.asarray(obstacle_points, dtype=float)
     if pts.size == 0:
         return np.empty(0), 0.0
-    domain = make_domain(state, dp)
-    if rp.channel_adjust:
-        domain = adjust_domain_for_channel(domain, state, pts, rp)
-    if rp.grounding_horizon_max:
-        offsets = rp.horizon_offsets()
-        on, oe, ov = predict_positions(state, offsets, 0.0)
-        semi_major = domain_axes(ov, state.length, dp)[0][:, None]
-        # semi-minor is speed-independent, so the channel-adjusted value holds
-        # across the whole horizon
-        r_d = np.max(
-            _domain_index(
-                state.heading,
-                semi_major,
-                domain.semi_minor,
-                pts[None, :, 0] - on[:, None],
-                pts[None, :, 1] - oe[:, None],
-                rp,
-                dp,
-            ),
-            axis=0,
-        )
-    else:
-        x, y = _domain_frame(
-            state.heading, pts[:, 0] - state.north, pts[:, 1] - state.east
-        )
-        f = _scale_factor_xy(
-            domain.semi_major,
-            domain.semi_minor,
-            domain.center_offset_fwd,
-            domain.center_offset_stb,
-            x,
-            y,
-        )
-        r_d = risk_index(f, rp)
-    dist = np.hypot(pts[:, 0] - state.north, pts[:, 1] - state.east)
-    r_a = risk_index(dist / rp.arena_radius, rp)
-    per_point = r_d * r_a
+    per_point = _grounding_grid(StateArrays.of([state]), pts, np.inf, rp, dp)[0]
     return per_point, float(np.max(per_point))
 
 
@@ -457,18 +471,21 @@ def _target_states(
 
 def _grounding_max(
     own: StateArrays,
-    t: float,
     obstacles: ObstacleSet | None,
     rp: RiskParams,
     dp: DomainParams,
 ) -> np.ndarray:
-    """Maximum grounding risk of each own state against charted points.
+    """Maximum grounding risk of each own state against the charted points
+    strictly inside its arena, 0 when there are none; shape (own,).
 
     The chart is scanned once for points near any of the states (within
-    the arena radius plus the states' spread around their centroid); each
-    state then keeps the points strictly inside its own arena.
+    the arena radius plus the states' spread around their centroid). Own
+    states are then scored against that subset in chunks of about
+    ``KERNEL_CHUNK_ELEMS`` grid elements (states x horizon offsets x
+    points), which bounds the size of the temporaries.
     """
-    out = np.zeros(own.north.size)
+    n_own = own.north.size
+    out = np.zeros(n_own)
     if obstacles is None or obstacles.is_empty:
         return out
     center_n, center_e = float(np.mean(own.north)), float(np.mean(own.east))
@@ -476,11 +493,13 @@ def _grounding_max(
     near = obstacles.points_in_arena(
         ArenaSpec(rp.arena_radius + spread + ARENA_SLACK, LocalPoint(center_n, center_e))
     )
-    for i, (north, east, speed, heading, length) in enumerate(zip(*own)):
-        pts = _points_within(near, north, east, rp.arena_radius)
-        if pts.size:
-            state = VesselState(t, north, east, speed, heading, length)
-            out[i] = grounding_risk(state, pts, rp, dp)[1]
+    if near.size == 0:
+        return out
+    per_own = near.shape[0] * (rp.horizon_offsets().size if rp.grounding_horizon_max else 1)
+    chunk = max(1, KERNEL_CHUNK_ELEMS // per_own)
+    for lo in range(0, n_own, chunk):
+        part = own.select(slice(lo, lo + chunk))
+        out[lo:lo + chunk] = _grounding_grid(part, near, rp.arena_radius, rp, dp).max(axis=1)
     return out
 
 
@@ -524,7 +543,7 @@ def scenario_risks(
             )
             for c in range(own.north.size)
         ])
-    grounding = _grounding_max(own, t, obstacles, rp, dp)
+    grounding = _grounding_max(own, obstacles, rp, dp)
     effective = [collision_wavg.get(tid, collision[tid]) for tid in targets]
     return StepRisk(
         time=t,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import require_finite
 from .risk import risk_index, RiskParams
 
 log = logging.getLogger(__name__)
@@ -40,6 +41,7 @@ class ScoreParams:
     consistency_tol: float = 1e-9
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         if not 0.0 < self.sr_star_eps < 0.5:

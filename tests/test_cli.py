@@ -402,6 +402,17 @@ class TestSafestPathCommand:
         # the row of the configured n_t (1 in FAST_SEARCH) is the main search
         assert rows[0][3] == json.loads((out / "path.json").read_text())["sr_star"]
 
+    @pytest.mark.parametrize("sweep", ["0", "-1"])
+    def test_sweep_below_one_exits_2(self, solo_ais, tmp_path, capsys, sweep):
+        scenario = ingest(solo_ais, tmp_path / "ing")
+        code = run(
+            "safest-path", "--scenario", scenario, "--ownship", "111000009",
+            "--time", "0", "--output", tmp_path / "path", "--sweep-nt", sweep,
+            *FAST_SEARCH,
+        )
+        assert code == 2
+        assert "at least 1" in json.loads(capsys.readouterr().err)["message"]
+
     def test_missing_time_exits_2(self, solo_ais, tmp_path, capsys):
         scenario = ingest(solo_ais, tmp_path / "ing")
         code = run(
@@ -463,6 +474,23 @@ class TestConfigHandling:
         )
         assert code == 2
         assert key.split(".")[1] in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("domain.minor_factor=NaN", "minor_factor must be finite"),
+            ("risk.kappa=Infinity", "kappa must be finite"),
+            ("search.n_t=1.5", "n_t must be an integer"),
+        ],
+    )
+    def test_bad_parameter_value_exits_2(self, head_on_ais, tmp_path, capsys, setting, message):
+        scenario = ingest(head_on_ais, tmp_path / "ing")
+        code = run(
+            "safest-path", "--scenario", scenario, "--ownship", "111000001",
+            "--time", "0", "--output", tmp_path / "path", *FAST_SEARCH, "--set", setting,
+        )
+        assert code == 2
+        assert message in json.loads(capsys.readouterr().err)["message"]
 
     def test_bad_config_json_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,21 @@ from seamanship.geometry import (
     travel_distance,
     unproject,
 )
+from seamanship.ingest import IngestParams
+from seamanship.planner import Hyperparameters, KinodynamicParams
+from seamanship.risk import RiskParams
+from seamanship.scoring import ScoreParams
+
+PARAMETER_BLOCKS = (
+    DomainParams, RiskParams, KinodynamicParams, Hyperparameters, ScoreParams, IngestParams
+)
+# every float field of every parameter block, plus the optional corridor length
+FLOAT_FIELDS = [
+    (block, f.name)
+    for block in PARAMETER_BLOCKS
+    for f in dataclasses.fields(block)
+    if isinstance(f.default, float)
+] + [(RiskParams, "channel_corridor")]
 
 ORIGIN = (55.0, 10.0)
 
@@ -321,6 +337,12 @@ class TestNonFiniteRejected:
         arrays[field][-1] = value
         with pytest.raises(ValueError, match=f"non-finite {field}"):
             VesselTrack("x", length=100.0, **arrays)
+
+    @pytest.mark.parametrize("block, field", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_parameter_blocks(self, block, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            block(**{field: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_vessel_track_length(self, value):

@@ -103,6 +103,17 @@ class TestGrids:
         kin = KinodynamicParams(v_min=5.0, v_max=5.0)
         assert Hyperparameters(n_v=4).v_grid(kin).tolist() == [5.0]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_t", 1.5), ("n_alpha", 3.0), ("n_v", True), ("beam_width", "8")],
+    )
+    def test_grid_sizes_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Hyperparameters(**{field: value})
+
+    def test_numpy_integer_grid_sizes_accepted(self):
+        assert Hyperparameters(n_t=np.int64(2)).n_t == 2
+
 
 def open_water_scene():
     own = straight_track("own", 0.0, 0.0, 0.0, 5.0, 0.0, 121)

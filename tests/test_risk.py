@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from seamanship.geometry import (
     predict_state,
     scale_factor,
 )
+from seamanship import risk
+from seamanship.ingest import Scenario
 from seamanship.risk import (
     MUTUAL_MODES,
     ObstacleSet,
@@ -24,11 +28,13 @@ from seamanship.risk import (
     collision_risk_grid,
     compose_scenario_risk,
     compute_risk_series,
+    densify_boundaries,
     grounding_risk,
     mutual_collision_risk,
     overall_collision_risk,
     risk_index,
     scenario_risk_for_state,
+    scenario_risks,
 )
 from .test_geometry import straight_track
 
@@ -349,3 +355,166 @@ class TestCollisionKernel:
                 for r, rate in enumerate(rates):
                     expected = reference_collision_risk(own, tgt, float(rate), rp, dp)
                     assert abs(grid[c, k, r] - expected) <= 1e-12
+
+
+def reference_densify(polygons, spacing):
+    """The per-edge loop that the array pass replaced, kept as its reference."""
+    points, index = [], []
+    for ring_no, ring in enumerate(polygons):
+        for a, b in zip(ring[:-1], ring[1:]):
+            edge = b - a
+            edge_len = float(np.hypot(edge[0], edge[1]))
+            if edge_len == 0.0:
+                continue
+            n = max(1, int(math.ceil(edge_len / spacing - 1e-12)))
+            fracs = np.arange(n) / n
+            points.append(a + fracs[:, None] * edge)
+            index.extend([ring_no] * n)
+    if not points:
+        return np.empty((0, 2)), np.empty(0, dtype=int)
+    return np.vstack(points), np.asarray(index, dtype=int)
+
+
+@st.composite
+def rings(draw):
+    """A closed ring whose vertices often repeat (zero-length edges) and
+    whose coordinates mix round and arbitrary values."""
+    coord = st.one_of(st.sampled_from([0.0, 10.0, 100.0]), st.floats(-2000.0, 2000.0))
+    vertices = []
+    for _ in range(draw(st.integers(3, 7))):
+        vertex = [draw(coord), draw(coord)]
+        vertices += [vertex] * draw(st.integers(1, 2))
+    return np.array(vertices + [vertices[0]])
+
+
+class TestDensify:
+    @given(
+        st.lists(rings(), max_size=4),
+        st.one_of(st.sampled_from([0.5, 7.0, 5000.0]), st.floats(0.1, 3000.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_edge_loop(self, polygons, spacing):
+        points, index = densify_boundaries(polygons, spacing)
+        ref_points, ref_index = reference_densify(polygons, spacing)
+        assert points.shape == ref_points.shape
+        assert points.tobytes() == ref_points.tobytes()
+        assert index.dtype.kind == "i"
+        assert np.array_equal(index, ref_index)
+
+    def test_empty_polygon_list(self):
+        points, index = densify_boundaries([], 50.0)
+        assert points.shape == (0, 2) and index.shape == (0,)
+        assert index.dtype.kind == "i"
+
+    def test_non_finite_vertex_rejected(self):
+        ring = closed_square(0.0, 0.0, 50.0)
+        ring[1, 0] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            densify_boundaries([ring], 10.0)
+
+    def test_archive_round_trip_keeps_points(self, tmp_path):
+        rng = np.random.default_rng(4)
+        polygons = [
+            closed_square(*rng.uniform(-3000.0, 3000.0, 2), rng.uniform(10.0, 500.0))
+            for _ in range(5)
+        ]
+        scenario = Scenario(
+            origin=(55.0, 10.0), epoch=0.0, dt=10.0,
+            tracks={"own": straight_track("own", 0.0, 0.0, 0.0, 3.0, 0.0, 5)},
+            obstacles=ObstacleSet(polygons, spacing=float(rng.uniform(5.0, 60.0))),
+        )
+        scenario.save(tmp_path / "scenario.json")
+        loaded = Scenario.load(tmp_path / "scenario.json").obstacles
+        assert loaded.boundary_points.tobytes() == scenario.obstacles.boundary_points.tobytes()
+        assert np.array_equal(loaded.point_polygon_index, scenario.obstacles.point_polygon_index)
+
+
+def reference_grounding(state, points, rp, dp):
+    """Per-state scalar grounding: the points strictly inside the arena, the
+    channel-adjusted domain and the largest per-point risk, one point at a
+    time. Returns (adjusted domain, max risk)."""
+    pts = [p for p in points if math.hypot(p[0] - state.north, p[1] - state.east)
+           < rp.arena_radius]
+    domain = make_domain(state, dp)
+    if not pts:
+        return domain, 0.0
+    if rp.channel_adjust:
+        corridor = rp.channel_corridor if rp.channel_corridor is not None else domain.semi_major
+        port = starboard = rp.arena_radius
+        c, s = math.cos(state.heading), math.sin(state.heading)
+        for pn, pe in pts:
+            dn, de = pn - state.north, pe - state.east
+            x, y = c * dn + s * de, -s * dn + c * de
+            if 0.0 <= x <= corridor:
+                if y > 0.0:
+                    starboard = min(starboard, y)
+                elif y < 0.0:
+                    port = min(port, -y)
+        width = port + starboard
+        new_minor = max(rp.channel_gamma * width / 2.0, 1e-3)
+        if 2.0 * domain.semi_minor > width and new_minor < domain.semi_minor:
+            domain = replace(
+                domain,
+                semi_minor=new_minor,
+                center_offset_stb=domain.center_offset_stb * new_minor / domain.semi_minor,
+            )
+    offsets = rp.horizon_offsets() if rp.grounding_horizon_max else [0.0]
+    # own speed holds, so the domain holds its shape over the horizon
+    positions = [predict_state(state, float(dt)).position for dt in offsets]
+    best = 0.0
+    for pn, pe in pts:
+        target = LocalPoint(pn, pe)
+        r_d = max(risk_index(scale_factor(domain, target, pos), rp) for pos in positions)
+        dist = math.hypot(pn - state.north, pe - state.east)
+        best = max(best, r_d * risk_index(dist / rp.arena_radius, rp))
+    return domain, best
+
+
+class TestGroundingKernel:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        channel_adjust=st.booleans(),
+        corridor=st.sampled_from([None, 150.0]),
+        horizon_max=st.booleans(),
+        chunk_elems=st.sampled_from([1, 25, risk.KERNEL_CHUNK_ELEMS]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_state_reference(
+        self, seed, channel_adjust, corridor, horizon_max, chunk_elems
+    ):
+        rng = np.random.default_rng(seed)
+        rp = RiskParams(
+            horizon_T=300.0, horizon_step=45.0, channel_adjust=channel_adjust,
+            channel_corridor=corridor, grounding_horizon_max=horizon_max,
+        )
+        dp = DomainParams()
+        # a 200 m lane between two banks plus a shoal off its southern end
+        walls = [
+            np.array([[-600.0, e0], [-600.0, e1], [600.0, e1], [600.0, e0], [-600.0, e0]])
+            for e0, e1 in ((-300.0, -100.0), (100.0, 300.0))
+        ]
+        obstacles = ObstacleSet(
+            walls + [closed_square(-900.0, 0.0, 60.0)], spacing=float(rng.uniform(40.0, 100.0))
+        )
+        in_lane = [
+            VesselState(0.0, rng.uniform(-700.0, 700.0), rng.uniform(-90.0, 90.0),
+                        rng.uniform(0.0, 8.0), rng.uniform(0.0, 2.0 * math.pi),
+                        rng.uniform(50.0, 250.0))
+            for _ in range(4)
+        ]
+        # the last state sees no chart point inside its arena
+        far = VesselState(0.0, 9000.0, 9000.0, 3.0, 1.0, 100.0)
+        owns = in_lane + random_states(rng, 3) + [far]
+        with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk_elems):
+            got = scenario_risks(StateArrays.of(owns), 0.0, [], obstacles, rp, dp).grounding_max
+        assert got[-1] == 0.0
+        points = obstacles.boundary_points
+        for c, state in enumerate(owns):
+            domain, expected = reference_grounding(state, points, rp, dp)
+            assert abs(got[c] - expected) <= 1e-12
+            arena_pts = obstacles.points_in_arena(ArenaSpec(rp.arena_radius, state.position))
+            if arena_pts.size:
+                assert abs(grounding_risk(state, arena_pts, rp, dp)[1] - expected) <= 1e-12
+                adjusted = adjust_domain_for_channel(make_domain(state, dp), state, arena_pts, rp)
+                if channel_adjust:
+                    assert abs(adjusted.semi_minor - domain.semi_minor) <= 1e-12
