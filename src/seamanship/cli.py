@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .geometry import DomainParams, VesselType
 from .ingest import AisSchema, IngestParams, Scenario, build_scenario, sha256_file
+from .jsontext import json_text
 from .planner import (
     Hyperparameters,
     KinodynamicParams,
@@ -73,9 +74,10 @@ class CliError(Exception):
 
 
 def _coerce_value(raw: str):
+    # ValueError also covers an integer past the interpreter's digit limit
     try:
         return json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:
         return raw
 
 
@@ -88,7 +90,7 @@ def load_config(args) -> dict:
             raise CliError(f"config file not found: {path}", path=str(path))
         try:
             config = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise CliError(f"config is not valid JSON: {exc}", path=str(path))
         if not isinstance(config, dict):
             raise CliError("config root must be a JSON object", path=str(path))
@@ -197,7 +199,7 @@ def _digests(inputs: dict[str, Path]) -> dict:
 
 
 def write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json_text(doc) + "\n", encoding="utf-8")
 
 
 def write_manifest(

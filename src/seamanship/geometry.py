@@ -8,7 +8,11 @@ a local tangent plane, headings are radians clockwise from true north in
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
+import types
+import typing
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -47,15 +51,49 @@ def normalize_heading(angle: float) -> float:
     return wrapped if wrapped < TWO_PI else 0.0
 
 
-def require_finite(params) -> None:
-    """Reject a parameter dataclass holding a non-finite float in any field.
+@functools.cache
+def _real_fields(cls) -> dict[str, bool]:
+    """The fields of a dataclass annotated ``float`` or ``float | None``,
+    each mapped to whether it takes None."""
+    hints = typing.get_type_hints(cls)
+    real = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        if hint is float:
+            real[f.name] = False
+        elif typing.get_origin(hint) in (typing.Union, types.UnionType) and set(
+            typing.get_args(hint)
+        ) == {float, type(None)}:
+            real[f.name] = True
+    return real
 
-    NaN passes every range check written as a comparison, so each parameter
-    block calls this before its own checks.
+
+def require_finite(params) -> None:
+    """Reject a parameter dataclass holding a non-finite float in any field,
+    or anything but a finite real number in a ``float`` field.
+
+    A field annotated ``float`` (or ``float | None``, which also takes None)
+    must hold an int or a float, not a str or a bool, whose ``float()`` is
+    finite. NaN passes every range check written as a comparison (and is
+    truthy in a flag), and a string or an int too large for a float fails
+    only deep inside a kernel, so each parameter block calls this before its
+    own checks.
     """
+    real = _real_fields(type(params))
     for f in fields(params):
         value = getattr(params, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
+        if f.name in real:
+            if value is None and real[f.name]:
+                continue
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
+        elif not isinstance(value, float):
+            continue
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
@@ -227,10 +265,20 @@ def project(lat: float, lon: float, origin: tuple[float, float]) -> LocalPoint:
     Equirectangular projection about ``origin`` (lat, lon in degrees):
     adequate for scenario extents of a few tens of kilometers.
     """
+    north, east = project_arrays(lat, lon, origin)
+    return LocalPoint(float(north), float(east))
+
+
+def project_arrays(lat, lon, origin: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """``project`` for arrays of coordinates, which broadcast together:
+    (north, east) arrays, each element bit-identical to ``project``'s.
+    A non-finite result is rejected."""
     lat0, lon0 = origin
-    north = math.radians(lat - lat0) * EARTH_RADIUS_M
-    east = math.radians(lon - lon0) * EARTH_RADIUS_M * math.cos(math.radians(lat0))
-    return LocalPoint(north, east)
+    north = np.radians(np.subtract(lat, lat0)) * EARTH_RADIUS_M
+    east = np.radians(np.subtract(lon, lon0)) * EARTH_RADIUS_M * math.cos(math.radians(lat0))
+    if not (np.isfinite(north).all() and np.isfinite(east).all()):
+        raise ValueError("non-finite point in projected coordinates")
+    return north, east
 
 
 def unproject(point: LocalPoint, origin: tuple[float, float]) -> tuple[float, float]:

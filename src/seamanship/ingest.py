@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import math
+import operator
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,15 +26,19 @@ from .geometry import (
     KNOTS_TO_MPS,
     VesselTrack,
     VesselType,
-    project,
+    project_arrays,
     require_finite,
 )
+from .jsontext import json_text
 from .risk import ObstacleSet
 
 log = logging.getLogger(__name__)
 
 SCENARIO_SCHEMA_VERSION = 1
 HEADING_UNAVAILABLE = 511.0
+DMA_TIMESTAMP_FORMAT = "%d/%m/%Y %H:%M:%S"
+# DMA_TIMESTAMP_FORMAT text with two-digit fields and one space, exactly
+_DMA_TIMESTAMP = re.compile(r"(\d\d)/(\d\d)/(\d{4}) (\d\d):(\d\d):(\d\d)", re.ASCII)
 
 # hull length substituted when the report leaves the field blank, meters
 DEFAULT_LENGTHS = {
@@ -61,7 +68,7 @@ class AisSchema:
     heading: str = "Heading"
     ship_type: str = "Ship type"
     length: str = "Length"
-    timestamp_formats: tuple[str, ...] = ("%d/%m/%Y %H:%M:%S",)
+    timestamp_formats: tuple[str, ...] = (DMA_TIMESTAMP_FORMAT,)
 
 
 @dataclass(frozen=True)
@@ -97,8 +104,24 @@ class RawTrack:
 
 
 def _parse_timestamp(text: str, schema: AisSchema) -> float:
-    """Epoch seconds from an ISO-8601 or schema-configured timestamp."""
+    """Epoch seconds from an ISO-8601 or schema-configured timestamp.
+
+    While the DMA layout is the schema's first format, text in exactly that
+    layout is built directly: ISO-8601 never reads it, and ``strptime``
+    would give the same datetime. All other text, and DMA text naming no
+    valid datetime, goes through ISO-8601 and then the formats in order.
+    """
     raw = text.strip()
+    if schema.timestamp_formats[:1] == (DMA_TIMESTAMP_FORMAT,):
+        match = _DMA_TIMESTAMP.fullmatch(raw)
+        if match:
+            day, month, year, hour, minute, second = map(int, match.groups())
+            try:
+                return datetime(
+                    year, month, day, hour, minute, second, tzinfo=timezone.utc
+                ).timestamp()
+            except ValueError:
+                pass
     try:
         dt = datetime.fromisoformat(raw)
     except ValueError:
@@ -120,11 +143,13 @@ def _parse_timestamp(text: str, schema: AisSchema) -> float:
 def parse_ais(path, schema: AisSchema | None = None) -> tuple[dict[str, RawTrack], int]:
     """Read an AIS CSV into per-vessel raw tracks.
 
-    Rows with unparseable essentials (timestamp, position, mmsi) or a
-    non-finite SOG, COG or heading are skipped and counted. A heading of
-    511 (unavailable) falls back to the course over ground; a blank or
-    non-finite hull length falls back to a per-type default. Duplicate
-    (mmsi, timestamp) rows keep the first occurrence.
+    Rows read like ``csv.DictReader`` rows: blank lines are skipped, fields
+    past the header are ignored and missing ones read as blank. Rows with
+    unparseable essentials (timestamp, position, mmsi) or a non-finite SOG,
+    COG or heading are skipped and counted. A heading of 511 (unavailable)
+    falls back to the course over ground; a blank or non-finite hull length
+    falls back to a per-type default. Duplicate (mmsi, timestamp) rows keep
+    the first occurrence.
     Returns (tracks keyed by mmsi, skipped row count).
     """
     schema = schema or AisSchema()
@@ -132,31 +157,52 @@ def parse_ais(path, schema: AisSchema | None = None) -> tuple[dict[str, RawTrack
     seen: set[tuple[str, float]] = set()
     skipped = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty AIS file")
         missing = [
             c
             for c in (schema.timestamp, schema.mmsi, schema.latitude, schema.longitude)
-            if c not in reader.fieldnames
+            if c not in header
         ]
         if missing:
             raise ValueError(f"{path}: missing required columns {missing}")
+        # a repeated name reads its last column; an absent one reads the
+        # blank pad column appended to every row
+        width = len(header)
+        column = {name: i for i, name in enumerate(header)}
+        pick = operator.itemgetter(
+            *(
+                column.get(name, width)
+                for name in (
+                    schema.timestamp, schema.mmsi, schema.latitude, schema.longitude,
+                    schema.sog, schema.cog, schema.heading, schema.ship_type, schema.length,
+                )
+            )
+        )
         for row in reader:
+            n = len(row)
+            if n != width:
+                if not n:
+                    continue
+                del row[width:]
+                row.extend([""] * (width - n))
+            row.append("")
+            stamp, mmsi, lat, lon, sog, cog, heading, type_text, length_text = pick(row)
             try:
-                t = _parse_timestamp(row[schema.timestamp], schema)
-                mmsi = row[schema.mmsi].strip()
-                lat = float(row[schema.latitude])
-                lon = float(row[schema.longitude])
+                t = _parse_timestamp(stamp, schema)
+                mmsi = mmsi.strip()
+                lat = float(lat)
+                lon = float(lon)
                 if not mmsi or not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
                     raise ValueError("bad position")
-                sog = float(row.get(schema.sog) or 0.0)
-                cog = float(row.get(schema.cog) or 0.0)
-                heading = row.get(schema.heading)
-                hdg = float(heading) if heading not in (None, "") else HEADING_UNAVAILABLE
+                sog = float(sog or 0.0)
+                cog = float(cog or 0.0)
+                hdg = float(heading) if heading else HEADING_UNAVAILABLE
                 if not (math.isfinite(sog) and math.isfinite(cog) and math.isfinite(hdg)):
                     raise ValueError("non-finite motion field")
-            except (ValueError, KeyError):
+            except ValueError:
                 skipped += 1
                 continue
             if (mmsi, t) in seen:
@@ -166,12 +212,10 @@ def parse_ais(path, schema: AisSchema | None = None) -> tuple[dict[str, RawTrack
                 hdg = cog
             track = tracks.get(mmsi)
             if track is None:
-                track = RawTrack(mmsi=mmsi)
+                track = RawTrack(mmsi=mmsi, vessel_type=VesselType.parse(type_text.strip()))
                 tracks[mmsi] = track
-                type_text = (row.get(schema.ship_type) or "").strip()
-                track.vessel_type = VesselType.parse(type_text)
             if track.length is None:
-                length_text = (row.get(schema.length) or "").strip()
+                length_text = length_text.strip()
                 if length_text:
                     try:
                         value = float(length_text)
@@ -189,7 +233,7 @@ def parse_ais(path, schema: AisSchema | None = None) -> tuple[dict[str, RawTrack
             track.length = DEFAULT_LENGTHS[track.vessel_type]
         order = np.argsort(track.times, kind="stable")
         for name in ("times", "lat", "lon", "speed", "heading"):
-            setattr(track, name, [getattr(track, name)[i] for i in order])
+            setattr(track, name, np.asarray(getattr(track, name))[order].tolist())
     return dict(sorted(tracks.items())), skipped
 
 
@@ -212,9 +256,7 @@ def resample(
     if len(raw.times) < 2:
         return []
     times = np.asarray(raw.times, dtype=float) - epoch
-    pts = [project(la, lo, origin) for la, lo in zip(raw.lat, raw.lon)]
-    north = np.array([p.north for p in pts])
-    east = np.array([p.east for p in pts])
+    north, east = project_arrays(raw.lat, raw.lon, origin)
     speed = np.asarray(raw.speed, dtype=float)
     heading = np.unwrap(np.asarray(raw.heading, dtype=float))
     breaks = np.nonzero(np.diff(times) > max_gap)[0]
@@ -247,21 +289,25 @@ def resample(
     return segments
 
 
-def _ring_coords(ring: Sequence[Sequence[float]], origin) -> np.ndarray | None:
-    """Project one GeoJSON ring (lon, lat pairs) to local north/east."""
-    pts = []
-    for coord in ring:
-        lon, lat = float(coord[0]), float(coord[1])
-        p = project(lat, lon, origin)
-        if pts and p.north == pts[-1][0] and p.east == pts[-1][1]:
-            continue
-        pts.append([p.north, p.east])
-    if len(pts) >= 2 and pts[0] == pts[-1]:
-        pts = pts[:-1]
-    if len(pts) < 3:
-        return None
-    pts.append(pts[0])
-    return np.asarray(pts, dtype=float)
+def _ring_coords(rings: Sequence[Sequence[Sequence[float]]], origin) -> list[np.ndarray]:
+    """Project GeoJSON rings (lon, lat pairs) to closed local north/east
+    rings, all points in one call. Repeated consecutive points and a repeat
+    of the first point at the end are dropped; a ring left with fewer than
+    three points is dropped."""
+    lonlat = [(float(c[0]), float(c[1])) for ring in rings for c in ring]
+    north, east = project_arrays([c[1] for c in lonlat], [c[0] for c in lonlat], origin)
+    points = zip(north.tolist(), east.tolist())
+    out = []
+    for ring in rings:
+        pts: list[tuple[float, float]] = []
+        for point in itertools.islice(points, len(ring)):
+            if not pts or point != pts[-1]:
+                pts.append(point)
+        if len(pts) >= 2 and pts[0] == pts[-1]:
+            pts.pop()
+        if len(pts) >= 3:
+            out.append(np.array(pts + pts[:1], dtype=float))
+    return out
 
 
 def load_chart(
@@ -286,7 +332,7 @@ def load_chart(
         features = [doc]
     else:
         features = [{"type": "Feature", "geometry": doc, "properties": {}}]
-    rings: list[np.ndarray] = []
+    rings = []
     unclosed = 0
     for feature in features:
         geom = feature.get("geometry") or {}
@@ -305,12 +351,10 @@ def load_chart(
             for ring in poly:
                 if len(ring) >= 3 and list(ring[0]) != list(ring[-1]):
                     unclosed += 1
-                projected = _ring_coords(ring, origin)
-                if projected is not None:
-                    rings.append(projected)
+                rings.append(ring)
     if unclosed:
         log.warning("%s: closed %d unclosed ring(s)", path, unclosed)
-    return ObstacleSet(rings, spacing=p.obstacle_spacing)
+    return ObstacleSet(_ring_coords(rings, origin), spacing=p.obstacle_spacing)
 
 
 def sha256_file(path) -> str:
@@ -400,7 +444,7 @@ class Scenario:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json_text(self.to_dict())
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json() + "\n", encoding="utf-8")

@@ -72,8 +72,8 @@ class RiskParams:
         channel_adjust: shrink the domain beam inside narrow channels.
         channel_gamma: fraction of the measured channel width the adjusted
             domain beam may occupy.
-        channel_corridor: forward corridor length used to measure channel
-            width; None means the domain semi-major axis.
+        channel_corridor: positive forward corridor length used to measure
+            channel width; None means the domain semi-major axis.
     """
 
     kappa: float = 10.0
@@ -99,6 +99,8 @@ class RiskParams:
             raise ValueError(f"mutual_mode must be one of {MUTUAL_MODES}")
         if not 0.0 < self.channel_gamma <= 1.0:
             raise ValueError("channel_gamma must lie in (0, 1]")
+        if self.channel_corridor is not None and self.channel_corridor <= 0.0:
+            raise ValueError(f"channel_corridor must be positive, got {self.channel_corridor}")
 
     def horizon_offsets(self) -> np.ndarray:
         """Offsets {0, step, ..., T} sampled inside the look-ahead horizon."""

@@ -481,6 +481,18 @@ class TestConfigHandling:
             ("domain.minor_factor=NaN", "minor_factor must be finite"),
             ("risk.kappa=Infinity", "kappa must be finite"),
             ("search.n_t=1.5", "n_t must be an integer"),
+            ('risk.f50="x"', "f50 must be a real number"),
+            pytest.param(
+                "risk.kappa=" + "9" * 400, "kappa must be finite", id="risk.kappa=400-digits"
+            ),
+            pytest.param(
+                "risk.kappa=" + "9" * 5000,
+                "kappa must be a real number",
+                id="risk.kappa=5000-digits",
+            ),
+            ("risk.channel_corridor=-5", "channel_corridor must be positive"),
+            ("risk.channel_adjust=NaN", "channel_adjust must be finite"),
+            ("risk.grounding_horizon_max=Infinity", "grounding_horizon_max must be finite"),
         ],
     )
     def test_bad_parameter_value_exits_2(self, head_on_ais, tmp_path, capsys, setting, message):
@@ -492,9 +504,24 @@ class TestConfigHandling:
         assert code == 2
         assert message in json.loads(capsys.readouterr().err)["message"]
 
+    def test_non_finite_depth_key_exits_2(self, head_on_ais, chart_file, tmp_path, capsys):
+        # a NaN key matches no depth attribute, so every polygon would be an obstacle
+        code = run(
+            "ingest", "--ais", head_on_ais, "--chart", chart_file,
+            "--output", tmp_path / "o", "--set", "ingest.depth_key=NaN",
+        )
+        assert code == 2
+        assert "depth_key must be finite" in json.loads(capsys.readouterr().err)["message"]
+
     def test_bad_config_json_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json", encoding="utf-8")
+        assert run("ingest", "--config", cfg, "--output", tmp_path / "o") == 2
+        assert "JSON" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_config_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"risk": {"kappa": ' + "9" * 5000 + "}}", encoding="utf-8")
         assert run("ingest", "--config", cfg, "--output", tmp_path / "o") == 2
         assert "JSON" in json.loads(capsys.readouterr().err)["message"]
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seamanship.geometry import (
+    EARTH_RADIUS_M,
     DomainParams,
     DomainSpec,
     LocalPoint,
@@ -20,6 +22,8 @@ from seamanship.geometry import (
     normalize_heading,
     predict_state,
     project,
+    project_arrays,
+    require_finite,
     scale_factor,
     travel_distance,
     unproject,
@@ -39,6 +43,13 @@ FLOAT_FIELDS = [
     for f in dataclasses.fields(block)
     if isinstance(f.default, float)
 ] + [(RiskParams, "channel_corridor")]
+# every other field: flags, names and grid sizes
+OTHER_FIELDS = [
+    (block, f.name)
+    for block in PARAMETER_BLOCKS
+    for f in dataclasses.fields(block)
+    if (block, f.name) not in FLOAT_FIELDS
+]
 
 ORIGIN = (55.0, 10.0)
 
@@ -77,6 +88,14 @@ def bisect_scale_factor(domain, target, own, tol=1e-9):
     return 0.5 * (lo + hi)
 
 
+def reference_project(lat, lon, origin):
+    """The scalar ``math`` form that the array projection replaced."""
+    lat0, lon0 = origin
+    north = math.radians(lat - lat0) * EARTH_RADIUS_M
+    east = math.radians(lon - lon0) * EARTH_RADIUS_M * math.cos(math.radians(lat0))
+    return north, east
+
+
 class TestProjection:
     def test_north_arc(self):
         p = project(55.001, 10.0, ORIGIN)
@@ -91,6 +110,43 @@ class TestProjection:
     def test_origin_maps_to_zero(self):
         p = project(55.0, 10.0, ORIGIN)
         assert p.north == 0.0 and p.east == 0.0
+
+    @given(
+        coords=st.lists(
+            st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)), min_size=1, max_size=40
+        ),
+        origin=st.tuples(st.floats(-89.0, 89.0), st.floats(-180.0, 180.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_array_form_is_bit_identical(self, coords, origin):
+        lat = np.array([c[0] for c in coords])
+        lon = np.array([c[1] for c in coords])
+        batch = project_arrays(lat, lon, origin)
+        points = [project(la, lo, origin) for la, lo in coords]
+        reference = [reference_project(la, lo, origin) for la, lo in coords]
+        for north, east in (batch, np.array([(p.north, p.east) for p in points]).T):
+            assert north.tobytes() == np.array([r[0] for r in reference]).tobytes()
+            assert east.tobytes() == np.array([r[1] for r in reference]).tobytes()
+        assert all(type(p.north) is float and type(p.east) is float for p in points)
+
+    def test_array_form_on_a_track(self):
+        # a long lane track with 7-decimal reports, as AIS files carry
+        rng = np.random.default_rng(11)
+        lat = np.round(55.0 + np.cumsum(rng.normal(0.0, 2e-4, 2000)), 7).tolist()
+        lon = np.round(10.0 + np.cumsum(rng.normal(0.0, 3e-4, 2000)), 7).tolist()
+        origin = (sum(lat) / len(lat), sum(lon) / len(lon))
+        north, east = project_arrays(lat, lon, origin)
+        reference = np.array([reference_project(la, lo, origin) for la, lo in zip(lat, lon)])
+        assert north.tobytes() == reference[:, 0].copy().tobytes()
+        assert east.tobytes() == reference[:, 1].copy().tobytes()
+
+    def test_non_finite_array_rejected(self):
+        with pytest.raises(ValueError, match="non-finite point"):
+            project_arrays(np.array([55.0, math.nan]), np.array([10.0, 10.0]), ORIGIN)
+
+    def test_non_finite_scalar_rejected(self):
+        with pytest.raises(ValueError, match="non-finite point"):
+            project(math.nan, 10.0, ORIGIN)
 
     def test_roundtrip_near_origin(self):
         rng = np.random.default_rng(7)
@@ -339,10 +395,45 @@ class TestNonFiniteRejected:
             VesselTrack("x", length=100.0, **arrays)
 
     @pytest.mark.parametrize("block, field", FLOAT_FIELDS)
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            math.nan,
+            math.inf,
+            pytest.param("x", id="str"),
+            pytest.param("1.5", id="numeric_str"),
+            pytest.param(True, id="bool"),
+            pytest.param(10**400, id="int_too_large"),
+        ],
+    )
     def test_parameter_blocks(self, block, field, value):
+        problem = "must be a real number" if isinstance(value, (str, bool)) else "must be finite"
+        with pytest.raises(ValueError, match=f"{field} {problem}"):
+            block(**{field: value})
+
+    @pytest.mark.parametrize("block, field", OTHER_FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_float_fields_reject_non_finite_floats(self, block, field, value):
+        # NaN is truthy, so a NaN flag would switch its feature on
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             block(**{field: value})
+
+    @pytest.mark.parametrize("annotation", [float, Optional[float], "float | None"])
+    def test_real_fields_found_without_string_annotations(self, annotation):
+        @dataclasses.dataclass
+        class Block:
+            x: annotation = 1.0
+            name: str = "a"
+
+        require_finite(Block())
+        require_finite(Block(x=2))
+        if annotation is not float:
+            require_finite(Block(x=None))
+        for bad in ("x", True):
+            with pytest.raises(ValueError, match="x must be a real number"):
+                require_finite(Block(x=bad))
+        with pytest.raises(ValueError, match="name must be finite"):
+            require_finite(Block(name=math.nan))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_vessel_track_length(self, value):

@@ -4,22 +4,30 @@ import csv
 import json
 import logging
 import math
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seamanship.geometry import KNOTS_TO_MPS, VesselType, project
 from seamanship.ingest import (
+    DEFAULT_LENGTHS,
+    DMA_TIMESTAMP_FORMAT,
+    HEADING_UNAVAILABLE,
     AisSchema,
     IngestParams,
     RawTrack,
     Scenario,
+    _parse_timestamp,
+    _ring_coords,
     build_scenario,
     load_chart,
     parse_ais,
     resample,
 )
+from seamanship.jsontext import json_text
 
 COLUMNS = [
     "# Timestamp",
@@ -142,6 +150,42 @@ class TestParseAis:
         tracks, skipped = parse_ais(write_ais(tmp_path / "a.csv", rows))
         assert skipped == 0
         assert tracks["219000001"].times[1] - tracks["219000001"].times[0] == 20.0
+
+    def test_truncated_row_is_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_ais(path, simple_rows(n=3))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(dma_time(80) + ",219200000\n")
+        tracks, skipped = parse_ais(path)
+        assert skipped == 1
+        assert list(tracks) == ["219000001"]
+
+    def test_missing_optional_fields_read_as_blank(self, tmp_path):
+        # a row cut after its position reads like one with blank motion fields
+        rows = simple_rows(n=2)
+        rows[1] = rows[1][:4]
+        tracks, skipped = parse_ais(write_ais(tmp_path / "a.csv", rows))
+        assert skipped == 0
+        track = tracks["219000001"]
+        assert track.speed[1] == 0.0 and track.heading[1] == 0.0
+
+    def test_extra_fields_are_ignored(self, tmp_path):
+        rows = simple_rows(n=2)
+        rows[1] += ["surplus", "55.0"]
+        tracks, skipped = parse_ais(write_ais(tmp_path / "a.csv", rows))
+        assert skipped == 0
+        assert tracks["219000001"].lat == [55.0, 55.001]
+
+    def test_blank_lines_are_skipped_uncounted(self, tmp_path):
+        path = tmp_path / "a.csv"
+        lines = [",".join(row) for row in simple_rows(n=2)]
+        path.write_text(
+            ",".join(COLUMNS) + "\n\n" + lines[0] + "\n\n\n" + lines[1] + "\n\n",
+            encoding="utf-8",
+        )
+        tracks, skipped = parse_ais(path)
+        assert skipped == 0
+        assert len(tracks["219000001"].times) == 2
 
     def test_missing_required_column_raises(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -372,3 +416,314 @@ class TestScenario:
         path.write_text(",".join(COLUMNS) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="no usable"):
             build_scenario(path)
+
+
+# --- the code the array passes replaced, kept as references ----------------
+
+
+def reference_parse_timestamp(text: str, schema: AisSchema) -> float:
+    """ISO-8601, then each schema format through ``strptime``."""
+    raw = text.strip()
+    try:
+        dt = datetime.fromisoformat(raw)
+    except ValueError:
+        dt = None
+    if dt is None:
+        for fmt in schema.timestamp_formats:
+            try:
+                dt = datetime.strptime(raw, fmt)
+                break
+            except ValueError:
+                continue
+    if dt is None:
+        raise ValueError(f"unparseable timestamp {text!r}")
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.timestamp()
+
+
+def reference_parse_ais(path, schema=None):
+    """The ``csv.DictReader`` parser. A row too short to hold a required
+    field reads None there; catching the TypeError and AttributeError that
+    follow counts it as a skipped row, which is what ``parse_ais`` does."""
+    schema = schema or AisSchema()
+    tracks, seen, skipped = {}, set(), 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValueError(f"{path}: empty AIS file")
+        required = (schema.timestamp, schema.mmsi, schema.latitude, schema.longitude)
+        missing = [c for c in required if c not in reader.fieldnames]
+        if missing:
+            raise ValueError(f"{path}: missing required columns {missing}")
+        for row in reader:
+            try:
+                t = reference_parse_timestamp(row[schema.timestamp], schema)
+                mmsi = row[schema.mmsi].strip()
+                lat = float(row[schema.latitude])
+                lon = float(row[schema.longitude])
+                if not mmsi or not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                    raise ValueError("bad position")
+                sog = float(row.get(schema.sog) or 0.0)
+                cog = float(row.get(schema.cog) or 0.0)
+                heading = row.get(schema.heading)
+                hdg = float(heading) if heading not in (None, "") else HEADING_UNAVAILABLE
+                if not (math.isfinite(sog) and math.isfinite(cog) and math.isfinite(hdg)):
+                    raise ValueError("non-finite motion field")
+            except (ValueError, KeyError, TypeError, AttributeError):
+                skipped += 1
+                continue
+            if (mmsi, t) in seen:
+                continue
+            seen.add((mmsi, t))
+            if hdg == HEADING_UNAVAILABLE:
+                hdg = cog
+            track = tracks.get(mmsi)
+            if track is None:
+                track = RawTrack(mmsi=mmsi)
+                tracks[mmsi] = track
+                track.vessel_type = VesselType.parse((row.get(schema.ship_type) or "").strip())
+            if track.length is None:
+                length_text = (row.get(schema.length) or "").strip()
+                if length_text:
+                    try:
+                        value = float(length_text)
+                        if math.isfinite(value) and value > 0.0:
+                            track.length = value
+                    except ValueError:
+                        pass
+            track.times.append(t)
+            track.lat.append(lat)
+            track.lon.append(lon)
+            track.speed.append(max(0.0, sog * KNOTS_TO_MPS))
+            track.heading.append(math.radians(hdg % 360.0))
+    for track in tracks.values():
+        if track.length is None:
+            track.length = DEFAULT_LENGTHS[track.vessel_type]
+        order = np.argsort(track.times, kind="stable")
+        for name in ("times", "lat", "lon", "speed", "heading"):
+            setattr(track, name, [getattr(track, name)[i] for i in order])
+    return dict(sorted(tracks.items())), skipped
+
+
+def reference_ring_coords(ring, origin):
+    """The per-coordinate projection loop."""
+    pts = []
+    for coord in ring:
+        p = project(float(coord[1]), float(coord[0]), origin)
+        if pts and p.north == pts[-1][0] and p.east == pts[-1][1]:
+            continue
+        pts.append([p.north, p.east])
+    if len(pts) >= 2 and pts[0] == pts[-1]:
+        pts = pts[:-1]
+    if len(pts) < 3:
+        return None
+    pts.append(pts[0])
+    return np.asarray(pts, dtype=float)
+
+
+def outcome(parse, text, schema):
+    try:
+        return parse(text, schema)
+    except ValueError:
+        return "error"
+
+
+class TestTimestampFastPath:
+    SCHEMA = AisSchema()
+
+    @given(
+        day=st.integers(0, 32),
+        month=st.integers(0, 13),
+        year=st.integers(0, 9999),
+        hour=st.integers(0, 25),
+        minute=st.integers(0, 61),
+        second=st.integers(0, 62),
+        pad=st.sampled_from(["", " ", "  ", "\t"]),
+    )
+    @example(day=29, month=2, year=2024, hour=0, minute=0, second=0, pad="")
+    @example(day=29, month=2, year=2023, hour=0, minute=0, second=0, pad="")
+    @example(day=31, month=4, year=2023, hour=23, minute=59, second=59, pad=" ")
+    @example(day=1, month=1, year=1, hour=0, minute=0, second=60, pad="")
+    @example(day=0, month=1, year=2023, hour=24, minute=0, second=61, pad="")
+    @settings(max_examples=400, deadline=None)
+    def test_matches_strptime(self, day, month, year, hour, minute, second, pad):
+        text = f"{pad}{day:02d}/{month:02d}/{year:04d} {hour:02d}:{minute:02d}:{second:02d}{pad}"
+        try:
+            expected = (
+                datetime.strptime(text.strip(), DMA_TIMESTAMP_FORMAT)
+                .replace(tzinfo=timezone.utc)
+                .timestamp()
+            )
+        except ValueError:
+            expected = "error"
+        assert outcome(_parse_timestamp, text, self.SCHEMA) == expected
+
+    @given(st.text(alphabet="0123456789/: -+T٠١", min_size=15, max_size=22))
+    @example("07/09/2023 00:00:20")
+    @example("7/09/2023 00:00:20")
+    @example("07/09/2023  00:00:20")
+    @example("+7/09/2023 00:00:20")
+    @example("2023-09-07 00:00:20")
+    @example("٠٧/09/2023 00:00:20")
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_on_any_text(self, text):
+        assert outcome(_parse_timestamp, text, self.SCHEMA) == outcome(
+            reference_parse_timestamp, text, self.SCHEMA
+        )
+
+    def test_only_when_dma_layout_comes_first(self):
+        schema = AisSchema(timestamp_formats=("%m/%d/%Y %H:%M:%S", DMA_TIMESTAMP_FORMAT))
+        july = datetime(2023, 7, 9, 0, 0, 20, tzinfo=timezone.utc).timestamp()
+        assert _parse_timestamp("07/09/2023 00:00:20", schema) == july
+        # a DMA text no datetime has falls through to the later formats
+        december = datetime(2023, 12, 31, 0, 0, 0, tzinfo=timezone.utc).timestamp()
+        schema = AisSchema(timestamp_formats=(DMA_TIMESTAMP_FORMAT, "%m/%d/%Y %H:%M:%S"))
+        assert _parse_timestamp("12/31/2023 00:00:00", schema) == december
+
+
+AIS_TIMES = [dma_time(s) for s in (0, 20, 40, 60, 600)] + [
+    "2023-09-07T06:00:30+00:00",
+    "2023-09-07T06:00:20",
+    "31/02/2023 25:61:00",
+    "07/09/2023 06:00:60",
+    " 07/09/2023 06:01:00 ",
+]
+AIS_FIELDS = {
+    "# Timestamp": st.sampled_from(AIS_TIMES + ["", "junk"]),
+    "MMSI": st.sampled_from(["219000001", "219000002", " 219000003 ", "", "   "]),
+    "Latitude": st.sampled_from(["55.0", "55.0012345", "-0", "91.5", "", "nan", "fifty"]),
+    "Longitude": st.sampled_from(["11.0", "10.9999", "180", "-181", "inf", ""]),
+    "SOG": st.sampled_from(["10.0", "0", "-3", "", "nan", "1e400", "x"]),
+    "COG": st.sampled_from(["45.0", "359.9", "-10", "", "inf", "720"]),
+    "Heading": st.sampled_from(["0", "511", "511.0", "90", "", "-inf", "721"]),
+    "Ship type": st.sampled_from(["Cargo", " tanker ", "Pilot", "", "Unknown"]),
+    "Length": st.sampled_from(["150", "", "inf", "-5", "0", "abc", " 80 "]),
+}
+
+
+@st.composite
+def dirty_ais_csv(draw):
+    """CSV text with shuffled, missing, repeated and extra columns, blank
+    lines, truncated and overlong rows and malformed fields."""
+    header = draw(st.permutations(list(AIS_FIELDS)))
+    header = [c for c in header if c in COLUMNS[:4] or draw(st.integers(0, 5))]
+    header += draw(st.lists(st.sampled_from(["Extra", "SOG", "Heading"]), max_size=2))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        fields = [draw(AIS_FIELDS[c]) if c in AIS_FIELDS else "extra" for c in header]
+        if kind == "short":
+            fields = fields[: draw(st.integers(1, len(fields)))]
+        elif kind == "long":
+            fields += draw(st.lists(st.sampled_from(["1", "", "x"]), min_size=1, max_size=3))
+        lines.append(",".join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
+
+
+class TestParseAisEquivalence:
+    @given(text=dirty_ais_csv())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dictreader_parser(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("ais") / "a.csv"
+        path.write_bytes(text.encode("utf-8"))
+        tracks, skipped = parse_ais(path)
+        ref_tracks, ref_skipped = reference_parse_ais(path)
+        assert skipped == ref_skipped
+        assert repr(tracks) == repr(ref_tracks)
+
+    @pytest.mark.parametrize("text", ["", "\n1,2\n"])
+    def test_empty_or_blank_header_matches(self, tmp_path, text):
+        path = tmp_path / "a.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as new:
+            parse_ais(path)
+        with pytest.raises(ValueError) as ref:
+            reference_parse_ais(path)
+        assert str(new.value) == str(ref.value)
+
+
+@st.composite
+def lonlat_rings(draw):
+    """GeoJSON rings whose points often repeat, with or without closure."""
+    coord = st.tuples(st.sampled_from([10.0, 10.001, 10.5]), st.sampled_from([55.0, 55.002]))
+    rings = []
+    for _ in range(draw(st.integers(0, 4))):
+        points = []
+        for _ in range(draw(st.integers(0, 8))):
+            point = list(
+                draw(st.one_of(coord, st.tuples(st.floats(9.0, 11.0), st.floats(54.0, 56.0))))
+            )
+            points += [point] * draw(st.integers(1, 3))
+        if points and draw(st.booleans()):
+            points.append(list(points[0]))
+        rings.append(points)
+    return rings
+
+
+class TestRingCoords:
+    @given(rings=lonlat_rings())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_coordinate_loop(self, rings):
+        origin = (55.001, 10.2)
+        got = _ring_coords(rings, origin)
+        ref = [r for r in (reference_ring_coords(ring, origin) for ring in rings) if r is not None]
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_non_finite_coordinate_rejected(self):
+        ring = [[10.0, 55.0], [10.1, 55.0], [math.nan, 55.1], [10.0, 55.0]]
+        with pytest.raises(ValueError, match="non-finite point"):
+            _ring_coords([ring], (55.0, 10.0))
+
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**60), 10**60),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 1e-300, 1e16, 1e300, 5e-324, 0.1, -1.5]),
+    st.text(max_size=4),
+)
+JSON_NUMBERS = st.lists(
+    st.one_of(st.floats(), st.integers(), st.sampled_from([-0.0, 1e-300, 1e16])), max_size=8
+)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        JSON_NUMBERS,
+        st.lists(children, max_size=4),
+        st.lists(JSON_NUMBERS, max_size=3),
+        st.lists(JSON_NUMBERS.filter(bool), min_size=1, max_size=3),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    @given(doc=JSON_DOCS)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_indented_encoder(self, doc):
+        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [],
+            {"a": [], "b": {}, "c": [[]], "d": [{}]},
+            {"t": (1.0, 2.0), "n": [1, True, None], "f": [math.nan, math.inf, -math.inf]},
+            {1: "int key", 2.5: [1.0]},
+            {"x": {3: [1, 2], 4: "é\n\""}, "y": " "},
+            [np.float64(0.1), 2.0],
+        ],
+    )
+    def test_matches_on_unusual_documents(self, doc):
+        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)

@@ -219,6 +219,13 @@ class TestChannelAdjustment:
         walls = np.array([[-50.0, 100.0], [-50.0, -100.0]])
         assert adjust_domain_for_channel(d, s, walls) == d
 
+    @pytest.mark.parametrize("corridor", [0.0, -5.0, -5])
+    def test_corridor_must_be_positive(self, corridor):
+        # no point lies in an empty corridor, so a non-positive length would
+        # silently switch the adjustment off
+        with pytest.raises(ValueError, match="channel_corridor must be positive"):
+            RiskParams(channel_corridor=corridor)
+
 
 class TestCompose:
     def test_empty_inputs(self):
