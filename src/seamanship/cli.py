@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .geometry import DomainParams, VesselType
 from .ingest import AisSchema, IngestParams, Scenario, build_scenario, sha256_file
-from .jsontext import json_text
 from .planner import (
     Hyperparameters,
     KinodynamicParams,
@@ -199,7 +198,7 @@ def _digests(inputs: dict[str, Path]) -> dict:
 
 
 def write_json(path: Path, doc: dict) -> None:
-    path.write_text(json_text(doc) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def write_manifest(

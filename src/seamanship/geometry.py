@@ -51,50 +51,59 @@ def normalize_heading(angle: float) -> float:
     return wrapped if wrapped < TWO_PI else 0.0
 
 
+# the kind of a field annotated ``float | None``
+_OPTIONAL_REAL = "float | None"
+
+
 @functools.cache
-def _real_fields(cls) -> dict[str, bool]:
-    """The fields of a dataclass annotated ``float`` or ``float | None``,
-    each mapped to whether it takes None."""
+def _field_kinds(cls) -> dict[str, object]:
+    """The fields of a dataclass annotated ``float``, ``float | None``,
+    ``bool`` or ``str``, each mapped to its kind: the type, or
+    ``_OPTIONAL_REAL``."""
     hints = typing.get_type_hints(cls)
-    real = {}
+    kinds = {}
     for f in fields(cls):
         hint = hints[f.name]
-        if hint is float:
-            real[f.name] = False
+        if hint in (float, bool, str):
+            kinds[f.name] = hint
         elif typing.get_origin(hint) in (typing.Union, types.UnionType) and set(
             typing.get_args(hint)
         ) == {float, type(None)}:
-            real[f.name] = True
-    return real
+            kinds[f.name] = _OPTIONAL_REAL
+    return kinds
 
 
 def require_finite(params) -> None:
     """Reject a parameter dataclass holding a non-finite float in any field,
-    or anything but a finite real number in a ``float`` field.
+    anything but a finite real number in a ``float`` field, or a value of
+    another type in a ``bool`` or ``str`` field.
 
     A field annotated ``float`` (or ``float | None``, which also takes None)
     must hold an int or a float, not a str or a bool, whose ``float()`` is
     finite. NaN passes every range check written as a comparison (and is
-    truthy in a flag), and a string or an int too large for a float fails
-    only deep inside a kernel, so each parameter block calls this before its
-    own checks.
+    truthy in a flag), a string or an int too large for a float fails only
+    deep inside a kernel, and a flag given as the string "false" or as 0 or
+    1, or a name given as a number, would be used as it stands, so each
+    parameter block calls this before its own checks.
     """
-    real = _real_fields(type(params))
+    kinds = _field_kinds(type(params))
     for f in fields(params):
         value = getattr(params, f.name)
-        if f.name in real:
-            if value is None and real[f.name]:
-                continue
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{f.name} must be a real number, got {value!r}")
-        elif not isinstance(value, float):
+        kind = kinds.get(f.name)
+        if kind is _OPTIONAL_REAL and value is None:
             continue
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"{f.name} must be finite, got {value}")
+        real = kind in (float, _OPTIONAL_REAL)
+        if real and (not isinstance(value, numbers.Real) or isinstance(value, bool)):
+            raise ValueError(f"{f.name} must be a real number, got {value!r}")
+        if real or isinstance(value, float):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if kind in (bool, str) and not isinstance(value, kind):
+            raise ValueError(f"{f.name} must be a {kind.__name__}, got {value!r}")
 
 
 def interp_heading(h0: float, h1: float, frac: float) -> float:

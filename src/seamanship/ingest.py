@@ -2,11 +2,14 @@
 
 A scenario bundles resampled vessel tracks, shallow-water obstacle
 polygons, and the local projection frame into one JSON document that
-reproduces byte-for-byte across runs on the same inputs.
+reproduces byte-for-byte across runs on the same inputs. Each track array
+and each obstacle ring is stored in it as base64 text of its little-endian
+float64 bytes; scalars and metadata are plain JSON.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import hashlib
 import itertools
@@ -29,12 +32,11 @@ from .geometry import (
     project_arrays,
     require_finite,
 )
-from .jsontext import json_text
 from .risk import ObstacleSet
 
 log = logging.getLogger(__name__)
 
-SCENARIO_SCHEMA_VERSION = 1
+SCENARIO_SCHEMA_VERSION = 2
 HEADING_UNAVAILABLE = 511.0
 DMA_TIMESTAMP_FORMAT = "%d/%m/%Y %H:%M:%S"
 # DMA_TIMESTAMP_FORMAT text with two-digit fields and one space, exactly
@@ -69,6 +71,9 @@ class AisSchema:
     ship_type: str = "Ship type"
     length: str = "Length"
     timestamp_formats: tuple[str, ...] = (DMA_TIMESTAMP_FORMAT,)
+
+    def __post_init__(self) -> None:
+        require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -365,6 +370,20 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def _pack(values: np.ndarray) -> str:
+    """Base64 text of an array's values as little-endian float64 bytes, in
+    C order."""
+    raw = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _unpack(text: str) -> np.ndarray:
+    """The flat float64 array that :func:`_pack` wrote, native-endian and
+    writeable. Text that is not base64, or whose byte count is not a
+    multiple of 8, raises ValueError; a non-string raises TypeError."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").astype(float)
+
+
 @dataclass
 class Scenario:
     """Projected tracks plus obstacles on one shared time grid."""
@@ -392,11 +411,11 @@ class Scenario:
         for tid in sorted(self.tracks):
             tr = self.tracks[tid]
             tracks_doc[tid] = {
-                "times": tr.times.tolist(),
-                "north": tr.north.tolist(),
-                "east": tr.east.tolist(),
-                "speed": tr.speed.tolist(),
-                "heading": tr.heading.tolist(),
+                "times": _pack(tr.times),
+                "north": _pack(tr.north),
+                "east": _pack(tr.east),
+                "speed": _pack(tr.speed),
+                "heading": _pack(tr.heading),
                 "length": tr.length,
                 "vessel_type": tr.vessel_type.value,
             }
@@ -408,30 +427,34 @@ class Scenario:
             "tracks": tracks_doc,
             "obstacles": {
                 "spacing": self.obstacles.spacing,
-                "polygons": [poly.tolist() for poly in self.obstacles.polygons],
+                "polygons": [_pack(poly) for poly in self.obstacles.polygons],
             },
             "metadata": self.metadata,
         }
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Scenario":
-        if doc.get("schema_version") != SCENARIO_SCHEMA_VERSION:
-            raise ValueError(f"unsupported scenario schema {doc.get('schema_version')}")
+        version = doc.get("schema_version")
+        if version != SCENARIO_SCHEMA_VERSION:
+            raise ValueError(
+                f"unsupported scenario schema {version} (expected {SCENARIO_SCHEMA_VERSION}); "
+                "re-run `seamanship ingest` on the archive's AIS and chart sources"
+            )
         tracks = {
             tid: VesselTrack(
                 track_id=tid,
-                times=np.asarray(td["times"], dtype=float),
-                north=np.asarray(td["north"], dtype=float),
-                east=np.asarray(td["east"], dtype=float),
-                speed=np.asarray(td["speed"], dtype=float),
-                heading=np.asarray(td["heading"], dtype=float),
+                times=_unpack(td["times"]),
+                north=_unpack(td["north"]),
+                east=_unpack(td["east"]),
+                speed=_unpack(td["speed"]),
+                heading=_unpack(td["heading"]),
                 length=float(td["length"]),
                 vessel_type=VesselType.parse(td["vessel_type"]),
             )
             for tid, td in doc["tracks"].items()
         }
         obstacles = ObstacleSet(
-            [np.asarray(p, dtype=float) for p in doc["obstacles"]["polygons"]],
+            [_unpack(p).reshape(-1, 2) for p in doc["obstacles"]["polygons"]],
             spacing=float(doc["obstacles"]["spacing"]),
         )
         return cls(
@@ -444,7 +467,7 @@ class Scenario:
         )
 
     def to_json(self) -> str:
-        return json_text(self.to_dict())
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json() + "\n", encoding="utf-8")

@@ -21,6 +21,7 @@ returns.
 
 from __future__ import annotations
 
+import json
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -36,7 +37,6 @@ from .geometry import (
     VesselTrack,
     require_finite,
 )
-from .jsontext import json_text
 from .risk import ObstacleSet, RiskParams, scenario_risks
 
 ALPHA_EPS = 1e-6
@@ -247,7 +247,7 @@ class PathResult:
         }
 
     def to_json(self) -> str:
-        return json_text(self.to_dict())
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 @dataclass

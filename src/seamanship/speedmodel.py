@@ -12,13 +12,11 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .geometry import DomainParams, StateArrays, VesselTrack, VesselType, find_tdv
-from .jsontext import json_text
 from .risk import DEFAULT_GRID_N, RiskParams, collision_risk_grid, rate_weighted_mean
 
 log = logging.getLogger(__name__)
@@ -203,7 +201,9 @@ class SpeedChangeModel:
         )
 
     def save(self, path) -> None:
-        Path(path).write_text(json_text(self.to_dict()) + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "SpeedChangeModel":

@@ -1,15 +1,18 @@
 """End-to-end tests of the command-line pipeline."""
 
+import base64
 import csv
 import json
 import math
 import shutil
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
 from seamanship.cli import main
 from seamanship.geometry import VesselState, VesselType
+from seamanship.ingest import _pack, _unpack
 from seamanship.planner import KinodynamicParams, step_kinodynamics
 from seamanship.risk import RiskParams
 from seamanship.scoring import ScoreParams, score_series
@@ -161,6 +164,30 @@ class TestIngestCommand:
         assert m1 == m2
 
 
+def _own(doc):
+    return doc["tracks"]["111000001"]
+
+
+def _odd_ring(doc):
+    doc["obstacles"]["polygons"][0] = _pack(np.arange(9.0))
+
+
+def _pack_nan(doc):
+    north = _unpack(_own(doc)["north"])
+    north[1] = math.nan
+    _own(doc)["north"] = _pack(north)
+
+
+def _as_schema_1(doc):
+    """The archive as schema 1 wrote it: arrays as lists of numbers."""
+    doc["schema_version"] = 1
+    for track in doc["tracks"].values():
+        for name in ("times", "north", "east", "speed", "heading"):
+            track[name] = _unpack(track[name]).tolist()
+    polygons = doc["obstacles"]["polygons"]
+    polygons[:] = [_unpack(ring).reshape(-1, 2).tolist() for ring in polygons]
+
+
 class TestFitSpeedModelCommand:
     def fit(self, scenario, outdir, *extra):
         assert run(
@@ -225,6 +252,39 @@ class TestFitSpeedModelCommand:
         bad.write_text('{"schema_version": 1, "tracks": "oops"}', encoding="utf-8")
         assert run("fit-speed-model", "--scenario", bad, "--output", tmp_path / "o") == 2
         assert json.loads(capsys.readouterr().err)["code"] == 2
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            pytest.param(
+                lambda doc: _own(doc).update(times="not base64!"), "base64", id="not_base64"
+            ),
+            pytest.param(
+                lambda doc: _own(doc).update(speed=base64.b64encode(bytes(59)).decode()),
+                "multiple of element size",
+                id="partial_float",
+            ),
+            pytest.param(lambda doc: _own(doc).update(heading=0.5), "not 'float'", id="number"),
+            pytest.param(lambda doc: _own(doc).update(east=[0.0, 1.0]), "not 'list'", id="list"),
+            pytest.param(_odd_ring, "reshape", id="odd_ring_coordinates"),
+            pytest.param(_pack_nan, "non-finite north", id="packed_nan"),
+            pytest.param(_as_schema_1, "seamanship ingest", id="schema_1"),
+        ],
+    )
+    def test_undecodable_archive_exits_2(
+        self, head_on_ais, chart_file, tmp_path, capsys, damage, named
+    ):
+        archive = ingest(head_on_ais, tmp_path / "ing", chart_file)
+        doc = json.loads(archive.read_text(encoding="utf-8"))
+        damage(doc)
+        archive.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(
+            "score", "--scenario", archive, "--ownship", "111000001",
+            "--output", tmp_path / "o", *FAST_SEARCH,
+        )
+        assert code == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "bad scenario archive" in message and named in message
 
 
 def read_csv(path):
@@ -493,6 +553,12 @@ class TestConfigHandling:
             ("risk.channel_corridor=-5", "channel_corridor must be positive"),
             ("risk.channel_adjust=NaN", "channel_adjust must be finite"),
             ("risk.grounding_horizon_max=Infinity", "grounding_horizon_max must be finite"),
+            ('risk.channel_adjust="false"', "channel_adjust must be a bool"),
+            ("risk.channel_adjust=0", "channel_adjust must be a bool"),
+            ("risk.channel_adjust=1", "channel_adjust must be a bool"),
+            ('risk.grounding_horizon_max="false"', "grounding_horizon_max must be a bool"),
+            ("risk.grounding_horizon_max=0", "grounding_horizon_max must be a bool"),
+            ("risk.grounding_horizon_max=1", "grounding_horizon_max must be a bool"),
         ],
     )
     def test_bad_parameter_value_exits_2(self, head_on_ais, tmp_path, capsys, setting, message):
@@ -512,6 +578,37 @@ class TestConfigHandling:
         )
         assert code == 2
         assert "depth_key must be finite" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("ingest.depth_key=5", "depth_key must be a str"),
+            ("schema.sog=5", "sog must be a str"),
+        ],
+    )
+    def test_non_string_name_exits_2(
+        self, head_on_ais, chart_file, tmp_path, capsys, setting, message
+    ):
+        # the number 5 names no attribute or column: every polygon would be
+        # an obstacle, and every SOG would read as blank
+        code = run(
+            "ingest", "--ais", head_on_ais, "--chart", chart_file,
+            "--output", tmp_path / "o", "--set", setting,
+        )
+        assert code == 2
+        assert message in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("text, flag", [("false", False), ("true", True)])
+    def test_json_boolean_flag_accepted(self, head_on_ais, tmp_path, text, flag):
+        scenario = ingest(head_on_ais, tmp_path / "ing")
+        out = tmp_path / "path"
+        assert run(
+            "safest-path", "--scenario", scenario, "--ownship", "111000001",
+            "--time", "0", "--output", out, *FAST_SEARCH,
+            "--set", f"risk.channel_adjust={text}",
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["risk"]["channel_adjust"] is flag
 
     def test_bad_config_json_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -50,6 +50,36 @@ OTHER_FIELDS = [
     for f in dataclasses.fields(block)
     if (block, f.name) not in FLOAT_FIELDS
 ]
+# (id, value, problem) for every float field
+BAD_REALS = [
+    ("nan", math.nan, "must be finite"),
+    ("inf", math.inf, "must be finite"),
+    ("str", "x", "must be a real number"),
+    ("numeric_str", "1.5", "must be a real number"),
+    ("bool", True, "must be a real number"),
+    ("int_too_large", 10**400, "must be finite"),
+]
+# a flag given as a string or a count, or a name given as a number, would be
+# used as it stands: "false" and 1 are truthy
+BAD_FLAGS = [("str_false", "false"), ("int_0", 0), ("int_1", 1)]
+BAD_TYPED = [
+    (block, field, vid, value, f"must be a {kind}")
+    for block, field, kind, values in [
+        (RiskParams, "channel_adjust", "bool", BAD_FLAGS),
+        (RiskParams, "grounding_horizon_max", "bool", BAD_FLAGS),
+        (RiskParams, "mutual_mode", "str", [("int_5", 5)]),
+        (IngestParams, "depth_key", "str", [("int_5", 5)]),
+    ]
+    for vid, value in values
+]
+PARAMETER_CASES = [
+    pytest.param(block, field, value, problem, id=f"{vid}-{block.__name__}-{field}")
+    for vid, value, problem in BAD_REALS
+    for block, field in FLOAT_FIELDS
+] + [
+    pytest.param(block, field, value, problem, id=f"{vid}-{block.__name__}-{field}")
+    for block, field, vid, value, problem in BAD_TYPED
+]
 
 ORIGIN = (55.0, 10.0)
 
@@ -394,20 +424,8 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError, match=f"non-finite {field}"):
             VesselTrack("x", length=100.0, **arrays)
 
-    @pytest.mark.parametrize("block, field", FLOAT_FIELDS)
-    @pytest.mark.parametrize(
-        "value",
-        [
-            math.nan,
-            math.inf,
-            pytest.param("x", id="str"),
-            pytest.param("1.5", id="numeric_str"),
-            pytest.param(True, id="bool"),
-            pytest.param(10**400, id="int_too_large"),
-        ],
-    )
-    def test_parameter_blocks(self, block, field, value):
-        problem = "must be a real number" if isinstance(value, (str, bool)) else "must be finite"
+    @pytest.mark.parametrize("block, field, value, problem", PARAMETER_CASES)
+    def test_parameter_blocks(self, block, field, value, problem):
         with pytest.raises(ValueError, match=f"{field} {problem}"):
             block(**{field: value})
 

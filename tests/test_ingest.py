@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seamanship.geometry import KNOTS_TO_MPS, VesselType, project
+from seamanship.geometry import KNOTS_TO_MPS, TWO_PI, VesselTrack, VesselType, project
 from seamanship.ingest import (
     DEFAULT_LENGTHS,
     DMA_TIMESTAMP_FORMAT,
@@ -27,7 +27,7 @@ from seamanship.ingest import (
     parse_ais,
     resample,
 )
-from seamanship.jsontext import json_text
+from seamanship.risk import ObstacleSet
 
 COLUMNS = [
     "# Timestamp",
@@ -682,48 +682,78 @@ class TestRingCoords:
             _ring_coords([ring], (55.0, 10.0))
 
 
-JSON_LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(-(10**60), 10**60),
-    st.floats(),
-    st.sampled_from([-0.0, 0.0, 1e-300, 1e16, 1e300, 5e-324, 0.1, -1.5]),
-    st.text(max_size=4),
+
+# float64 values a text or byte codec can lose: the sign of zero, the least
+# subnormal and the largest finite value
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308]
+FINITE = st.one_of(
+    st.sampled_from(EDGE_FLOATS + [-1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
-JSON_NUMBERS = st.lists(
-    st.one_of(st.floats(), st.integers(), st.sampled_from([-0.0, 1e-300, 1e16])), max_size=8
-)
-JSON_DOCS = st.recursive(
-    JSON_LEAVES,
-    lambda children: st.one_of(
-        JSON_NUMBERS,
-        st.lists(children, max_size=4),
-        st.lists(JSON_NUMBERS, max_size=3),
-        st.lists(JSON_NUMBERS.filter(bool), min_size=1, max_size=3),
-        st.dictionaries(st.text(max_size=4), children, max_size=4),
-    ),
-    max_leaves=30,
+NON_NEGATIVE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(0.0, 1e300))
+# headings the track's wrap into [0, 2*pi) keeps as they are
+HEADINGS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, math.nextafter(TWO_PI, 0.0), TWO_PI - 2e-15]),
+    st.floats(0.0, TWO_PI, exclude_max=True),
 )
 
 
-class TestJsonText:
-    @given(doc=JSON_DOCS)
-    @settings(max_examples=400, deadline=None)
-    def test_matches_indented_encoder(self, doc):
-        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {},
-            [],
-            {"a": [], "b": {}, "c": [[]], "d": [{}]},
-            {"t": (1.0, 2.0), "n": [1, True, None], "f": [math.nan, math.inf, -math.inf]},
-            {1: "int key", 2.5: [1.0]},
-            {"x": {3: [1, 2], 4: "é\n\""}, "y": " "},
-            [np.float64(0.1), 2.0],
-        ],
+@st.composite
+def track_arrays(draw):
+    times = sorted(draw(st.lists(NON_NEGATIVE, min_size=1, max_size=6, unique=True)))
+    n = len(times)
+    return dict(
+        times=times,
+        north=draw(st.lists(FINITE, min_size=n, max_size=n)),
+        east=draw(st.lists(FINITE, min_size=n, max_size=n)),
+        speed=draw(st.lists(NON_NEGATIVE, min_size=n, max_size=n)),
+        heading=draw(st.lists(HEADINGS, min_size=n, max_size=n)),
+        length=draw(st.sampled_from([5e-324, 150.0, 1.7976931348623157e308])),
+        vessel_type=draw(st.sampled_from(list(VesselType))),
     )
-    def test_matches_on_unusual_documents(self, doc):
-        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@st.composite
+def archived_rings(draw):
+    """Exactly closed rings. North coordinates reach the largest finite
+    value and east ones stay small, so that edge lengths stay finite."""
+    n = draw(st.integers(3, 6))
+    small = st.one_of(st.sampled_from(EDGE_FLOATS[:2]), st.floats(-1e4, 1e4))
+    north = draw(st.lists(NON_NEGATIVE, min_size=n, max_size=n))
+    east = draw(st.lists(small, min_size=n, max_size=n))
+    ring = np.column_stack([north, east])
+    return np.vstack([ring, ring[:1]])
+
+
+class TestArchiveCodec:
+    @given(
+        tracks=st.lists(track_arrays(), max_size=3),
+        rings=st.lists(archived_rings(), max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_save_load_is_lossless(self, tmp_path_factory, tracks, rings):
+        tracks = {f"t{k}": VesselTrack(f"t{k}", **arrays) for k, arrays in enumerate(tracks)}
+        # one point per edge at most, whatever the edge length
+        obstacles = ObstacleSet(rings, spacing=1.7976931348623157e308)
+        scenario = Scenario(
+            origin=(55.0, -0.0), epoch=5e-324, dt=10.0, tracks=tracks, obstacles=obstacles
+        )
+        path = tmp_path_factory.mktemp("archive") / "scenario.json"
+        scenario.save(path)
+        loaded = Scenario.load(path)
+        pairs = [
+            (getattr(tr, name), getattr(loaded.tracks[tid], name))
+            for tid, tr in tracks.items()
+            for name in ("times", "north", "east", "speed", "heading")
+        ] + list(zip(obstacles.polygons, loaded.obstacles.polygons, strict=True))
+        for saved, got in pairs:
+            assert got.dtype == np.float64 and got.dtype.isnative
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert got.shape == saved.shape
+            assert np.array_equal(got.view(np.int64), saved.view(np.int64))
+        for tid, tr in tracks.items():
+            assert loaded.tracks[tid].length == tr.length
+            assert loaded.tracks[tid].vessel_type is tr.vessel_type
+        again = path.with_name("again.json")
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()

@@ -436,6 +436,55 @@ class TestDensify:
         assert np.array_equal(loaded.point_polygon_index, scenario.obstacles.point_polygon_index)
 
 
+def reference_open_ring(polygons):
+    """The per-ring ``np.allclose`` loop that the one-pass closure check
+    replaced, kept as its reference: the index of the first open ring, or
+    None."""
+    for i, ring in enumerate(polygons):
+        if not np.allclose(ring[0], ring[-1]):
+            return i
+    return None
+
+
+@st.composite
+def end_gap_rings(draw):
+    """A ring whose last vertex sits off its first by a multiple of
+    ``np.allclose``'s tolerance in each coordinate: 0 closes it exactly,
+    below 1 within tolerance, above 1 beyond it; or a last vertex drawn
+    freely."""
+    coord = st.one_of(st.sampled_from([0.0, -0.0, 1e-9, 100.0]), st.floats(-2000.0, 2000.0))
+    vertices = np.array([[draw(coord), draw(coord)] for _ in range(draw(st.integers(3, 6)))])
+    if draw(st.booleans()):
+        last = np.array([draw(coord), draw(coord)])
+    else:
+        # 1.000005 passes only when the tolerance is taken relative to the
+        # last vertex, as allclose(first, last) does
+        multiple = st.sampled_from(
+            [0.0, 0.5, 0.999, 1.0, 1.000005, 1.001, 2.0, -0.999, -1.000005, -1.001, 1e6]
+        )
+        scale = np.array([draw(multiple), draw(multiple)])
+        last = vertices[0] + scale * (1e-8 + 1e-5 * np.abs(vertices[0]))
+    return np.vstack([vertices, last])
+
+
+class TestRingClosure:
+    @given(st.lists(end_gap_rings(), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_ring_allclose(self, polygons):
+        expected = reference_open_ring(polygons)
+        if expected is None:
+            ObstacleSet(polygons, spacing=500.0)
+        else:
+            with pytest.raises(ValueError, match=f"^polygon {expected} is not closed$"):
+                ObstacleSet(polygons, spacing=500.0)
+
+    def test_non_finite_end_vertex_is_open(self):
+        ring = closed_square(0.0, 0.0, 50.0)
+        ring[-1, 1] = math.nan
+        with pytest.raises(ValueError, match="^polygon 1 is not closed$"):
+            ObstacleSet([closed_square(0.0, 0.0, 10.0), ring])
+
+
 def reference_grounding(state, points, rp, dp):
     """Per-state scalar grounding: the points strictly inside the arena, the
     channel-adjusted domain and the largest per-point risk, one point at a
