@@ -22,8 +22,8 @@ from seamanship import (
     exhaustive_search,
     step_kinodynamics,
 )
-from seamanship.geometry import VesselTrack
-from seamanship.risk import scenario_risk_for_state
+from seamanship.geometry import StateArrays, VesselTrack
+from seamanship.risk import scenario_risks
 
 
 def straight(track_id, n0, e0, speed, heading, n_steps=181, dt=10.0):
@@ -67,8 +67,8 @@ dt = hyper.horizon_T / hyper.n_t
 hold_risk = 0.0
 for _ in range(hyper.n_t):
     state = step_kinodynamics(state, 0.0, state.speed, dt, kin)
-    step = scenario_risk_for_state(state, state.time, [tracks["crosser"]], obstacles)
-    hold_risk = max(hold_risk, step.scenario)
+    step = scenario_risks(StateArrays.of([state]), state.time, [tracks["crosser"]], obstacles)
+    hold_risk = max(hold_risk, float(step.scenario[0]))
 
 print("crossing from starboard, shallow bank to the east, 120 s warning")
 print(f"holding course, worst moment over {hyper.horizon_T:.0f} s: {hold_risk:.4f}")

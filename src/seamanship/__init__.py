@@ -50,7 +50,7 @@ from .risk import (
     mutual_collision_risk,
     overall_collision_risk,
     risk_index,
-    scenario_risk_for_state,
+    scenario_risks,
 )
 from .scoring import (
     GssReport,
@@ -118,7 +118,7 @@ __all__ = [
     "resample",
     "risk_index",
     "scale_factor",
-    "scenario_risk_for_state",
+    "scenario_risks",
     "score_series",
     "silverman_bandwidth",
     "sr_star_series",

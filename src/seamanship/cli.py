@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -28,16 +27,9 @@ from .planner import (
     branch_and_bound,
     sr_star_series,
 )
-from .risk import DEFAULT_GRID_N, RiskParams, compute_risk_series
+from .risk import RiskParams, compute_risk_series
 from .scoring import ScoreParams, score_series
-from .speedmodel import (
-    DEFAULT_DCPA_THRESHOLD,
-    DEFAULT_MIN_SAMPLES,
-    DEFAULT_WINDOW,
-    SpeedChangeModel,
-    detect_encounters,
-    fit_model,
-)
+from .speedmodel import SpeedChangeModel, SpeedParams, detect_encounters, fit_model
 
 log = logging.getLogger(__name__)
 
@@ -53,14 +45,7 @@ PARAM_BLOCKS = {
     "score": ScoreParams,
     "ingest": IngestParams,
     "schema": AisSchema,
-}
-
-# encounter detection and probabilistic-risk knobs without a dataclass home
-SPEED_DEFAULTS = {
-    "dcpa_threshold": DEFAULT_DCPA_THRESHOLD,
-    "window": DEFAULT_WINDOW,
-    "min_samples": DEFAULT_MIN_SAMPLES,
-    "grid_n": DEFAULT_GRID_N,
+    "speed": SpeedParams,
 }
 
 
@@ -124,29 +109,6 @@ def build_block(name: str, config: dict):
         return cls(**values)
     except (TypeError, ValueError) as exc:
         raise CliError(f"config section {name!r}: {exc}")
-
-
-def speed_options(config: dict) -> dict:
-    """The ``speed`` section over its defaults: integer ``min_samples`` and
-    ``grid_n``, finite ``dcpa_threshold`` and positive finite ``window``."""
-    section = config.get("speed", {})
-    if not isinstance(section, dict):
-        raise CliError("config section 'speed' must be an object")
-    unknown = sorted(set(section) - set(SPEED_DEFAULTS))
-    if unknown:
-        raise CliError(f"unknown keys in config section 'speed': {unknown}")
-    opts = {**SPEED_DEFAULTS, **section}
-    for key, value in opts.items():
-        # bool is an int subclass, but true/false is no count or distance
-        is_int = isinstance(value, int) and not isinstance(value, bool)
-        if key in ("min_samples", "grid_n"):
-            if not is_int:
-                raise CliError(f"config speed.{key} must be an integer, got {value!r}")
-        elif not (is_int or (isinstance(value, float) and math.isfinite(value))):
-            raise CliError(f"config speed.{key} must be a finite number, got {value!r}")
-    if opts["window"] <= 0:
-        raise CliError(f"config speed.window must be positive, got {opts['window']!r}")
-    return opts
 
 
 def _resolve_path(config: dict, args, key: str, required: bool = False):
@@ -294,16 +256,16 @@ def cmd_fit_speed_model(args) -> int:
     outdir = _resolve_output(config, args)
     scenario_paths = _load_scenarios(config, args)
     dp = build_block("domain", config)
-    opts = speed_options(config)
+    speed = build_block("speed", config)
     events = []
     for path in scenario_paths.values():
         scenario = _load_archive(path)
         events.extend(
             detect_encounters(
                 scenario.tracks,
-                dcpa_threshold=opts["dcpa_threshold"],
+                dcpa_threshold=speed.dcpa_threshold,
                 domain_params=dp,
-                window=opts["window"],
+                window=speed.window,
             )
         )
     if not events:
@@ -311,10 +273,8 @@ def cmd_fit_speed_model(args) -> int:
     outputs = []
     report = {"events": len(events), "types": {}}
     for vtype in VesselType:
-        model = fit_model(events, vtype, min_samples=int(opts["min_samples"]))
-        model.metadata.update(
-            {"dcpa_threshold": opts["dcpa_threshold"], "window": opts["window"]}
-        )
+        model = fit_model(events, vtype, min_samples=speed.min_samples)
+        model.metadata.update({"dcpa_threshold": speed.dcpa_threshold, "window": speed.window})
         name = f"model_{vtype.value.lower()}.json"
         model.save(outdir / name)
         outputs.append(name)
@@ -328,7 +288,7 @@ def cmd_fit_speed_model(args) -> int:
         outdir,
         "fit-speed-model",
         _digests(scenario_paths),
-        parameter_echo({"domain": dp, "speed": opts}),
+        parameter_echo({"domain": dp, "speed": speed}),
         outputs,
     )
     return EXIT_OK
@@ -391,7 +351,7 @@ def cmd_score(args) -> int:
     kin = build_block("kinodynamics", config)
     hyper = build_block("search", config)
     sp = build_block("score", config)
-    opts = speed_options(config)
+    speed = build_block("speed", config)
     t_start, t_end = _window(config, args, scenario.tracks[ownship])
     try:
         series = compute_risk_series(
@@ -403,20 +363,20 @@ def cmd_score(args) -> int:
             params=rp,
             domain_params=dp,
             models=models or None,
-            wavg_grid_n=int(opts["grid_n"]),
+            wavg_grid_n=speed.grid_n,
+        )
+        sr_star = sr_star_series(
+            scenario.tracks,
+            ownship,
+            series.times,
+            hyper,
+            kin,
+            rp,
+            dp,
+            scenario.obstacles,
         )
     except ValueError as exc:
         raise CliError(str(exc))
-    sr_star = sr_star_series(
-        scenario.tracks,
-        ownship,
-        series.times,
-        hyper,
-        kin,
-        rp,
-        dp,
-        scenario.obstacles,
-    )
     proposed = score_series(ownship, series.times, series.scenario, sr_star, sp, rp)
     baseline = score_series(ownship, series.times, series.scenario, None, sp, rp)
 
@@ -428,7 +388,7 @@ def cmd_score(args) -> int:
             "kinodynamics": kin,
             "search": hyper,
             "score": sp,
-            "speed": opts,
+            "speed": speed,
             "window": [t_start, t_end],
             "ownship": ownship,
         }

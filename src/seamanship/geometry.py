@@ -58,13 +58,13 @@ _OPTIONAL_REAL = "float | None"
 @functools.cache
 def _field_kinds(cls) -> dict[str, object]:
     """The fields of a dataclass annotated ``float``, ``float | None``,
-    ``bool`` or ``str``, each mapped to its kind: the type, or
+    ``int``, ``bool`` or ``str``, each mapped to its kind: the type, or
     ``_OPTIONAL_REAL``."""
     hints = typing.get_type_hints(cls)
     kinds = {}
     for f in fields(cls):
         hint = hints[f.name]
-        if hint in (float, bool, str):
+        if hint in (float, int, bool, str):
             kinds[f.name] = hint
         elif typing.get_origin(hint) in (typing.Union, types.UnionType) and set(
             typing.get_args(hint)
@@ -75,16 +75,19 @@ def _field_kinds(cls) -> dict[str, object]:
 
 def require_finite(params) -> None:
     """Reject a parameter dataclass holding a non-finite float in any field,
-    anything but a finite real number in a ``float`` field, or a value of
-    another type in a ``bool`` or ``str`` field.
+    anything but a finite real number in a ``float`` field, anything but an
+    integer in an ``int`` field, or a value of another type in a ``bool``
+    or ``str`` field.
 
     A field annotated ``float`` (or ``float | None``, which also takes None)
     must hold an int or a float, not a str or a bool, whose ``float()`` is
     finite. NaN passes every range check written as a comparison (and is
     truthy in a flag), a string or an int too large for a float fails only
     deep inside a kernel, and a flag given as the string "false" or as 0 or
-    1, or a name given as a number, would be used as it stands, so each
-    parameter block calls this before its own checks.
+    1, a count given as 2.5, or a name given as a number, would be used as
+    it stands, so each parameter block calls this before its own checks.
+    An ``int`` field takes any integer type but bool, which is an integer
+    type in Python but no count.
     """
     kinds = _field_kinds(type(params))
     for f in fields(params):
@@ -102,6 +105,8 @@ def require_finite(params) -> None:
                 finite = False
             if not finite:
                 raise ValueError(f"{f.name} must be finite, got {value}")
+        if kind is int and (not isinstance(value, numbers.Integral) or isinstance(value, bool)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if kind in (bool, str) and not isinstance(value, kind):
             raise ValueError(f"{f.name} must be a {kind.__name__}, got {value!r}")
 
@@ -369,8 +374,9 @@ def _scale_factor_xy(a, b, off_f, off_s, x, y):
     disc = coef_b * coef_b - 4.0 * coef_a * coef_c
     root = np.sqrt(np.maximum(disc, 0.0))
     den = root - coef_b
-    safe = np.where(den > 0.0, den, 1.0)
-    return np.where(den > 0.0, 2.0 * coef_c / safe, 0.0)
+    # den is 0 only at the vessel position; NaN geometry stays NaN
+    safe = np.where(den == 0.0, 1.0, den)
+    return np.where(den == 0.0, 0.0, 2.0 * coef_c / safe)
 
 
 def scale_factor(domain: DomainSpec, target: LocalPoint, own_position: LocalPoint) -> float:
@@ -487,7 +493,14 @@ class VesselTrack:
                 raise ValueError(f"track {self.track_id!r}: non-finite {name}")
         if not math.isfinite(self.length):
             raise ValueError(f"track {self.track_id!r}: non-finite length {self.length}")
-        self.heading = np.mod(self.heading, TWO_PI)
+        if self.heading.min() >= 0.0 and self.heading.max() < TWO_PI:
+            # what np.mod gives here, at a fraction of its cost: the same
+            # values, with -0.0 turned into 0.0
+            self.heading = self.heading + 0.0
+        else:
+            self.heading = np.mod(self.heading, TWO_PI)
+            # np.mod rounds a tiny negative up to the modulus itself
+            self.heading[self.heading == TWO_PI] = 0.0
         if n > 1 and np.any(np.diff(self.times) <= 0.0):
             raise ValueError(f"track {self.track_id!r}: times not strictly increasing")
         if np.any(self.speed < 0.0):

@@ -377,11 +377,17 @@ def _pack(values: np.ndarray) -> str:
     return base64.b64encode(raw).decode("ascii")
 
 
-def _unpack(text: str) -> np.ndarray:
-    """The flat float64 array that :func:`_pack` wrote, native-endian and
-    writeable. Text that is not base64, or whose byte count is not a
-    multiple of 8, raises ValueError; a non-string raises TypeError."""
-    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").astype(float)
+def _unpack(text: str, where: str = "array", columns: int | None = None) -> np.ndarray:
+    """The float64 array that :func:`_pack` wrote, native-endian and
+    writeable: flat, or in rows of ``columns``. A non-string, text that is
+    not base64, or a byte count that is not a multiple of 8 or of the row
+    size raises ValueError, its message prefixed with ``where`` (a track
+    field or an obstacle ring)."""
+    try:
+        values = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").astype(float)
+        return values if columns is None else values.reshape(-1, columns)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -443,18 +449,21 @@ class Scenario:
         tracks = {
             tid: VesselTrack(
                 track_id=tid,
-                times=_unpack(td["times"]),
-                north=_unpack(td["north"]),
-                east=_unpack(td["east"]),
-                speed=_unpack(td["speed"]),
-                heading=_unpack(td["heading"]),
+                times=_unpack(td["times"], f"track {tid!r} times"),
+                north=_unpack(td["north"], f"track {tid!r} north"),
+                east=_unpack(td["east"], f"track {tid!r} east"),
+                speed=_unpack(td["speed"], f"track {tid!r} speed"),
+                heading=_unpack(td["heading"], f"track {tid!r} heading"),
                 length=float(td["length"]),
                 vessel_type=VesselType.parse(td["vessel_type"]),
             )
             for tid, td in doc["tracks"].items()
         }
         obstacles = ObstacleSet(
-            [_unpack(p).reshape(-1, 2) for p in doc["obstacles"]["polygons"]],
+            [
+                _unpack(ring, f"obstacle ring {i}", columns=2)
+                for i, ring in enumerate(doc["obstacles"]["polygons"])
+            ],
             spacing=float(doc["obstacles"]["spacing"]),
         )
         return cls(

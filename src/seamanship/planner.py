@@ -22,7 +22,6 @@ returns.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -82,11 +81,6 @@ class Hyperparameters:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        for name in ("n_t", "n_alpha", "n_v", "beam_width"):
-            value = getattr(self, name)
-            # bool is an Integral, but true/false is no count
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_t < 1 or self.n_alpha < 1 or self.n_v < 1:
             raise ValueError("grid sizes must be at least 1")
         if self.horizon_T <= 0.0:

@@ -15,6 +15,12 @@ points near them in one pass, channel-width adjustment included;
 :func:`grounding_risk` calls it with one state, and
 :func:`adjust_domain_for_channel` shares its channel-width step. Chart
 boundaries are densified in one array pass over all polygon edges.
+
+:func:`scenario_risks` has a time axis: its own states share one time (a
+planner level) or each carry their own (a recorded passage). Targets are
+interpolated once per distinct time and scored against each own state at
+that state's time, so :func:`compute_risk_series` is one call for a whole
+window.
 """
 
 from __future__ import annotations
@@ -143,11 +149,13 @@ def _mutual_index(
 
     Own vessels hold speed and course; each target changes speed at each
     rate. Both directed indices are evaluated on the (own, targets, rates,
-    horizon offsets) grid and combined per ``rp.mutual_mode``.
+    horizon offsets) grid and combined per ``rp.mutual_mode``. Target
+    fields are shared, shape (targets,), or paired, shape (own, targets).
     """
     offsets = rp.horizon_offsets()
     o = own.expand(0, 4)
-    g = tgt.expand(1, 4)
+    # shared targets broadcast as (1, targets, 1, 1), paired ones are their own rows
+    g = StateArrays(*(a[..., None, None] for a in tgt))
     on, oe, ov = predict_positions(o, offsets, 0.0)
     tn, te, tv = predict_positions(g, offsets, rates[:, None])
     r_own = _domain_index(o.heading, *domain_axes(ov, o.length, dp), tn - on, te - oe, rp, dp)
@@ -165,21 +173,27 @@ def collision_risk_grid(
     """Collision risk of every own state against every target state at
     every target speed-change rate, shape (own, targets, rates).
 
-    The horizon-max mutual index is weighted by the instantaneous arena
-    index, a logistic of distance over arena radius. Own states are taken
-    in chunks of about ``KERNEL_CHUNK_ELEMS`` grid elements, which bounds
-    the size of the temporaries.
+    Target fields have shape (targets,), shared by every own state, or
+    (own, targets), one row of targets per own state. The horizon-max
+    mutual index is weighted by the instantaneous arena index, a logistic
+    of distance over arena radius. Own states are taken in chunks of about
+    ``KERNEL_CHUNK_ELEMS`` grid elements, which bounds the size of the
+    temporaries.
     """
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     n_own = own.north.size
-    out = np.empty((n_own, tgt.north.size, rates.size))
-    per_own = tgt.north.size * rates.size * rp.horizon_offsets().size
+    n_tgt = tgt.north.shape[-1]
+    paired = tgt.north.ndim == 2
+    out = np.empty((n_own, n_tgt, rates.size))
+    per_own = n_tgt * rates.size * rp.horizon_offsets().size
     chunk = max(1, KERNEL_CHUNK_ELEMS // max(per_own, 1))
     for lo in range(0, n_own, chunk):
-        part = own.select(slice(lo, lo + chunk))
-        dist = np.hypot(part.north[:, None] - tgt.north, part.east[:, None] - tgt.east)
+        rows = slice(lo, lo + chunk)
+        part = own.select(rows)
+        near = tgt.select(rows) if paired else tgt
+        dist = np.hypot(part.north[:, None] - near.north, part.east[:, None] - near.east)
         arena = risk_index(dist / rp.arena_radius, rp)
-        out[lo:lo + chunk] = _mutual_index(part, tgt, rates, rp, dp) * arena[:, :, None]
+        out[rows] = _mutual_index(part, near, rates, rp, dp) * arena[:, :, None]
     return out
 
 
@@ -446,41 +460,51 @@ def compose_scenario_risk(collision_risks: Iterable[float], grounding_max: float
 
 @dataclass
 class StepRisk:
-    """Risk breakdown at one time step: floats for one vessel state, or
-    arrays with one entry per own state from :func:`scenario_risks`."""
+    """Risk breakdown from :func:`scenario_risks`: one entry per own state
+    in each field but ``targets_held``, and ``time`` as given."""
 
-    time: float
-    collision: dict[str, float]
-    collision_wavg: dict[str, float]
-    grounding_max: float
-    scenario: float
+    time: float | np.ndarray
+    collision: dict[str, np.ndarray]
+    collision_wavg: dict[str, np.ndarray]
+    grounding_max: np.ndarray
+    scenario: np.ndarray
     targets_held: bool = False
 
 
-def _target_states(
-    target_tracks: Sequence[VesselTrack], t: float, hold_targets: bool
-) -> tuple[dict[str, VesselState], bool]:
-    """Target states at t keyed by sorted track id, and whether any target
-    was held at the nearest end of its track."""
-    states: dict[str, VesselState] = {}
-    held_any = False
-    for track in target_tracks:
-        if hold_targets:
-            state, held = track.state_at_clamped(t)
-            held_any = held_any or held
-        elif track.covers(t):
-            state = track.state_at(t)
-        else:
-            continue
-        states[track.track_id] = state
-    return {tid: states[tid] for tid in sorted(states)}, held_any
+# stands in for a target absent at a query time; the caller zeroes its risk
+_ABSENT = VesselState(time=0.0, north=0.0, east=0.0, speed=0.0, heading=0.0, length=1.0)
+
+
+def _target_table(
+    target_tracks: Sequence[VesselTrack], times: np.ndarray, hold_targets: bool
+) -> tuple[list[str], np.ndarray, np.ndarray, bool]:
+    """Target states at each of ``times``: the sorted ids of the targets
+    present at any time, a (times, 5, ids) table of their north, east,
+    speed, heading and length (``_ABSENT``'s values where absent), the
+    (times, ids) presence mask, and whether any target was held at an end
+    of its track.
+    """
+    per_time, held_any = [], False
+    for t in times.tolist():
+        states = {}
+        for track in target_tracks:
+            if hold_targets:
+                state, held = track.state_at_clamped(t)
+                held_any = held_any or held
+            elif track.covers(t):
+                state = track.state_at(t)
+            else:
+                continue
+            states[track.track_id] = state
+        per_time.append(states)
+    ids = sorted(set().union(*per_time))
+    table = np.array([StateArrays.of([s.get(tid, _ABSENT) for tid in ids]) for s in per_time])
+    present = np.array([[tid in s for tid in ids] for s in per_time], dtype=bool)
+    return ids, table, present, held_any
 
 
 def _grounding_max(
-    own: StateArrays,
-    obstacles: ObstacleSet | None,
-    rp: RiskParams,
-    dp: DomainParams,
+    own: StateArrays, obstacles: ObstacleSet, rp: RiskParams, dp: DomainParams
 ) -> np.ndarray:
     """Maximum grounding risk of each own state against the charted points
     strictly inside its arena, 0 when there are none; shape (own,).
@@ -493,8 +517,6 @@ def _grounding_max(
     """
     n_own = own.north.size
     out = np.zeros(n_own)
-    if obstacles is None or obstacles.is_empty:
-        return out
     center_n, center_e = float(np.mean(own.north)), float(np.mean(own.east))
     spread = float(np.max(np.hypot(own.north - center_n, own.east - center_e)))
     near = obstacles.points_in_arena(
@@ -512,7 +534,7 @@ def _grounding_max(
 
 def scenario_risks(
     own: StateArrays,
-    t: float,
+    t,
     target_tracks: Sequence[VesselTrack],
     obstacles: ObstacleSet | None,
     params: RiskParams | None = None,
@@ -521,37 +543,53 @@ def scenario_risks(
     models: Mapping | None = None,
     wavg_grid_n: int = DEFAULT_GRID_N,
 ) -> StepRisk:
-    """Scenario risk of several hypothetical ownship states at time t.
+    """Scenario risk of ownship states at ``t``: one time shared by every
+    own state, or an array of one time per own state.
 
-    Arguments are those of :func:`scenario_risk_for_state`; every field of
-    the returned breakdown holds one entry per own state. Targets are
-    interpolated once, and all collision risks come from one
-    :func:`collision_risk_grid` call.
+    Targets contribute deterministic collision risk from their recorded
+    states at a state's time; with ``hold_targets`` a target whose track
+    has ended is held at its last state, otherwise it scores exactly 0
+    there. A target has a column when present at any of the times. When
+    ``models`` maps a VesselType to a speed-change model, the target's
+    probabilistic risk (one rate quadrature over all own states) is used
+    in the composition instead. Collision risks fold in sorted target-id
+    order. Targets are interpolated and the chart is prefiltered once per
+    distinct time; one :func:`collision_risk_grid` call scores all pairs.
     """
     rp = params or RiskParams()
     dp = domain_params or DomainParams()
-    targets, held_any = _target_states(target_tracks, t, hold_targets)
-    tgt = StateArrays.of(list(targets.values()))
-    cr = collision_risk_grid(own, tgt, 0.0, rp, dp)[:, :, 0]
-    collision = {tid: cr[:, k] for k, tid in enumerate(targets)}
+    times = np.asarray(t, dtype=float)
+    if times.ndim == 0:
+        # shared targets, fields of shape (ids,)
+        distinct, rows = times.reshape(1), 0
+    elif times.shape == own.north.shape:
+        # each own state's row of the distinct times
+        distinct, rows = np.unique(times, return_inverse=True)
+    else:
+        raise ValueError(f"need one time or {own.north.size} times, got shape {times.shape}")
+    ids, table, present, held_any = _target_table(target_tracks, distinct, hold_targets)
+    tgt = StateArrays(*table[rows].swapaxes(0, -2))
+    present = present[rows]
+    cr = np.where(present, collision_risk_grid(own, tgt, 0.0, rp, dp)[..., 0], 0.0)
+    collision = {tid: cr[:, k] for k, tid in enumerate(ids)}
     collision_wavg: dict[str, np.ndarray] = {}
-    for k, (tid, state) in enumerate(targets.items()):
-        model = models.get(state.vessel_type) if models else None
-        if model is None:
-            continue
-        one = tgt.select(slice(k, k + 1))
-        collision_wavg[tid] = np.array([
-            rate_weighted_mean(
-                lambda rates, c=c: collision_risk_grid(
-                    own.select(slice(c, c + 1)), one, rates, rp, dp
-                )[0, 0],
-                model,
-                wavg_grid_n,
+    if models:
+        vessel_types = {track.track_id: track.vessel_type for track in target_tracks}
+        for k, tid in enumerate(ids):
+            model = models.get(vessel_types[tid])
+            if model is None:
+                continue
+            one = tgt.select(np.s_[..., k:k + 1])
+            wavg = rate_weighted_mean(
+                lambda r: collision_risk_grid(own, one, r, rp, dp)[:, 0], model, wavg_grid_n
             )
-            for c in range(own.north.size)
-        ])
-    grounding = _grounding_max(own, obstacles, rp, dp)
-    effective = [collision_wavg.get(tid, collision[tid]) for tid in targets]
+            collision_wavg[tid] = np.where(present[..., k], wavg, 0.0)
+    grounding = np.zeros(own.north.size)
+    if obstacles is not None and not obstacles.is_empty:
+        groups = [slice(None)] if times.ndim == 0 else [rows == r for r in range(distinct.size)]
+        for group in groups:
+            grounding[group] = _grounding_max(own.select(group), obstacles, rp, dp)
+    effective = [collision_wavg.get(tid, collision[tid]) for tid in ids]
     return StepRisk(
         time=t,
         collision=collision,
@@ -562,66 +600,37 @@ def scenario_risks(
     )
 
 
-def scenario_risk_for_state(
-    own_state: VesselState,
-    t: float,
-    target_tracks: Sequence[VesselTrack],
-    obstacles: ObstacleSet | None,
-    params: RiskParams | None = None,
-    domain_params: DomainParams | None = None,
-    hold_targets: bool = False,
-    models: Mapping | None = None,
-    wavg_grid_n: int = DEFAULT_GRID_N,
-) -> StepRisk:
-    """Scenario risk of a (possibly hypothetical) ownship state at time t.
-
-    Targets contribute deterministic collision risk from their recorded
-    states at t; with ``hold_targets`` a target whose track has ended is
-    held at its last state instead of being skipped. When ``models`` maps a
-    VesselType to a speed-change model, a probabilistic risk is computed per
-    target and used in the composition instead of the deterministic one.
-    Collision risks fold in sorted target-id order.
-    """
-    step = scenario_risks(
-        StateArrays.of([own_state]), t, target_tracks, obstacles, params,
-        domain_params, hold_targets, models, wavg_grid_n,
-    )
-    return StepRisk(
-        time=t,
-        collision={tid: float(v[0]) for tid, v in step.collision.items()},
-        collision_wavg={tid: float(v[0]) for tid, v in step.collision_wavg.items()},
-        grounding_max=float(step.grounding_max[0]),
-        scenario=float(step.scenario[0]),
-        targets_held=step.targets_held,
-    )
-
-
 def rate_weighted_mean(
     value_at: Callable[[np.ndarray], np.ndarray], model, grid_n: int
-) -> float:
+) -> float | np.ndarray:
     """Density-weighted mean of ``value_at(rates)`` over speed-change rates.
 
-    ``value_at`` maps an array of rates to the array of values at those
-    rates and is called once. It is evaluated at ``grid_n`` rates spanning
-    ``model.support``, and each value is weighted by ``model.density``
-    times the composite trapezoid coefficient. A single-point support
-    collapses to the value at that rate; a density with zero mass over the
-    grid falls back to the value at rate 0.
+    ``value_at`` maps an array of rates to the values at those rates along
+    its last axis and is called once; any leading axes get one mean per
+    index, and values without leading axes give a float. It is evaluated
+    at ``grid_n`` rates spanning ``model.support``, and each value is
+    weighted by ``model.density`` times the composite trapezoid
+    coefficient. A single-point support collapses to the value at that
+    rate; a density with zero mass over the grid falls back to the value
+    at rate 0.
     """
     lo, hi = model.support
     if hi - lo <= 1e-15:
-        return float(value_at(np.array([0.5 * (lo + hi)]))[0])
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
-    rates = np.linspace(lo, hi, grid_n)
-    trapezoid = np.ones(grid_n)
-    trapezoid[0] = trapezoid[-1] = 0.5
-    weights = np.asarray(model.density(rates), dtype=float) * trapezoid
-    total = float(weights.sum())
-    if total <= 0.0:
-        return float(value_at(np.zeros(1))[0])
+        rates, weights = np.array([0.5 * (lo + hi)]), np.ones(1)
+    else:
+        if grid_n < 2:
+            raise ValueError(f"grid_n must be at least 2, got {grid_n}")
+        rates = np.linspace(lo, hi, grid_n)
+        trapezoid = np.ones(grid_n)
+        trapezoid[0] = trapezoid[-1] = 0.5
+        weights = np.asarray(model.density(rates), dtype=float) * trapezoid
+        if weights.sum() <= 0.0:
+            rates, weights = np.zeros(1), np.ones(1)
     values = np.asarray(value_at(rates), dtype=float)
-    return float(np.dot(weights, values) / total)
+    # one dot product per row keeps the one-row summation order
+    sums = [np.dot(weights, row) for row in values.reshape(-1, rates.size)]
+    mean = np.reshape(sums, values.shape[:-1]) / weights.sum()
+    return float(mean) if mean.ndim == 0 else mean
 
 
 @dataclass
@@ -652,9 +661,10 @@ def compute_risk_series(
 ) -> RiskSeries:
     """Per-step risk breakdown for one vessel over [t_start, t_end].
 
-    Steps are the ownship grid times inside the window. Targets absent at a
-    step contribute zero. Collision columns cover every target that appears
-    at least once in the window.
+    Steps are the ownship grid times inside the window, scored in one
+    :func:`scenario_risks` call. Targets absent at a step contribute zero.
+    Collision columns cover every target that appears at least once in the
+    window.
     """
     if ownship_id not in tracks:
         raise KeyError(f"ownship {ownship_id!r} not among tracks")
@@ -668,35 +678,19 @@ def compute_risk_series(
             f"window [{t_start}, {t_end}] contains no grid steps of {ownship_id!r}"
         )
     targets = [tr for tid, tr in sorted(tracks.items()) if tid != ownship_id]
-    steps = [
-        scenario_risk_for_state(
-            own.state_at(float(t)),
-            float(t),
-            targets,
-            obstacles,
-            params,
-            domain_params,
-            models=models,
-            wavg_grid_n=wavg_grid_n,
-        )
-        for t in times
-    ]
-    seen = sorted({tid for s in steps for tid in s.collision})
-    collision = {
-        tid: np.array([s.collision.get(tid, 0.0) for s in steps]) for tid in seen
-    }
-    seen_wavg = sorted({tid for s in steps for tid in s.collision_wavg})
-    collision_wavg = {
-        tid: np.array(
-            [s.collision_wavg.get(tid, s.collision.get(tid, 0.0)) for s in steps]
-        )
-        for tid in seen_wavg
-    }
+    states = StateArrays(
+        own.north[mask], own.east[mask], own.speed[mask], own.heading[mask],
+        np.full(times.size, float(own.length)),
+    )
+    step = scenario_risks(
+        states, times, targets, obstacles, params, domain_params,
+        models=models, wavg_grid_n=wavg_grid_n,
+    )
     return RiskSeries(
         vessel_id=ownship_id,
         times=times.astype(float),
-        collision=collision,
-        collision_wavg=collision_wavg,
-        grounding=np.array([s.grounding_max for s in steps]),
-        scenario=np.array([s.scenario for s in steps]),
+        collision=step.collision,
+        collision_wavg=step.collision_wavg,
+        grounding=step.grounding_max,
+        scenario=step.scenario,
     )

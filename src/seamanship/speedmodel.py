@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import DomainParams, StateArrays, VesselTrack, VesselType, find_tdv
+from .geometry import DomainParams, StateArrays, VesselTrack, VesselType, find_tdv, require_finite
 from .risk import DEFAULT_GRID_N, RiskParams, collision_risk_grid, rate_weighted_mean
 
 log = logging.getLogger(__name__)
@@ -27,6 +27,25 @@ DEFAULT_MIN_SAMPLES = 30
 DEFAULT_DEGENERATE_SUPPORT = (-0.05, 0.05)
 
 MODEL_SCHEMA_VERSION = 1
+
+
+@dataclass(frozen=True)
+class SpeedParams:
+    """Encounter detection and density-weighted risk settings: the
+    closest-approach distance (m) that screens track pairs, the positive
+    window (s) over which a violator's speed change is measured, the fewest
+    samples a vessel type needs for a fitted density, and the number of
+    rates the density-weighted collision risk samples."""
+
+    dcpa_threshold: float = DEFAULT_DCPA_THRESHOLD
+    window: float = DEFAULT_WINDOW
+    min_samples: int = DEFAULT_MIN_SAMPLES
+    grid_n: int = DEFAULT_GRID_N
+
+    def __post_init__(self) -> None:
+        require_finite(self)
+        if self.window <= 0.0:
+            raise ValueError(f"window must be positive, got {self.window!r}")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,12 @@ import base64
 import csv
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,18 +261,28 @@ class TestFitSpeedModelCommand:
         "damage, named",
         [
             pytest.param(
-                lambda doc: _own(doc).update(times="not base64!"), "base64", id="not_base64"
+                lambda doc: _own(doc).update(times="not base64!"),
+                ["track '111000001' times: ", "base64"],
+                id="not_base64",
             ),
             pytest.param(
                 lambda doc: _own(doc).update(speed=base64.b64encode(bytes(59)).decode()),
-                "multiple of element size",
+                ["track '111000001' speed: ", "multiple of element size"],
                 id="partial_float",
             ),
-            pytest.param(lambda doc: _own(doc).update(heading=0.5), "not 'float'", id="number"),
-            pytest.param(lambda doc: _own(doc).update(east=[0.0, 1.0]), "not 'list'", id="list"),
-            pytest.param(_odd_ring, "reshape", id="odd_ring_coordinates"),
-            pytest.param(_pack_nan, "non-finite north", id="packed_nan"),
-            pytest.param(_as_schema_1, "seamanship ingest", id="schema_1"),
+            pytest.param(
+                lambda doc: _own(doc).update(heading=0.5),
+                ["track '111000001' heading: ", "not 'float'"],
+                id="number",
+            ),
+            pytest.param(
+                lambda doc: _own(doc).update(east=[0.0, 1.0]),
+                ["track '111000001' east: ", "not 'list'"],
+                id="list",
+            ),
+            pytest.param(_odd_ring, ["obstacle ring 0: ", "reshape"], id="odd_ring_coordinates"),
+            pytest.param(_pack_nan, ["track '111000001': ", "non-finite north"], id="packed_nan"),
+            pytest.param(_as_schema_1, ["seamanship ingest"], id="schema_1"),
         ],
     )
     def test_undecodable_archive_exits_2(
@@ -284,7 +298,8 @@ class TestFitSpeedModelCommand:
         )
         assert code == 2
         message = json.loads(capsys.readouterr().err)["message"]
-        assert "bad scenario archive" in message and named in message
+        assert "bad scenario archive" in message
+        assert all(part in message for part in named), message
 
 
 def read_csv(path):
@@ -578,6 +593,33 @@ class TestConfigHandling:
         )
         assert code == 2
         assert "depth_key must be finite" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("v_max", ["1e308", "1e200"])
+    @pytest.mark.parametrize("command", ["score", "safest-path"])
+    def test_overflowing_domain_exits_2(self, head_on_ais, tmp_path, command, v_max):
+        """A speed command so large that the domain axes overflow gives NaN
+        risks, which are refused instead of scored. This runs in a
+        subprocess because the overflow warns, and the suite turns
+        RuntimeWarning into an error."""
+        scenario = ingest(head_on_ais, tmp_path / "ing")
+        argv = [
+            command, "--scenario", str(scenario), "--ownship", "111000001",
+            "--output", str(tmp_path / "o"), *FAST_SEARCH, "--set", "search.n_v=2",
+            "--set", f"kinodynamics.v_max={v_max}",
+        ]
+        if command == "safest-path":
+            argv += ["--time", "60"]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-m", "seamanship.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        message = json.loads(proc.stderr.strip().splitlines()[-1])["message"]
+        assert "collision risk #0 = nan" in message
 
     @pytest.mark.parametrize(
         "setting, message",

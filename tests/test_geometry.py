@@ -15,6 +15,7 @@ from seamanship.geometry import (
     VesselState,
     VesselTrack,
     VesselType,
+    _scale_factor_xy,
     ddv,
     find_tdv,
     interp_heading,
@@ -32,9 +33,11 @@ from seamanship.ingest import IngestParams
 from seamanship.planner import Hyperparameters, KinodynamicParams
 from seamanship.risk import RiskParams
 from seamanship.scoring import ScoreParams
+from seamanship.speedmodel import SpeedParams
 
 PARAMETER_BLOCKS = (
-    DomainParams, RiskParams, KinodynamicParams, Hyperparameters, ScoreParams, IngestParams
+    DomainParams, RiskParams, KinodynamicParams, Hyperparameters, ScoreParams, IngestParams,
+    SpeedParams,
 )
 # every float field of every parameter block, plus the optional corridor length
 FLOAT_FIELDS = [
@@ -232,6 +235,12 @@ class TestScaleFactor:
         d = DomainSpec(200.0, 100.0, 50.0, 0.0, 1.0)
         assert scale_factor(d, LocalPoint(5.0, 5.0), LocalPoint(5.0, 5.0)) == 0.0
 
+    def test_nan_geometry_stays_nan(self):
+        # NaN must not read as f = 0, which is risk of about 1
+        f = _scale_factor_xy(200.0, 100.0, 50.0, 0.0, np.array([math.nan, 0.0]), 0.0)
+        assert math.isnan(f[0]) and f[1] == 0.0
+        assert math.isnan(_scale_factor_xy(math.nan, 100.0, 50.0, 0.0, 30.0, 40.0))
+
     def test_vessel_outside_own_domain_rejected(self):
         d = DomainSpec(200.0, 100.0, 199.0, 99.0, 0.0)
         with pytest.raises(ValueError):
@@ -353,6 +362,13 @@ class TestPredictState:
 
 
 class TestTrackInterpolation:
+    @pytest.mark.parametrize("tiny", [-1e-17, -5e-324, -0.0])
+    def test_tiny_negative_heading_wraps_to_zero(self, tiny):
+        # np.mod alone rounds the first two up to 2*pi itself
+        tr = VesselTrack("x", [0.0, 10.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [tiny, 1.0], 50.0)
+        assert tr.heading[0] == 0.0 and tr.heading[1] == 1.0
+        assert not np.signbit(tr.heading).any()
+
     def test_heading_through_north(self):
         tr = VesselTrack(
             "x",

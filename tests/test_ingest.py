@@ -691,9 +691,12 @@ FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 NON_NEGATIVE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(0.0, 1e300))
-# headings the track's wrap into [0, 2*pi) keeps as they are
+# headings in [0, 2*pi), plus tiny negatives that the track's wrap must
+# turn into 0 rather than round up to 2*pi
 HEADINGS = st.one_of(
-    st.sampled_from([-0.0, 5e-324, math.nextafter(TWO_PI, 0.0), TWO_PI - 2e-15]),
+    st.sampled_from(
+        [-0.0, 5e-324, math.nextafter(TWO_PI, 0.0), TWO_PI - 2e-15, -1e-17, -5e-324]
+    ),
     st.floats(0.0, TWO_PI, exclude_max=True),
 )
 
@@ -752,8 +755,22 @@ class TestArchiveCodec:
             assert got.shape == saved.shape
             assert np.array_equal(got.view(np.int64), saved.view(np.int64))
         for tid, tr in tracks.items():
+            assert np.all((tr.heading >= 0.0) & (tr.heading < TWO_PI))
             assert loaded.tracks[tid].length == tr.length
             assert loaded.tracks[tid].vessel_type is tr.vessel_type
         again = path.with_name("again.json")
         loaded.save(again)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("tiny", [-1e-17, -5e-324])
+    def test_tiny_negative_heading_is_byte_stable(self, tmp_path, tiny):
+        track = VesselTrack("t", [0.0, 10.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [tiny, 1.0], 9.0)
+        scenario = Scenario(
+            origin=(55.0, 10.0), epoch=0.0, dt=10.0, tracks={"t": track}, obstacles=ObstacleSet([])
+        )
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        scenario.save(first)
+        loaded = Scenario.load(first)
+        loaded.save(again)
+        assert again.read_bytes() == first.read_bytes()
+        assert loaded.tracks["t"].heading.tolist() == [0.0, 1.0]

@@ -17,9 +17,9 @@ from seamanship.planner import (
     step_kinodynamics,
 )
 from seamanship import risk
-from seamanship.risk import MUTUAL_MODES, ObstacleSet, RiskParams, scenario_risk_for_state
+from seamanship.risk import MUTUAL_MODES, ObstacleSet, RiskParams
 from .test_geometry import straight_track
-from .test_risk import closed_square
+from .test_risk import closed_square, reference_scenario_risk_for_state
 
 # short horizon keeps toy searches cheap without changing the semantics
 TOY_RISK = RiskParams(horizon_T=120.0, horizon_step=60.0)
@@ -285,7 +285,7 @@ class TestBatchedLevels:
                     level.time, level.north[i], level.east[i], level.speed[i],
                     level.heading[i], root.length,
                 )
-                step = scenario_risk_for_state(
+                step = reference_scenario_risk_for_state(
                     state, level.time, targets, obstacles, rp, hold_targets=True
                 )
                 assert abs(step.scenario - level.risk[i]) <= 1e-12

@@ -14,6 +14,7 @@ from seamanship.geometry import (
     LocalPoint,
     StateArrays,
     VesselState,
+    VesselType,
     make_domain,
     predict_state,
     scale_factor,
@@ -32,10 +33,11 @@ from seamanship.risk import (
     grounding_risk,
     mutual_collision_risk,
     overall_collision_risk,
+    rate_weighted_mean,
     risk_index,
-    scenario_risk_for_state,
     scenario_risks,
 )
+from seamanship.speedmodel import SpeedChangeModel
 from .test_geometry import straight_track
 
 
@@ -302,14 +304,262 @@ class TestRiskSeries:
     def test_scenario_risk_for_state_holds_targets(self):
         own = straight_track("own", 0.0, 0.0, 0.0, 3.0, 0.0, 11)
         tgt = straight_track("tgt", 0.0, 500.0, 0.0, 3.0, math.pi, 5)
-        step = scenario_risk_for_state(
+        step = reference_scenario_risk_for_state(
             own.state_at(100.0), 100.0, [tgt], None, hold_targets=True
         )
         assert step.targets_held is True
-        skipped = scenario_risk_for_state(
+        skipped = reference_scenario_risk_for_state(
             own.state_at(100.0), 100.0, [tgt], None, hold_targets=False
         )
         assert skipped.collision == {}
+        for hold in (True, False):
+            got = scenario_risks(
+                StateArrays.of([own.state_at(100.0)]), 100.0, [tgt], None, hold_targets=hold
+            )
+            assert got.targets_held is hold
+            assert set(got.collision) == ({"tgt"} if hold else set())
+
+    def test_one_time_per_own_state_required(self):
+        own = straight_track("own", 0.0, 0.0, 0.0, 3.0, 0.0, 11)
+        states = StateArrays.of([own.state_at(0.0), own.state_at(10.0)])
+        for t in ([0.0], [0.0, 10.0, 20.0], [[0.0, 10.0]]):
+            with pytest.raises(ValueError, match="need one time or 2 times"):
+                scenario_risks(states, np.array(t), [], None)
+
+    def test_calls_scenario_risks_once(self):
+        a = straight_track("own", 0.0, 0.0, 0.0, 5.0, 0.0, 61)
+        b = straight_track("tgt", 0.0, 6000.0, 0.0, 5.0, math.pi, 61)
+        with mock.patch.object(risk, "scenario_risks", wraps=risk.scenario_risks) as spy:
+            series = compute_risk_series({"own": a, "tgt": b}, "own", 0.0, 600.0)
+        assert spy.call_count == 1
+        assert series.scenario.size == 61
+
+
+def reference_scenario_risk_for_state(
+    own_state, t, target_tracks, obstacles, params=None, domain_params=None,
+    hold_targets=False, models=None, wavg_grid_n=risk.DEFAULT_GRID_N,
+):
+    """Scenario risk of one ownship state at time t, each target scored on
+    its own: the per-step layer that the time axis of scenario_risks
+    replaced, kept as its reference. Returns a StepRisk of floats."""
+    rp = params or RiskParams()
+    dp = domain_params or DomainParams()
+    own = StateArrays.of([own_state])
+    states, held_any = {}, False
+    for track in target_tracks:
+        if hold_targets:
+            state, held = track.state_at_clamped(t)
+            held_any = held_any or held
+        elif track.covers(t):
+            state = track.state_at(t)
+        else:
+            continue
+        states[track.track_id] = state
+    collision, collision_wavg = {}, {}
+    for tid in sorted(states):
+        tgt = StateArrays.of([states[tid]])
+        collision[tid] = float(collision_risk_grid(own, tgt, 0.0, rp, dp)[0, 0, 0])
+        model = models.get(states[tid].vessel_type) if models else None
+        if model is not None:
+            collision_wavg[tid] = rate_weighted_mean(
+                lambda rates: collision_risk_grid(own, tgt, rates, rp, dp)[0, 0],
+                model,
+                wavg_grid_n,
+            )
+    grounding = 0.0 if obstacles is None else float(risk._grounding_max(own, obstacles, rp, dp)[0])
+    effective = [collision_wavg.get(tid, collision[tid]) for tid in sorted(states)]
+    return risk.StepRisk(
+        time=t,
+        collision=collision,
+        collision_wavg=collision_wavg,
+        grounding_max=grounding,
+        scenario=float(compose_scenario_risk(effective, grounding)),
+        targets_held=held_any,
+    )
+
+
+def reference_risk_series(
+    tracks, ownship_id, t_start, t_end, obstacles=None, params=None, domain_params=None,
+    models=None, wavg_grid_n=risk.DEFAULT_GRID_N,
+):
+    """compute_risk_series as the loop over grid steps that it was, one
+    reference_scenario_risk_for_state call per step, with the per-step
+    results merged into columns."""
+    own = tracks[ownship_id]
+    mask = (own.times >= t_start - 1e-9) & (own.times <= t_end + 1e-9)
+    targets = [tr for tid, tr in sorted(tracks.items()) if tid != ownship_id]
+    steps = [
+        reference_scenario_risk_for_state(
+            own.state_at(float(t)), float(t), targets, obstacles, params, domain_params,
+            models=models, wavg_grid_n=wavg_grid_n,
+        )
+        for t in own.times[mask]
+    ]
+    seen = sorted({tid for s in steps for tid in s.collision})
+    seen_wavg = sorted({tid for s in steps for tid in s.collision_wavg})
+    return risk.RiskSeries(
+        vessel_id=ownship_id,
+        times=own.times[mask].astype(float),
+        collision={
+            tid: np.array([s.collision.get(tid, 0.0) for s in steps]) for tid in seen
+        },
+        collision_wavg={
+            tid: np.array(
+                [s.collision_wavg.get(tid, s.collision.get(tid, 0.0)) for s in steps]
+            )
+            for tid in seen_wavg
+        },
+        grounding=np.array([s.grounding_max for s in steps]),
+        scenario=np.array([s.scenario for s in steps]),
+    )
+
+
+def series_arrays(series):
+    """Every array of a RiskSeries keyed by a readable name."""
+    out = {"times": series.times, "grounding": series.grounding, "scenario": series.scenario}
+    out.update({f"cr_{tid}": v for tid, v in series.collision.items()})
+    out.update({f"cr_wavg_{tid}": v for tid, v in series.collision_wavg.items()})
+    return out
+
+
+# the models a scene may use: a kernel density, a degenerate (uniform)
+# model, a single-point support, and a density with no mass on its grid
+SCENE_MODELS = {
+    "kde": SpeedChangeModel(
+        VesselType.CARGO, [-0.02, 0.0, 0.01], bandwidth=0.01, support=(-0.05, 0.04)
+    ),
+    "degenerate": SpeedChangeModel(
+        VesselType.CARGO, [], bandwidth=0.0, support=(-0.05, 0.05), degenerate=True
+    ),
+    "single_point": SpeedChangeModel(
+        VesselType.CARGO, [0.01], bandwidth=0.0, support=(0.01, 0.01), degenerate=True
+    ),
+    "zero_mass": SpeedChangeModel(
+        VesselType.CARGO, [5.0], bandwidth=1e-3, support=(-0.05, 0.05)
+    ),
+}
+
+
+@st.composite
+def series_scenes(draw):
+    """An ownship on a 10 s grid with targets that start or end inside the
+    window, some off the ownship's grid, one of them split into two tracks
+    with a gap; an optional shoal; models for some vessel types; and one of
+    the risk settings."""
+    coord = st.floats(-1500.0, 1500.0)
+    heading = st.floats(0.0, 2.0 * math.pi - 1e-9)
+    tracks = {
+        "own": straight_track("own", 0.0, 0.0, 0.0, draw(st.floats(1.0, 8.0)), draw(heading), 31)
+    }
+    types = [VesselType.CARGO, VesselType.TANKER, VesselType.OTHER]
+    for k in range(draw(st.integers(0, 3))):
+        track = straight_track(
+            f"t{k}", draw(st.sampled_from([-50.0, 0.0, 5.0, 120.0, 250.0])), draw(coord),
+            draw(coord), draw(st.floats(0.0, 8.0)), draw(heading),
+            draw(st.sampled_from([1, 3, 12, 40])), length=draw(st.floats(50.0, 250.0)),
+        )
+        tracks[track.track_id] = replace(track, vessel_type=draw(st.sampled_from(types)))
+    if draw(st.booleans()):
+        whole = straight_track("split", 0.0, draw(coord), draw(coord), 4.0, draw(heading), 31)
+        cut = draw(st.integers(3, 27))
+        for name, part in (("split_a", slice(0, cut - 2)), ("split_b", slice(cut, None))):
+            tracks[name] = replace(
+                whole, track_id=name, times=whole.times[part], north=whole.north[part],
+                east=whole.east[part], speed=whole.speed[part], heading=whole.heading[part],
+                vessel_type=draw(st.sampled_from(types)),
+            )
+    obstacles = None
+    if draw(st.booleans()):
+        shoal = closed_square(
+            draw(st.floats(-800.0, 800.0)), draw(st.floats(-800.0, 800.0)),
+            draw(st.floats(50.0, 300.0)),
+        )
+        obstacles = ObstacleSet([shoal], spacing=25.0)
+    models = {
+        vtype: SCENE_MODELS[draw(st.sampled_from(sorted(SCENE_MODELS)))]
+        for vtype in types[:2]
+        if draw(st.booleans())
+    }
+    rp = RiskParams(
+        horizon_T=120.0,
+        horizon_step=60.0,
+        mutual_mode=draw(st.sampled_from(MUTUAL_MODES)),
+        grounding_horizon_max=draw(st.booleans()),
+        channel_adjust=draw(st.booleans()),
+    )
+    t_start = draw(st.sampled_from([0.0, 40.0, 100.0]))
+    t_end = t_start + draw(st.sampled_from([0.0, 50.0, 300.0]))
+    return tracks, obstacles, models or None, rp, (t_start, t_end)
+
+
+class TestRiskSeriesTimeAxis:
+    def test_chart_prefiltered_once_per_distinct_time(self):
+        # one scan for a whole window would grow with the window's spread
+        own = straight_track("own", 0.0, 0.0, 0.0, 3.0, 0.0, 11)
+        obstacles = ObstacleSet([closed_square(300.0, 0.0, 100.0)], spacing=25.0)
+        times = [0.0, 10.0, 10.0, 50.0]
+        states = StateArrays.of([own.state_at(t) for t in times])
+        original = ObstacleSet.points_in_arena
+        for t, scans in ((np.array(times), 3), (10.0, 1)):
+            with mock.patch.object(
+                ObstacleSet, "points_in_arena", autospec=True, side_effect=original
+            ) as spy:
+                scenario_risks(states, t, [], obstacles)
+            assert spy.call_count == scans
+
+    # small element budgets split the one call into several kernel passes
+    @given(series_scenes(), st.sampled_from([1, 25, risk.KERNEL_CHUNK_ELEMS]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_call_matches_per_step_loop(self, scene, chunk_elems):
+        tracks, obstacles, models, rp, (t_start, t_end) = scene
+        with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk_elems):
+            got = compute_risk_series(
+                tracks, "own", t_start, t_end, obstacles, rp, models=models, wavg_grid_n=9
+            )
+            expected = reference_risk_series(
+                tracks, "own", t_start, t_end, obstacles, rp, models=models, wavg_grid_n=9
+            )
+        got_arrays, expected_arrays = series_arrays(got), series_arrays(expected)
+        assert got_arrays.keys() == expected_arrays.keys()
+        for name, value in got_arrays.items():
+            assert value.shape == expected_arrays[name].shape, name
+            assert np.all(np.abs(value - expected_arrays[name]) <= 1e-12), name
+
+    @given(
+        series_scenes(),
+        st.lists(st.sampled_from([-60.0, 0.0, 35.0, 100.0, 290.0]), min_size=1, max_size=6),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_per_state_times_match_reference(self, scene, times, hold_targets):
+        """Own states at repeated, unsorted and off-grid times, each scored
+        against the targets at its own time."""
+        tracks, obstacles, models, rp, _ = scene
+        targets = [tr for tid, tr in sorted(tracks.items()) if tid != "own"]
+        rng = np.random.default_rng(len(times))
+        owns = random_states(rng, len(times))
+        got = scenario_risks(
+            StateArrays.of(owns), np.array(times), targets, obstacles, rp,
+            hold_targets=hold_targets, models=models, wavg_grid_n=9,
+        )
+        columns, wavg_columns, held = set(), set(), False
+        for c, (state, t) in enumerate(zip(owns, times)):
+            ref = reference_scenario_risk_for_state(
+                state, t, targets, obstacles, rp,
+                hold_targets=hold_targets, models=models, wavg_grid_n=9,
+            )
+            columns |= set(ref.collision)
+            wavg_columns |= set(ref.collision_wavg)
+            held = held or ref.targets_held
+            for tid in got.collision:
+                assert abs(got.collision[tid][c] - ref.collision.get(tid, 0.0)) <= 1e-12
+            for tid in got.collision_wavg:
+                expected = ref.collision_wavg.get(tid, 0.0)
+                assert abs(got.collision_wavg[tid][c] - expected) <= 1e-12
+            assert abs(got.grounding_max[c] - ref.grounding_max) <= 1e-12
+            assert abs(got.scenario[c] - ref.scenario) <= 1e-12
+        assert set(got.collision) == columns and set(got.collision_wavg) == wavg_columns
+        assert got.targets_held is held
 
 
 def reference_collision_risk(own, tgt, rate, rp, dp):

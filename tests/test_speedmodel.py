@@ -11,6 +11,7 @@ from seamanship.risk import MUTUAL_MODES, RiskParams, overall_collision_risk, ra
 from seamanship.speedmodel import (
     EncounterEvent,
     SpeedChangeModel,
+    SpeedParams,
     detect_encounters,
     fit_model,
     probabilistic_cr,
@@ -241,3 +242,43 @@ class TestRateAxis:
             grid_n,
         )
         assert abs(probabilistic_cr(own, tgt, 100.0, model, grid_n, rp) - looped) <= 1e-12
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        grid_n=st.integers(2, 40),
+        support=st.sampled_from([(-0.05, 0.04), (0.01, 0.01), "zero_mass"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_leading_axes_give_one_mean_per_row(self, seed, grid_n, support):
+        rng = np.random.default_rng(seed)
+        if support == "zero_mass":
+            model = SpeedChangeModel(VesselType.CARGO, np.array([10.0]), 1e-3, (0.0, 1.0))
+        else:
+            model = SpeedChangeModel(VesselType.CARGO, np.array([-0.01, 0.02]), 0.01, support)
+        base, slope = rng.uniform(0.0, 1.0, (2, 3, 2))
+        means = rate_weighted_mean(
+            lambda rates: base[..., None] + slope[..., None] * rates, model, grid_n
+        )
+        assert means.shape == (3, 2)
+        for i, j in np.ndindex(3, 2):
+            row = rate_weighted_mean(lambda r: base[i, j] + slope[i, j] * r, model, grid_n)
+            assert type(row) is float and means[i, j] == row
+
+
+class TestSpeedParams:
+    def test_defaults_are_the_library_defaults(self):
+        assert SpeedParams() == SpeedParams(1852.0, 60.0, 30, 64)
+
+    @pytest.mark.parametrize("field", ["min_samples", "grid_n"])
+    @pytest.mark.parametrize("value", [2.5, 8.0, True, "8"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SpeedParams(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        assert SpeedParams(grid_n=np.int64(9)).grid_n == 9
+
+    @pytest.mark.parametrize("window", [0.0, -60.0])
+    def test_window_must_be_positive(self, window):
+        with pytest.raises(ValueError, match="window must be positive"):
+            SpeedParams(window=window)
