@@ -9,15 +9,14 @@ domain is shrunk so ordinary transits are not flagged as risky.
 import numpy as np
 
 from seamanship import (
-    ArenaSpec,
     ObstacleSet,
     RiskParams,
+    StateArrays,
     VesselState,
     VesselType,
-    grounding_risk,
     make_domain,
+    scenario_risks,
 )
-from seamanship.risk import adjust_domain_for_channel
 
 
 def wall(e0, e1, n0=-500.0, n1=2500.0):
@@ -26,22 +25,22 @@ def wall(e0, e1, n0=-500.0, n1=2500.0):
 
 state = VesselState(time=0.0, north=0.0, east=0.0, speed=5.0, heading=0.0,
                     length=100.0, vessel_type=VesselType.CARGO)
-params = RiskParams()
 domain = make_domain(state)
 print(f"open-water domain: semi-minor {domain.semi_minor:.0f} m "
       f"(beam {2 * domain.semi_minor:.0f} m)\n")
 
+own = StateArrays.of([state])
 for width in (800.0, 400.0, 260.0, 180.0):
     half = width / 2.0
     obstacles = ObstacleSet([wall(-half - 200.0, -half), wall(half, half + 200.0)],
                             spacing=50.0)
-    arena = ArenaSpec(params.arena_radius, state.position)
-    pts = obstacles.points_in_arena(arena)
-    adjusted = adjust_domain_for_channel(domain, state, pts, params)
-    _, gr = grounding_risk(state, pts, params)
-    note = "shrunk" if adjusted.semi_minor < domain.semi_minor else "unchanged"
-    print(f"channel {width:>5.0f} m: semi-minor {adjusted.semi_minor:>6.1f} m "
-          f"({note}), grounding risk {gr:.4f}")
+    shrunk, fixed = (
+        float(scenario_risks(own, state.time, [], obstacles, RiskParams(channel_adjust=adjust))
+              .grounding_max[0])
+        for adjust in (True, False)
+    )
+    print(f"channel {width:>5.0f} m: grounding risk {shrunk:.4f} with the shrink, "
+          f"{fixed:.4f} without")
 
 print("\nOnly channels narrower than the domain beam trigger the")
 print("adjustment, and it keeps the grounding exposure of an ordinary")

@@ -11,6 +11,7 @@ from .geometry import (
     DomainParams,
     DomainSpec,
     LocalPoint,
+    StateArrays,
     VesselState,
     VesselTrack,
     VesselType,
@@ -46,7 +47,6 @@ from .risk import (
     RiskSeries,
     compose_scenario_risk,
     compute_risk_series,
-    grounding_risk,
     mutual_collision_risk,
     overall_collision_risk,
     risk_index,
@@ -90,6 +90,7 @@ __all__ = [
     "Scenario",
     "ScoreParams",
     "SpeedChangeModel",
+    "StateArrays",
     "VesselState",
     "VesselTrack",
     "VesselType",
@@ -102,7 +103,6 @@ __all__ = [
     "exhaustive_search",
     "find_tdv",
     "fit_model",
-    "grounding_risk",
     "gss",
     "invert_risk",
     "load_chart",

@@ -530,43 +530,24 @@ class VesselTrack:
                 f"track {self.track_id!r}: time {t} outside "
                 f"[{self.t_start}, {self.t_end}]"
             )
+        return VesselState(t, *self._row_at(t), self.length, self.vessel_type)
+
+    def _row_at(self, t: float) -> tuple[float, float, float, float]:
+        """North, east, speed and heading at a time ``t`` inside the span:
+        the sample on a grid time or at the end, else :meth:`state_at`'s
+        interpolation."""
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
         idx = min(max(idx, 0), self.times.size - 1)
         if idx == self.times.size - 1 or self.times[idx] == t:
-            return self._state_at_index(idx, t)
+            return (float(self.north[idx]), float(self.east[idx]),
+                    float(self.speed[idx]), float(self.heading[idx]))
         span = self.times[idx + 1] - self.times[idx]
         frac = (t - self.times[idx]) / span
-        return VesselState(
-            time=t,
-            north=float(self.north[idx] + frac * (self.north[idx + 1] - self.north[idx])),
-            east=float(self.east[idx] + frac * (self.east[idx + 1] - self.east[idx])),
-            speed=float(self.speed[idx] + frac * (self.speed[idx + 1] - self.speed[idx])),
-            heading=interp_heading(float(self.heading[idx]), float(self.heading[idx + 1]), frac),
-            length=self.length,
-            vessel_type=self.vessel_type,
-        )
-
-    def state_at_clamped(self, t: float) -> tuple[VesselState, bool]:
-        """State at ``t`` clamped into the track span.
-
-        Returns (state, held): held is True when the query fell outside the
-        span and the nearest endpoint state was substituted.
-        """
-        if t < self.t_start:
-            return self._state_at_index(0, self.t_start), True
-        if t > self.t_end:
-            return self._state_at_index(self.times.size - 1, self.t_end), True
-        return self.state_at(t), False
-
-    def _state_at_index(self, idx: int, t: float) -> VesselState:
-        return VesselState(
-            time=t,
-            north=float(self.north[idx]),
-            east=float(self.east[idx]),
-            speed=float(self.speed[idx]),
-            heading=float(self.heading[idx]),
-            length=self.length,
-            vessel_type=self.vessel_type,
+        return (
+            float(self.north[idx] + frac * (self.north[idx + 1] - self.north[idx])),
+            float(self.east[idx] + frac * (self.east[idx + 1] - self.east[idx])),
+            float(self.speed[idx] + frac * (self.speed[idx + 1] - self.speed[idx])),
+            interp_heading(float(self.heading[idx]), float(self.heading[idx + 1]), frac),
         )
 
     def common_times(self, other: "VesselTrack") -> np.ndarray:

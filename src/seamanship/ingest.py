@@ -390,6 +390,20 @@ def _unpack(text: str, where: str = "array", columns: int | None = None) -> np.n
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def _track_field(td: Mapping, tid: str, name: str, convert=None):
+    """Field ``name`` of archived track ``tid``, decoded by :func:`_unpack`
+    or passed through ``convert``; errors name the track and the field."""
+    where = f"track {tid!r} {name}"
+    if name not in td:
+        raise ValueError(f"{where}: missing")
+    if convert is None:
+        return _unpack(td[name], where)
+    try:
+        return convert(td[name])
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 @dataclass
 class Scenario:
     """Projected tracks plus obstacles on one shared time grid."""
@@ -449,13 +463,13 @@ class Scenario:
         tracks = {
             tid: VesselTrack(
                 track_id=tid,
-                times=_unpack(td["times"], f"track {tid!r} times"),
-                north=_unpack(td["north"], f"track {tid!r} north"),
-                east=_unpack(td["east"], f"track {tid!r} east"),
-                speed=_unpack(td["speed"], f"track {tid!r} speed"),
-                heading=_unpack(td["heading"], f"track {tid!r} heading"),
-                length=float(td["length"]),
-                vessel_type=VesselType.parse(td["vessel_type"]),
+                times=_track_field(td, tid, "times"),
+                north=_track_field(td, tid, "north"),
+                east=_track_field(td, tid, "east"),
+                speed=_track_field(td, tid, "speed"),
+                heading=_track_field(td, tid, "heading"),
+                length=_track_field(td, tid, "length", float),
+                vessel_type=_track_field(td, tid, "vessel_type", VesselType.parse),
             )
             for tid, td in doc["tracks"].items()
         }

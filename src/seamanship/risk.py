@@ -11,10 +11,9 @@ One broadcast kernel, :func:`collision_risk_grid`, evaluates collision risk
 for many own states against many targets at many target speed-change rates
 in one array pass; the single-pair functions call it with one of each. A
 second kernel scores grounding for many own states against the chart
-points near them in one pass, channel-width adjustment included;
-:func:`grounding_risk` calls it with one state, and
-:func:`adjust_domain_for_channel` shares its channel-width step. Chart
-boundaries are densified in one array pass over all polygon edges.
+points strictly inside their arenas in one pass, channel-width adjustment
+included. Chart boundaries are densified in one array pass over all polygon
+edges.
 
 :func:`scenario_risks` has a time axis: its own states share one time (a
 planner level) or each carry their own (a recorded passage). Targets are
@@ -26,7 +25,7 @@ window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,10 +34,8 @@ from scipy.special import expit
 from .geometry import (
     ArenaSpec,
     DomainParams,
-    DomainSpec,
     LocalPoint,
     StateArrays,
-    VesselState,
     VesselTrack,
     _domain_frame,
     _scale_factor_xy,
@@ -311,47 +308,42 @@ def densify_boundaries(
     return points, np.repeat(ring_of_edge, n)
 
 
-def _channel_minor(semi_minor, semi_major, x, y, inside, rp: RiskParams):
-    """Channel-adjusted semi-minor axis of each own state, shape (own, 1).
-
-    ``x``, ``y`` (own, points) are the points in each state's domain frame
-    and ``inside`` marks the points each state sees. Channel width is the
-    nearest perpendicular distance to port plus the nearest to starboard
-    over the seen points in the forward corridor, each side capped at the
-    arena radius. When twice the semi-minor axis exceeds the width, the
-    beam shrinks to ``channel_gamma * width / 2`` (at least 1 mm).
-    """
-    corridor = semi_major if rp.channel_corridor is None else rp.channel_corridor
-    ahead = inside & (x >= 0.0) & (x <= corridor)
-    cap = rp.arena_radius
-    starboard = np.min(np.where(ahead & (y > 0.0), y, cap), axis=1, keepdims=True, initial=cap)
-    port = np.min(np.where(ahead & (y < 0.0), -y, cap), axis=1, keepdims=True, initial=cap)
-    width = port + starboard
-    new_minor = np.maximum(rp.channel_gamma * width / 2.0, 1e-3)
-    return np.where((2.0 * semi_minor > width) & (new_minor < semi_minor), new_minor, semi_minor)
-
-
 def _grounding_grid(
-    own: StateArrays, pts: np.ndarray, reach: float, rp: RiskParams, dp: DomainParams
+    own: StateArrays, pts: np.ndarray, rp: RiskParams, dp: DomainParams
 ) -> np.ndarray:
     """Grounding risk of every own state against every point, shape
-    (own, points); points at or beyond ``reach`` of a state score 0 and
-    take no part in its channel width.
+    (own, points); points at or beyond the arena radius of a state score 0
+    and take no part in its channel width.
 
     Each point acts as a zero-speed virtual vessel: its risk is the domain
     index times the instantaneous arena index. The domain index is
     instantaneous, or with ``rp.grounding_horizon_max`` its maximum over
     the horizon offsets (vessel moves, points stand still).
+
+    With ``rp.channel_adjust`` the beam shrinks in a narrow channel. Its
+    width is the nearest perpendicular distance to port plus the nearest to
+    starboard over the points in the forward corridor (``channel_corridor``,
+    default the semi-major axis), each side capped at the arena radius, so
+    open water never shrinks it. When twice the semi-minor axis exceeds the
+    width, the beam shrinks to ``channel_gamma * width / 2`` (at least 1 mm).
     """
     o = own.expand(0, 2)
     d_north = pts[:, 0] - o.north
     d_east = pts[:, 1] - o.east
     dist = np.hypot(d_north, d_east)
-    inside = dist < reach
+    inside = dist < rp.arena_radius
     semi_major, semi_minor = domain_axes(o.speed, o.length, dp)
     x, y = _domain_frame(o.heading, d_north, d_east)
     if rp.channel_adjust:
-        semi_minor = _channel_minor(semi_minor, semi_major, x, y, inside, rp)
+        corridor = semi_major if rp.channel_corridor is None else rp.channel_corridor
+        ahead = inside & (x >= 0.0) & (x <= corridor)
+        cap = rp.arena_radius
+        starboard = np.min(np.where(ahead & (y > 0.0), y, cap), axis=1, keepdims=True, initial=cap)
+        port = np.min(np.where(ahead & (y < 0.0), -y, cap), axis=1, keepdims=True, initial=cap)
+        width = port + starboard
+        new_minor = np.maximum(rp.channel_gamma * width / 2.0, 1e-3)
+        shrink = (2.0 * semi_minor > width) & (new_minor < semi_minor)
+        semi_minor = np.where(shrink, new_minor, semi_minor)
     if rp.grounding_horizon_max:
         o3 = own.expand(0, 3)
         on, oe, ov = predict_positions(o3, rp.horizon_offsets()[:, None], 0.0)
@@ -368,67 +360,6 @@ def _grounding_grid(
         r_d = risk_index(f, rp)
     r_a = risk_index(dist / rp.arena_radius, rp)
     return np.where(inside, r_d * r_a, 0.0)
-
-
-def adjust_domain_for_channel(
-    domain: DomainSpec,
-    state: VesselState,
-    obstacle_points: np.ndarray,
-    params: RiskParams | None = None,
-) -> DomainSpec:
-    """Shrink the domain beam when a channel is too narrow for it.
-
-    Channel width is the nearest perpendicular obstacle distance to port
-    plus the nearest to starboard, measured over points inside a forward
-    corridor of length ``channel_corridor`` (default: the domain
-    semi-major axis). Sides without obstacles are capped at the arena
-    radius, so open water never triggers an adjustment. When twice the
-    semi-minor axis exceeds the width W, the beam is reduced to
-    ``channel_gamma * W / 2`` and the lateral center offset is scaled by
-    the same ratio.
-    """
-    rp = params or RiskParams()
-    pts = np.asarray(obstacle_points, dtype=float).reshape(-1, 2)
-    x, y = _domain_frame(
-        state.heading, pts[None, :, 0] - state.north, pts[None, :, 1] - state.east
-    )
-    new_minor = float(_channel_minor(
-        domain.semi_minor, domain.semi_major, x, y, True, rp
-    )[0, 0])
-    if new_minor == domain.semi_minor:
-        return domain
-    shrink = new_minor / domain.semi_minor
-    return replace(
-        domain,
-        semi_minor=new_minor,
-        center_offset_stb=domain.center_offset_stb * shrink,
-    )
-
-
-def grounding_risk(
-    state: VesselState,
-    obstacle_points: np.ndarray,
-    params: RiskParams | None = None,
-    domain_params: DomainParams | None = None,
-) -> tuple[np.ndarray, float]:
-    """Grounding risk against sampled obstacle points near one vessel.
-
-    Each point acts as a zero-speed virtual vessel: its risk is the domain
-    index times the instantaneous arena index. Points are expected to be
-    pre-filtered to the vessel's arena; every given point is scored and
-    counts toward the channel width. Returns (per-point risks, max).
-
-    With ``params.grounding_horizon_max`` the domain index takes the
-    maximum over the prediction horizon (vessel moves, points stand still)
-    instead of the instantaneous value.
-    """
-    rp = params or RiskParams()
-    dp = domain_params or DomainParams()
-    pts = np.asarray(obstacle_points, dtype=float)
-    if pts.size == 0:
-        return np.empty(0), 0.0
-    per_point = _grounding_grid(StateArrays.of([state]), pts, np.inf, rp, dp)[0]
-    return per_point, float(np.max(per_point))
 
 
 def _outside_unit(value):
@@ -471,8 +402,9 @@ class StepRisk:
     targets_held: bool = False
 
 
-# stands in for a target absent at a query time; the caller zeroes its risk
-_ABSENT = VesselState(time=0.0, north=0.0, east=0.0, speed=0.0, heading=0.0, length=1.0)
+# north, east, speed, heading and hull length of a target absent at a
+# query time; the caller zeroes its risk
+_ABSENT = (0.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def _target_table(
@@ -482,25 +414,25 @@ def _target_table(
     present at any time, a (times, 5, ids) table of their north, east,
     speed, heading and length (``_ABSENT``'s values where absent), the
     (times, ids) presence mask, and whether any target was held at an end
-    of its track.
+    of its track. Each field is a contiguous row, as the kernel reads best.
     """
-    per_time, held_any = [], False
-    for t in times.tolist():
-        states = {}
-        for track in target_tracks:
-            if hold_targets:
-                state, held = track.state_at_clamped(t)
-                held_any = held_any or held
-            elif track.covers(t):
-                state = track.state_at(t)
-            else:
-                continue
-            states[track.track_id] = state
-        per_time.append(states)
-    ids = sorted(set().union(*per_time))
-    table = np.array([StateArrays.of([s.get(tid, _ABSENT) for tid in ids]) for s in per_time])
-    present = np.array([[tid in s for tid in ids] for s in per_time], dtype=bool)
-    return ids, table, present, held_any
+    by_id = {track.track_id: track for track in target_tracks}
+    tracks = [by_id[tid] for tid in sorted(by_id)]
+    spans = np.array([(track.times[0], track.times[-1]) for track in tracks]).reshape(-1, 2)
+    # a target is held wherever clamping into its span moves the time
+    clamped = np.clip(times[:, None], spans[:, 0], spans[:, 1])
+    covered = clamped == times[:, None]
+    present = covered | hold_targets
+    keep = present.any(axis=0)
+    tracks = [track for track, kept in zip(tracks, keep.tolist()) if kept]
+    present = present[:, keep]
+    table = np.empty((times.size, 5, len(tracks)))
+    table[...] = np.reshape(_ABSENT, (5, 1))
+    for i, (flags, when) in enumerate(zip(present.tolist(), clamped[:, keep].tolist())):
+        for k, track in enumerate(tracks):
+            if flags[k]:
+                table[i, :, k] = (*track._row_at(when[k]), track.length)
+    return [track.track_id for track in tracks], table, present, hold_targets and not covered.all()
 
 
 def _grounding_max(
@@ -528,7 +460,7 @@ def _grounding_max(
     chunk = max(1, KERNEL_CHUNK_ELEMS // per_own)
     for lo in range(0, n_own, chunk):
         part = own.select(slice(lo, lo + chunk))
-        out[lo:lo + chunk] = _grounding_grid(part, near, rp.arena_radius, rp, dp).max(axis=1)
+        out[lo:lo + chunk] = _grounding_grid(part, near, rp, dp).max(axis=1)
     return out
 
 
@@ -559,14 +491,14 @@ def scenario_risks(
     rp = params or RiskParams()
     dp = domain_params or DomainParams()
     times = np.asarray(t, dtype=float)
+    if times.ndim and times.shape != own.north.shape or not np.isfinite(times).all():
+        raise ValueError(f"need one time or {own.north.size} times, each finite, got {t!r}")
     if times.ndim == 0:
         # shared targets, fields of shape (ids,)
         distinct, rows = times.reshape(1), 0
-    elif times.shape == own.north.shape:
+    else:
         # each own state's row of the distinct times
         distinct, rows = np.unique(times, return_inverse=True)
-    else:
-        raise ValueError(f"need one time or {own.north.size} times, got shape {times.shape}")
     ids, table, present, held_any = _target_table(target_tracks, distinct, hold_targets)
     tgt = StateArrays(*table[rows].swapaxes(0, -2))
     present = present[rows]

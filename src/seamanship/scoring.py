@@ -53,7 +53,7 @@ class ScoreParams:
         return min(max(r, self.risk_clamp_eps), 1.0 - self.risk_clamp_eps)
 
 
-def invert_risk(r: float, kappa: float = 10.0, f50: float = 1.0) -> float:
+def invert_risk(r: float, kappa: float = RiskParams.kappa, f50: float = RiskParams.f50) -> float:
     """Scale factor whose risk index equals ``r``: the logistic inverse
     (1/kappa) ln(1/r - 1) + f50. Rejects r outside the open interval (0, 1)."""
     if not 0.0 < r < 1.0:
@@ -82,8 +82,12 @@ def normalize_risk(
     data inconsistency and is rejected. The logistic and its inverse use
     the ``kappa`` and ``f50`` of ``risk_params``.
     """
-    p = params or ScoreParams()
-    rp = risk_params or RiskParams()
+    return _normalize(sr, sr_star, params or ScoreParams(), risk_params or RiskParams())[0]
+
+
+def _normalize(sr: float, sr_star: float, p: ScoreParams, rp: RiskParams) -> tuple[float, str]:
+    """:func:`normalize_risk`'s value and the branch that gave it:
+    "passthrough", "no_headroom" or "normalized"."""
     if not 0.0 <= sr <= 1.0 or not 0.0 <= sr_star <= 1.0:
         raise ValueError(f"risks must lie in [0, 1], got sr={sr} sr_star={sr_star}")
     if sr < sr_star - p.consistency_tol:
@@ -93,7 +97,7 @@ def normalize_risk(
         )
     sr = max(sr, sr_star)
     if sr_star <= p.sr_star_eps:
-        return sr
+        return sr, "passthrough"
     f_star = invert_risk(p.clamp(sr_star), rp.kappa, rp.f50)
     denom = 1.0 - f_star
     if denom < 1e-9:
@@ -102,10 +106,10 @@ def normalize_risk(
         log.debug(
             "normalization skipped: f(sr_star)=%.6f leaves no headroom", f_star
         )
-        return sr
+        return sr, "no_headroom"
     f_sr = invert_risk(p.clamp(sr), rp.kappa, rp.f50)
     f_norm = 1.0 + (f_sr - f_star) / denom
-    return p.clamp(risk_index(f_norm, rp))
+    return p.clamp(risk_index(f_norm, rp)), "normalized"
 
 
 def normalize_series(
@@ -136,13 +140,8 @@ def normalize_series(
             # recorded series
             star = raw
             flags["clamped_star"] += 1
-        out[i] = normalize_risk(raw, star, p, rp)
-        if star <= p.sr_star_eps:
-            flags["passthrough"] += 1
-        elif invert_risk(p.clamp(star), rp.kappa, rp.f50) > 1.0 - 1e-9:
-            flags["no_headroom"] += 1
-        else:
-            flags["normalized"] += 1
+        out[i], branch = _normalize(raw, star, p, rp)
+        flags[branch] += 1
     return out, flags
 
 

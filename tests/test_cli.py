@@ -280,6 +280,16 @@ class TestFitSpeedModelCommand:
                 ["track '111000001' east: ", "not 'list'"],
                 id="list",
             ),
+            pytest.param(
+                lambda doc: _own(doc).pop("heading"),
+                ["track '111000001' heading: ", "missing"],
+                id="missing_key",
+            ),
+            pytest.param(
+                lambda doc: _own(doc).update(length="abc"),
+                ["track '111000001' length: ", "could not convert string to float: 'abc'"],
+                id="bad_scalar",
+            ),
             pytest.param(_odd_ring, ["obstacle ring 0: ", "reshape"], id="odd_ring_coordinates"),
             pytest.param(_pack_nan, ["track '111000001': ", "non-finite north"], id="packed_nan"),
             pytest.param(_as_schema_1, ["seamanship ingest"], id="schema_1"),

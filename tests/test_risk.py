@@ -14,6 +14,7 @@ from seamanship.geometry import (
     LocalPoint,
     StateArrays,
     VesselState,
+    VesselTrack,
     VesselType,
     make_domain,
     predict_state,
@@ -25,12 +26,10 @@ from seamanship.risk import (
     MUTUAL_MODES,
     ObstacleSet,
     RiskParams,
-    adjust_domain_for_channel,
     collision_risk_grid,
     compose_scenario_risk,
     compute_risk_series,
     densify_boundaries,
-    grounding_risk,
     mutual_collision_risk,
     overall_collision_risk,
     rate_weighted_mean,
@@ -38,7 +37,7 @@ from seamanship.risk import (
     scenario_risks,
 )
 from seamanship.speedmodel import SpeedChangeModel
-from .test_geometry import straight_track
+from .test_geometry import reference_state_at, reference_state_at_clamped, straight_track
 
 
 class TestRiskIndex:
@@ -154,16 +153,34 @@ class TestObstacleSampling:
         assert np.all(gaps <= 40.0 + 1e-9)
 
 
+def grounding_of(state, points, rp=None, dp=None):
+    """One state's per-point grounding risks from the kernel, and their
+    maximum (0 without points)."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    per_point = risk._grounding_grid(
+        StateArrays.of([state]), pts, rp or RiskParams(), dp or DomainParams()
+    )[0]
+    return per_point, float(per_point.max(initial=0.0))
+
+
 class TestGrounding:
     def test_no_points_zero(self):
         s = VesselState(0.0, 0.0, 0.0, 3.0, 0.0, 100.0)
-        per, mx = grounding_risk(s, np.empty((0, 2)))
+        per, mx = grounding_of(s, np.empty((0, 2)))
         assert per.size == 0 and mx == 0.0
+        assert risk._grounding_max(StateArrays.of([s]), ObstacleSet([]), RiskParams(),
+                                   DomainParams()).tolist() == [0.0]
 
     def test_point_at_vessel_position(self):
         s = VesselState(0.0, 0.0, 0.0, 0.0, 0.0, 100.0)
-        _, mx = grounding_risk(s, np.array([[0.0, 0.0]]))
+        _, mx = grounding_of(s, np.array([[0.0, 0.0]]))
         assert mx == pytest.approx(risk_index(0.0) ** 2, abs=1e-9)
+
+    def test_point_beyond_arena_scores_zero(self):
+        # 950 m dead ahead lies outside the 926 m arena; 900 m lies inside
+        s = VesselState(0.0, 0.0, 0.0, 5.0, 0.0, 100.0)
+        per, _ = grounding_of(s, np.array([[950.0, 0.0], [900.0, 0.0]]))
+        assert per[0] == 0.0 and per[1] > 0.1
 
     def test_adding_points_never_decreases_max(self):
         s = VesselState(0.0, 0.0, 0.0, 2.0, 0.5, 100.0)
@@ -172,54 +189,57 @@ class TestGrounding:
         rp = RiskParams(channel_adjust=False)
         prev = 0.0
         for m in range(1, 21):
-            _, mx = grounding_risk(s, pts[:m], rp)
+            _, mx = grounding_of(s, pts[:m], rp)
             assert mx >= prev - 1e-12
             prev = mx
 
     def test_horizon_max_at_least_instantaneous(self):
         s = VesselState(0.0, 0.0, 0.0, 5.0, 0.0, 100.0)
         pts = np.array([[700.0, 30.0], [500.0, -100.0]])
-        _, inst = grounding_risk(s, pts, RiskParams(channel_adjust=False))
-        _, hor = grounding_risk(
+        _, inst = grounding_of(s, pts, RiskParams(channel_adjust=False))
+        _, hor = grounding_of(
             s, pts, RiskParams(channel_adjust=False, grounding_horizon_max=True)
         )
         assert hor >= inst - 1e-12
 
 
 class TestChannelAdjustment:
+    @staticmethod
+    def assert_unchanged(state, walls):
+        adjusted, _ = grounding_of(state, walls, RiskParams())
+        fixed, _ = grounding_of(state, walls, RiskParams(channel_adjust=False))
+        assert adjusted.tobytes() == fixed.tobytes()
+
     def test_open_water_unchanged(self):
         s = VesselState(0.0, 0.0, 0.0, 3.0, 0.0, 100.0)
-        d = make_domain(s)
-        assert adjust_domain_for_channel(d, s, np.empty((0, 2))) == d
+        self.assert_unchanged(s, np.empty((0, 2)))
+        # a lone point on the track line is on neither side
+        self.assert_unchanged(s, np.array([[300.0, 0.0]]))
 
     def test_narrow_channel_shrinks_beam(self):
         # walls 100 m off each beam: width 200 < 2 * 160 -> minor = 0.8 * 100
         s = VesselState(0.0, 0.0, 0.0, 0.0, 0.0, 100.0)
-        d = make_domain(s)
+        rp, dp = RiskParams(), DomainParams()
         walls = np.array([[50.0, 100.0], [50.0, -100.0]])
-        adj = adjust_domain_for_channel(d, s, walls)
-        assert adj.semi_minor == pytest.approx(80.0)
-        assert adj.semi_major == d.semi_major
+        domain, expected = reference_grounding(s, walls, rp, dp)
+        assert domain.semi_minor == pytest.approx(80.0)
+        assert domain.semi_major == make_domain(s, dp).semi_major
+        _, got = grounding_of(s, walls, rp, dp)
+        assert abs(got - expected) <= 1e-12
+        assert got < grounding_of(s, walls, RiskParams(channel_adjust=False), dp)[1]
 
     def test_wide_channel_unchanged(self):
         s = VesselState(0.0, 0.0, 0.0, 0.0, 0.0, 100.0)
-        d = make_domain(s)
-        walls = np.array([[50.0, 400.0], [50.0, -400.0]])
-        assert adjust_domain_for_channel(d, s, walls) == d
+        self.assert_unchanged(s, np.array([[50.0, 400.0], [50.0, -400.0]]))
 
     def test_one_sided_wall_capped_by_arena(self):
         # single near wall: far side capped at arena radius, width stays large
         s = VesselState(0.0, 0.0, 0.0, 0.0, 0.0, 100.0)
-        d = make_domain(s)
-        walls = np.array([[50.0, 60.0]])
-        adj = adjust_domain_for_channel(d, s, walls)
-        assert adj == d
+        self.assert_unchanged(s, np.array([[50.0, 60.0]]))
 
     def test_points_behind_ignored(self):
         s = VesselState(0.0, 0.0, 0.0, 0.0, 0.0, 100.0)
-        d = make_domain(s)
-        walls = np.array([[-50.0, 100.0], [-50.0, -100.0]])
-        assert adjust_domain_for_channel(d, s, walls) == d
+        self.assert_unchanged(s, np.array([[-50.0, 100.0], [-50.0, -100.0]]))
 
     @pytest.mark.parametrize("corridor", [0.0, -5.0, -5])
     def test_corridor_must_be_positive(self, corridor):
@@ -283,11 +303,15 @@ class TestRiskSeries:
         assert series.scenario[30] > series.scenario[0]
 
     def test_absent_target_contributes_zero(self):
+        # the target's track spans [400, 500]; the vessels are 800 m apart
+        # when it starts, so every present step reads well above rounding
         a = straight_track("own", 0.0, 0.0, 0.0, 5.0, 0.0, 61)
-        b = straight_track("tgt", 400.0, 6000.0, 0.0, 5.0, math.pi, 11)
+        b = straight_track("tgt", 400.0, 2800.0, 150.0, 5.0, math.pi, 11)
         series = compute_risk_series({"own": a, "tgt": b}, "own", 0.0, 600.0)
-        assert series.collision["tgt"][0] == 0.0
-        assert np.any(series.collision["tgt"] > 0.0) or True
+        span = (series.times >= 400.0) & (series.times <= 500.0)
+        assert span.sum() == 11
+        assert np.all(series.collision["tgt"][~span] == 0.0)
+        assert np.all(series.collision["tgt"][span] > 0.1)
 
     def test_unknown_ownship_rejected(self):
         a = straight_track("own", 0.0, 0.0, 0.0, 5.0, 0.0, 11)
@@ -326,6 +350,16 @@ class TestRiskSeries:
             with pytest.raises(ValueError, match="need one time or 2 times"):
                 scenario_risks(states, np.array(t), [], None)
 
+    @pytest.mark.parametrize("t", [math.nan, [0.0, math.nan], [math.inf, 10.0]])
+    @pytest.mark.parametrize("hold", [False, True])
+    def test_non_finite_time_refused(self, t, hold):
+        # a NaN time would otherwise read every target as absent, or held
+        own = straight_track("own", 0.0, 0.0, 0.0, 3.0, 0.0, 11)
+        tgt = straight_track("tgt", 0.0, 500.0, 0.0, 3.0, math.pi, 11)
+        states = StateArrays.of([own.state_at(0.0), own.state_at(10.0)])
+        with pytest.raises(ValueError, match="each finite"):
+            scenario_risks(states, np.array(t), [tgt], None, hold_targets=hold)
+
     def test_calls_scenario_risks_once(self):
         a = straight_track("own", 0.0, 0.0, 0.0, 5.0, 0.0, 61)
         b = straight_track("tgt", 0.0, 6000.0, 0.0, 5.0, math.pi, 61)
@@ -333,6 +367,22 @@ class TestRiskSeries:
             series = compute_risk_series({"own": a, "tgt": b}, "own", 0.0, 600.0)
         assert spy.call_count == 1
         assert series.scenario.size == 61
+
+
+def reference_target_states(target_tracks, t, hold_targets):
+    """Each target's state at ``t`` through the reference state_at and
+    clamp, keyed by track id, and whether any target was held."""
+    states, held_any = {}, False
+    for track in target_tracks:
+        if hold_targets:
+            state, held = reference_state_at_clamped(track, t)
+            held_any = held_any or held
+        elif track.covers(t):
+            state = reference_state_at(track, t)
+        else:
+            continue
+        states[track.track_id] = state
+    return states, held_any
 
 
 def reference_scenario_risk_for_state(
@@ -345,16 +395,7 @@ def reference_scenario_risk_for_state(
     rp = params or RiskParams()
     dp = domain_params or DomainParams()
     own = StateArrays.of([own_state])
-    states, held_any = {}, False
-    for track in target_tracks:
-        if hold_targets:
-            state, held = track.state_at_clamped(t)
-            held_any = held_any or held
-        elif track.covers(t):
-            state = track.state_at(t)
-        else:
-            continue
-        states[track.track_id] = state
+    states, held_any = reference_target_states(target_tracks, t, hold_targets)
     collision, collision_wavg = {}, {}
     for tid in sorted(states):
         tgt = StateArrays.of([states[tid]])
@@ -376,6 +417,66 @@ def reference_scenario_risk_for_state(
         scenario=float(compose_scenario_risk(effective, grounding)),
         targets_held=held_any,
     )
+
+
+def reference_target_table(target_tracks, times, hold_targets):
+    """The target table as built before the row lookup: one VesselState per
+    (time, target) through the reference state_at and clamp, unpacked again
+    into a (times, 5, ids) table."""
+    found = [reference_target_states(target_tracks, t, hold_targets) for t in times.tolist()]
+    per_time = [states for states, _ in found]
+    held_any = any(held for _, held in found)
+    ids = sorted(set().union(*per_time))
+    absent = VesselState(time=0.0, north=0.0, east=0.0, speed=0.0, heading=0.0, length=1.0)
+    table = np.array([StateArrays.of([s.get(tid, absent) for tid in ids]) for s in per_time])
+    present = np.array([[tid in s for tid in ids] for s in per_time], dtype=bool)
+    return ids, table, present.reshape(times.size, -1), held_any
+
+
+@st.composite
+def table_scenes(draw):
+    """Targets in shuffled order whose spans start or end inside the query
+    times, on the 10 s grid or off it, with headings that wrap through
+    north; one query time or several; and no targets at all."""
+    tracks = []
+    for k in range(draw(st.integers(0, 5))):
+        n = draw(st.sampled_from([1, 2, 4, 12]))
+        times = draw(st.sampled_from([-50.0, 0.0, 3.7, 20.0, 55.0])) + 10.0 * np.arange(n)
+        values = st.lists(st.floats(-2000.0, 2000.0), min_size=n, max_size=n)
+        speeds = st.lists(st.floats(0.0, 9.0), min_size=n, max_size=n)
+        headings = st.lists(
+            st.one_of(st.floats(0.0, 2.0 * math.pi - 1e-9), st.sampled_from([0.0, 0.1, 6.2])),
+            min_size=n, max_size=n,
+        )
+        tracks.append(VesselTrack(
+            f"t{k}", times, draw(values), draw(values), draw(speeds), draw(headings),
+            draw(st.floats(20.0, 300.0)),
+        ))
+    order = draw(st.permutations(tracks))
+    query = draw(st.lists(
+        st.one_of(st.sampled_from([-60.0, -50.0, 0.0, 3.7, 8.0, 20.0, 61.2, 165.0, 200.0]),
+                  st.floats(-80.0, 220.0)),
+        min_size=1, max_size=5,
+    ))
+    return order, np.unique(query), draw(st.booleans())
+
+
+class TestTargetTable:
+    @given(table_scenes())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_object_table(self, scene):
+        tracks, times, hold = scene
+        ids, table, present, held = risk._target_table(tracks, times, hold)
+        ref_ids, ref_table, ref_present, ref_held = reference_target_table(tracks, times, hold)
+        assert ids == ref_ids
+        assert table.shape == ref_table.shape and table.tobytes() == ref_table.tobytes()
+        assert present.shape == ref_present.shape and np.array_equal(present, ref_present)
+        assert held is ref_held
+        by_id = {track.track_id: track for track in tracks}
+        for t in times.tolist():
+            for tid in ids:
+                if by_id[tid].covers(t):
+                    assert by_id[tid].state_at(t) == reference_state_at(by_id[tid], t)
 
 
 def reference_risk_series(
@@ -816,11 +917,5 @@ class TestGroundingKernel:
         assert got[-1] == 0.0
         points = obstacles.boundary_points
         for c, state in enumerate(owns):
-            domain, expected = reference_grounding(state, points, rp, dp)
+            _, expected = reference_grounding(state, points, rp, dp)
             assert abs(got[c] - expected) <= 1e-12
-            arena_pts = obstacles.points_in_arena(ArenaSpec(rp.arena_radius, state.position))
-            if arena_pts.size:
-                assert abs(grounding_risk(state, arena_pts, rp, dp)[1] - expected) <= 1e-12
-                adjusted = adjust_domain_for_channel(make_domain(state, dp), state, arena_pts, rp)
-                if channel_adjust:
-                    assert abs(adjusted.semi_minor - domain.semi_minor) <= 1e-12
