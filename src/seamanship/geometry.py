@@ -550,9 +550,54 @@ class VesselTrack:
             interp_heading(float(self.heading[idx]), float(self.heading[idx + 1]), frac),
         )
 
-    def common_times(self, other: "VesselTrack") -> np.ndarray:
-        """Grid times present in both tracks."""
-        return np.intersect1d(self.times, other.times)
+
+def _grid_offsets(times: np.ndarray, tracks: Sequence[VesselTrack], *fields):
+    """The samples of ``tracks`` on the time grid ``times``, as offsets
+    from an own vessel's.
+
+    Each field is a pair: the own vessel's values at ``times`` and one
+    value array per track. Returns ``present``, a (tracks, times) mask of
+    the cells where a track has a sample at exactly that grid time (the
+    times ``np.intersect1d`` shares), and per field a (tracks, times) block
+    of track value less own value, zero where absent.
+    """
+    index = np.empty((len(tracks), times.size), dtype=np.intp)
+    first = 0
+    for row, track in zip(index, tracks):
+        np.minimum(np.searchsorted(track.times, times), track.times.size - 1, out=row)
+        row += first
+        first += track.times.size
+    present = np.concatenate([tr.times for tr in tracks])[index] == times
+    return present, [
+        np.where(present, np.concatenate(values)[index] - own, 0.0) for own, values in fields
+    ]
+
+
+def _first_violations(
+    track_j: VesselTrack,
+    d_north: np.ndarray,
+    d_east: np.ndarray,
+    present: np.ndarray,
+    params: DomainParams,
+) -> np.ndarray:
+    """First grid column of ``track_j`` at which each target row violates
+    its domain, or -1 where none does.
+
+    ``d_north`` and ``d_east`` are the (targets, samples of j) displacements
+    of the targets from j, zero where ``present`` is False. The domain is
+    evaluated only at the columns some target shares, so a domain that
+    places j outside itself is refused exactly where a target is there.
+    """
+    cols = np.flatnonzero(present.any(axis=0))
+    if cols.size == 0:
+        return np.full(present.shape[0], -1)
+    semi_major, semi_minor = domain_axes(track_j.speed[cols], track_j.length, params)
+    x, y = _domain_frame(track_j.heading[cols], d_north[:, cols], d_east[:, cols])
+    f = _scale_factor_xy(
+        semi_major, semi_minor, params.offset_fraction * semi_major, 0.0, x, y
+    )
+    hits = (f < 1.0) & present[:, cols]
+    return np.where(hits.any(axis=1), cols[hits.argmax(axis=1)], -1)
 
 
 def find_tdv(
@@ -566,22 +611,11 @@ def find_tdv(
     time shared by the two tracks; returns the earliest with f < 1, or None
     when no violation occurs (including disjoint time spans).
     """
-    params = params or DomainParams()
-    times = track_j.common_times(track_k)
-    if times.size == 0:
-        return None
-    ij = np.searchsorted(track_j.times, times)
-    ik = np.searchsorted(track_k.times, times)
-    semi_major, semi_minor = domain_axes(track_j.speed[ij], track_j.length, params)
-    x, y = _domain_frame(
-        track_j.heading[ij],
-        track_k.north[ik] - track_j.north[ij],
-        track_k.east[ik] - track_j.east[ij],
+    present, (d_north, d_east) = _grid_offsets(
+        track_j.times,
+        [track_k],
+        (track_j.north, [track_k.north]),
+        (track_j.east, [track_k.east]),
     )
-    f = _scale_factor_xy(
-        semi_major, semi_minor, params.offset_fraction * semi_major, 0.0, x, y
-    )
-    hits = np.nonzero(f < 1.0)[0]
-    if hits.size == 0:
-        return None
-    return float(times[hits[0]])
+    col = _first_violations(track_j, d_north, d_east, present, params or DomainParams())[0]
+    return None if col < 0 else float(track_j.times[col])

@@ -469,7 +469,7 @@ class Scenario:
                 speed=_track_field(td, tid, "speed"),
                 heading=_track_field(td, tid, "heading"),
                 length=_track_field(td, tid, "length", float),
-                vessel_type=_track_field(td, tid, "vessel_type", VesselType.parse),
+                vessel_type=_track_field(td, tid, "vessel_type", VesselType),
             )
             for tid, td in doc["tracks"].items()
         }

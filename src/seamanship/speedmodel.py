@@ -16,7 +16,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import DomainParams, StateArrays, VesselTrack, VesselType, find_tdv, require_finite
+from .geometry import (
+    DomainParams,
+    StateArrays,
+    VesselTrack,
+    VesselType,
+    _first_violations,
+    _grid_offsets,
+    require_finite,
+)
 from .risk import DEFAULT_GRID_N, RiskParams, collision_risk_grid, rate_weighted_mean
 
 log = logging.getLogger(__name__)
@@ -75,31 +83,19 @@ def speed_change_at(track: VesselTrack, t: float, window: float = DEFAULT_WINDOW
     return (v_now - v_then) / window
 
 
-def _min_forward_dcpa(track_a: VesselTrack, track_b: VesselTrack) -> float | None:
-    """Minimum forward-looking closest-approach distance over the common grid.
-
-    At each shared grid time both vessels are extrapolated at constant
-    velocity; a closest approach in the past counts as the current distance.
-    """
-    times = track_a.common_times(track_b)
-    if times.size == 0:
-        return None
-    ia = np.searchsorted(track_a.times, times)
-    ib = np.searchsorted(track_b.times, times)
-    dn = track_b.north[ib] - track_a.north[ia]
-    de = track_b.east[ib] - track_a.east[ia]
-    van = track_a.speed[ia] * np.cos(track_a.heading[ia])
-    vae = track_a.speed[ia] * np.sin(track_a.heading[ia])
-    vbn = track_b.speed[ib] * np.cos(track_b.heading[ib])
-    vbe = track_b.speed[ib] * np.sin(track_b.heading[ib])
-    rvn = vbn - van
-    rve = vbe - vae
-    rv2 = rvn * rvn + rve * rve
+def _forward_dcpa(d_north, d_east, rv_north, rv_east):
+    """Forward-looking closest-approach distance of each displacement and
+    relative velocity: both vessels extrapolated at constant velocity, a
+    closest approach in the past counting as the current distance."""
+    rv2 = rv_north * rv_north + rv_east * rv_east
     with np.errstate(divide="ignore", invalid="ignore"):
-        tcpa = np.where(rv2 > 0.0, -(dn * rvn + de * rve) / np.where(rv2 > 0.0, rv2, 1.0), 0.0)
+        tcpa = np.where(
+            rv2 > 0.0,
+            -(d_north * rv_north + d_east * rv_east) / np.where(rv2 > 0.0, rv2, 1.0),
+            0.0,
+        )
     tcpa = np.maximum(tcpa, 0.0)
-    dcpa = np.hypot(dn + rvn * tcpa, de + rve * tcpa)
-    return float(np.min(dcpa))
+    return np.hypot(d_north + rv_north * tcpa, d_east + rv_east * tcpa)
 
 
 def detect_encounters(
@@ -110,38 +106,76 @@ def detect_encounters(
 ) -> list[EncounterEvent]:
     """Find domain violations among all ordered track pairs.
 
-    A pair (j, k) yields one event when their minimum forward DCPA falls
-    below ``dcpa_threshold`` and k actually violates j's domain at some
-    grid time (the TDV). The event records the violating vessel's
-    speed-change rate at TDV and its type; pairs whose rate window sticks
-    out of the track are dropped.
+    A pair (j, k) yields one event when their minimum forward DCPA over the
+    grid times they share falls below ``dcpa_threshold`` and k actually
+    violates j's domain at one of those times (the TDV, see
+    :func:`~seamanship.geometry.find_tdv`). The event records the violating
+    vessel's speed-change rate at TDV and its type; pairs whose rate window
+    sticks out of the track are dropped. Events come in order of own id,
+    then target id.
+
+    Each own vessel j is scored in one block against every vessel whose
+    span overlaps its own, laid on j's grid times.
     """
     dp = domain_params or DomainParams()
-    events: list[EncounterEvent] = []
     ids = sorted(tracks)
-    for own_id in ids:
-        for target_id in ids:
-            if own_id == target_id:
+    ordered = [tracks[i] for i in ids]
+    starts = np.array([tr.t_start for tr in ordered])
+    ends = np.array([tr.t_end for tr in ordered])
+    columns = (
+        [tr.north for tr in ordered],
+        [tr.east for tr in ordered],
+        [tr.speed * np.cos(tr.heading) for tr in ordered],
+        [tr.speed * np.sin(tr.heading) for tr in ordered],
+    )
+    events: list[EncounterEvent] = []
+    overlapping = screened = dropped = 0
+    for j, own in enumerate(ordered):
+        overlap = (starts <= ends[j]) & (ends >= starts[j])
+        overlap[j] = False
+        rows = np.flatnonzero(overlap)
+        if rows.size == 0:
+            continue
+        overlapping += rows.size
+        present, (d_north, d_east, rv_north, rv_east) = _grid_offsets(
+            own.times,
+            [ordered[k] for k in rows],
+            *((column[j], [column[k] for k in rows]) for column in columns),
+        )
+        dcpa = _forward_dcpa(d_north, d_east, rv_north, rv_east)
+        minimum = np.where(present, dcpa, np.inf).min(axis=1)
+        # a pair passes unless its minimum reaches the threshold: NaN passes
+        close = np.flatnonzero(~(minimum >= dcpa_threshold))
+        if close.size == 0:
+            continue
+        screened += close.size
+        first = _first_violations(own, d_north[close], d_east[close], present[close], dp)
+        for row, col in zip(close, first):
+            if col < 0:
                 continue
-            own, target = tracks[own_id], tracks[target_id]
-            dcpa = _min_forward_dcpa(own, target)
-            if dcpa is None or dcpa >= dcpa_threshold:
-                continue
-            tdv = find_tdv(own, target, dp)
-            if tdv is None:
-                continue
+            target = ordered[rows[row]]
+            tdv = float(own.times[col])
             rate = speed_change_at(target, tdv, window)
             if rate is None:
+                dropped += 1
                 continue
             events.append(
                 EncounterEvent(
-                    own_id=own_id,
-                    target_id=target_id,
+                    own_id=ids[j],
+                    target_id=ids[rows[row]],
                     tdv=tdv,
                     speed_change=rate,
                     vessel_type=target.vessel_type,
                 )
             )
+    log.info(
+        "encounters: %d ordered pairs overlap in time, %d pass the DCPA screen, "
+        "%d events, %d dropped for a rate window outside the track",
+        overlapping,
+        screened,
+        len(events),
+        dropped,
+    )
     return events
 
 
@@ -210,12 +244,15 @@ class SpeedChangeModel:
     def from_dict(cls, doc: Mapping) -> "SpeedChangeModel":
         if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
             raise ValueError(f"unsupported model schema {doc.get('schema_version')}")
+        degenerate = doc.get("degenerate", False)
+        if not isinstance(degenerate, bool):
+            raise ValueError(f"degenerate must be true or false, got {degenerate!r}")
         return cls(
-            vessel_type=VesselType.parse(doc["vessel_type"]),
+            vessel_type=VesselType(doc["vessel_type"]),
             samples=np.asarray(doc["samples"], dtype=float),
             bandwidth=float(doc["bandwidth"]),
             support=(float(doc["support"][0]), float(doc["support"][1])),
-            degenerate=bool(doc.get("degenerate", False)),
+            degenerate=degenerate,
             metadata=dict(doc.get("metadata", {})),
         )
 

@@ -290,6 +290,16 @@ class TestFitSpeedModelCommand:
                 ["track '111000001' length: ", "could not convert string to float: 'abc'"],
                 id="bad_scalar",
             ),
+            pytest.param(
+                lambda doc: _own(doc).update(vessel_type="Carg0"),
+                ["track '111000001' vessel_type: ", "'Carg0' is not a valid VesselType"],
+                id="unknown_vessel_type",
+            ),
+            pytest.param(
+                lambda doc: _own(doc).update(vessel_type=5),
+                ["track '111000001' vessel_type: ", "5 is not a valid VesselType"],
+                id="numeric_vessel_type",
+            ),
             pytest.param(_odd_ring, ["obstacle ring 0: ", "reshape"], id="odd_ring_coordinates"),
             pytest.param(_pack_nan, ["track '111000001': ", "non-finite north"], id="packed_nan"),
             pytest.param(_as_schema_1, ["seamanship ingest"], id="schema_1"),
@@ -370,6 +380,35 @@ class TestScoreCommand:
         assert "cr_wavg_111000002" in header
         manifest = json.loads((out / "manifest.json").read_text())
         assert "model_cargo" in manifest["inputs"]
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("vessel_type", "Carg0", "'Carg0' is not a valid VesselType"),
+            ("vessel_type", "cargo", "'cargo' is not a valid VesselType"),
+            ("degenerate", "false", "degenerate must be true or false, got 'false'"),
+            ("degenerate", 0, "degenerate must be true or false, got 0"),
+        ],
+    )
+    def test_bad_model_file_exits_2(self, head_on_ais, tmp_path, capsys, field, value, named):
+        scenario = ingest(head_on_ais, tmp_path / "ing")
+        fit = tmp_path / "fit"
+        assert run(
+            "fit-speed-model", "--scenario", scenario, "--output", fit,
+            "--set", "speed.min_samples=1",
+        ) == 0
+        model = fit / "model_cargo.json"
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        doc[field] = value
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = run(
+            "score", "--scenario", scenario, "--ownship", "111000001",
+            "--output", tmp_path / "score", "--model", model, *FAST_SEARCH,
+        )
+        assert code == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message.startswith("bad speed model") and named in message, message
 
     def test_window_flags_clip_series(self, head_on_ais, tmp_path):
         scenario = ingest(head_on_ais, tmp_path / "ing")

@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script runs to completion, with a RuntimeWarning
+an error as it is in the test suite."""
 
 import os
 import subprocess
@@ -18,7 +19,7 @@ def test_demo_exits_zero(script):
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -6,9 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from seamanship.geometry import VesselTrack, VesselType
+from seamanship.geometry import (
+    DomainParams,
+    VesselTrack,
+    VesselType,
+    _domain_frame,
+    _scale_factor_xy,
+    domain_axes,
+    find_tdv,
+)
 from seamanship.risk import MUTUAL_MODES, RiskParams, overall_collision_risk, rate_weighted_mean
 from seamanship.speedmodel import (
+    DEFAULT_DCPA_THRESHOLD,
+    DEFAULT_WINDOW,
     EncounterEvent,
     SpeedChangeModel,
     SpeedParams,
@@ -80,6 +90,206 @@ class TestDetectEncounters:
         b = straight_track("b", 0.0, 100.0, 0.0, 0.0, 0.0, 31)
         events = detect_encounters({"a": a, "b": b})
         assert events == []
+
+
+def reference_min_forward_dcpa(track_a, track_b):
+    """Minimum forward-looking closest-approach distance over the common
+    grid, one pair at a time: the per-pair screen the block replaced."""
+    times = np.intersect1d(track_a.times, track_b.times)
+    if times.size == 0:
+        return None
+    ia = np.searchsorted(track_a.times, times)
+    ib = np.searchsorted(track_b.times, times)
+    dn = track_b.north[ib] - track_a.north[ia]
+    de = track_b.east[ib] - track_a.east[ia]
+    van = track_a.speed[ia] * np.cos(track_a.heading[ia])
+    vae = track_a.speed[ia] * np.sin(track_a.heading[ia])
+    vbn = track_b.speed[ib] * np.cos(track_b.heading[ib])
+    vbe = track_b.speed[ib] * np.sin(track_b.heading[ib])
+    rvn = vbn - van
+    rve = vbe - vae
+    rv2 = rvn * rvn + rve * rve
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tcpa = np.where(rv2 > 0.0, -(dn * rvn + de * rve) / np.where(rv2 > 0.0, rv2, 1.0), 0.0)
+    tcpa = np.maximum(tcpa, 0.0)
+    dcpa = np.hypot(dn + rvn * tcpa, de + rve * tcpa)
+    return float(np.min(dcpa))
+
+
+def reference_find_tdv(track_j, track_k, params=None):
+    """First common grid time at which k violates j's domain, one pair at
+    a time."""
+    params = params or DomainParams()
+    times = np.intersect1d(track_j.times, track_k.times)
+    if times.size == 0:
+        return None
+    ij = np.searchsorted(track_j.times, times)
+    ik = np.searchsorted(track_k.times, times)
+    semi_major, semi_minor = domain_axes(track_j.speed[ij], track_j.length, params)
+    x, y = _domain_frame(
+        track_j.heading[ij],
+        track_k.north[ik] - track_j.north[ij],
+        track_k.east[ik] - track_j.east[ij],
+    )
+    f = _scale_factor_xy(
+        semi_major, semi_minor, params.offset_fraction * semi_major, 0.0, x, y
+    )
+    hits = np.nonzero(f < 1.0)[0]
+    if hits.size == 0:
+        return None
+    return float(times[hits[0]])
+
+
+def reference_detect_encounters(
+    tracks, dcpa_threshold=DEFAULT_DCPA_THRESHOLD, domain_params=None, window=DEFAULT_WINDOW
+):
+    """Encounter detection one ordered pair at a time."""
+    dp = domain_params or DomainParams()
+    events = []
+    ids = sorted(tracks)
+    for own_id in ids:
+        for target_id in ids:
+            if own_id == target_id:
+                continue
+            own, target = tracks[own_id], tracks[target_id]
+            dcpa = reference_min_forward_dcpa(own, target)
+            if dcpa is None or dcpa >= dcpa_threshold:
+                continue
+            tdv = reference_find_tdv(own, target, dp)
+            if tdv is None:
+                continue
+            rate = speed_change_at(target, tdv, window)
+            if rate is None:
+                continue
+            events.append(
+                EncounterEvent(
+                    own_id=own_id,
+                    target_id=target_id,
+                    tdv=tdv,
+                    speed_change=rate,
+                    vessel_type=target.vessel_type,
+                )
+            )
+    return events
+
+
+def _random_track(track_id, rng, times, vessel_type):
+    """A track at ``times`` at a speed of 0 to 8 m/s that may drift, on a
+    course from one of 16 points that may turn. Most tracks head for the
+    origin, due there at t = 300 s; the rest start 1 to 3 km out. Starts
+    sit on a coarse lattice, so positions coincide now and then."""
+    n = times.size
+    v0 = float(rng.choice([0.0, 2.5, 5.0, 5.0, rng.uniform(0.0, 8.0)]))
+    speed = np.full(n, v0)
+    if rng.random() < 0.5:
+        speed = np.maximum(0.0, speed + np.cumsum(rng.normal(0.0, 0.1, n)))
+    heading = math.pi / 8.0 * rng.integers(0, 16)
+    if rng.random() < 0.7:
+        reach = -v0 * (300.0 - times[0])
+        n0 = reach * math.cos(heading) - 50.0 * rng.integers(-3, 4) * math.sin(heading)
+        e0 = reach * math.sin(heading) + 50.0 * rng.integers(-3, 4) * math.cos(heading)
+    else:
+        radius = 250.0 * rng.integers(4, 13)
+        bearing = math.pi / 8.0 * rng.integers(0, 16)
+        n0, e0 = radius * math.cos(bearing), radius * math.sin(bearing)
+    heading = heading + (np.cumsum(rng.normal(0.0, 0.02, n)) if rng.random() < 0.5 else 0.0)
+    steps = np.diff(times, prepend=times[0])
+    north = n0 + np.cumsum(speed * steps * np.cos(heading))
+    east = e0 + np.cumsum(speed * steps * np.sin(heading))
+    return VesselTrack(
+        track_id, times, north, east, speed, np.broadcast_to(heading, (n,)),
+        length=float(rng.choice([50.0, 100.0, rng.uniform(10.0, 150.0)])),
+        vessel_type=vessel_type,
+    )
+
+
+@st.composite
+def track_dicts(draw):
+    """Random track dicts: tracks on grids of other phase or dt, one-sample
+    tracks, tracks with a gap in their samples, tracks split in two with
+    disjoint spans, and copies of a track (coincident positions, zero
+    relative velocity) or of its velocities beside it (zero relative
+    velocity only)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tracks = {}
+    for i in range(draw(st.integers(2, 6))):
+        dt = draw(st.sampled_from([10.0, 10.0, 10.0, 5.0, 20.0, 7.5]))
+        phase = draw(st.sampled_from([0.0, 0.0, 0.0, 2.5, 5.0]))
+        n = draw(st.sampled_from([1, 3, 30, 60, 60, 60]))
+        t0 = phase + 10.0 * draw(st.integers(0, 12))
+        times = t0 + dt * np.arange(n)
+        shape = draw(st.sampled_from(["plain", "gap", "split", "copy", "beside"]))
+        if shape == "gap" and n > 4:
+            cut = rng.integers(1, n - 2)
+            times = np.delete(times, np.arange(cut, min(n - 1, cut + rng.integers(1, 8))))
+        vtype = draw(st.sampled_from(list(VesselType)))
+        track = _random_track(f"v{i}", rng, times, vtype)
+        if shape == "split" and n > 2:
+            cut = int(rng.integers(1, n - 1))
+            for part, keep in (("a", slice(None, cut)), ("b", slice(cut + 1, None))):
+                tracks[f"v{i}{part}"] = VesselTrack(
+                    f"v{i}{part}", track.times[keep], track.north[keep], track.east[keep],
+                    track.speed[keep], track.heading[keep], track.length, vtype,
+                )
+            continue
+        tracks[track.track_id] = track
+        if shape in ("copy", "beside"):
+            shift = 0.0 if shape == "copy" else 50.0 * rng.integers(1, 10)
+            tracks[f"v{i}c"] = VesselTrack(
+                f"v{i}c", track.times, track.north + shift, track.east, track.speed,
+                track.heading, float(rng.choice([track.length, 60.0])), vtype,
+            )
+    return tracks
+
+
+@st.composite
+def detection_settings(draw, tracks):
+    """A DCPA threshold (the default, 0, or exactly one pair's minimum),
+    domain coefficients and a rate window."""
+    minima = sorted(
+        {
+            dcpa
+            for a in tracks.values()
+            for b in tracks.values()
+            if a is not b and (dcpa := reference_min_forward_dcpa(a, b)) is not None
+        }
+    )
+    threshold = draw(st.sampled_from([DEFAULT_DCPA_THRESHOLD, 0.0, *minima]))
+    dp = draw(
+        st.sampled_from(
+            [DomainParams(), DomainParams(3.0, 0.25, 1.2, -0.4), DomainParams(2.0, 0.0, 0.8, 0.9)]
+        )
+    )
+    return threshold, dp, draw(st.sampled_from([DEFAULT_WINDOW, 10.0, 25.0]))
+
+
+class TestBlockMatchesPairLoop:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_detect_encounters_equals_pair_loop(self, data):
+        tracks = data.draw(track_dicts())
+        threshold, dp, window = data.draw(detection_settings(tracks))
+        found = detect_encounters(tracks, threshold, dp, window)
+        assert found == reference_detect_encounters(tracks, threshold, dp, window)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_find_tdv_equals_pair_reference(self, data):
+        tracks = data.draw(track_dicts())
+        _, dp, _ = data.draw(detection_settings(tracks))
+        for a in tracks.values():
+            for b in tracks.values():
+                assert find_tdv(a, b, dp) == reference_find_tdv(a, b, dp)
+
+    def test_threshold_is_strict(self):
+        # a pair whose minimum DCPA equals the threshold is screened out,
+        # one just above it passes
+        a = straight_track("a", 0.0, 0.0, 0.0, 5.0, 0.0, 121)
+        b = straight_track("b", 0.0, 6000.0, 50.0, 5.0, math.pi, 121)
+        dcpa = reference_min_forward_dcpa(a, b)
+        tracks = {"a": a, "b": b}
+        assert detect_encounters(tracks, dcpa) == []
+        assert len(detect_encounters(tracks, math.nextafter(dcpa, math.inf))) == 2
 
 
 def make_events(rates, vtype=VesselType.CARGO):
@@ -156,6 +366,24 @@ class TestFitModel:
         assert back.support == model.support
         x = np.linspace(*model.support, 50)
         assert np.array_equal(back.density(x), model.density(x))
+
+
+class TestModelFile:
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("vessel_type", "Carg0", "not a valid VesselType"),
+            ("vessel_type", "cargo", "not a valid VesselType"),
+            ("vessel_type", 5, "not a valid VesselType"),
+            ("degenerate", "false", "degenerate must be true or false"),
+            ("degenerate", 1, "degenerate must be true or false"),
+        ],
+    )
+    def test_loose_fields_refused(self, field, value, problem):
+        doc = fit_model(make_events([0.01, 0.02, 0.03]), VesselType.CARGO, min_samples=3).to_dict()
+        doc[field] = value
+        with pytest.raises(ValueError, match=problem):
+            SpeedChangeModel.from_dict(doc)
 
 
 class TestProbabilisticCr:
