@@ -19,7 +19,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .geometry import DomainParams, VesselType
+from .geometry import DomainParams, VesselType, is_finite
 from .ingest import AisSchema, IngestParams, Scenario, build_scenario, sha256_file
 from .planner import (
     Hyperparameters,
@@ -92,41 +92,93 @@ def load_config(args) -> dict:
     return config
 
 
-def build_block(name: str, config: dict):
-    """Instantiate one parameter dataclass from its config section."""
-    cls = PARAM_BLOCKS[name]
+def _section(config: dict, name: str) -> dict:
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise CliError(f"config section {name!r} must be an object")
+    return section
+
+
+def build_block(name: str, config: dict):
+    """Instantiate one parameter dataclass from its config section."""
+    cls = PARAM_BLOCKS[name]
+    section = _section(config, name)
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(section) - known)
     if unknown:
         raise CliError(f"unknown keys in config section {name!r}: {unknown}")
-    values = dict(section)
-    if name == "schema" and "timestamp_formats" in values:
-        values["timestamp_formats"] = tuple(values["timestamp_formats"])
     try:
-        return cls(**values)
+        return cls(**section)
     except (TypeError, ValueError) as exc:
         raise CliError(f"config section {name!r}: {exc}")
 
 
-def _resolve_path(config: dict, args, key: str, required: bool = False):
+def _setting(config: dict, args, key: str, kind: type, section: str | None = None):
+    """The flag ``--key`` if given, else the config entry ``key`` (inside
+    ``section`` when one is named), else None. A ``float`` setting must be
+    a finite real number (not a bool), a ``str`` one a non-empty string."""
     value = getattr(args, key, None)
+    name = "--" + key.replace("_", "-")
     if value is None:
-        value = config.get("paths", {}).get(key)
+        value = (_section(config, section) if section else config).get(key)
+        name = f"{section}.{key}" if section else key
     if value is None:
-        if required:
-            raise CliError(f"no {key!r} path given (flag --{key} or paths.{key})")
         return None
-    path = Path(value)
-    if not path.is_file():
-        raise CliError(f"{key} file not found: {path}", path=str(path))
-    return path
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and is_finite(value)
+    else:
+        ok = isinstance(value, str) and value != ""
+    if not ok:
+        wanted = "a finite number" if kind is float else "a non-empty string"
+        raise CliError(f"{name} must be {wanted}, got {value!r}")
+    return kind(value)
 
 
-def _resolve_output(config: dict, args) -> Path:
-    value = getattr(args, "output", None) or config.get("paths", {}).get("output")
+# ``paths`` entries that hold a list of file names rather than one
+LIST_PATHS = ("scenarios", "models")
+# (flag, paths entries, key) of the scenario archives
+SCENARIO_FILES = ("scenario", ("scenarios", "scenario"), "scenario")
+
+
+def _input_files(
+    config: dict, args, flag: str, keys: tuple[str, ...], name: str | None,
+    required: bool = False,
+) -> dict[str, Path]:
+    """Existing files named by ``--flag``, else by the ``paths`` entries
+    ``keys`` in order. Each is keyed ``name`` (``name_<i>`` when there are
+    several), or by its file stem when ``name`` is None."""
+    given = getattr(args, flag, None)
+    if given is not None:
+        listed = [given] if isinstance(given, str) else list(given)
+    else:
+        listed = []
+        paths = _section(config, "paths")
+        for key in keys:
+            value = paths.get(key)
+            if value is None:
+                continue
+            items = value if key in LIST_PATHS else [value]
+            if not isinstance(items, list) or not all(isinstance(v, str) and v for v in items):
+                wanted = "a list of file names" if key in LIST_PATHS else "a file name"
+                raise CliError(f"paths.{key} must be {wanted}, got {value!r}")
+            listed += items
+    if required and not listed:
+        where = " or ".join(f"paths.{key}" for key in keys)
+        raise CliError(f"no {flag} file given (flag --{flag} or {where})")
+    files = {}
+    for i, value in enumerate(listed):
+        path = Path(value)
+        if not path.is_file():
+            raise CliError(f"{flag} file not found: {path}", path=str(path))
+        if name is None:
+            files[path.stem] = path
+        else:
+            files[f"{name}_{i}" if len(listed) > 1 else name] = path
+    return files
+
+
+def _output_dir(config: dict, args) -> Path:
+    value = _setting(config, args, "output", str, "paths")
     if value is None:
         raise CliError("no output directory given (flag --output or paths.output)")
     out = Path(value)
@@ -152,10 +204,17 @@ def _load_model_file(path: Path) -> SpeedChangeModel:
         raise CliError(f"bad speed model {path}: {exc}", path=str(path))
 
 
-def _digests(inputs: dict[str, Path]) -> dict:
+def _provenance(inputs: dict[str, Path], blocks: dict) -> dict:
+    """Input digests and the parameter echo that every output embeds."""
     return {
-        name: {"path": str(path), "sha256": sha256_file(path)}
-        for name, path in sorted(inputs.items())
+        "inputs": {
+            name: {"path": str(path), "sha256": sha256_file(path)}
+            for name, path in sorted(inputs.items())
+        },
+        "parameters": {
+            name: dataclasses.asdict(block) if dataclasses.is_dataclass(block) else block
+            for name, block in blocks.items()
+        },
     }
 
 
@@ -163,27 +222,11 @@ def write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def write_manifest(
-    outdir: Path, command: str, inputs: dict, parameters: dict, outputs: list[str]
-) -> None:
+def write_manifest(outdir: Path, command: str, provenance: dict, outputs: list[str]) -> None:
     write_json(
         outdir / "manifest.json",
-        {
-            "command": command,
-            "inputs": inputs,
-            "outputs": sorted(outputs),
-            "parameters": parameters,
-        },
+        {"command": command, **provenance, "outputs": sorted(outputs)},
     )
-
-
-def parameter_echo(blocks: dict) -> dict:
-    echo = {}
-    for name, block in blocks.items():
-        echo[name] = (
-            dataclasses.asdict(block) if dataclasses.is_dataclass(block) else block
-        )
-    return echo
 
 
 def _fmt(x: float) -> str:
@@ -203,9 +246,12 @@ def _csv_text(header: list[str], rows, provenance: dict) -> str:
 
 def cmd_ingest(args) -> int:
     config = load_config(args)
-    outdir = _resolve_output(config, args)
-    ais = _resolve_path(config, args, "ais", required=True)
-    chart = _resolve_path(config, args, "chart")
+    outdir = _output_dir(config, args)
+    inputs = {
+        **_input_files(config, args, "ais", ("ais",), "ais", required=True),
+        **_input_files(config, args, "chart", ("chart",), "chart"),
+    }
+    ais, chart = inputs["ais"], inputs.get("chart")
     params = build_block("ingest", config)
     schema = build_block("schema", config)
     try:
@@ -222,39 +268,15 @@ def cmd_ingest(args) -> int:
         "skipped_rows": scenario.metadata["ingest"]["skipped_rows"],
     }
     write_json(outdir / "summary.json", summary)
-    inputs = {"ais": ais, **({"chart": chart} if chart else {})}
-    write_manifest(
-        outdir,
-        "ingest",
-        _digests(inputs),
-        parameter_echo({"ingest": params, "schema": schema}),
-        ["scenario.json", "summary.json"],
-    )
+    provenance = _provenance(inputs, {"ingest": params, "schema": schema})
+    write_manifest(outdir, "ingest", provenance, ["scenario.json", "summary.json"])
     return EXIT_OK
-
-
-def _load_scenarios(config: dict, args) -> dict[str, Path]:
-    listed = list(getattr(args, "scenario", None) or [])
-    if not listed:
-        listed = config.get("paths", {}).get("scenarios", [])
-        single = config.get("paths", {}).get("scenario")
-        if single:
-            listed.append(single)
-    if not listed:
-        raise CliError("no scenario archive given (flag --scenario or paths.scenario)")
-    paths = {}
-    for i, value in enumerate(listed):
-        path = Path(value)
-        if not path.is_file():
-            raise CliError(f"scenario file not found: {path}", path=str(path))
-        paths[f"scenario_{i}" if len(listed) > 1 else "scenario"] = path
-    return paths
 
 
 def cmd_fit_speed_model(args) -> int:
     config = load_config(args)
-    outdir = _resolve_output(config, args)
-    scenario_paths = _load_scenarios(config, args)
+    outdir = _output_dir(config, args)
+    scenario_paths = _input_files(config, args, *SCENARIO_FILES, required=True)
     dp = build_block("domain", config)
     speed = build_block("speed", config)
     events = []
@@ -284,56 +306,27 @@ def cmd_fit_speed_model(args) -> int:
         }
     write_json(outdir / "fit_report.json", report)
     outputs.append("fit_report.json")
-    write_manifest(
-        outdir,
-        "fit-speed-model",
-        _digests(scenario_paths),
-        parameter_echo({"domain": dp, "speed": speed}),
-        outputs,
-    )
+    provenance = _provenance(scenario_paths, {"domain": dp, "speed": speed})
+    write_manifest(outdir, "fit-speed-model", provenance, outputs)
     return EXIT_OK
 
 
-def _load_models(config: dict, args) -> dict[str, Path]:
-    listed = list(getattr(args, "model", None) or [])
-    if not listed:
-        listed = config.get("paths", {}).get("models", [])
-    paths = {}
-    for value in listed:
-        path = Path(value)
-        if not path.is_file():
-            raise CliError(f"model file not found: {path}", path=str(path))
-        paths[path.stem] = path
-    return paths
+# the parameter blocks that score and safest-path both search with
+SCENE_BLOCKS = ("domain", "risk", "kinodynamics", "search")
 
 
-def _window(config: dict, args, track) -> tuple[float, float]:
-    t_start = getattr(args, "t_start", None)
-    t_end = getattr(args, "t_end", None)
-    window = config.get("window")
-    if window is not None and (t_start is None or t_end is None):
-        if not isinstance(window, (list, tuple)) or len(window) != 2:
-            raise CliError("config 'window' must be [t_start, t_end]")
-        t_start = window[0] if t_start is None else t_start
-        t_end = window[1] if t_end is None else t_end
-    if t_start is None:
-        t_start = track.t_start
-    if t_end is None:
-        t_end = track.t_end
-    if t_end < t_start:
-        raise CliError(f"window is empty: [{t_start}, {t_end}]")
-    return float(t_start), float(t_end)
-
-
-def cmd_score(args) -> int:
+def _scene(args, command: str):
+    """The set-up score and safest-path share: (config, run directory,
+    scenario input files, the one archive, the ownship, found in that
+    archive, and the SCENE_BLOCKS parameter blocks by name)."""
     config = load_config(args)
-    outdir = _resolve_output(config, args)
-    scenario_paths = _load_scenarios(config, args)
-    if len(scenario_paths) > 1:
-        raise CliError("score expects exactly one scenario archive")
-    (scenario_path,) = scenario_paths.values()
-    scenario = _load_archive(scenario_path)
-    ownship = getattr(args, "ownship", None) or config.get("ownship")
+    outdir = _output_dir(config, args)
+    inputs = _input_files(config, args, *SCENARIO_FILES, required=True)
+    if len(inputs) > 1:
+        raise CliError(f"{command} expects exactly one scenario archive")
+    (path,) = inputs.values()
+    scenario = _load_archive(path)
+    ownship = _setting(config, args, "ownship", str)
     if ownship is None:
         raise CliError("no ownship id given (flag --ownship or config 'ownship')")
     if ownship not in scenario.tracks:
@@ -341,15 +334,34 @@ def cmd_score(args) -> int:
             f"ownship {ownship!r} not in scenario",
             available=sorted(scenario.tracks),
         )
-    model_paths = _load_models(config, args)
+    blocks = {name: build_block(name, config) for name in SCENE_BLOCKS}
+    return config, outdir, inputs, scenario, ownship, blocks
+
+
+def _window(config: dict, args, track) -> tuple[float, float]:
+    """``--t-start``/``--t-end``, each overriding its half of the config
+    ``window`` [t_start, t_end], and the ownship's span where neither is set."""
+    window = config.get("window")
+    if window is not None and (not isinstance(window, (list, tuple)) or len(window) != 2):
+        raise CliError("config 'window' must be [t_start, t_end]")
+    halves = {"window": dict(zip(("t_start", "t_end"), window or ()))}
+    t_start = _setting(halves, args, "t_start", float, "window")
+    t_end = _setting(halves, args, "t_end", float, "window")
+    t_start = float(track.t_start) if t_start is None else t_start
+    t_end = float(track.t_end) if t_end is None else t_end
+    if t_end < t_start:
+        raise CliError(f"window is empty: [{t_start}, {t_end}]")
+    return t_start, t_end
+
+
+def cmd_score(args) -> int:
+    config, outdir, inputs, scenario, ownship, blocks = _scene(args, "score")
+    dp, rp, kin, hyper = (blocks[name] for name in SCENE_BLOCKS)
+    model_paths = _input_files(config, args, "model", ("models",), None)
     models = {}
     for path in model_paths.values():
         model = _load_model_file(path)
         models[model.vessel_type] = model
-    dp = build_block("domain", config)
-    rp = build_block("risk", config)
-    kin = build_block("kinodynamics", config)
-    hyper = build_block("search", config)
     sp = build_block("score", config)
     speed = build_block("speed", config)
     t_start, t_end = _window(config, args, scenario.tracks[ownship])
@@ -366,34 +378,16 @@ def cmd_score(args) -> int:
             wavg_grid_n=speed.grid_n,
         )
         sr_star = sr_star_series(
-            scenario.tracks,
-            ownship,
-            series.times,
-            hyper,
-            kin,
-            rp,
-            dp,
-            scenario.obstacles,
+            scenario.tracks, ownship, series.times, hyper, kin, rp, dp, scenario.obstacles
         )
     except ValueError as exc:
         raise CliError(str(exc))
     proposed = score_series(ownship, series.times, series.scenario, sr_star, sp, rp)
     baseline = score_series(ownship, series.times, series.scenario, None, sp, rp)
-
-    inputs = _digests({**scenario_paths, **model_paths})
-    parameters = parameter_echo(
-        {
-            "domain": dp,
-            "risk": rp,
-            "kinodynamics": kin,
-            "search": hyper,
-            "score": sp,
-            "speed": speed,
-            "window": [t_start, t_end],
-            "ownship": ownship,
-        }
+    provenance = _provenance(
+        {**inputs, **model_paths},
+        {**blocks, "score": sp, "speed": speed, "window": [t_start, t_end], "ownship": ownship},
     )
-    provenance = {"inputs": inputs, "parameters": parameters}
 
     header = ["time"]
     target_ids = series.target_ids()
@@ -424,13 +418,8 @@ def cmd_score(args) -> int:
     write_json(
         outdir / "baseline_gss.json", {**baseline.to_dict(), "provenance": provenance}
     )
-    write_manifest(
-        outdir,
-        "score",
-        inputs,
-        parameters,
-        ["risk_series.csv", "sr_star.csv", "gss.json", "baseline_gss.json"],
-    )
+    outputs = ["risk_series.csv", "sr_star.csv", "gss.json", "baseline_gss.json"]
+    write_manifest(outdir, "score", provenance, outputs)
     return EXIT_OK
 
 
@@ -449,47 +438,19 @@ def _parse_sweep(raw: str | None) -> list[int] | None:
 
 
 def cmd_safest_path(args) -> int:
-    config = load_config(args)
-    outdir = _resolve_output(config, args)
-    scenario_paths = _load_scenarios(config, args)
-    if len(scenario_paths) > 1:
-        raise CliError("safest-path expects exactly one scenario archive")
-    (scenario_path,) = scenario_paths.values()
-    scenario = _load_archive(scenario_path)
-    ownship = getattr(args, "ownship", None) or config.get("ownship")
-    if ownship is None:
-        raise CliError("no ownship id given (flag --ownship or config 'ownship')")
-    t = getattr(args, "time", None)
-    if t is None:
-        t = config.get("time")
+    config, outdir, inputs, scenario, ownship, blocks = _scene(args, "safest-path")
+    dp, rp, kin, hyper = (blocks[name] for name in SCENE_BLOCKS)
+    t = _setting(config, args, "time", float)
     if t is None:
         raise CliError("no start time given (flag --time or config 'time')")
-    t = float(t)
-    dp = build_block("domain", config)
-    rp = build_block("risk", config)
-    kin = build_block("kinodynamics", config)
-    hyper = build_block("search", config)
     try:
         result = branch_and_bound(
             scenario.tracks, ownship, t, hyper, kin, rp, dp, scenario.obstacles
         )
-    except KeyError as exc:
-        raise CliError(str(exc.args[0]), available=sorted(scenario.tracks))
     except ValueError as exc:
         raise CliError(str(exc))
 
-    inputs = _digests(scenario_paths)
-    parameters = parameter_echo(
-        {
-            "domain": dp,
-            "risk": rp,
-            "kinodynamics": kin,
-            "search": hyper,
-            "ownship": ownship,
-            "time": t,
-        }
-    )
-    provenance = {"inputs": inputs, "parameters": parameters}
+    provenance = _provenance(inputs, {**blocks, "ownship": ownship, "time": t})
     write_json(outdir / "path.json", {**result.to_dict(), "provenance": provenance})
     outputs = ["path.json"]
 
@@ -510,7 +471,7 @@ def cmd_safest_path(args) -> int:
             encoding="utf-8",
         )
         outputs.append("sr_star_grid.csv")
-    write_manifest(outdir, "safest-path", inputs, parameters, outputs)
+    write_manifest(outdir, "safest-path", provenance, outputs)
     return EXIT_OK
 
 

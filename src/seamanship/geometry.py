@@ -73,6 +73,14 @@ def _field_kinds(cls) -> dict[str, object]:
     return kinds
 
 
+def is_finite(value) -> bool:
+    """``math.isfinite``, but False for an int too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def require_finite(params) -> None:
     """Reject a parameter dataclass holding a non-finite float in any field,
     anything but a finite real number in a ``float`` field, anything but an
@@ -98,13 +106,8 @@ def require_finite(params) -> None:
         real = kind in (float, _OPTIONAL_REAL)
         if real and (not isinstance(value, numbers.Real) or isinstance(value, bool)):
             raise ValueError(f"{f.name} must be a real number, got {value!r}")
-        if real or isinstance(value, float):
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:
-                finite = False
-            if not finite:
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        if (real or isinstance(value, float)) and not is_finite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
         if kind is int and (not isinstance(value, numbers.Integral) or isinstance(value, bool)):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if kind in (bool, str) and not isinstance(value, kind):

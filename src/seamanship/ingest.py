@@ -58,7 +58,8 @@ class AisSchema:
     """Column names and timestamp formats of an AIS CSV export.
 
     Defaults follow the Danish Maritime Authority layout. ``timestamp_formats``
-    are tried in order after ISO-8601.
+    (a list or tuple of strings, stored as a tuple) are tried in order after
+    ISO-8601.
     """
 
     timestamp: str = "# Timestamp"
@@ -74,6 +75,12 @@ class AisSchema:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        formats = self.timestamp_formats
+        if not isinstance(formats, (list, tuple)) or not all(
+            isinstance(fmt, str) for fmt in formats
+        ):
+            raise ValueError(f"timestamp_formats must be a list of strings, got {formats!r}")
+        object.__setattr__(self, "timestamp_formats", tuple(formats))
 
 
 @dataclass(frozen=True)

@@ -419,13 +419,13 @@ class TestScoreCommand:
         times = [row[header.index("time")] for row in rows]
         assert times == [60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0]
 
-    def test_unknown_ownship_exits_2(self, head_on_ais, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["score", "safest-path"])
+    def test_unknown_ownship_exits_2(self, head_on_ais, tmp_path, capsys, command):
         scenario = ingest(head_on_ais, tmp_path / "ing")
-        code = run(
-            "score", "--scenario", scenario, "--ownship", "999",
-            "--output", tmp_path / "score",
-        )
-        assert code == 2
+        argv = [command, "--scenario", scenario, "--ownship", "999", "--output", tmp_path / "o"]
+        if command == "safest-path":
+            argv += ["--time", "0"]
+        assert run(*argv) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["detail"]["available"] == ["111000001", "111000002"]
 
@@ -633,6 +633,48 @@ class TestConfigHandling:
         )
         assert code == 2
         assert message in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize(
+        "command, omitted, setting, message",
+        [
+            ("safest-path", "--time", ["--set", 'time="abc"'], "time must be a finite number"),
+            ("safest-path", "--time", ["--set", "time=[1]"], "time must be a finite number"),
+            ("safest-path", "--time", ["--set", "time=true"], "time must be a finite number"),
+            ("safest-path", "--time", ["--set", "time=1e400"], "time must be a finite number"),
+            ("score", None, ["--set", 'paths="x"'], "'paths' must be an object"),
+            ("score", None, ["--set", 'window=["a",100]'], "window.t_start must be a finite"),
+            ("score", None, ["--set", "window=[0,true]"], "window.t_end must be a finite"),
+            ("score", None, ["--set", "window=[0,1e400]"], "window.t_end must be a finite"),
+            ("score", None, ["--t-start=-inf", "--t-end", "inf"], "--t-start must be a finite"),
+            ("score", None, ["--t-end", "inf"], "--t-end must be a finite"),
+            ("ingest", "--ais", ["--set", 'paths.ais=["a.csv"]'], "paths.ais must be a file name"),
+            ("score", "--output", ["--set", "paths.output=5"], "paths.output must be a non-empty"),
+            ("score", "--scenario", ["--set", "paths.scenarios=5"], "paths.scenarios must be a list"),
+            ("score", None, ["--set", 'paths.models="m.json"'], "paths.models must be a list"),
+            ("score", "--ownship", ["--set", "ownship=111000001"], "ownship must be a non-empty"),
+            ("ingest", None, ["--set", "schema.timestamp_formats=[5]"], "timestamp_formats must be"),
+            ("ingest", None, ["--set", 'schema.timestamp_formats="%Y"'], "timestamp_formats must"),
+        ],
+    )
+    def test_malformed_run_setting_exits_2(
+        self, head_on_ais, tmp_path, capsys, command, omitted, setting, message
+    ):
+        flags = {"--output": tmp_path / "o"}
+        if command == "ingest":
+            flags["--ais"] = head_on_ais
+        else:
+            flags["--scenario"] = ingest(head_on_ais, tmp_path / "ing")
+            flags["--ownship"] = "111000001"
+        if command == "safest-path":
+            flags["--time"] = "0"
+        flags.pop(omitted, None)
+        argv = [command, *(x for pair in flags.items() for x in pair), *setting]
+        if command != "ingest":
+            argv += FAST_SEARCH
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 2 and message in err["message"], err
 
     def test_non_finite_depth_key_exits_2(self, head_on_ais, chart_file, tmp_path, capsys):
         # a NaN key matches no depth attribute, so every polygon would be an obstacle

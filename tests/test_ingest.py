@@ -581,6 +581,12 @@ class TestTimestampFastPath:
         schema = AisSchema(timestamp_formats=(DMA_TIMESTAMP_FORMAT, "%m/%d/%Y %H:%M:%S"))
         assert _parse_timestamp("12/31/2023 00:00:00", schema) == december
 
+    def test_format_list_is_stored_as_tuple(self):
+        # a JSON config gives a list; the frozen schema keeps a hashable tuple
+        schema = AisSchema(timestamp_formats=[DMA_TIMESTAMP_FORMAT])
+        assert schema.timestamp_formats == (DMA_TIMESTAMP_FORMAT,)
+        assert hash(schema) == hash(AisSchema())
+
 
 AIS_TIMES = [dma_time(s) for s in (0, 20, 40, 60, 600)] + [
     "2023-09-07T06:00:30+00:00",
