@@ -80,11 +80,12 @@ print(f"best path (one decision per {dt:.0f} s level):")
 print(f"{'t':>5} {'north':>7} {'east':>7} {'kn':>5} {'hdg deg':>8} {'risk':>9} "
       f"{'alpha':>6} {'v_cmd':>6}")
 for node in result.states:
-    hdg = math.degrees(node.heading) % 360.0
+    s = node.state
+    hdg = math.degrees(s.heading) % 360.0
     alpha = "-" if node.alpha is None else f"{node.alpha:.2f}"
     v_cmd = "-" if node.v_cmd is None else f"{node.v_cmd:.1f}"
-    print(f"{node.time:>5.0f} {node.state.north:>7.0f} {node.state.east:>7.0f} "
-          f"{node.speed / 0.514444:>5.1f} {hdg:>8.1f} {node.scenario_risk:>9.6f} "
+    print(f"{s.time:>5.0f} {s.north:>7.0f} {s.east:>7.0f} "
+          f"{s.speed / 0.514444:>5.1f} {hdg:>8.1f} {node.scenario_risk:>9.6f} "
           f"{alpha:>6} {v_cmd:>6}")
 print("\nHard port with a crash stop: away from the crosser and the bank.")
 

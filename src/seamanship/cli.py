@@ -146,7 +146,8 @@ def _input_files(
 ) -> dict[str, Path]:
     """Existing files named by ``--flag``, else by the ``paths`` entries
     ``keys`` in order. Each is keyed ``name`` (``name_<i>`` when there are
-    several), or by its file stem when ``name`` is None."""
+    several), or by its file stem when ``name`` is None; two files of one
+    stem are refused."""
     given = getattr(args, flag, None)
     if given is not None:
         listed = [given] if isinstance(given, str) else list(given)
@@ -165,15 +166,21 @@ def _input_files(
     if required and not listed:
         where = " or ".join(f"paths.{key}" for key in keys)
         raise CliError(f"no {flag} file given (flag --{flag} or {where})")
-    files = {}
+    files: dict[str, Path] = {}
     for i, value in enumerate(listed):
         path = Path(value)
         if not path.is_file():
             raise CliError(f"{flag} file not found: {path}", path=str(path))
         if name is None:
-            files[path.stem] = path
+            key = path.stem
         else:
-            files[f"{name}_{i}" if len(listed) > 1 else name] = path
+            key = f"{name}_{i}" if len(listed) > 1 else name
+        if key in files:
+            raise CliError(
+                f"{flag} files {files[key]} and {path} share the name {key!r}",
+                paths=[str(files[key]), str(path)],
+            )
+        files[key] = path
     return files
 
 
@@ -358,10 +365,16 @@ def cmd_score(args) -> int:
     config, outdir, inputs, scenario, ownship, blocks = _scene(args, "score")
     dp, rp, kin, hyper = (blocks[name] for name in SCENE_BLOCKS)
     model_paths = _input_files(config, args, "model", ("models",), None)
-    models = {}
+    models, model_of_type = {}, {}
     for path in model_paths.values():
         model = _load_model_file(path)
-        models[model.vessel_type] = model
+        vtype = model.vessel_type
+        if vtype in models:
+            raise CliError(
+                f"speed models {model_of_type[vtype]} and {path} are both for {vtype.value}",
+                paths=[str(model_of_type[vtype]), str(path)],
+            )
+        models[vtype], model_of_type[vtype] = model, path
     sp = build_block("score", config)
     speed = build_block("speed", config)
     t_start, t_end = _window(config, args, scenario.tracks[ownship])

@@ -8,6 +8,9 @@ risk against recorded target tracks and charted obstacles. One level-wise
 search serves two pruning policies: branch and bound keeps only the
 minimum-risk nodes (with ties) of each level, while the exhaustive
 enumerator keeps every node and provides the ground truth on small grids.
+Both return their paths by one rule: every last-level path within
+``tie_eps`` of the least path risk, stable-sorted by path risk and capped
+at ``beam_width``.
 
 All children of a level share one time, so a level is advanced and scored
 as arrays: the targets are interpolated once, every child moves in one
@@ -15,13 +18,13 @@ vectorized arc step, and one risk-kernel pass scores every child against
 every target. The chart is scanned once per level for points near any
 child, and one grounding-kernel pass scores every child against the points
 inside its own arena. Search nodes are kept as parallel arrays with parent
-indices; :class:`SearchNode` objects are built only for the paths a search
-returns.
+indices; the returned paths are read back through those indices, and each
+node on them becomes one :class:`SearchNode` record, shared by every
+returned path through it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -30,7 +33,6 @@ import numpy as np
 from .geometry import (
     TWO_PI,
     DomainParams,
-    LocalPoint,
     StateArrays,
     VesselState,
     VesselTrack,
@@ -160,41 +162,15 @@ def step_kinodynamics(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchNode:
-    """One candidate state in the search tree."""
+    """One state on a returned path: its scenario risk and the (alpha,
+    v_cmd) command that reached it (None for the root)."""
 
     state: VesselState
     scenario_risk: float
-    depth: int
-    parent: "SearchNode | None" = None
     alpha: float | None = None
     v_cmd: float | None = None
-
-    @property
-    def time(self) -> float:
-        return self.state.time
-
-    @property
-    def position(self) -> LocalPoint:
-        return self.state.position
-
-    @property
-    def heading(self) -> float:
-        return self.state.heading
-
-    @property
-    def speed(self) -> float:
-        return self.state.speed
-
-    def lineage(self) -> list["SearchNode"]:
-        """Nodes from the root to this node, inclusive."""
-        chain: list[SearchNode] = []
-        node: SearchNode | None = self
-        while node is not None:
-            chain.append(node)
-            node = node.parent
-        return chain[::-1]
 
 
 @dataclass
@@ -202,9 +178,9 @@ class PathResult:
     """Outcome of a maneuver search at one instant.
 
     ``states`` is the best root-to-leaf path; ``paths`` lists every
-    returned minimum-risk path (best first). ``path_risk`` is the maximum
-    scenario risk over the best path's non-root nodes, and ``sr_star`` is
-    the minimum of that maximum over the returned paths.
+    returned minimum-risk path (best first). A path's risk is the maximum
+    scenario risk over its non-root nodes; ``path_risk`` and ``sr_star``
+    are both the least of these, the best path's risk.
     """
 
     states: list[SearchNode]
@@ -220,16 +196,10 @@ class PathResult:
 
     def to_dict(self) -> dict:
         def node_doc(n: SearchNode) -> dict:
-            return {
-                "time": n.time,
-                "north": n.state.north,
-                "east": n.state.east,
-                "speed": n.speed,
-                "heading": n.heading,
-                "scenario_risk": n.scenario_risk,
-                "alpha": n.alpha,
-                "v_cmd": n.v_cmd,
-            }
+            s = n.state
+            return {"time": s.time, "north": s.north, "east": s.east, "speed": s.speed,
+                    "heading": s.heading, "scenario_risk": n.scenario_risk,
+                    "alpha": n.alpha, "v_cmd": n.v_cmd}
 
         return {
             "sr_star": self.sr_star,
@@ -239,9 +209,6 @@ class PathResult:
             "best_path": [node_doc(n) for n in self.states],
             "tied_paths": len(self.paths),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 @dataclass
@@ -362,38 +329,41 @@ def _level_search(
 
 
 def _paths(
-    levels: list[_Level], root_state: VesselState, leaves: Sequence[int]
+    levels: list[_Level], root_state: VesselState, leaves: np.ndarray
 ) -> list[list[SearchNode]]:
-    """Root-to-leaf node lists of the given last-level nodes. Nodes shared
-    by several paths are the same objects."""
-    built: dict[tuple[int, int], SearchNode] = {
-        (0, 0): SearchNode(
-            state=root_state, scenario_risk=float(levels[0].risk[0]), depth=0
-        )
-    }
+    """Root-to-leaf node lists of the given last-level nodes, read back
+    through the parent indices. Each distinct node is built once and shared
+    by every path through it."""
+    index, columns = leaves.tolist(), []
+    for lv in levels[:0:-1]:
+        distinct = list(dict.fromkeys(index))
+        arrays = (lv.north, lv.east, lv.speed, lv.heading, lv.risk, lv.alpha)
+        built = {
+            i: SearchNode(VesselState(lv.time, north, east, speed, heading, root_state.length,
+                                      root_state.vessel_type), risk, alpha, speed)
+            for i, north, east, speed, heading, risk, alpha
+            in zip(distinct, *(a[distinct].tolist() for a in arrays))
+        }
+        columns.append([built[i] for i in index])
+        index = lv.parent[index].tolist()
+    columns.append([SearchNode(root_state, float(levels[0].risk[0]))] * len(leaves))
+    return [list(path) for path in zip(*reversed(columns))]
 
-    def node(depth: int, i: int) -> SearchNode:
-        if (depth, i) not in built:
-            lv = levels[depth]
-            built[depth, i] = SearchNode(
-                state=VesselState(
-                    time=lv.time,
-                    north=float(lv.north[i]),
-                    east=float(lv.east[i]),
-                    speed=float(lv.speed[i]),
-                    heading=float(lv.heading[i]),
-                    length=root_state.length,
-                    vessel_type=root_state.vessel_type,
-                ),
-                scenario_risk=float(lv.risk[i]),
-                depth=depth,
-                parent=node(depth - 1, int(lv.parent[i])),
-                alpha=float(lv.alpha[i]),
-                v_cmd=float(lv.speed[i]),
-            )
-        return built[depth, i]
 
-    return [node(len(levels) - 1, int(i)).lineage() for i in leaves]
+def _result(
+    hyper: Hyperparameters, levels: list[_Level], root_state: VesselState,
+    held_any: bool, expanded: int,
+) -> PathResult:
+    """The search result of :func:`_level_search`'s output: the last-level
+    paths within ``tie_eps`` of the least path risk, stable-sorted by path
+    risk (so in prune order among equals) and capped at ``beam_width``."""
+    risks = levels[-1].path_risk
+    best = float(risks.min())
+    keep = np.flatnonzero(risks <= best + hyper.tie_eps)
+    keep = keep[np.argsort(risks[keep], kind="stable")][: hyper.beam_width]
+    paths = _paths(levels, root_state, keep)
+    return PathResult(states=paths[0], path_risk=best, sr_star=best, paths=paths,
+                      targets_held=held_any, nodes_expanded=expanded)
 
 
 def branch_and_bound(
@@ -418,24 +388,12 @@ def branch_and_bound(
     minimum path risk; it is exact for a single level.
     """
     hyper = hyper or Hyperparameters()
-    levels, root_state, held_any, expanded = _level_search(
+    return _result(hyper, *_level_search(
         tracks, ownship_id, t, hyper, kin, params, domain_params, obstacles,
         prune=lambda risk, alpha, v_cmd, root_speed: _survivors(
             risk, alpha, v_cmd, hyper.tie_eps, hyper.beam_width, root_speed
         ),
-    )
-    risks = levels[-1].path_risk
-    order = np.argsort(risks, kind="stable")
-    best = float(risks[order[0]])
-    paths = _paths(levels, root_state, order)
-    return PathResult(
-        states=paths[0],
-        path_risk=best,
-        sr_star=best,
-        paths=paths,
-        targets_held=held_any,
-        nodes_expanded=expanded,
-    )
+    ))
 
 
 def exhaustive_search(
@@ -461,23 +419,10 @@ def exhaustive_search(
         raise ValueError(
             f"{n_seq} action sequences exceed the exhaustive budget {max_sequences}"
         )
-    levels, root_state, held_any, expanded = _level_search(
+    return _result(hyper, *_level_search(
         tracks, ownship_id, t, hyper, kin, params, domain_params, obstacles,
         prune=lambda risk, *_: np.arange(risk.size),
-    )
-    risks = levels[-1].path_risk
-    best = float(risks.min())
-    keep = np.flatnonzero(risks <= best + hyper.tie_eps)
-    keep = keep[np.argsort(risks[keep], kind="stable")][: hyper.beam_width]
-    paths = _paths(levels, root_state, keep)
-    return PathResult(
-        states=paths[0],
-        path_risk=float(risks[keep[0]]),
-        sr_star=best,
-        paths=paths,
-        targets_held=held_any,
-        nodes_expanded=expanded,
-    )
+    ))
 
 
 def sr_star_series(

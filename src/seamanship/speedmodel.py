@@ -39,11 +39,11 @@ MODEL_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class SpeedParams:
-    """Encounter detection and density-weighted risk settings: the
+    """Encounter detection and density-weighted risk settings: the positive
     closest-approach distance (m) that screens track pairs, the positive
     window (s) over which a violator's speed change is measured, the fewest
-    samples a vessel type needs for a fitted density, and the number of
-    rates the density-weighted collision risk samples."""
+    samples (at least 1) a vessel type needs for a fitted density, and the
+    number of rates (at least 2) the density-weighted collision risk samples."""
 
     dcpa_threshold: float = DEFAULT_DCPA_THRESHOLD
     window: float = DEFAULT_WINDOW
@@ -54,6 +54,12 @@ class SpeedParams:
         require_finite(self)
         if self.window <= 0.0:
             raise ValueError(f"window must be positive, got {self.window!r}")
+        if self.dcpa_threshold <= 0.0:
+            raise ValueError(f"dcpa_threshold must be positive, got {self.dcpa_threshold!r}")
+        if self.min_samples < 1:
+            raise ValueError(f"min_samples must be at least 1, got {self.min_samples!r}")
+        if self.grid_n < 2:
+            raise ValueError(f"grid_n must be at least 2, got {self.grid_n!r}")
 
 
 @dataclass(frozen=True)
@@ -279,6 +285,8 @@ def fit_model(
     each side. Below ``min_samples`` events the model degrades to a uniform
     density over ``degenerate_support`` and is flagged as such.
     """
+    if min_samples < 1:
+        raise ValueError(f"min_samples must be at least 1, got {min_samples!r}")
     rates = np.array(
         [e.speed_change for e in events if e.vessel_type is vessel_type], dtype=float
     )

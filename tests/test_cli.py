@@ -765,3 +765,48 @@ class TestConfigHandling:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["risk"]["kappa"] == 12
         assert manifest["parameters"]["search"]["n_t"] == 1
+
+
+def _same_type_models(fit, tmp_path):
+    cargo = fit / "model_cargo.json"
+    return [cargo, shutil.copy(cargo, tmp_path / "other_cargo.json")]
+
+
+def _same_stem_models(fit, tmp_path):
+    models = []
+    for sub, name in (("a", "model_cargo.json"), ("b", "model_tanker.json")):
+        (tmp_path / sub).mkdir()
+        models.append(shutil.copy(fit / name, tmp_path / sub / "m.json"))
+    return models
+
+
+class TestInputsNotDroppedSilently:
+    """An input that would take no effect, or a speed setting a later stage
+    cannot use, exits 2 with one JSON line naming the files or setting."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [_same_type_models, _same_stem_models,
+         "speed.min_samples=0", "speed.grid_n=1", "speed.dcpa_threshold=-5"],
+        ids=lambda case: getattr(case, "__name__", case),
+    )
+    def test_exits_2_naming_the_input(self, head_on_ais, tmp_path, capsys, case):
+        scenario = ingest(head_on_ais, tmp_path / "ing")
+        if isinstance(case, str):
+            argv = ["fit-speed-model", "--scenario", scenario, "--set", case]
+            named = [case.split("=")[0].split(".")[1]]
+        else:
+            fit = tmp_path / "fit"
+            assert run(
+                "fit-speed-model", "--scenario", scenario, "--output", fit,
+                "--set", "speed.min_samples=1",
+            ) == 0
+            models = [str(m) for m in case(fit, tmp_path)]
+            argv = ["score", "--scenario", scenario, "--ownship", "111000001", *FAST_SEARCH]
+            argv += [arg for m in models for arg in ("--model", m)]
+            named = models
+        capsys.readouterr()
+        assert run(*argv, "--output", tmp_path / "out") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        message = json.loads(line)["message"]
+        assert all(name in message for name in named), message

@@ -299,3 +299,23 @@ class TestBatchedLevels:
         bb = branch_and_bound(tracks, "own", 50.0, hyper, KIN, rp, None, obstacles)
         ex = exhaustive_search(tracks, "own", 50.0, hyper, KIN, rp, None, obstacles)
         assert bb.sr_star >= ex.sr_star - 1e-12
+        dt = hyper.horizon_T / hyper.n_t
+        for res in (bb, ex):
+            best = max(n.scenario_risk for n in res.states[1:])
+            assert res.path_risk == res.sr_star == best
+            assert 1 <= len(res.paths) <= hyper.beam_width
+            assert res.paths[0] == res.states
+            plans = {tuple((n.alpha, n.v_cmd) for n in path[1:]) for path in res.paths}
+            assert len(plans) == len(res.paths)
+            for path in res.paths:
+                risk = max(n.scenario_risk for n in path[1:])
+                assert res.sr_star <= risk <= res.sr_star + hyper.tie_eps
+                s = path[0].state
+                for node in path[1:]:
+                    s = step_kinodynamics(s, node.alpha, node.v_cmd, dt, KIN)
+                    assert s.time == pytest.approx(node.state.time, abs=1e-9)
+                    assert s.north == pytest.approx(node.state.north, abs=1e-9)
+                    assert s.east == pytest.approx(node.state.east, abs=1e-9)
+                    assert s.speed == node.state.speed == node.v_cmd
+                    turn = (s.heading - node.state.heading + math.pi) % (2.0 * math.pi)
+                    assert abs(turn - math.pi) <= 1e-9

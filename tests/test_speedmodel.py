@@ -510,3 +510,20 @@ class TestSpeedParams:
     def test_window_must_be_positive(self, window):
         with pytest.raises(ValueError, match="window must be positive"):
             SpeedParams(window=window)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("dcpa_threshold", 0.0, "dcpa_threshold must be positive"),
+            ("dcpa_threshold", -5.0, "dcpa_threshold must be positive"),
+            ("min_samples", 0, "min_samples must be at least 1"),
+            ("grid_n", 1, "grid_n must be at least 2"),
+        ],
+    )
+    def test_out_of_range_settings_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SpeedParams(**{field: value})
+
+    def test_fit_model_needs_a_sample(self):
+        with pytest.raises(ValueError, match="min_samples must be at least 1"):
+            fit_model([], VesselType.CARGO, min_samples=0)
