@@ -36,7 +36,7 @@ for width in (800.0, 400.0, 260.0, 180.0):
                             spacing=50.0)
     shrunk, fixed = (
         float(scenario_risks(own, state.time, [], obstacles, RiskParams(channel_adjust=adjust))
-              .grounding_max[0])
+              .grounding[0])
         for adjust in (True, False)
     )
     print(f"channel {width:>5.0f} m: grounding risk {shrunk:.4f} with the shrink, "

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .geometry import DomainParams, VesselType, is_finite
-from .ingest import AisSchema, IngestParams, Scenario, build_scenario, sha256_file
+from .ingest import AisSchema, ChartError, IngestParams, Scenario, build_scenario, sha256_file
 from .planner import (
     Hyperparameters,
     KinodynamicParams,
@@ -193,8 +193,9 @@ def _output_dir(config: dict, args) -> Path:
     return out
 
 
-# malformed documents surface as assorted lookup/shape errors
-_BAD_DOC_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
+# malformed documents surface as assorted lookup/shape errors, and an
+# integer too large for a float as OverflowError
+_BAD_DOC_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
 
 
 def _load_archive(path: Path) -> Scenario:
@@ -264,7 +265,7 @@ def cmd_ingest(args) -> int:
     try:
         scenario = build_scenario(ais, chart, params, schema)
     except ValueError as exc:
-        raise CliError(str(exc), path=str(ais))
+        raise CliError(str(exc), path=exc.path if isinstance(exc, ChartError) else str(ais))
     scenario.save(outdir / "scenario.json")
     grid = scenario.time_grid
     summary = {

@@ -302,11 +302,11 @@ def resample(
 
 
 def _ring_coords(rings: Sequence[Sequence[Sequence[float]]], origin) -> list[np.ndarray]:
-    """Project GeoJSON rings (lon, lat pairs) to closed local north/east
+    """Project rings of (lon, lat) number pairs to closed local north/east
     rings, all points in one call. Repeated consecutive points and a repeat
     of the first point at the end are dropped; a ring left with fewer than
     three points is dropped."""
-    lonlat = [(float(c[0]), float(c[1])) for ring in rings for c in ring]
+    lonlat = [c for ring in rings for c in ring]
     north, east = project_arrays([c[1] for c in lonlat], [c[0] for c in lonlat], origin)
     points = zip(north.tolist(), east.tolist())
     out = []
@@ -322,6 +322,45 @@ def _ring_coords(rings: Sequence[Sequence[Sequence[float]]], origin) -> list[np.
     return out
 
 
+class ChartError(ValueError):
+    """A chart file that :func:`load_chart` cannot read, named in ``path``."""
+
+    def __init__(self, path, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = str(path)
+
+
+def _obstacle_rings(feature, p: IngestParams) -> list[list[tuple[float, float]]]:
+    """The rings of one GeoJSON feature as (lon, lat) pairs when it is an
+    obstacle (no depth attribute, or shallower than ``draught_threshold``),
+    else none. A feature of the wrong shape raises ValueError."""
+    if not isinstance(feature, dict):
+        raise ValueError("not a JSON object")
+    geom = feature.get("geometry") or {}
+    props = feature.get("properties") or {}
+    for name, value in (("geometry", geom), ("properties", props)):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} is not a JSON object")
+    depth = props.get(p.depth_key)
+    if depth is not None:
+        try:
+            depth = float(depth)
+        except (TypeError, ValueError):
+            raise ValueError(f"{p.depth_key} {depth!r} is not a number") from None
+        if depth >= p.draught_threshold:
+            return []
+    gtype = geom.get("type")
+    if gtype not in ("Polygon", "MultiPolygon"):
+        return []
+    coords = geom.get("coordinates", [])
+    polys = [coords] if gtype == "Polygon" else coords
+    try:
+        return [[(float(c[0]), float(c[1])) for c in ring] for poly in polys for ring in poly]
+    # OverflowError: an integer coordinate too large for a float
+    except (TypeError, ValueError, IndexError, KeyError, OverflowError):
+        raise ValueError(f"{gtype} coordinates are not rings of [lon, lat] positions") from None
+
+
 def load_chart(
     path,
     origin: tuple[float, float],
@@ -333,40 +372,39 @@ def load_chart(
     Polygon/MultiPolygon shapes. A feature is an obstacle when its depth
     attribute is missing (land) or shallower than ``draught_threshold``.
     Unclosed rings are closed with a warning; all rings of an obstacle
-    polygon, holes included, contribute boundary.
+    polygon, holes included, contribute boundary. A file that is not such
+    GeoJSON raises :class:`ChartError`, naming the feature at fault.
     """
     p = params or IngestParams()
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ChartError(path, f"not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ChartError(path, "root is not a JSON object")
     if doc.get("type") == "FeatureCollection":
         features = doc.get("features", [])
+        if not isinstance(features, list):
+            raise ChartError(path, "features is not a list")
     elif doc.get("type") == "Feature":
         features = [doc]
     else:
         features = [{"type": "Feature", "geometry": doc, "properties": {}}]
     rings = []
-    unclosed = 0
-    for feature in features:
-        geom = feature.get("geometry") or {}
-        props = feature.get("properties") or {}
-        depth = props.get(p.depth_key)
-        if depth is not None and float(depth) >= p.draught_threshold:
-            continue
-        gtype = geom.get("type")
-        if gtype == "Polygon":
-            polys = [geom.get("coordinates", [])]
-        elif gtype == "MultiPolygon":
-            polys = geom.get("coordinates", [])
-        else:
-            continue
-        for poly in polys:
-            for ring in poly:
-                if len(ring) >= 3 and list(ring[0]) != list(ring[-1]):
-                    unclosed += 1
-                rings.append(ring)
+    for i, feature in enumerate(features):
+        try:
+            rings += _obstacle_rings(feature, p)
+        except ValueError as exc:
+            raise ChartError(path, f"feature {i}: {exc}") from None
+    unclosed = sum(len(ring) >= 3 and ring[0] != ring[-1] for ring in rings)
     if unclosed:
         log.warning("%s: closed %d unclosed ring(s)", path, unclosed)
-    return ObstacleSet(_ring_coords(rings, origin), spacing=p.obstacle_spacing)
+    try:
+        polygons = _ring_coords(rings, origin)
+    except ValueError as exc:
+        raise ChartError(path, str(exc)) from None
+    return ObstacleSet(polygons, spacing=p.obstacle_spacing)
 
 
 def sha256_file(path) -> str:

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .geometry import (
     ArenaSpec,
@@ -55,6 +54,15 @@ KERNEL_CHUNK_ELEMS = 8192
 # meters added to the shared arena prefilter radius so that rounding never
 # drops a point the exact per-state test would keep
 ARENA_SLACK = 1.0
+
+# glibc gives the top of the heap back to the system whenever more than
+# 128 KiB lies free there, so each kernel chunk's temporaries would be
+# page-faulted in afresh: about 3,700 faults and a third of the time of a
+# 400 x 19 collision grid. Freeing one 4 MiB block, above the 128 KiB mmap
+# threshold, raises that threshold to 4 MiB and the trim threshold to
+# 8 MiB for the rest of the process (glibc's dynamic mmap threshold).
+# Other allocators ignore this.
+np.empty(1 << 19)
 
 
 @dataclass(frozen=True)
@@ -117,12 +125,14 @@ class RiskParams:
 def risk_index(f, params: RiskParams | None = None):
     """Logistic risk index of a scale factor: 1 / (1 + exp(kappa (f - f50))).
 
-    Strictly decreasing in f, 0.5 at f = f50, overflow-safe for extreme
-    arguments. Accepts scalars or arrays.
+    Strictly decreasing in f, 0.5 at f = f50, 1 at f = -inf and 0 at
+    f = +inf; an exponential that overflows reads as infinity, so extreme
+    arguments give 0 without a warning. Accepts scalars or arrays.
     """
     params = params or RiskParams()
     f = np.asarray(f, dtype=float)
-    out = expit(params.kappa * (params.f50 - f))
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(params.kappa * (f - params.f50)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -240,14 +250,12 @@ class ObstacleSet:
 
     ``polygons`` holds closed rings as (N, 2) north/east arrays (first
     vertex repeated last). ``boundary_points`` is the concatenation of all
-    ring boundaries discretized at ``spacing`` meters;
-    ``point_polygon_index`` maps each point back to its ring.
+    ring boundaries discretized at ``spacing`` meters.
     """
 
     polygons: list[np.ndarray] = field(default_factory=list)
     spacing: float = 50.0
     boundary_points: np.ndarray = field(init=False)
-    point_polygon_index: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.polygons = [np.asarray(p, dtype=float) for p in self.polygons]
@@ -261,9 +269,7 @@ class ObstacleSet:
             closed = np.isclose(first, last).all(axis=1)
             if not closed.all():
                 raise ValueError(f"polygon {int(np.argmin(closed))} is not closed")
-        pts, idx = densify_boundaries(self.polygons, self.spacing)
-        self.boundary_points = pts
-        self.point_polygon_index = idx
+        self.boundary_points = densify_boundaries(self.polygons, self.spacing)
 
     @property
     def is_empty(self) -> bool:
@@ -277,23 +283,20 @@ class ObstacleSet:
         return pts[np.hypot(d[:, 0], d[:, 1]) < arena.radius]
 
 
-def densify_boundaries(
-    polygons: Sequence[np.ndarray], spacing: float
-) -> tuple[np.ndarray, np.ndarray]:
+def densify_boundaries(polygons: Sequence[np.ndarray], spacing: float) -> np.ndarray:
     """Discretize closed rings at intervals no longer than ``spacing``.
 
     Each edge of length L contributes ceil(L / spacing) points starting at
     the edge's first vertex; the shared end vertex belongs to the next
     edge, so rings produce no duplicates. All edges are handled in one
-    array pass. Returns (points, ring_index).
+    array pass. Returns the (N, 2) points.
     """
     if spacing <= 0.0:
         raise ValueError("spacing must be positive")
     if not polygons:
-        return np.empty((0, 2)), np.empty(0, dtype=int)
+        return np.empty((0, 2))
     start = np.concatenate([ring[:-1] for ring in polygons])
     edge = np.concatenate([ring[1:] for ring in polygons]) - start
-    ring_of_edge = np.repeat(np.arange(len(polygons)), [len(ring) - 1 for ring in polygons])
     edge_len = np.hypot(edge[:, 0], edge[:, 1])
     if not np.isfinite(edge_len).all():
         raise ValueError("polygon coordinates must be finite")
@@ -304,8 +307,7 @@ def densify_boundaries(
     first = np.cumsum(n) - n
     k = np.arange(n.sum()) - np.repeat(first, n)
     fracs = k / np.repeat(n, n)
-    points = np.repeat(start, n, axis=0) + fracs[:, None] * np.repeat(edge, n, axis=0)
-    return points, np.repeat(ring_of_edge, n)
+    return np.repeat(start, n, axis=0) + fracs[:, None] * np.repeat(edge, n, axis=0)
 
 
 def _grounding_grid(
@@ -390,16 +392,20 @@ def compose_scenario_risk(collision_risks: Iterable[float], grounding_max: float
 
 
 @dataclass
-class StepRisk:
-    """Risk breakdown from :func:`scenario_risks`: one entry per own state
-    in each field but ``targets_held``, and ``time`` as given."""
+class RiskSeries:
+    """Risk breakdown of own states from :func:`scenario_risks`: one entry
+    per own state in each array, ``times`` as given, and whether any
+    target was held at an end of its track."""
 
-    time: float | np.ndarray
+    times: float | np.ndarray
     collision: dict[str, np.ndarray]
     collision_wavg: dict[str, np.ndarray]
-    grounding_max: np.ndarray
+    grounding: np.ndarray
     scenario: np.ndarray
     targets_held: bool = False
+
+    def target_ids(self) -> list[str]:
+        return sorted(self.collision)
 
 
 # north, east, speed, heading and hull length of a target absent at a
@@ -474,7 +480,7 @@ def scenario_risks(
     hold_targets: bool = False,
     models: Mapping | None = None,
     wavg_grid_n: int = DEFAULT_GRID_N,
-) -> StepRisk:
+) -> RiskSeries:
     """Scenario risk of ownship states at ``t``: one time shared by every
     own state, or an array of one time per own state.
 
@@ -522,11 +528,11 @@ def scenario_risks(
         for group in groups:
             grounding[group] = _grounding_max(own.select(group), obstacles, rp, dp)
     effective = [collision_wavg.get(tid, collision[tid]) for tid in ids]
-    return StepRisk(
-        time=t,
+    return RiskSeries(
+        times=t,
         collision=collision,
         collision_wavg=collision_wavg,
-        grounding_max=grounding,
+        grounding=grounding,
         scenario=compose_scenario_risk(effective, grounding),
         targets_held=held_any,
     )
@@ -565,21 +571,6 @@ def rate_weighted_mean(
     return float(mean) if mean.ndim == 0 else mean
 
 
-@dataclass
-class RiskSeries:
-    """Aligned per-step risk series for one vessel over a time window."""
-
-    vessel_id: str
-    times: np.ndarray
-    collision: dict[str, np.ndarray]
-    collision_wavg: dict[str, np.ndarray]
-    grounding: np.ndarray
-    scenario: np.ndarray
-
-    def target_ids(self) -> list[str]:
-        return sorted(self.collision)
-
-
 def compute_risk_series(
     tracks: Mapping[str, VesselTrack],
     ownship_id: str,
@@ -614,15 +605,7 @@ def compute_risk_series(
         own.north[mask], own.east[mask], own.speed[mask], own.heading[mask],
         np.full(times.size, float(own.length)),
     )
-    step = scenario_risks(
+    return scenario_risks(
         states, times, targets, obstacles, params, domain_params,
         models=models, wavg_grid_n=wavg_grid_n,
-    )
-    return RiskSeries(
-        vessel_id=ownship_id,
-        times=times.astype(float),
-        collision=step.collision,
-        collision_wavg=step.collision_wavg,
-        grounding=step.grounding_max,
-        scenario=step.scenario,
     )

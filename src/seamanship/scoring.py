@@ -219,18 +219,6 @@ class GssReport:
             "flags": self.flags,
         }
 
-    def summary_row(self) -> dict:
-        """Flat row used by tabular outputs."""
-        return {
-            "vessel": self.vessel_id,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "sr_max": self.sr_max,
-            "j_m": self.j_m,
-            "j_c": self.j_c,
-            "gss": self.gss,
-        }
-
 
 def score_series(
     vessel_id: str,

@@ -216,6 +216,12 @@ class SpeedChangeModel:
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=float)
         lo, hi = self.support
+        if not np.isfinite(self.samples).all():
+            raise ValueError("samples must be finite")
+        if not (math.isfinite(self.bandwidth) and math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(
+                f"bandwidth and support must be finite, got {self.bandwidth} and {self.support}"
+            )
         if hi < lo:
             raise ValueError(f"support upside down: {self.support}")
         if not self.degenerate and self.bandwidth <= 0.0:

@@ -120,6 +120,18 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def run_python(*argv):
+    """``python *argv`` in a subprocess that imports this checkout's
+    package."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    return subprocess.run(
+        [sys.executable, *map(str, argv)], env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def ingest(ais, outdir, chart=None):
     argv = ["ingest", "--ais", ais, "--output", outdir]
     if chart is not None:
@@ -152,6 +164,42 @@ class TestIngestCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == 2
         assert err["detail"]["path"] == str(missing)
+
+    @pytest.mark.parametrize(
+        "where, value, named",
+        [
+            ([], [1, 2], "root is not a JSON object"),
+            (["features"], [3], "feature 0: not a JSON object"),
+            (["features", 0, "properties"], [1], "feature 0: properties is not a JSON object"),
+            (["features", 0, "geometry", "coordinates"], [5],
+             "feature 0: Polygon coordinates are not rings"),
+            (["features", 0, "geometry", "coordinates"], [[[12]]],
+             "feature 0: Polygon coordinates are not rings"),
+            (["features", 0, "geometry", "coordinates"], [[[10**400, 55.0]] * 4],
+             "feature 0: Polygon coordinates are not rings"),
+            (["features", 0, "geometry", "coordinates"], [[[math.nan, 55.0]] * 4],
+             "non-finite point in projected coordinates"),
+            (["features", 0, "properties", "depth"], [1], "feature 0: depth [1] is not a number"),
+            (["features", 0, "properties", "depth"], "deep",
+             "feature 0: depth 'deep' is not a number"),
+        ],
+    )
+    def test_malformed_chart_exits_2_naming_chart(
+        self, head_on_ais, chart_file, tmp_path, capsys, where, value, named
+    ):
+        # the chart file's document with the item at ``where`` replaced by ``value``
+        keys = ["root", *where]
+        holder = doc = {"root": json.loads(chart_file.read_text(encoding="utf-8"))}
+        for key in keys[:-1]:
+            holder = holder[key]
+        holder[keys[-1]] = value
+        chart_file.write_text(json.dumps(doc["root"]), encoding="utf-8")
+        capsys.readouterr()
+        code = run("ingest", "--ais", head_on_ais, "--chart", chart_file, "--output", tmp_path / "o")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].startswith(f"{chart_file}: {named}"), err
+        assert err["detail"]["path"] == str(chart_file)
 
     def test_empty_ais_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -388,6 +436,10 @@ class TestScoreCommand:
             ("vessel_type", "cargo", "'cargo' is not a valid VesselType"),
             ("degenerate", "false", "degenerate must be true or false, got 'false'"),
             ("degenerate", 0, "degenerate must be true or false, got 0"),
+            ("bandwidth", math.inf, "bandwidth and support must be finite"),
+            ("support", [-math.inf, 0.05], "bandwidth and support must be finite"),
+            ("samples", [math.nan], "samples must be finite"),
+            ("bandwidth", 10**400, "int too large to convert to float"),
         ],
     )
     def test_bad_model_file_exits_2(self, head_on_ais, tmp_path, capsys, field, value, named):
@@ -700,14 +752,7 @@ class TestConfigHandling:
         ]
         if command == "safest-path":
             argv += ["--time", "60"]
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
-        )}
-        proc = subprocess.run(
-            [sys.executable, "-m", "seamanship.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_python("-m", "seamanship.cli", *argv)
         assert proc.returncode == 2, proc.stderr[-2000:]
         message = json.loads(proc.stderr.strip().splitlines()[-1])["message"]
         assert "collision risk #0 = nan" in message
@@ -778,6 +823,33 @@ def _same_stem_models(fit, tmp_path):
         (tmp_path / sub).mkdir()
         models.append(shutil.copy(fit / name, tmp_path / sub / "m.json"))
     return models
+
+
+def test_pipeline_runs_without_scipy(head_on_ais, chart_file, tmp_path):
+    """Every command runs on numpy alone: in a process where importing
+    scipy fails, ingest, fit-speed-model, score and safest-path each exit 0."""
+    scenario, fit = tmp_path / "ing" / "scenario.json", tmp_path / "fit"
+    commands = [
+        ["ingest", "--ais", head_on_ais, "--chart", chart_file, "--output", tmp_path / "ing"],
+        ["fit-speed-model", "--scenario", scenario, "--output", fit,
+         "--set", "speed.min_samples=1"],
+        ["score", "--scenario", scenario, "--ownship", "111000001", "--output",
+         tmp_path / "score", "--model", fit / "model_cargo.json", *FAST_SEARCH],
+        ["safest-path", "--scenario", scenario, "--ownship", "111000001", "--time", "60",
+         "--output", tmp_path / "path", *FAST_SEARCH],
+    ]
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from seamanship.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    argv = json.dumps([[str(a) for a in command] for command in commands])
+    proc = run_python("-c", script, argv)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0, 0], proc.stderr[-2000:]
+    assert (tmp_path / "score" / "risk_series.csv").is_file()
+    assert (tmp_path / "path" / "path.json").is_file()
 
 
 class TestInputsNotDroppedSilently:

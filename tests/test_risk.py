@@ -50,6 +50,28 @@ class TestRiskIndex:
     def test_clear_water(self):
         assert risk_index(1.5) == pytest.approx(0.0066928509242848554, abs=1e-12)
 
+    @given(
+        f=st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-math.inf, math.inf])),
+        kappa=st.floats(0.1, 50.0),
+        f50=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_libm_logistic(self, f, kappa, f50):
+        # an exponential past the float range is infinite, so the index is 0
+        try:
+            expected = 1.0 / (1.0 + math.exp(kappa * (f - f50)))
+        except OverflowError:
+            expected = 0.0
+        rp = RiskParams(kappa=kappa, f50=f50)
+        for got in (risk_index(f, rp), risk_index(np.full(3, f), rp)[1]):
+            assert abs(got - expected) <= 1e-15 * expected
+
+    @given(kappa=st.floats(0.1, 50.0), f50=st.floats(-1e3, 1e3))
+    def test_half_at_f50_and_nan_stays_nan(self, kappa, f50):
+        rp = RiskParams(kappa=kappa, f50=f50)
+        assert risk_index(f50, rp) == 0.5
+        assert math.isnan(risk_index(math.nan, rp))
+
     def test_overflow_safe(self):
         with np.errstate(over="raise"):
             assert risk_index(1e9) == 0.0
@@ -391,7 +413,7 @@ def reference_scenario_risk_for_state(
 ):
     """Scenario risk of one ownship state at time t, each target scored on
     its own: the per-step layer that the time axis of scenario_risks
-    replaced, kept as its reference. Returns a StepRisk of floats."""
+    replaced, kept as its reference. Returns a RiskSeries of floats."""
     rp = params or RiskParams()
     dp = domain_params or DomainParams()
     own = StateArrays.of([own_state])
@@ -409,11 +431,11 @@ def reference_scenario_risk_for_state(
             )
     grounding = 0.0 if obstacles is None else float(risk._grounding_max(own, obstacles, rp, dp)[0])
     effective = [collision_wavg.get(tid, collision[tid]) for tid in sorted(states)]
-    return risk.StepRisk(
-        time=t,
+    return risk.RiskSeries(
+        times=t,
         collision=collision,
         collision_wavg=collision_wavg,
-        grounding_max=grounding,
+        grounding=grounding,
         scenario=float(compose_scenario_risk(effective, grounding)),
         targets_held=held_any,
     )
@@ -499,8 +521,7 @@ def reference_risk_series(
     seen = sorted({tid for s in steps for tid in s.collision})
     seen_wavg = sorted({tid for s in steps for tid in s.collision_wavg})
     return risk.RiskSeries(
-        vessel_id=ownship_id,
-        times=own.times[mask].astype(float),
+        times=own.times[mask],
         collision={
             tid: np.array([s.collision.get(tid, 0.0) for s in steps]) for tid in seen
         },
@@ -510,7 +531,7 @@ def reference_risk_series(
             )
             for tid in seen_wavg
         },
-        grounding=np.array([s.grounding_max for s in steps]),
+        grounding=np.array([s.grounding for s in steps]),
         scenario=np.array([s.scenario for s in steps]),
     )
 
@@ -657,7 +678,7 @@ class TestRiskSeriesTimeAxis:
             for tid in got.collision_wavg:
                 expected = ref.collision_wavg.get(tid, 0.0)
                 assert abs(got.collision_wavg[tid][c] - expected) <= 1e-12
-            assert abs(got.grounding_max[c] - ref.grounding_max) <= 1e-12
+            assert abs(got.grounding[c] - ref.grounding) <= 1e-12
             assert abs(got.scenario[c] - ref.scenario) <= 1e-12
         assert set(got.collision) == columns and set(got.collision_wavg) == wavg_columns
         assert got.targets_held is held
@@ -717,8 +738,8 @@ class TestCollisionKernel:
 
 def reference_densify(polygons, spacing):
     """The per-edge loop that the array pass replaced, kept as its reference."""
-    points, index = [], []
-    for ring_no, ring in enumerate(polygons):
+    points = []
+    for ring in polygons:
         for a, b in zip(ring[:-1], ring[1:]):
             edge = b - a
             edge_len = float(np.hypot(edge[0], edge[1]))
@@ -727,10 +748,7 @@ def reference_densify(polygons, spacing):
             n = max(1, int(math.ceil(edge_len / spacing - 1e-12)))
             fracs = np.arange(n) / n
             points.append(a + fracs[:, None] * edge)
-            index.extend([ring_no] * n)
-    if not points:
-        return np.empty((0, 2)), np.empty(0, dtype=int)
-    return np.vstack(points), np.asarray(index, dtype=int)
+    return np.vstack(points) if points else np.empty((0, 2))
 
 
 @st.composite
@@ -752,17 +770,13 @@ class TestDensify:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_per_edge_loop(self, polygons, spacing):
-        points, index = densify_boundaries(polygons, spacing)
-        ref_points, ref_index = reference_densify(polygons, spacing)
+        points = densify_boundaries(polygons, spacing)
+        ref_points = reference_densify(polygons, spacing)
         assert points.shape == ref_points.shape
         assert points.tobytes() == ref_points.tobytes()
-        assert index.dtype.kind == "i"
-        assert np.array_equal(index, ref_index)
 
     def test_empty_polygon_list(self):
-        points, index = densify_boundaries([], 50.0)
-        assert points.shape == (0, 2) and index.shape == (0,)
-        assert index.dtype.kind == "i"
+        assert densify_boundaries([], 50.0).shape == (0, 2)
 
     def test_non_finite_vertex_rejected(self):
         ring = closed_square(0.0, 0.0, 50.0)
@@ -784,7 +798,6 @@ class TestDensify:
         scenario.save(tmp_path / "scenario.json")
         loaded = Scenario.load(tmp_path / "scenario.json").obstacles
         assert loaded.boundary_points.tobytes() == scenario.obstacles.boundary_points.tobytes()
-        assert np.array_equal(loaded.point_polygon_index, scenario.obstacles.point_polygon_index)
 
 
 def reference_open_ring(polygons):
@@ -913,7 +926,7 @@ class TestGroundingKernel:
         far = VesselState(0.0, 9000.0, 9000.0, 3.0, 1.0, 100.0)
         owns = in_lane + random_states(rng, 3) + [far]
         with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk_elems):
-            got = scenario_risks(StateArrays.of(owns), 0.0, [], obstacles, rp, dp).grounding_max
+            got = scenario_risks(StateArrays.of(owns), 0.0, [], obstacles, rp, dp).grounding
         assert got[-1] == 0.0
         points = obstacles.boundary_points
         for c, state in enumerate(owns):

@@ -162,8 +162,3 @@ class TestScoreSeries:
         proposed = score_series("own", times, sr, star)
         assert proposed.gss > baseline.gss
         assert proposed.sr_max == pytest.approx(0.5, abs=1e-12)
-
-    def test_summary_row_keys(self):
-        times = np.linspace(0.0, 60.0, 7)
-        row = score_series("v", times, np.zeros(7)).summary_row()
-        assert list(row) == ["vessel", "t_start", "t_end", "sr_max", "j_m", "j_c", "gss"]

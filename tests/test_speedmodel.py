@@ -385,6 +385,25 @@ class TestModelFile:
         with pytest.raises(ValueError, match=problem):
             SpeedChangeModel.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("samples", [0.01, math.nan, 0.03], "samples must be finite"),
+            ("samples", [math.inf, 0.02, 0.03], "samples must be finite"),
+            ("bandwidth", math.inf, "bandwidth and support must be finite"),
+            ("bandwidth", math.nan, "bandwidth and support must be finite"),
+            ("support", [-math.inf, 0.05], "bandwidth and support must be finite"),
+            ("support", [0.0, math.nan], "bandwidth and support must be finite"),
+        ],
+    )
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_non_finite_fields_refused(self, field, value, problem, degenerate):
+        # an infinite bandwidth or support end would grade at density 0
+        doc = fit_model(make_events([0.01, 0.02, 0.03]), VesselType.CARGO, min_samples=3).to_dict()
+        doc[field], doc["degenerate"] = value, degenerate
+        with pytest.raises(ValueError, match=problem):
+            SpeedChangeModel.from_dict(doc)
+
 
 class TestProbabilisticCr:
     def setup_method(self):
