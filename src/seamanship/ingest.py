@@ -17,7 +17,6 @@ import json
 import logging
 import math
 import operator
-import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -39,8 +38,17 @@ log = logging.getLogger(__name__)
 SCENARIO_SCHEMA_VERSION = 2
 HEADING_UNAVAILABLE = 511.0
 DMA_TIMESTAMP_FORMAT = "%d/%m/%Y %H:%M:%S"
-# DMA_TIMESTAMP_FORMAT text with two-digit fields and one space, exactly
-_DMA_TIMESTAMP = re.compile(r"(\d\d)/(\d\d)/(\d{4}) (\d\d):(\d\d):(\d\d)", re.ASCII)
+# DMA_TIMESTAMP_FORMAT text with two-digit fields, a four-digit year and one
+# space: the positions of its ASCII digits and of its separators
+_DMA_LAYOUT = "dd/mm/yyyy HH:MM:SS"
+_DMA_DIGITS = [i for i, c in enumerate(_DMA_LAYOUT) if c.isalpha()]
+_DMA_SEPARATORS = [i for i, c in enumerate(_DMA_LAYOUT) if not c.isalpha()]
+_DMA_SEPARATOR_CODES = np.array([ord(_DMA_LAYOUT[i]) for i in _DMA_SEPARATORS], np.uint32)
+# days in each month of a common year, by month number
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# AIS rows read and converted together; a block's text is all of the file
+# parse_ais holds at once
+_BLOCK_ROWS = 512
 
 # hull length substituted when the report leaves the field blank, meters
 DEFAULT_LENGTHS = {
@@ -116,24 +124,9 @@ class RawTrack:
 
 
 def _parse_timestamp(text: str, schema: AisSchema) -> float:
-    """Epoch seconds from an ISO-8601 or schema-configured timestamp.
-
-    While the DMA layout is the schema's first format, text in exactly that
-    layout is built directly: ISO-8601 never reads it, and ``strptime``
-    would give the same datetime. All other text, and DMA text naming no
-    valid datetime, goes through ISO-8601 and then the formats in order.
-    """
+    """Epoch seconds from an ISO-8601 or schema-configured timestamp: the
+    stripped text goes through ISO-8601 and then the formats in order."""
     raw = text.strip()
-    if schema.timestamp_formats[:1] == (DMA_TIMESTAMP_FORMAT,):
-        match = _DMA_TIMESTAMP.fullmatch(raw)
-        if match:
-            day, month, year, hour, minute, second = map(int, match.groups())
-            try:
-                return datetime(
-                    year, month, day, hour, minute, second, tzinfo=timezone.utc
-                ).timestamp()
-            except ValueError:
-                pass
     try:
         dt = datetime.fromisoformat(raw)
     except ValueError:
@@ -152,6 +145,88 @@ def _parse_timestamp(text: str, schema: AisSchema) -> float:
     return dt.timestamp()
 
 
+def _dma_seconds(texts: Sequence[str]) -> np.ndarray:
+    """Epoch seconds of each text that, stripped, is exactly in the DMA
+    layout ``dd/mm/yyyy HH:MM:SS`` (ASCII digits, one space) and names a
+    valid datetime, in one array pass; NaN for every other text.
+
+    ISO-8601 never reads such text and ``strptime`` with
+    ``DMA_TIMESTAMP_FORMAT`` reads the same datetime, so a value here is the
+    one :func:`_parse_timestamp` gives while that format comes first.
+    """
+    texts = list(map(str.strip, texts))
+    out = np.full(len(texts), np.nan)
+    fixed = [len(text) == len(_DMA_LAYOUT) for text in texts]
+    rows = np.flatnonzero(fixed)
+    chars = np.array(list(itertools.compress(texts, fixed)), dtype=f"U{len(_DMA_LAYOUT)}")
+    chars = chars.view(np.uint32).reshape(rows.size, len(_DMA_LAYOUT))
+    digits = chars[:, _DMA_DIGITS] - ord("0")  # unsigned: a code below '0' wraps past 9
+    layout = (digits <= 9).all(axis=1) & (
+        chars[:, _DMA_SEPARATORS] == _DMA_SEPARATOR_CODES
+    ).all(axis=1)
+    rows, d = rows[layout], digits[layout].astype(np.int64)
+    day, month = 10 * d[:, 0] + d[:, 1], 10 * d[:, 2] + d[:, 3]
+    year = 1000 * d[:, 4] + 100 * d[:, 5] + 10 * d[:, 6] + d[:, 7]
+    hour, minute, second = (10 * d[:, k] + d[:, k + 1] for k in (8, 10, 12))
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.minimum(month, 12)] + (leap & (month == 2))
+    valid = (
+        (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+        & (hour <= 23) & (minute <= 59) & (second <= 59)
+    )
+    # days since 1970-01-01 in the proleptic Gregorian calendar, as datetime counts
+    months = (year[valid] - 1970) * 12 + month[valid] - 1
+    days = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+    days += day[valid] - 1
+    out[rows[valid]] = (
+        days * 86400 + hour[valid] * 3600 + minute[valid] * 60 + second[valid]
+    )
+    return out
+
+
+def _timestamps(texts: Sequence[str], schema: AisSchema) -> np.ndarray:
+    """Epoch seconds of each timestamp text, NaN where it reads as none.
+    While the DMA layout is the schema's first format, text in that layout
+    is converted in one array pass; the rest goes through
+    :func:`_parse_timestamp` one text at a time."""
+    if schema.timestamp_formats[:1] == (DMA_TIMESTAMP_FORMAT,):
+        out = _dma_seconds(texts)
+    else:
+        out = np.full(len(texts), np.nan)
+    for i in np.flatnonzero(np.isnan(out)).tolist():
+        try:
+            out[i] = _parse_timestamp(texts[i], schema)
+        except ValueError:
+            pass
+    return out
+
+
+def _floats(texts: Sequence[str], blank: float = math.nan) -> np.ndarray:
+    """``float`` of each text, ``blank`` for an empty one and NaN for one
+    ``float`` refuses. The whole column is converted at once; only a column
+    holding a blank or refused text is converted again one text at a time."""
+    try:
+        return np.fromiter(map(float, texts), float, len(texts))
+    except ValueError:
+        pass
+    values = []
+    for text in texts:
+        try:
+            values.append(float(text))
+        except ValueError:
+            values.append(math.nan if text else blank)
+    return np.array(values, dtype=float)
+
+
+def _read_rows(reader, path, count: int) -> list[list[str]]:
+    """The next ``count`` rows of ``reader`` (fewer at the end of the file);
+    a row the csv module refuses raises ValueError naming the file and line."""
+    try:
+        return list(itertools.islice(reader, count))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def parse_ais(path, schema: AisSchema | None = None) -> tuple[dict[str, RawTrack], int]:
     """Read an AIS CSV into per-vessel raw tracks.
 
@@ -162,90 +237,114 @@ def parse_ais(path, schema: AisSchema | None = None) -> tuple[dict[str, RawTrack
     falls back to the course over ground; a blank or non-finite hull length
     falls back to a per-type default. Duplicate (mmsi, timestamp) rows keep
     the first occurrence.
+
+    The file is read by one ``csv.reader`` in blocks of ``_BLOCK_ROWS`` rows,
+    and each block's columns are converted at once: DMA-layout timestamps
+    in one integer array pass (:func:`_dma_seconds`), numbers by ``float``
+    over each column. Only the texts those refuse are converted again one
+    at a time, by :func:`_parse_timestamp` or ``float``. Between blocks only
+    numeric columns of the accepted rows are kept, plus each vessel's first
+    ship-type text; duplicates are dropped and rows grouped by vessel in
+    time order by one stable sort over them all.
     Returns (tracks keyed by mmsi, skipped row count).
     """
     schema = schema or AisSchema()
-    tracks: dict[str, RawTrack] = {}
-    seen: set[tuple[str, float]] = set()
+    names = (
+        schema.timestamp, schema.mmsi, schema.latitude, schema.longitude,
+        schema.sog, schema.cog, schema.heading, schema.ship_type, schema.length,
+    )
+    codes: dict[str, int] = {}  # mmsi -> vessel code, in order of first accepted row
+    type_texts: list[str] = []  # ship-type text of each vessel's first accepted row
+    # per block, of its accepted rows: code, t, lat, lon, speed, heading, length
+    blocks: list[tuple[np.ndarray, ...]] = []
     skipped = 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        first = _read_rows(reader, path, 1)
+        if not first:
             raise ValueError(f"{path}: empty AIS file")
-        missing = [
-            c
-            for c in (schema.timestamp, schema.mmsi, schema.latitude, schema.longitude)
-            if c not in header
-        ]
+        header = first[0]
+        missing = [c for c in names[:4] if c not in header]
         if missing:
             raise ValueError(f"{path}: missing required columns {missing}")
-        # a repeated name reads its last column; an absent one reads the
-        # blank pad column appended to every row
+        # a repeated name reads its last column; an absent one reads blank
         width = len(header)
         column = {name: i for i, name in enumerate(header)}
-        pick = operator.itemgetter(
-            *(
-                column.get(name, width)
-                for name in (
-                    schema.timestamp, schema.mmsi, schema.latitude, schema.longitude,
-                    schema.sog, schema.cog, schema.heading, schema.ship_type, schema.length,
-                )
-            )
-        )
-        for row in reader:
-            n = len(row)
-            if n != width:
-                if not n:
+        present = [name for name in names if name in column]
+        pick = operator.itemgetter(*(column[name] for name in present))
+        while block := _read_rows(reader, path, _BLOCK_ROWS):
+            if min(map(len, block)) < width:
+                # blank lines are dropped, short rows padded with blank fields
+                block = [row + [""] * (width - len(row)) for row in block if row]
+                if not block:
                     continue
-                del row[width:]
-                row.extend([""] * (width - n))
-            row.append("")
-            stamp, mmsi, lat, lon, sog, cog, heading, type_text, length_text = pick(row)
-            try:
-                t = _parse_timestamp(stamp, schema)
-                mmsi = mmsi.strip()
-                lat = float(lat)
-                lon = float(lon)
-                if not mmsi or not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-                    raise ValueError("bad position")
-                sog = float(sog or 0.0)
-                cog = float(cog or 0.0)
-                hdg = float(heading) if heading else HEADING_UNAVAILABLE
-                if not (math.isfinite(sog) and math.isfinite(cog) and math.isfinite(hdg)):
-                    raise ValueError("non-finite motion field")
-            except ValueError:
-                skipped += 1
-                continue
-            if (mmsi, t) in seen:
-                continue
-            seen.add((mmsi, t))
-            if hdg == HEADING_UNAVAILABLE:
-                hdg = cog
-            track = tracks.get(mmsi)
-            if track is None:
-                track = RawTrack(mmsi=mmsi, vessel_type=VesselType.parse(type_text.strip()))
-                tracks[mmsi] = track
-            if track.length is None:
-                length_text = length_text.strip()
-                if length_text:
-                    try:
-                        value = float(length_text)
-                        if math.isfinite(value) and value > 0.0:
-                            track.length = value
-                    except ValueError:
-                        pass
-            track.times.append(t)
-            track.lat.append(lat)
-            track.lon.append(lon)
-            track.speed.append(max(0.0, sog * KNOTS_TO_MPS))
-            track.heading.append(math.radians(hdg % 360.0))
-    for track in tracks.values():
-        if track.length is None:
-            track.length = DEFAULT_LENGTHS[track.vessel_type]
-        order = np.argsort(track.times, kind="stable")
-        for name in ("times", "lat", "lon", "speed", "heading"):
-            setattr(track, name, np.asarray(getattr(track, name))[order].tolist())
+            n = len(block)
+            picked = dict(zip(present, zip(*map(pick, block))))
+            stamp, mmsi, lat, lon, sog, cog, heading, type_text, length = (
+                picked.get(name, ("",) * n) for name in names
+            )
+            t = _timestamps(stamp, schema)
+            mmsi = list(map(str.strip, mmsi))
+            lat, lon = _floats(lat), _floats(lon)
+            sog, cog = _floats(sog, 0.0), _floats(cog, 0.0)
+            hdg = _floats(heading, HEADING_UNAVAILABLE)
+            ok = (
+                ~np.isnan(t)
+                & np.fromiter(map(bool, mmsi), bool, n)
+                & (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
+                & np.isfinite(sog) & np.isfinite(cog) & np.isfinite(hdg)
+            )
+            rows = np.flatnonzero(ok)
+            skipped += n - rows.size
+            known = len(codes)
+            code = np.fromiter(
+                (codes.setdefault(m, len(codes)) for m in itertools.compress(mmsi, ok.tolist())),
+                np.int64,
+                rows.size,
+            )
+            # a vessel's first accepted row is the first row given its code
+            new = np.flatnonzero(code >= known)
+            new = new[np.unique(code[new], return_index=True)[1]]
+            type_texts += [type_text[i].strip() for i in rows[new].tolist()]
+            speed = sog[rows] * KNOTS_TO_MPS
+            hdg = np.where(hdg[rows] == HEADING_UNAVAILABLE, cog[rows], hdg[rows])
+            length = _floats(length)[rows]
+            blocks.append((
+                code,
+                t[rows],
+                lat[rows],
+                lon[rows],
+                np.where(speed > 0.0, speed, 0.0),
+                np.mod(hdg, 360.0) * (math.pi / 180.0),  # math.radians, to the bit
+                np.where((length > 0.0) & (length < math.inf), length, math.nan),
+            ))
+    if not codes:
+        return {}, skipped
+    code, t, lat, lon, speed, heading, length = (np.concatenate(c) for c in zip(*blocks))
+    del blocks  # freed before the sorted copies are made, which sets the peak memory
+    # by vessel, then time; the sort is stable, so of rows repeating an
+    # (mmsi, time) the first in the file leads and alone is kept
+    order = np.lexsort((t, code))
+    vessel, t_o = code[order], t[order]
+    kept = np.ones(order.size, bool)
+    kept[1:] = (vessel[1:] != vessel[:-1]) | (t_o[1:] != t_o[:-1])
+    order, vessel = order[kept], vessel[kept]
+    # a vessel's hull length is the first valid one among its kept rows
+    sized = np.sort(order[~np.isnan(length[order])])
+    sized_vessels, first = np.unique(code[sized], return_index=True)
+    lengths = dict(zip(sized_vessels.tolist(), length[sized[first]].tolist()))
+    columns = [a[order] for a in (t, lat, lon, speed, heading)]
+    bounds = [0, *(np.flatnonzero(np.diff(vessel)) + 1).tolist(), order.size]
+    tracks = {}
+    # every vessel keeps its first accepted row, so vessel k is the k-th run
+    for k, (mmsi, a, b) in enumerate(zip(codes, bounds[:-1], bounds[1:])):
+        vessel_type = VesselType.parse(type_texts[k])
+        tracks[mmsi] = RawTrack(
+            mmsi,
+            *(col[a:b].tolist() for col in columns),
+            vessel_type=vessel_type,
+            length=lengths.get(k, DEFAULT_LENGTHS[vessel_type]),
+        )
     return dict(sorted(tracks.items())), skipped
 
 

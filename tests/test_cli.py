@@ -207,6 +207,16 @@ class TestIngestCommand:
         assert run("ingest", "--ais", empty, "--output", tmp_path / "run") == 2
         assert json.loads(capsys.readouterr().err)["code"] == 2
 
+    def test_field_over_csv_limit_exits_2_naming_ais(self, tmp_path, capsys):
+        ais = tmp_path / "long_field.csv"
+        row = [stamp(0), "219000001", "55.0", "11.0", "10", "0", "0", "Cargo", "9" * 200_000]
+        ais.write_text(",".join(COLUMNS) + "\n" + ",".join(row) + "\n", encoding="utf-8")
+        assert run("ingest", "--ais", ais, "--output", tmp_path / "run") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 2
+        assert err["detail"]["path"] == str(ais)
+        assert err["message"].startswith(f"{ais}: line 2: field larger than field limit"), err
+
     def test_rerun_is_byte_identical(self, head_on_ais, chart_file, tmp_path):
         a = ingest(head_on_ais, tmp_path / "r1", chart_file)
         b = ingest(head_on_ais, tmp_path / "r2", chart_file)

@@ -4,13 +4,16 @@ import csv
 import json
 import logging
 import math
+import re
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seamanship import ingest
 from seamanship.geometry import KNOTS_TO_MPS, TWO_PI, VesselTrack, VesselType, project
 from seamanship.ingest import (
     DEFAULT_LENGTHS,
@@ -20,6 +23,7 @@ from seamanship.ingest import (
     IngestParams,
     RawTrack,
     Scenario,
+    _dma_seconds,
     _parse_timestamp,
     _ring_coords,
     build_scenario,
@@ -588,23 +592,87 @@ class TestTimestampFastPath:
         assert hash(schema) == hash(AisSchema())
 
 
+class TestDmaSeconds:
+    """The array pass over DMA-layout text gives exactly what
+    ``_parse_timestamp`` gives for every text it accepts, and refuses only
+    text that function refuses or that is not in the fixed layout."""
+
+    SCHEMA = AisSchema()
+    LAYOUT = re.compile(r"\d\d/\d\d/\d{4} \d\d:\d\d:\d\d", re.ASCII)
+
+    def check(self, texts):
+        seconds = _dma_seconds(texts)
+        assert seconds.shape == (len(texts),)
+        for text, value in zip(texts, seconds.tolist()):
+            if math.isnan(value):
+                assert (
+                    outcome(_parse_timestamp, text, self.SCHEMA) == "error"
+                    or not self.LAYOUT.fullmatch(text.strip())
+                ), text
+            else:
+                assert value == _parse_timestamp(text, self.SCHEMA), text
+
+    @given(
+        day=st.integers(0, 32),
+        month=st.integers(0, 13),
+        year=st.integers(0, 9999),
+        hour=st.integers(0, 25),
+        minute=st.integers(0, 61),
+        second=st.integers(0, 62),
+        pad=st.sampled_from(["", " ", "  ", "\t"]),
+    )
+    @example(day=29, month=2, year=2024, hour=0, minute=0, second=0, pad="")
+    @example(day=29, month=2, year=2023, hour=0, minute=0, second=0, pad="")
+    @example(day=31, month=4, year=2023, hour=23, minute=59, second=59, pad=" ")
+    @example(day=1, month=1, year=1, hour=0, minute=0, second=60, pad="")
+    @example(day=0, month=1, year=2023, hour=24, minute=0, second=61, pad="")
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scalar_path(self, day, month, year, hour, minute, second, pad):
+        text = f"{pad}{day:02d}/{month:02d}/{year:04d} {hour:02d}:{minute:02d}:{second:02d}{pad}"
+        # among an accepted and a refused text, as rows of one block
+        self.check(["07/09/2023 00:00:20", text, "junk"])
+
+    @given(st.lists(st.text(alphabet="0123456789/: -+T٠١\t", min_size=15, max_size=22)))
+    @example(["07/09/2023 00:00:20", "7/09/2023 00:00:20", "07/09/2023  00:00:20"])
+    @example(["+7/09/2023 00:00:20", "2023-09-07 00:00:20", "٠٧/09/2023 00:00:20"])
+    @example(["07/09/2023\t00:00:20", "29/02/1900 00:00:00", "29/02/2000 00:00:00"])
+    @example(["01/01/0000 00:00:00", "31/12/9999 23:59:59", "01/01/0001 00:00:00"])
+    @example([])
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scalar_path_on_any_text(self, texts):
+        self.check(texts)
+
+
 AIS_TIMES = [dma_time(s) for s in (0, 20, 40, 60, 600)] + [
     "2023-09-07T06:00:30+00:00",
     "2023-09-07T06:00:20",
     "31/02/2023 25:61:00",
     "07/09/2023 06:00:60",
     " 07/09/2023 06:01:00 ",
+    "29/02/1900 06:00:20",
+    "29/02/2000 06:00:20",
+    "01/01/0000 06:00:00",
+    "31/12/9999 23:59:59",
+    # the 20 s and 40 s reports again: a tab that strptime reads as its
+    # space, and Arabic-Indic digits
+    "07/09/2023\t06:00:20",
+    "٠٧/٠٩/٢٠٢٣ ٠٦:٠٠:٤٠",
 ]
+# number spellings float reads (underscores, Arabic-Indic digits, padding,
+# a sign, an exponent, Infinity) and one it refuses
+FLOAT_SPELLINGS = ["5_5", "٥٥", " 55.5 ", "+55", "5.5e1", "Infinity", "0x10"]
 AIS_FIELDS = {
     "# Timestamp": st.sampled_from(AIS_TIMES + ["", "junk"]),
     "MMSI": st.sampled_from(["219000001", "219000002", " 219000003 ", "", "   "]),
-    "Latitude": st.sampled_from(["55.0", "55.0012345", "-0", "91.5", "", "nan", "fifty"]),
-    "Longitude": st.sampled_from(["11.0", "10.9999", "180", "-181", "inf", ""]),
-    "SOG": st.sampled_from(["10.0", "0", "-3", "", "nan", "1e400", "x"]),
-    "COG": st.sampled_from(["45.0", "359.9", "-10", "", "inf", "720"]),
-    "Heading": st.sampled_from(["0", "511", "511.0", "90", "", "-inf", "721"]),
+    "Latitude": st.sampled_from(
+        ["55.0", "55.0012345", "-0", "91.5", "", "nan", "fifty"] + FLOAT_SPELLINGS
+    ),
+    "Longitude": st.sampled_from(["11.0", "10.9999", "180", "-181", "inf", ""] + FLOAT_SPELLINGS),
+    "SOG": st.sampled_from(["10.0", "0", "-3", "", "nan", "1e400", "x"] + FLOAT_SPELLINGS),
+    "COG": st.sampled_from(["45.0", "359.9", "-10", "", "inf", "720"] + FLOAT_SPELLINGS),
+    "Heading": st.sampled_from(["0", "511", "511.0", "90", "", "-inf", "721"] + FLOAT_SPELLINGS),
     "Ship type": st.sampled_from(["Cargo", " tanker ", "Pilot", "", "Unknown"]),
-    "Length": st.sampled_from(["150", "", "inf", "-5", "0", "abc", " 80 "]),
+    "Length": st.sampled_from(["150", "", "inf", "-5", "0", "abc", " 80 ", "1_50", "٨٠"]),
 }
 
 
@@ -631,16 +699,42 @@ def dirty_ais_csv(draw):
     return newline.join(lines) + newline
 
 
+# every row skipped: a bad timestamp, a blank mmsi, a refused latitude
+ALL_SKIPPED = "\n".join([
+    "# Timestamp,MMSI,Latitude,Longitude",
+    "junk,1,55,11",
+    f"{dma_time(0)},,55,11",
+    f"{dma_time(0)},1,0x10,11",
+]) + "\n"
+
+
+def assert_matches_reference(path):
+    tracks, skipped = parse_ais(path)
+    ref_tracks, ref_skipped = reference_parse_ais(path)
+    assert skipped == ref_skipped
+    assert repr(tracks) == repr(ref_tracks)
+
+
 class TestParseAisEquivalence:
     @given(text=dirty_ais_csv())
+    @example(text=ALL_SKIPPED)
     @settings(max_examples=300, deadline=None)
     def test_matches_dictreader_parser(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("ais") / "a.csv"
         path.write_bytes(text.encode("utf-8"))
-        tracks, skipped = parse_ais(path)
-        ref_tracks, ref_skipped = reference_parse_ais(path)
-        assert skipped == ref_skipped
-        assert repr(tracks) == repr(ref_tracks)
+        assert_matches_reference(path)
+
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    @given(text=dirty_ais_csv())
+    @example(text=ALL_SKIPPED)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dictreader_parser_in_small_blocks(self, tmp_path_factory, block_rows, text):
+        # duplicates, a vessel's first row and its first valid length fall
+        # in different blocks
+        path = tmp_path_factory.mktemp("ais") / "a.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            assert_matches_reference(path)
 
     @pytest.mark.parametrize("text", ["", "\n1,2\n"])
     def test_empty_or_blank_header_matches(self, tmp_path, text):
