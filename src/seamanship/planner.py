@@ -12,21 +12,25 @@ Both return their paths by one rule: every last-level path within
 ``tie_eps`` of the least path risk, stable-sorted by path risk and capped
 at ``beam_width``.
 
-All children of a level share one time, so a level is advanced and scored
-as arrays: the targets are interpolated once, every child moves in one
-vectorized arc step, and one risk-kernel pass scores every child against
-every target. The chart is scanned once per level for points near any
-child, and one grounding-kernel pass scores every child against the points
-inside its own arena. Search nodes are kept as parallel arrays with parent
-indices; the returned paths are read back through those indices, and each
-node on them becomes one :class:`SearchNode` record, shared by every
-returned path through it.
+One search may start from several roots, the ownship at several times:
+every node carries its root's index, and each root is pruned on its own,
+so a root's result does not depend on the others. A level is advanced and
+scored as arrays: every child moves in one vectorized arc step, and one
+:func:`scenario_risks` call scores every child at its root's time, with
+the targets interpolated and the chart prefiltered once per distinct
+time. :func:`branch_and_bound` and :func:`exhaustive_search` search from
+one root; :func:`sr_star_series` searches all the distinct times of a
+window, in blocks of roots of bounded size (``ROOT_BLOCK_NODES``), and a
+window of one time with :func:`branch_and_bound`. Search
+nodes are kept as parallel arrays with parent indices; the returned paths
+are read back through those indices, and each node on them becomes one
+:class:`SearchNode` record, shared by every returned path through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +45,11 @@ from .geometry import (
 from .risk import ObstacleSet, RiskParams, scenario_risks
 
 ALPHA_EPS = 1e-6
+# widest level (roots x beam_width x actions) a block of sr_star_series
+# roots may reach: a block's children each carry their own row of target
+# states, so a whole-track window searched as one block would hold tens of
+# megabytes where a one-root search holds one or two
+ROOT_BLOCK_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -215,12 +224,17 @@ class PathResult:
 class _Level:
     """Kept nodes of one search level as parallel arrays.
 
+    ``time`` holds one time per root of the searched block and ``root``
+    each node's root index; nodes are grouped by root, in root order.
     ``speed`` is each node's speed command (the root's own speed at level
-    0); ``path_risk`` is the maximum scenario risk from level 1 down to the
-    node; ``parent`` indexes the kept nodes of the previous level.
+    0); ``risk`` is its scenario risk (NaN at the roots, which the search
+    does not score); ``path_risk`` is the maximum scenario risk from level
+    1 down to the node; ``parent`` indexes the kept nodes of the previous
+    level.
     """
 
-    time: float
+    time: np.ndarray
+    root: np.ndarray
     north: np.ndarray
     east: np.ndarray
     speed: np.ndarray
@@ -232,78 +246,110 @@ class _Level:
 
     def select(self, index: np.ndarray) -> "_Level":
         return _Level(
-            self.time, self.north[index], self.east[index], self.speed[index],
-            self.heading[index], self.alpha[index], self.risk[index],
+            self.time, self.root[index], self.north[index], self.east[index],
+            self.speed[index], self.heading[index], self.alpha[index], self.risk[index],
             self.path_risk[index], self.parent[index],
         )
 
+    def root_starts(self) -> np.ndarray:
+        """Index of each root's first node."""
+        return np.flatnonzero(np.diff(self.root, prepend=-1))
+
 
 def _survivors(
-    risk: np.ndarray,
-    alpha: np.ndarray,
-    v_cmd: np.ndarray,
-    tie_eps: float,
-    beam_width: int,
-    root_speed: float,
+    level: _Level, root_speed: np.ndarray, tie_eps: float, beam_width: int
 ) -> np.ndarray:
-    """Indices of the minimum-risk children within tie_eps, capped at beam_width.
+    """Indices of each root's minimum-risk children within tie_eps, at
+    most beam_width per root, grouped by root.
 
     Among ties, straighter and closer-to-current-speed candidates rank
     first so a risk-free scene keeps its hold-course path through the cap;
     the child index breaks the remaining ties.
     """
-    tied = np.flatnonzero(risk <= risk.min() + tie_eps)
-    order = np.lexsort(
-        (tied, np.abs(v_cmd[tied] - root_speed), np.abs(alpha[tied]), risk[tied])
-    )
-    return tied[order[:beam_width]]
+    risk, root = level.risk, level.root
+    least = np.minimum.reduceat(risk, level.root_starts())
+    tied = np.flatnonzero(risk <= least[root] + tie_eps)
+    owner = root[tied]
+    order = np.lexsort((
+        tied, np.abs(level.speed[tied] - root_speed[owner]), np.abs(level.alpha[tied]),
+        risk[tied], owner,
+    ))
+    kept, owner = tied[order], owner[order]
+    # rank within the root: position less that of the root's first survivor
+    rank = np.arange(kept.size) - np.searchsorted(owner, owner)
+    return kept[rank < beam_width]
 
 
-def _level_search(
+@dataclass(frozen=True)
+class _Scene:
+    """What a search from the ownship reads: its track, the target tracks
+    in id order, the chart and the parameter blocks."""
+
+    own: VesselTrack
+    targets: list[VesselTrack]
+    obstacles: ObstacleSet | None
+    hyper: Hyperparameters
+    kin: KinodynamicParams
+    rp: RiskParams
+    dp: DomainParams
+
+
+def _scene(
     tracks: Mapping[str, VesselTrack],
     ownship_id: str,
-    t: float,
-    hyper: Hyperparameters,
+    times: Sequence[float],
+    hyper: Hyperparameters | None,
     kin: KinodynamicParams | None,
     params: RiskParams | None,
     domain_params: DomainParams | None,
     obstacles: ObstacleSet | None,
-    prune: Callable[[np.ndarray, np.ndarray, np.ndarray, float], np.ndarray],
-) -> tuple[list[_Level], VesselState, bool, int]:
-    """Expand the ownship state at ``t`` level by level over the action grid.
-
-    Each of the ``n_t`` levels lasts ``horizon_T / n_t`` seconds; children
-    are enumerated parent, then speed command, then rudder. After a level
-    is scored, ``prune(risk, alpha, v_cmd, root_speed)`` returns the
-    indices of the children the next level expands. Returns (kept nodes
-    per level, root first; root state; whether any target was held; nodes
-    expanded).
-    """
-    kin = kin or KinodynamicParams()
-    rp = params or RiskParams()
-    dp = domain_params or DomainParams()
+) -> _Scene:
+    """The search scene of an ownship whose track covers every one of
+    ``times``; a parameter block not given takes its defaults."""
     if ownship_id not in tracks:
         raise KeyError(f"ownship {ownship_id!r} not among tracks")
     own = tracks[ownship_id]
-    if not own.covers(t):
-        raise ValueError(
-            f"ownship {ownship_id!r} not defined at t={t} "
-            f"(track spans [{own.t_start}, {own.t_end}])"
-        )
-    targets = [tr for tid, tr in sorted(tracks.items()) if tid != ownship_id]
-    root_state = own.state_at(t)
-    root = StateArrays.of([root_state])
-    step = scenario_risks(root, t, targets, obstacles, rp, dp, hold_targets=True)
-    held_any = step.targets_held
+    for t in times:
+        if not own.covers(t):
+            raise ValueError(
+                f"ownship {ownship_id!r} not defined at t={t} "
+                f"(track spans [{own.t_start}, {own.t_end}])"
+            )
+    return _Scene(
+        own, [tr for tid, tr in sorted(tracks.items()) if tid != ownship_id], obstacles,
+        hyper or Hyperparameters(), kin or KinodynamicParams(), params or RiskParams(),
+        domain_params or DomainParams(),
+    )
+
+
+def _level_search(
+    scene: _Scene, times: np.ndarray, beam: bool
+) -> tuple[list[_Level], bool, int]:
+    """Expand the ownship states at each of ``times`` (a block of roots)
+    level by level over the action grid.
+
+    Each of the ``n_t`` levels lasts ``horizon_T / n_t`` seconds; children
+    are enumerated parent, then speed command, then rudder, so they stay
+    grouped by root. All children of a level are scored in one
+    :func:`scenario_risks` call, each at its own root's time (one shared
+    time when the block has one root). With ``beam`` the next level
+    expands only each root's :func:`_survivors`, else every child.
+    Returns (kept nodes per level, the unscored roots first; whether any
+    target was held at a child; nodes expanded).
+    """
+    hyper, own = scene.hyper, scene.own
+    roots = StateArrays.of([own.state_at(t) for t in times.tolist()])
+    n_roots = times.size
     levels = [_Level(
-        root_state.time, root.north, root.east, root.speed, root.heading,
-        np.full(1, np.nan), step.scenario, np.full(1, -np.inf), np.full(1, -1),
+        times, np.arange(n_roots), roots.north, roots.east, roots.speed, roots.heading,
+        np.full(n_roots, np.nan),
+        np.full(n_roots, np.nan), np.full(n_roots, -np.inf), np.full(n_roots, -1),
     )]
     dt = hyper.horizon_T / hyper.n_t
     alpha_grid = hyper.alpha_grid()
-    act_v = np.repeat(hyper.v_grid(kin), alpha_grid.size)
+    act_v = np.repeat(hyper.v_grid(scene.kin), alpha_grid.size)
     act_alpha = np.tile(alpha_grid, act_v.size // alpha_grid.size)
-    expanded = 0
+    held_any, expanded = False, 0
     for _ in range(hyper.n_t):
         prev = levels[-1]
         n_parents = prev.north.size
@@ -312,58 +358,73 @@ def _level_search(
         v_cmd = np.tile(act_v, n_parents)
         north, east, heading = _arc_step(
             prev.north[parent], prev.east[parent], prev.speed[parent],
-            prev.heading[parent], root_state.length, alpha, v_cmd, dt, kin,
+            prev.heading[parent], own.length, alpha, v_cmd, dt, scene.kin,
         )
         # accumulated level by level, as each child's time is its parent's plus dt
         time = prev.time + dt
-        children = StateArrays(north, east, v_cmd, heading, np.full(north.size, float(root_state.length)))
-        step = scenario_risks(children, time, targets, obstacles, rp, dp, hold_targets=True)
+        root = prev.root[parent]
+        children = StateArrays(north, east, v_cmd, heading, np.full(north.size, float(own.length)))
+        step = scenario_risks(
+            children, float(time[0]) if n_roots == 1 else time[root], scene.targets,
+            scene.obstacles, scene.rp, scene.dp, hold_targets=True,
+        )
         held_any = held_any or step.targets_held
         expanded += north.size
         level = _Level(
-            time, north, east, v_cmd, heading, alpha, step.scenario,
+            time, root, north, east, v_cmd, heading, alpha, step.scenario,
             np.maximum(prev.path_risk[parent], step.scenario), parent,
         )
-        levels.append(level.select(prune(step.scenario, alpha, v_cmd, root_state.speed)))
-    return levels, root_state, held_any, expanded
+        if beam:
+            level = level.select(
+                _survivors(level, levels[0].speed, hyper.tie_eps, hyper.beam_width)
+            )
+        levels.append(level)
+    return levels, held_any, expanded
 
 
 def _paths(
-    levels: list[_Level], root_state: VesselState, leaves: np.ndarray
+    levels: list[_Level], root: SearchNode, leaves: np.ndarray
 ) -> list[list[SearchNode]]:
-    """Root-to-leaf node lists of the given last-level nodes, read back
-    through the parent indices. Each distinct node is built once and shared
-    by every path through it."""
+    """Root-to-leaf node lists of the given last-level nodes of a one-root
+    search, read back through the parent indices. Each distinct node is
+    built once and shared by every path through it."""
+    own = root.state
     index, columns = leaves.tolist(), []
     for lv in levels[:0:-1]:
         distinct = list(dict.fromkeys(index))
         arrays = (lv.north, lv.east, lv.speed, lv.heading, lv.risk, lv.alpha)
         built = {
-            i: SearchNode(VesselState(lv.time, north, east, speed, heading, root_state.length,
-                                      root_state.vessel_type), risk, alpha, speed)
+            i: SearchNode(VesselState(lv.time.item(), north, east, speed, heading, own.length,
+                                      own.vessel_type), risk, alpha, speed)
             for i, north, east, speed, heading, risk, alpha
             in zip(distinct, *(a[distinct].tolist() for a in arrays))
         }
         columns.append([built[i] for i in index])
         index = lv.parent[index].tolist()
-    columns.append([SearchNode(root_state, float(levels[0].risk[0]))] * len(leaves))
+    columns.append([root] * len(leaves))
     return [list(path) for path in zip(*reversed(columns))]
 
 
 def _result(
-    hyper: Hyperparameters, levels: list[_Level], root_state: VesselState,
-    held_any: bool, expanded: int,
+    scene: _Scene, t: float, levels: list[_Level], held_any: bool, expanded: int
 ) -> PathResult:
-    """The search result of :func:`_level_search`'s output: the last-level
-    paths within ``tie_eps`` of the least path risk, stable-sorted by path
-    risk (so in prune order among equals) and capped at ``beam_width``."""
+    """The search result of a one-root :func:`_level_search` from ``t``:
+    the last-level paths within ``tie_eps`` of the least path risk,
+    stable-sorted by path risk (so in prune order among equals) and capped
+    at ``beam_width``. The root is scored here, for its node and for
+    ``targets_held``."""
+    root_state = scene.own.state_at(t)
+    step = scenario_risks(
+        StateArrays.of([root_state]), t, scene.targets, scene.obstacles, scene.rp, scene.dp,
+        hold_targets=True,
+    )
     risks = levels[-1].path_risk
     best = float(risks.min())
-    keep = np.flatnonzero(risks <= best + hyper.tie_eps)
-    keep = keep[np.argsort(risks[keep], kind="stable")][: hyper.beam_width]
-    paths = _paths(levels, root_state, keep)
+    keep = np.flatnonzero(risks <= best + scene.hyper.tie_eps)
+    keep = keep[np.argsort(risks[keep], kind="stable")][: scene.hyper.beam_width]
+    paths = _paths(levels, SearchNode(root_state, float(step.scenario[0])), keep)
     return PathResult(states=paths[0], path_risk=best, sr_star=best, paths=paths,
-                      targets_held=held_any, nodes_expanded=expanded)
+                      targets_held=step.targets_held or held_any, nodes_expanded=expanded)
 
 
 def branch_and_bound(
@@ -387,13 +448,8 @@ def branch_and_bound(
     Because pruning is greedy, the result is an upper bound on the true
     minimum path risk; it is exact for a single level.
     """
-    hyper = hyper or Hyperparameters()
-    return _result(hyper, *_level_search(
-        tracks, ownship_id, t, hyper, kin, params, domain_params, obstacles,
-        prune=lambda risk, alpha, v_cmd, root_speed: _survivors(
-            risk, alpha, v_cmd, hyper.tie_eps, hyper.beam_width, root_speed
-        ),
-    ))
+    scene = _scene(tracks, ownship_id, [t], hyper, kin, params, domain_params, obstacles)
+    return _result(scene, t, *_level_search(scene, np.array([t], dtype=float), beam=True))
 
 
 def exhaustive_search(
@@ -419,10 +475,8 @@ def exhaustive_search(
         raise ValueError(
             f"{n_seq} action sequences exceed the exhaustive budget {max_sequences}"
         )
-    return _result(hyper, *_level_search(
-        tracks, ownship_id, t, hyper, kin, params, domain_params, obstacles,
-        prune=lambda risk, *_: np.arange(risk.size),
-    ))
+    scene = _scene(tracks, ownship_id, [t], hyper, kin, params, domain_params, obstacles)
+    return _result(scene, t, *_level_search(scene, np.array([t], dtype=float), beam=False))
 
 
 def sr_star_series(
@@ -435,18 +489,30 @@ def sr_star_series(
     domain_params: DomainParams | None = None,
     obstacles: ObstacleSet | None = None,
 ) -> np.ndarray:
-    """Best-achievable path risk at each query time.
+    """Best-achievable path risk at each query time: the ``sr_star`` of
+    :func:`branch_and_bound` at that time, aligned with ``times``.
 
-    Runs :func:`branch_and_bound` once per distinct time (cached within
-    the call) and returns the sr_star values aligned with ``times``.
+    The distinct times are the roots of one level search, taken in blocks
+    whose widest possible level (roots x ``beam_width`` x actions) stays
+    within ``ROOT_BLOCK_NODES``; each root is pruned on its own, so the
+    blocks do not change any value. A root's value is the least path risk
+    of its last-level nodes. A window of one distinct time runs
+    :func:`branch_and_bound` itself, the search whose results the planner
+    counters of ``perfbench/tracer.py`` read.
     """
-    cache: dict[float, float] = {}
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        key = float(t)
-        if key not in cache:
-            cache[key] = branch_and_bound(
-                tracks, ownship_id, key, hyper, kin, params, domain_params, obstacles
-            ).sr_star
-        out[i] = cache[key]
-    return out
+    distinct = list(dict.fromkeys(map(float, times)))
+    if len(distinct) == 1:
+        return np.full(len(times), branch_and_bound(
+            tracks, ownship_id, distinct[0], hyper, kin, params, domain_params, obstacles
+        ).sr_star)
+    scene = _scene(tracks, ownship_id, distinct, hyper, kin, params, domain_params, obstacles)
+    hyper = scene.hyper
+    widest = hyper.beam_width * hyper.n_alpha * hyper.v_grid(scene.kin).size
+    per_block = max(1, ROOT_BLOCK_NODES // widest)
+    least: list[float] = []
+    for lo in range(0, len(distinct), per_block):
+        levels, _, _ = _level_search(scene, np.array(distinct[lo:lo + per_block]), beam=True)
+        last = levels[-1]
+        least += np.minimum.reduceat(last.path_risk, last.root_starts()).tolist()
+    by_time = dict(zip(distinct, least))
+    return np.array([by_time[float(t)] for t in times], dtype=float)

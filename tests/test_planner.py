@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,12 +12,13 @@ from seamanship.planner import (
     Hyperparameters,
     KinodynamicParams,
     _level_search,
+    _scene,
     branch_and_bound,
     exhaustive_search,
     sr_star_series,
     step_kinodynamics,
 )
-from seamanship import risk
+from seamanship import planner, risk
 from seamanship.risk import MUTUAL_MODES, ObstacleSet, RiskParams
 from .test_geometry import straight_track
 from .test_risk import closed_square, reference_scenario_risk_for_state
@@ -229,6 +231,25 @@ class TestSrStarSeries:
         out = sr_star_series(scene, "own", [0.0, 0.0, 100.0], hyper, KIN, TOY_RISK)
         assert out[0] == out[1]
 
+    def test_memory_bounded_by_root_blocks(self):
+        # open water ties every child, so each root keeps a full beam of 64
+        # nodes on the 39-action grid; searched as one block, 40 roots
+        # held about 10 MB, 10x a one-root search
+        scene = open_water_scene()
+        tracemalloc.start()
+        try:
+            out = sr_star_series(scene, "own", scene["own"].times[:40], Hyperparameters(),
+                                 KIN, TOY_RISK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, np.zeros(40))
+        assert peak < 2_000_000
+
+    def test_uncovered_time_rejected(self):
+        with pytest.raises(ValueError, match="not defined at t=2000.0"):
+            sr_star_series(open_water_scene(), "own", [0.0, 2000.0])
+
 
 @st.composite
 def small_scenes(draw):
@@ -266,27 +287,29 @@ def small_scenes(draw):
 
 
 class TestBatchedLevels:
-    # small element budgets split a level into several kernel passes
-    @given(small_scenes(), st.sampled_from([1, 25, risk.KERNEL_CHUNK_ELEMS]))
+    # small element budgets split a level into several kernel passes; the
+    # roots span the ownship's track, its first and last samples included
+    @given(
+        small_scenes(), st.sampled_from([1, 25, risk.KERNEL_CHUNK_ELEMS]),
+        st.sampled_from([[50.0], [50.0, 0.0, 600.0, 123.4]]),
+    )
     @settings(max_examples=30, deadline=None)
-    def test_child_risks_match_scalar_scenario_risk(self, scene, chunk_elems):
+    def test_child_risks_match_scalar_scenario_risk(self, scene, chunk_elems, roots):
         tracks, obstacles, rp = scene
         hyper = Hyperparameters(n_t=2, n_alpha=3, n_v=2, horizon_T=120.0)
+        search = _scene(tracks, "own", roots, hyper, KIN, rp, None, obstacles)
         with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk_elems):
-            levels, root, _, expanded = _level_search(
-                tracks, "own", 50.0, hyper, KIN, rp, None, obstacles,
-                prune=lambda scores, *_: np.arange(scores.size),
-            )
-        assert expanded == 6 + 36
-        targets = [tr for tid, tr in sorted(tracks.items()) if tid != "own"]
-        for level in levels:
+            levels, _, expanded = _level_search(search, np.array(roots), beam=False)
+        assert expanded == len(roots) * (6 + 36)
+        for level in levels[1:]:
             for i in range(level.north.size):
+                time = level.time[level.root[i]]
                 state = VesselState(
-                    level.time, level.north[i], level.east[i], level.speed[i],
-                    level.heading[i], root.length,
+                    time, level.north[i], level.east[i], level.speed[i],
+                    level.heading[i], search.own.length,
                 )
                 step = reference_scenario_risk_for_state(
-                    state, level.time, targets, obstacles, rp, hold_targets=True
+                    state, time, search.targets, obstacles, rp, hold_targets=True
                 )
                 assert abs(step.scenario - level.risk[i]) <= 1e-12
 
@@ -319,3 +342,25 @@ class TestBatchedLevels:
                     assert s.speed == node.state.speed == node.v_cmd
                     turn = (s.heading - node.state.heading + math.pi) % (2.0 * math.pi)
                     assert abs(turn - math.pi) <= 1e-9
+
+    # one-root blocks up to the whole window in one block; beams of 1 and
+    # 2 nodes bind the per-root cap
+    @given(
+        small_scenes(),
+        st.lists(st.sampled_from([0.0, 600.0, 50.0, 123.4, 333.3]), min_size=1, max_size=6),
+        st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2)]),
+        st.sampled_from([1, 30, planner.ROOT_BLOCK_NODES]),
+        st.sampled_from([25, risk.KERNEL_CHUNK_ELEMS]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_series_equals_branch_and_bound(self, scene, times, grid, block, chunk_elems):
+        tracks, obstacles, rp = scene
+        n_t, beam_width = grid
+        hyper = Hyperparameters(n_t=n_t, n_alpha=3, n_v=2, horizon_T=120.0,
+                                beam_width=beam_width)
+        with mock.patch.object(planner, "ROOT_BLOCK_NODES", block), \
+                mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk_elems):
+            series = sr_star_series(tracks, "own", times, hyper, KIN, rp, None, obstacles)
+            singles = [branch_and_bound(tracks, "own", t, hyper, KIN, rp, None, obstacles).sr_star
+                       for t in times]
+        assert series.tolist() == singles

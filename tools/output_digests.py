@@ -8,9 +8,11 @@ outputs. The three workloads' seed-0 inputs are written with
 ``perfbench/workloads.py`` of this checkout, and every distinct operation
 of each workload (set-up ingest, ingest, fit-speed-model, each score
 window and each safest-path sweep) runs once through
-``seamanship.cli.main``, in plan order. One line is printed per output
-file, ``<sha256>  <workload>/<path>``, sorted by path; the generated inputs
-are not listed.
+``seamanship.cli.main``, in plan order. Each scene workload then scores
+one long window of its first score's ownship (``LONG_WINDOWS``), whose
+many step times the planner searches together, in several root blocks.
+One line is printed per output file, ``<sha256>  <workload>/<path>``,
+sorted by path; the generated inputs are not listed.
 
 Paths are handed to the CLI relative to ROOT, so the manifests, and with
 them the listing, do not depend on where ROOT is. Two listings are
@@ -33,14 +35,32 @@ sys.path.insert(0, str(HERE.parent / "perfbench"))
 import workloads  # noqa: E402
 
 
-def operations(plan) -> list:
-    """Set-up operations, then each cycle operation the first time its key
-    appears, so every distinct operation runs once."""
-    ops, seen = list(plan.prepare), set()
+# flags of the long score per scene workload: open_sea's first ten steps,
+# open water where every root keeps a full beam of tied nodes, and
+# channel_chart's whole ownship span. A beam of 16 nodes lets six roots
+# share a block (planner.ROOT_BLOCK_NODES) on the 39-action grid.
+NARROW_BEAM = ["--set", "search.beam_width=16"]
+LONG_WINDOWS = {"open_sea": ["--t-start", "0", "--t-end", "90", *NARROW_BEAM],
+                "channel_chart": NARROW_BEAM}
+
+
+def operations(name: str, plan) -> list[list[str]]:
+    """Command lines of the set-up operations, then of each cycle
+    operation the first time its key appears, so every distinct operation
+    runs once, then of the workload's long score window, if it has one."""
+    ops, seen = [op.argv for op in plan.prepare], set()
     for op in plan.cycle:
         if op.key not in seen:
             seen.add(op.key)
-            ops.append(op)
+            ops.append(op.argv)
+    if name in LONG_WINDOWS:
+        # the subcommand, then each flag with its value
+        score = next(op.argv for op in plan.cycle if op.kind == "score")
+        pairs = zip(score[1::2], score[2::2])
+        argv = [score[0]] + [a for pair in pairs
+                             if pair[0] not in ("--t-start", "--t-end", "--output") for a in pair]
+        out = Path(name) / "out" / "score-long"
+        ops.append(argv + LONG_WINDOWS[name] + ["--output", str(out)])
     return ops
 
 
@@ -60,10 +80,10 @@ def main(argv: list[str]) -> int:
     outputs: list[Path] = []
     for name in workloads.WORKLOADS:
         plan = workloads.generate(name, 0, Path(name))
-        for op in operations(plan):
-            code = seamanship.cli.main(op.argv)
+        for argv in operations(name, plan):
+            code = seamanship.cli.main(argv)
             if code != 0:
-                print(f"{name} {op.key}: exit {code}", file=sys.stderr)
+                print(f"{name} {' '.join(argv)}: exit {code}", file=sys.stderr)
                 return 1
         inputs = Path(name) / "inputs"
         outputs += [p for p in Path(name).rglob("*") if p.is_file() and inputs not in p.parents]
