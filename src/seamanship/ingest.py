@@ -2,14 +2,19 @@
 
 A scenario bundles resampled vessel tracks, shallow-water obstacle
 polygons, and the local projection frame into one JSON document that
-reproduces byte-for-byte across runs on the same inputs. Each track array
-and each obstacle ring is stored in it as base64 text of its little-endian
-float64 bytes; scalars and metadata are plain JSON.
+reproduces byte-for-byte across runs on the same inputs (schema 3). Every
+track lies on the scenario grid, so a track stores its grid index range
+``[i0, n]`` in place of its times, which load rebuilds bit for bit as
+``dt * np.arange(i0, i0 + n)``. Each other track array and each obstacle
+ring is stored as lowercase hex text of its little-endian float64 bytes,
+which ``binascii.a2b_hex`` decodes several times faster than base64 while
+refusing whitespace, odd lengths and non-hex digits; scalars and metadata
+are plain JSON.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
 import csv
 import hashlib
 import itertools
@@ -19,7 +24,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,7 +39,7 @@ from .risk import ObstacleSet
 
 log = logging.getLogger(__name__)
 
-SCENARIO_SCHEMA_VERSION = 2
+SCENARIO_SCHEMA_VERSION = 3
 HEADING_UNAVAILABLE = 511.0
 DMA_TIMESTAMP_FORMAT = "%d/%m/%Y %H:%M:%S"
 # DMA_TIMESTAMP_FORMAT text with two-digit fields, a four-digit year and one
@@ -111,16 +115,22 @@ class IngestParams:
 
 @dataclass
 class RawTrack:
-    """One vessel's cleaned position reports, still in geodetic coordinates."""
+    """One vessel's cleaned position reports, still in geodetic coordinates:
+    float64 arrays of epoch seconds, degrees, m/s and radians, in time
+    order."""
 
     mmsi: str
-    times: list[float] = field(default_factory=list)
-    lat: list[float] = field(default_factory=list)
-    lon: list[float] = field(default_factory=list)
-    speed: list[float] = field(default_factory=list)
-    heading: list[float] = field(default_factory=list)
+    times: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    speed: np.ndarray
+    heading: np.ndarray
     vessel_type: VesselType = VesselType.OTHER
     length: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("times", "lat", "lon", "speed", "heading"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
 
 def _parse_timestamp(text: str, schema: AisSchema) -> float:
@@ -341,11 +351,18 @@ def parse_ais(path, schema: AisSchema | None = None) -> tuple[dict[str, RawTrack
         vessel_type = VesselType.parse(type_texts[k])
         tracks[mmsi] = RawTrack(
             mmsi,
-            *(col[a:b].tolist() for col in columns),
+            *(col[a:b] for col in columns),
             vessel_type=vessel_type,
             length=lengths.get(k, DEFAULT_LENGTHS[vessel_type]),
         )
     return dict(sorted(tracks.items())), skipped
+
+
+def _grid_times(dt: float, i0: int, n: int) -> np.ndarray:
+    """The ``n`` scenario grid times from index ``i0`` on: ``dt`` times each
+    index, which is how both :func:`resample` and an archive reload make
+    them. An index outside int64 raises OverflowError."""
+    return dt * np.arange(i0, i0 + n, dtype=np.int64)
 
 
 def resample(
@@ -364,12 +381,11 @@ def resample(
     points are dropped. Segment ids get a ``#k`` suffix only when a split
     occurred.
     """
-    if len(raw.times) < 2:
+    if raw.times.size < 2:
         return []
-    times = np.asarray(raw.times, dtype=float) - epoch
+    times = raw.times - epoch
     north, east = project_arrays(raw.lat, raw.lon, origin)
-    speed = np.asarray(raw.speed, dtype=float)
-    heading = np.unwrap(np.asarray(raw.heading, dtype=float))
+    heading = np.unwrap(raw.heading)
     breaks = np.nonzero(np.diff(times) > max_gap)[0]
     bounds = [0, *(int(b) + 1 for b in breaks), times.size]
     segments: list[VesselTrack] = []
@@ -381,14 +397,14 @@ def resample(
         i1 = int(math.floor(seg_t[-1] / dt + 1e-9))
         if i1 <= i0:
             continue
-        grid = dt * np.arange(i0, i1 + 1)
+        grid = _grid_times(dt, i0, i1 + 1 - i0)
         segments.append(
             VesselTrack(
                 track_id=raw.mmsi,
                 times=grid,
                 north=np.interp(grid, seg_t, north[a:b]),
                 east=np.interp(grid, seg_t, east[a:b]),
-                speed=np.maximum(0.0, np.interp(grid, seg_t, speed[a:b])),
+                speed=np.maximum(0.0, np.interp(grid, seg_t, raw.speed[a:b])),
                 heading=np.interp(grid, seg_t, heading[a:b]),
                 vessel_type=raw.vessel_type,
                 length=float(raw.length),
@@ -515,23 +531,55 @@ def sha256_file(path) -> str:
 
 
 def _pack(values: np.ndarray) -> str:
-    """Base64 text of an array's values as little-endian float64 bytes, in
-    C order."""
-    raw = np.ascontiguousarray(values, dtype="<f8").tobytes()
-    return base64.b64encode(raw).decode("ascii")
+    """Lowercase hex text of an array's values as little-endian float64
+    bytes, in C order."""
+    return np.ascontiguousarray(values, dtype="<f8").tobytes().hex()
 
 
 def _unpack(text: str, where: str = "array", columns: int | None = None) -> np.ndarray:
     """The float64 array that :func:`_pack` wrote, native-endian and
     writeable: flat, or in rows of ``columns``. A non-string, text that is
-    not base64, or a byte count that is not a multiple of 8 or of the row
-    size raises ValueError, its message prefixed with ``where`` (a track
-    field or an obstacle ring)."""
+    not hex (whitespace included), an odd digit count, or a byte count that
+    is not a multiple of 8 or of the row size raises ValueError, its
+    message prefixed with ``where`` (a track field or an obstacle ring)."""
     try:
-        values = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").astype(float)
+        values = np.frombuffer(binascii.a2b_hex(text), dtype="<f8").astype(float)
         return values if columns is None else values.reshape(-1, columns)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # binascii.Error is a ValueError
         raise ValueError(f"{where}: {exc}") from exc
+
+
+def _grid_range(track: VesselTrack, dt: float) -> list[int]:
+    """``[i0, n]`` such that the track's times are bitwise
+    ``_grid_times(dt, i0, n)``; a track off that grid raises ValueError
+    naming it, as its times would not survive the archive."""
+    n = track.times.size
+    try:
+        i0 = round(float(track.times[0]) / dt)
+        rebuilt = _grid_times(dt, i0, n)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        rebuilt = None
+    if rebuilt is None or not np.array_equal(rebuilt.view(np.int64), track.times.view(np.int64)):
+        raise ValueError(
+            f"track {track.track_id!r}: times are not on the scenario grid of dt={dt!r} "
+            "(dt times consecutive integers), which is all an archive can store"
+        )
+    return [i0, n]
+
+
+def _archived_times(grid, dt: float, size: int) -> np.ndarray:
+    """The times of an archived grid range ``[i0, n]`` whose track holds
+    ``size`` values in each array."""
+    if not (
+        isinstance(grid, list) and len(grid) == 2 and all(type(k) is int for k in grid)
+    ):
+        raise ValueError(f"{grid!r} is not [i0, n], two integers")
+    i0, n = grid
+    if n < 1:
+        raise ValueError(f"point count {n} is not positive")
+    if n != size:
+        raise ValueError(f"point count {n} does not match the {size} values of each array")
+    return _grid_times(dt, i0, n)
 
 
 def _track_field(td: Mapping, tid: str, name: str, convert=None):
@@ -544,7 +592,7 @@ def _track_field(td: Mapping, tid: str, name: str, convert=None):
         return _unpack(td[name], where)
     try:
         return convert(td[name])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
 
 
@@ -571,11 +619,13 @@ class Scenario:
         return self.dt * np.arange(i0, i1 + 1)
 
     def to_dict(self) -> dict:
+        """The archive document. A track whose times are not bitwise the
+        grid ``dt * np.arange(i0, i0 + n)`` raises ValueError naming it."""
         tracks_doc = {}
         for tid in sorted(self.tracks):
             tr = self.tracks[tid]
             tracks_doc[tid] = {
-                "times": _pack(tr.times),
+                "grid": _grid_range(tr, self.dt),
                 "north": _pack(tr.north),
                 "east": _pack(tr.east),
                 "speed": _pack(tr.speed),
@@ -604,19 +654,22 @@ class Scenario:
                 f"unsupported scenario schema {version} (expected {SCENARIO_SCHEMA_VERSION}); "
                 "re-run `seamanship ingest` on the archive's AIS and chart sources"
             )
-        tracks = {
-            tid: VesselTrack(
+        dt = float(doc["dt"])
+        if not 0.0 < dt < math.inf:  # every track's times are built from it
+            raise ValueError(f"dt {dt!r} is not a positive finite number")
+        tracks = {}
+        for tid, td in doc["tracks"].items():
+            north = _track_field(td, tid, "north")
+            tracks[tid] = VesselTrack(
                 track_id=tid,
-                times=_track_field(td, tid, "times"),
-                north=_track_field(td, tid, "north"),
+                times=_track_field(td, tid, "grid", lambda g: _archived_times(g, dt, north.size)),
+                north=north,
                 east=_track_field(td, tid, "east"),
                 speed=_track_field(td, tid, "speed"),
                 heading=_track_field(td, tid, "heading"),
                 length=_track_field(td, tid, "length", float),
                 vessel_type=_track_field(td, tid, "vessel_type", VesselType),
             )
-            for tid, td in doc["tracks"].items()
-        }
         obstacles = ObstacleSet(
             [
                 _unpack(ring, f"obstacle ring {i}", columns=2)
@@ -627,7 +680,7 @@ class Scenario:
         return cls(
             origin=(float(doc["origin"][0]), float(doc["origin"][1])),
             epoch=float(doc["epoch"]),
-            dt=float(doc["dt"]),
+            dt=dt,
             tracks=tracks,
             obstacles=obstacles,
             metadata=dict(doc.get("metadata", {})),
@@ -637,7 +690,13 @@ class Scenario:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        """Write :meth:`to_json` and a newline, streamed: the document's
+        text is never held whole. A track :meth:`to_dict` refuses leaves
+        the file untouched."""
+        doc = self.to_dict()
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "Scenario":
@@ -661,10 +720,10 @@ def build_scenario(
     raw_tracks, skipped = parse_ais(ais_path, schema)
     if not raw_tracks:
         raise ValueError(f"{ais_path}: no usable AIS rows")
-    all_lat = np.concatenate([np.asarray(tr.lat) for tr in raw_tracks.values()])
-    all_lon = np.concatenate([np.asarray(tr.lon) for tr in raw_tracks.values()])
+    all_lat = np.concatenate([tr.lat for tr in raw_tracks.values()])
+    all_lon = np.concatenate([tr.lon for tr in raw_tracks.values()])
     origin = (float(np.mean(all_lat)), float(np.mean(all_lon)))
-    epoch = min(min(tr.times) for tr in raw_tracks.values())
+    epoch = min(float(tr.times.min()) for tr in raw_tracks.values())
     tracks: dict[str, VesselTrack] = {}
     for mmsi in sorted(raw_tracks):
         for segment in resample(raw_tracks[mmsi], p.dt, origin, epoch, p.max_gap):

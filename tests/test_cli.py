@@ -240,14 +240,44 @@ def _pack_nan(doc):
     _own(doc)["north"] = _pack(north)
 
 
+def _encode_arrays(doc, encode):
+    """Every array of the archive encoded by ``encode``, each track's times
+    in place of its grid range: the layout of schemas 1 and 2."""
+    for track in doc["tracks"].values():
+        i0, n = track.pop("grid")
+        track["times"] = encode(doc["dt"] * np.arange(i0, i0 + n))
+        for name in ("north", "east", "speed", "heading"):
+            track[name] = encode(_unpack(track[name]))
+    polygons = doc["obstacles"]["polygons"]
+    polygons[:] = [encode(_unpack(ring, columns=2)) for ring in polygons]
+
+
 def _as_schema_1(doc):
     """The archive as schema 1 wrote it: arrays as lists of numbers."""
     doc["schema_version"] = 1
-    for track in doc["tracks"].values():
-        for name in ("times", "north", "east", "speed", "heading"):
-            track[name] = _unpack(track[name]).tolist()
-    polygons = doc["obstacles"]["polygons"]
-    polygons[:] = [_unpack(ring).reshape(-1, 2).tolist() for ring in polygons]
+    _encode_arrays(doc, np.ndarray.tolist)
+
+
+def _as_schema_2(doc):
+    """The archive as schema 2 wrote it: every array, times included, as
+    base64 text of its little-endian float64 bytes."""
+    doc["schema_version"] = 2
+    _encode_arrays(doc, lambda a: base64.b64encode(a.astype("<f8").tobytes()).decode("ascii"))
+
+
+def _wrap_north(doc):
+    """A line break inside the north hex text; the digit count stays even."""
+    text = _own(doc)["north"]
+    _own(doc)["north"] = text[:16] + "\r\n" + text[16:]
+
+
+def _regrid(change):
+    """Damage that replaces the grid range [i0, n] by ``change(i0, n)``."""
+
+    def damage(doc):
+        _own(doc)["grid"] = change(*_own(doc)["grid"])
+
+    return damage
 
 
 class TestFitSpeedModelCommand:
@@ -319,14 +349,62 @@ class TestFitSpeedModelCommand:
         "damage, named",
         [
             pytest.param(
-                lambda doc: _own(doc).update(times="not base64!"),
-                ["track '111000001' times: ", "base64"],
-                id="not_base64",
+                lambda doc: _own(doc).update(north="not hex!"),
+                ["track '111000001' north: ", "Non-hexadecimal digit"],
+                id="not_hex",
             ),
             pytest.param(
-                lambda doc: _own(doc).update(speed=base64.b64encode(bytes(59)).decode()),
+                lambda doc: _own(doc).update(north=_own(doc)["north"][:-1]),
+                ["track '111000001' north: ", "Odd-length"],
+                id="odd_length",
+            ),
+            pytest.param(
+                _wrap_north, ["track '111000001' north: ", "Non-hexadecimal digit"], id="whitespace"
+            ),
+            pytest.param(
+                lambda doc: _own(doc).update(speed=bytes(59).hex()),
                 ["track '111000001' speed: ", "multiple of element size"],
                 id="partial_float",
+            ),
+            pytest.param(
+                lambda doc: _own(doc).pop("grid"),
+                ["track '111000001' grid: ", "missing"],
+                id="grid_missing",
+            ),
+            pytest.param(
+                _regrid(lambda i0, n: [float(i0), n]),
+                ["track '111000001' grid: ", "two integers"],
+                id="grid_float",
+            ),
+            pytest.param(
+                _regrid(lambda i0, n: [i0, True]),
+                ["track '111000001' grid: ", "two integers"],
+                id="grid_true",
+            ),
+            pytest.param(
+                _regrid(lambda i0, n: f"{i0},{n}"),
+                ["track '111000001' grid: ", "two integers"],
+                id="grid_text",
+            ),
+            pytest.param(
+                _regrid(lambda i0, n: [i0, 0]),
+                ["track '111000001' grid: ", "count 0 is not positive"],
+                id="grid_zero_count",
+            ),
+            pytest.param(
+                _regrid(lambda i0, n: [i0, -n]),
+                ["track '111000001' grid: ", "is not positive"],
+                id="grid_negative_count",
+            ),
+            pytest.param(
+                _regrid(lambda i0, n: [i0, n + 1]),
+                ["track '111000001' grid: ", "does not match"],
+                id="grid_count_mismatch",
+            ),
+            pytest.param(
+                _regrid(lambda i0, n: [10**30, n]),
+                ["track '111000001' grid: ", "too large"],
+                id="grid_overflow",
             ),
             pytest.param(
                 lambda doc: _own(doc).update(heading=0.5),
@@ -358,9 +436,13 @@ class TestFitSpeedModelCommand:
                 ["track '111000001' vessel_type: ", "5 is not a valid VesselType"],
                 id="numeric_vessel_type",
             ),
+            pytest.param(
+                lambda doc: doc.update(dt=-10.0), ["dt -10.0 is not a positive"], id="negative_dt"
+            ),
             pytest.param(_odd_ring, ["obstacle ring 0: ", "reshape"], id="odd_ring_coordinates"),
             pytest.param(_pack_nan, ["track '111000001': ", "non-finite north"], id="packed_nan"),
             pytest.param(_as_schema_1, ["seamanship ingest"], id="schema_1"),
+            pytest.param(_as_schema_2, ["seamanship ingest"], id="schema_2"),
         ],
     )
     def test_undecodable_archive_exits_2(
@@ -374,6 +456,38 @@ class TestFitSpeedModelCommand:
             "score", "--scenario", archive, "--ownship", "111000001",
             "--output", tmp_path / "o", *FAST_SEARCH,
         )
+        assert code == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "bad scenario archive" in message
+        assert all(part in message for part in named), message
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            pytest.param(_as_schema_2, ["seamanship ingest"], id="schema_2"),
+            pytest.param(
+                lambda doc: _own(doc).update(north="not hex!"),
+                ["track '111000001' north: ", "Non-hexadecimal digit"],
+                id="not_hex",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["safest-path", "--ownship", "111000001", "--time", "0", *FAST_SEARCH],
+            ["fit-speed-model"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_loading_command_refuses_a_bad_archive(
+        self, head_on_ais, tmp_path, capsys, damage, named, command
+    ):
+        archive = ingest(head_on_ais, tmp_path / "ing")
+        doc = json.loads(archive.read_text(encoding="utf-8"))
+        damage(doc)
+        archive.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(command[0], "--scenario", archive, "--output", tmp_path / "o", *command[1:])
         assert code == 2
         message = json.loads(capsys.readouterr().err)["message"]
         assert "bad scenario archive" in message

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import re
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -145,7 +146,8 @@ class TestParseAis:
         rows = simple_rows(n=3)
         rows.reverse()
         tracks, _ = parse_ais(write_ais(tmp_path / "a.csv", rows))
-        assert tracks["219000001"].lat == sorted(tracks["219000001"].lat)
+        lat = tracks["219000001"].lat.tolist()
+        assert lat == sorted(lat)
 
     def test_iso_timestamps_accepted(self, tmp_path):
         rows = simple_rows(n=2)
@@ -178,7 +180,7 @@ class TestParseAis:
         rows[1] += ["surplus", "55.0"]
         tracks, skipped = parse_ais(write_ais(tmp_path / "a.csv", rows))
         assert skipped == 0
-        assert tracks["219000001"].lat == [55.0, 55.001]
+        assert tracks["219000001"].lat.tolist() == [55.0, 55.001]
 
     def test_blank_lines_are_skipped_uncounted(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -446,10 +448,26 @@ def reference_parse_timestamp(text: str, schema: AisSchema) -> float:
     return dt.timestamp()
 
 
+@dataclass
+class ListTrack:
+    """A raw track as the row loop builds it, one list per field."""
+
+    mmsi: str
+    times: list[float] = field(default_factory=list)
+    lat: list[float] = field(default_factory=list)
+    lon: list[float] = field(default_factory=list)
+    speed: list[float] = field(default_factory=list)
+    heading: list[float] = field(default_factory=list)
+    vessel_type: VesselType = VesselType.OTHER
+    length: float | None = None
+
+
 def reference_parse_ais(path, schema=None):
     """The ``csv.DictReader`` parser. A row too short to hold a required
     field reads None there; catching the TypeError and AttributeError that
-    follow counts it as a skipped row, which is what ``parse_ais`` does."""
+    follow counts it as a skipped row, which is what ``parse_ais`` does.
+    Each vessel's rows are gathered in lists and handed to ``RawTrack`` at
+    the end."""
     schema = schema or AisSchema()
     tracks, seen, skipped = {}, set(), 0
     with open(path, newline="", encoding="utf-8") as fh:
@@ -484,7 +502,7 @@ def reference_parse_ais(path, schema=None):
                 hdg = cog
             track = tracks.get(mmsi)
             if track is None:
-                track = RawTrack(mmsi=mmsi)
+                track = ListTrack(mmsi=mmsi)
                 tracks[mmsi] = track
                 track.vessel_type = VesselType.parse((row.get(schema.ship_type) or "").strip())
             if track.length is None:
@@ -507,7 +525,8 @@ def reference_parse_ais(path, schema=None):
         order = np.argsort(track.times, kind="stable")
         for name in ("times", "lat", "lon", "speed", "heading"):
             setattr(track, name, [getattr(track, name)[i] for i in order])
-    return dict(sorted(tracks.items())), skipped
+    raw = {mmsi: RawTrack(**vars(track)) for mmsi, track in sorted(tracks.items())}
+    return raw, skipped
 
 
 def reference_ring_coords(ring, origin):
@@ -709,10 +728,19 @@ ALL_SKIPPED = "\n".join([
 
 
 def assert_matches_reference(path):
+    """Same vessels in the same order, same scalars, and every array
+    float64 with the reference's bits (-0.0 is not 0.0)."""
     tracks, skipped = parse_ais(path)
     ref_tracks, ref_skipped = reference_parse_ais(path)
     assert skipped == ref_skipped
-    assert repr(tracks) == repr(ref_tracks)
+    assert list(tracks) == list(ref_tracks)
+    for got, ref in zip(tracks.values(), ref_tracks.values()):
+        assert (got.mmsi, got.vessel_type) == (ref.mmsi, ref.vessel_type)
+        assert type(got.length) is type(ref.length) and repr(got.length) == repr(ref.length)
+        for name in ("times", "lat", "lon", "speed", "heading"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype == np.float64 and a.shape == b.shape, name
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
 
 class TestParseAisEquivalence:
@@ -801,12 +829,19 @@ HEADINGS = st.one_of(
 )
 
 
+# grid spacings, and grid indices small enough (|i| <= 2**50) that dt times
+# consecutive indices are strictly increasing floats
+ARCHIVE_DTS = st.sampled_from([10.0, 1.0, 0.1, 3.7, 5e-3, 997.0])
+GRID_INDICES = st.integers(-(2**50), 2**50)
+
+
 @st.composite
-def track_arrays(draw):
-    times = sorted(draw(st.lists(NON_NEGATIVE, min_size=1, max_size=6, unique=True)))
-    n = len(times)
+def track_arrays(draw, dt):
+    """Track fields on the grid of spacing ``dt``: the archive stores a
+    track's times as a grid index range, not as values."""
+    i0, n = draw(GRID_INDICES), draw(st.integers(1, 6))
     return dict(
-        times=times,
+        times=dt * np.arange(i0, i0 + n),
         north=draw(st.lists(FINITE, min_size=n, max_size=n)),
         east=draw(st.lists(FINITE, min_size=n, max_size=n)),
         speed=draw(st.lists(NON_NEGATIVE, min_size=n, max_size=n)),
@@ -828,18 +863,23 @@ def archived_rings(draw):
     return np.vstack([ring, ring[:1]])
 
 
+@st.composite
+def archive_tracks(draw):
+    """A grid spacing and up to three tracks on its grid."""
+    dt = draw(ARCHIVE_DTS)
+    return dt, draw(st.lists(track_arrays(dt), max_size=3))
+
+
 class TestArchiveCodec:
-    @given(
-        tracks=st.lists(track_arrays(), max_size=3),
-        rings=st.lists(archived_rings(), max_size=3),
-    )
+    @given(tracks=archive_tracks(), rings=st.lists(archived_rings(), max_size=3))
     @settings(max_examples=150, deadline=None)
     def test_save_load_is_lossless(self, tmp_path_factory, tracks, rings):
+        dt, tracks = tracks
         tracks = {f"t{k}": VesselTrack(f"t{k}", **arrays) for k, arrays in enumerate(tracks)}
         # one point per edge at most, whatever the edge length
         obstacles = ObstacleSet(rings, spacing=1.7976931348623157e308)
         scenario = Scenario(
-            origin=(55.0, -0.0), epoch=5e-324, dt=10.0, tracks=tracks, obstacles=obstacles
+            origin=(55.0, -0.0), epoch=5e-324, dt=dt, tracks=tracks, obstacles=obstacles
         )
         path = tmp_path_factory.mktemp("archive") / "scenario.json"
         scenario.save(path)
@@ -861,6 +901,30 @@ class TestArchiveCodec:
         again = path.with_name("again.json")
         loaded.save(again)
         assert again.read_bytes() == path.read_bytes()
+
+    @given(tracks=archive_tracks(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_off_grid_track_is_refused(self, tmp_path_factory, tracks, data):
+        dt, tracks = tracks
+        arrays = data.draw(track_arrays(dt))
+        # one time moved off the grid by the least step the data allows: one
+        # ulp either way, or 0.0 signed as -0.0; the times stay increasing
+        times = arrays["times"].copy()
+        k = data.draw(st.integers(0, times.size - 1))
+        moves = [-math.inf, math.inf] + ([-0.0] if times[k] == 0.0 else [])
+        move = data.draw(st.sampled_from(moves))
+        times[k] = move if move == 0.0 else math.nextafter(times[k], move)
+        tracks = {f"t{j}": VesselTrack(f"t{j}", **a) for j, a in enumerate(tracks)}
+        tracks["off"] = VesselTrack("off", **{**arrays, "times": times})
+        scenario = Scenario(
+            origin=(55.0, 10.0), epoch=0.0, dt=dt, tracks=tracks, obstacles=ObstacleSet([])
+        )
+        with pytest.raises(ValueError, match=r"track 'off': times are not on the scenario grid"):
+            scenario.to_dict()
+        path = tmp_path_factory.mktemp("archive") / "scenario.json"
+        with pytest.raises(ValueError, match="track 'off'"):
+            scenario.save(path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("tiny", [-1e-17, -5e-324])
     def test_tiny_negative_heading_is_byte_stable(self, tmp_path, tiny):

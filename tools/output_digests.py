@@ -1,6 +1,6 @@
 """Print the sha256 of every output file the benchmark workloads produce.
 
-Usage: python tools/output_digests.py SRC ROOT
+Usage: python tools/output_digests.py [--results] SRC ROOT
 
 SRC is the ``src`` directory of the checkout to run (``seamanship`` is
 imported from there); ROOT is an empty or new directory for the inputs and
@@ -20,11 +20,20 @@ compared with ``diff``: run on a parent and a change to check that the
 change keeps every output byte, or run twice under different
 ``PYTHONHASHSEED`` values to check that outputs do not depend on the
 process. Exits 1 if an operation fails.
+
+With ``--results`` each output is digested without the digests of its
+inputs: the ``# inputs`` line of a CSV output, ``provenance.inputs`` of a
+JSON output and ``inputs`` of a ``manifest.json`` are removed (a JSON
+output is digested as the CLI writes it, ``json.dumps(indent=2,
+sort_keys=True)`` and a newline). A change that moves the bytes of an
+input, such as the scenario archive, and no result then lists only that
+input's own file as changed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -64,7 +73,26 @@ def operations(name: str, plan) -> list[list[str]]:
     return ops
 
 
+def result_bytes(path: Path) -> bytes:
+    """The bytes of an output file without the digests of its inputs."""
+    data = path.read_bytes()
+    if path.suffix == ".csv":
+        lines = data.splitlines(keepends=True)
+        return b"".join(line for line in lines if not line.startswith(b"# inputs "))
+    if path.suffix != ".json":
+        return data
+    doc = json.loads(data)
+    if path.name == "manifest.json":
+        del doc["inputs"]
+    if isinstance(doc.get("provenance"), dict):
+        del doc["provenance"]["inputs"]
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def main(argv: list[str]) -> int:
+    results = argv[:1] == ["--results"]
+    if results:
+        argv = argv[1:]
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
@@ -87,8 +115,9 @@ def main(argv: list[str]) -> int:
                 return 1
         inputs = Path(name) / "inputs"
         outputs += [p for p in Path(name).rglob("*") if p.is_file() and inputs not in p.parents]
+    read = result_bytes if results else Path.read_bytes
     for path in sorted(outputs, key=lambda p: p.as_posix()):
-        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}")
+        print(f"{hashlib.sha256(read(path)).hexdigest()}  {path.as_posix()}")
     return 0
 
 
