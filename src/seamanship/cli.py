@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -489,7 +490,10 @@ def cmd_safest_path(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was (the ``append`` actions copy their list into each result)."""
     parser = argparse.ArgumentParser(
         prog="seamanship",
         description="Risk scoring and safest-path search for recorded vessel traffic.",

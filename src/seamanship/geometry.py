@@ -554,53 +554,43 @@ class VesselTrack:
         )
 
 
-def _grid_offsets(times: np.ndarray, tracks: Sequence[VesselTrack], *fields):
-    """The samples of ``tracks`` on the time grid ``times``, as offsets
-    from an own vessel's.
+def _shared_samples(times: np.ndarray, bounds: np.ndarray, own: int, targets: np.ndarray):
+    """The cells at which track ``own`` and each track of ``targets`` have
+    a sample at exactly the same time (the times ``np.intersect1d``
+    shares).
 
-    Each field is a pair: the own vessel's values at ``times`` and one
-    value array per track. Returns ``present``, a (tracks, times) mask of
-    the cells where a track has a sample at exactly that grid time (the
-    times ``np.intersect1d`` shares), and per field a (tracks, times) block
-    of track value less own value, zero where absent.
+    ``times`` holds the sample times of several tracks end to end, track
+    i's at ``times[bounds[i]:bounds[i + 1]]``, and ``targets`` is an index
+    array. Returns three arrays with one entry per cell: the cell's
+    position in ``targets``, and the indices into ``times`` of its own and
+    its target sample. Cells come target by target, each target's in time
+    order.
     """
-    index = np.empty((len(tracks), times.size), dtype=np.intp)
-    first = 0
-    for row, track in zip(index, tracks):
-        np.minimum(np.searchsorted(track.times, times), track.times.size - 1, out=row)
-        row += first
-        first += track.times.size
-    present = np.concatenate([tr.times for tr in tracks])[index] == times
-    return present, [
-        np.where(present, np.concatenate(values)[index] - own, 0.0) for own, values in fields
-    ]
+    own_times = times[bounds[own]:bounds[own + 1]]
+    begin, end = bounds[targets], bounds[targets + 1]
+    # only the own samples inside a target's span, lo:hi, can be shared
+    lo = np.searchsorted(own_times, times[begin])
+    hi = np.searchsorted(own_times, times[end - 1], side="right")
+    counts = hi - lo
+    row = np.repeat(np.arange(targets.size), counts)
+    at_own = np.arange(row.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    at_target = np.empty(row.size, dtype=np.intp)
+    cursor = 0
+    for a, b, first, stop in zip(lo.tolist(), hi.tolist(), begin.tolist(), end.tolist()):
+        at_target[cursor:cursor + b - a] = np.searchsorted(times[first:stop], own_times[a:b]) + first
+        cursor += b - a
+    shared = times[at_target] == own_times[at_own]
+    return row[shared], at_own[shared] + bounds[own], at_target[shared]
 
 
-def _first_violations(
-    track_j: VesselTrack,
-    d_north: np.ndarray,
-    d_east: np.ndarray,
-    present: np.ndarray,
-    params: DomainParams,
-) -> np.ndarray:
-    """First grid column of ``track_j`` at which each target row violates
-    its domain, or -1 where none does.
-
-    ``d_north`` and ``d_east`` are the (targets, samples of j) displacements
-    of the targets from j, zero where ``present`` is False. The domain is
-    evaluated only at the columns some target shares, so a domain that
-    places j outside itself is refused exactly where a target is there.
-    """
-    cols = np.flatnonzero(present.any(axis=0))
-    if cols.size == 0:
-        return np.full(present.shape[0], -1)
-    semi_major, semi_minor = domain_axes(track_j.speed[cols], track_j.length, params)
-    x, y = _domain_frame(track_j.heading[cols], d_north[:, cols], d_east[:, cols])
-    f = _scale_factor_xy(
-        semi_major, semi_minor, params.offset_fraction * semi_major, 0.0, x, y
-    )
-    hits = (f < 1.0) & present[:, cols]
-    return np.where(hits.any(axis=1), cols[hits.argmax(axis=1)], -1)
+def _in_domain(speed, heading, length, d_north, d_east, params: DomainParams) -> np.ndarray:
+    """Whether each target, displaced by (``d_north``, ``d_east``) from a
+    vessel of ``speed``, ``heading`` and ``length``, lies inside that
+    vessel's domain: a scale factor below 1. All arguments broadcast."""
+    semi_major, semi_minor = domain_axes(speed, length, params)
+    x, y = _domain_frame(heading, d_north, d_east)
+    f = _scale_factor_xy(semi_major, semi_minor, params.offset_fraction * semi_major, 0.0, x, y)
+    return f < 1.0
 
 
 def find_tdv(
@@ -614,11 +604,13 @@ def find_tdv(
     time shared by the two tracks; returns the earliest with f < 1, or None
     when no violation occurs (including disjoint time spans).
     """
-    present, (d_north, d_east) = _grid_offsets(
-        track_j.times,
-        [track_k],
-        (track_j.north, [track_k.north]),
-        (track_j.east, [track_k.east]),
-    )
-    col = _first_violations(track_j, d_north, d_east, present, params or DomainParams())[0]
-    return None if col < 0 else float(track_j.times[col])
+    n_j = track_j.times.size
+    times = np.concatenate([track_j.times, track_k.times])
+    _, at_j, at_k = _shared_samples(times, np.array([0, n_j, times.size]), 0, np.array([1]))
+    at_k -= n_j
+    hits = np.flatnonzero(_in_domain(
+        track_j.speed[at_j], track_j.heading[at_j], track_j.length,
+        track_k.north[at_k] - track_j.north[at_j], track_k.east[at_k] - track_j.east[at_j],
+        params or DomainParams(),
+    ))
+    return None if hits.size == 0 else float(track_j.times[at_j[hits[0]]])

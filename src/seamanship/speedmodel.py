@@ -21,8 +21,8 @@ from .geometry import (
     StateArrays,
     VesselTrack,
     VesselType,
-    _first_violations,
-    _grid_offsets,
+    _in_domain,
+    _shared_samples,
     require_finite,
 )
 from .risk import DEFAULT_GRID_N, RiskParams, collision_risk_grid, rate_weighted_mean
@@ -104,6 +104,69 @@ def _forward_dcpa(d_north, d_east, rv_north, rv_east):
     return np.hypot(d_north + rv_north * tcpa, d_east + rv_east * tcpa)
 
 
+def _violations(ordered: Sequence[VesselTrack], dcpa_threshold: float, dp: DomainParams):
+    """The first violation of each ordered pair of ``ordered`` that passes
+    the DCPA screen, as (own index, target index, TDV), and how many ordered
+    pairs overlap in time and pass the screen.
+
+    Each unordered pair (j, k), j < k, is handled once, at the samples the
+    two tracks share: forward DCPA is the same from either side, so one
+    screen serves both orders, and a pair that passes has both domains
+    checked in one pass, j's against k's displacement and k's against j's.
+    """
+    found: list[tuple[int, int, float]] = []
+    overlapping = screened = 0
+    if len(ordered) < 2:
+        return found, overlapping, screened
+    starts = np.array([tr.t_start for tr in ordered])
+    ends = np.array([tr.t_end for tr in ordered])
+    sizes = [tr.times.size for tr in ordered]
+    bounds = np.cumsum([0] + sizes)
+    # every track's samples end to end, track i's at bounds[i]:bounds[i + 1]
+    times, north, east, speed, heading = (
+        np.concatenate([getattr(tr, name) for tr in ordered])
+        for name in ("times", "north", "east", "speed", "heading")
+    )
+    length = np.repeat([tr.length for tr in ordered], sizes)
+    v_north = np.concatenate([tr.speed * np.cos(tr.heading) for tr in ordered])
+    v_east = np.concatenate([tr.speed * np.sin(tr.heading) for tr in ordered])
+    for j in range(len(ordered)):
+        later = j + 1 + np.flatnonzero((starts[j + 1:] <= ends[j]) & (ends[j + 1:] >= starts[j]))
+        if later.size == 0:
+            continue
+        overlapping += 2 * later.size
+        row, at_j, at_k = _shared_samples(times, bounds, j, later)
+        dcpa = _forward_dcpa(
+            north[at_k] - north[at_j],
+            east[at_k] - east[at_j],
+            v_north[at_k] - v_north[at_j],
+            v_east[at_k] - v_east[at_j],
+        )
+        # a pair passes unless its minimum reaches the threshold, that is
+        # unless every shared sample does: NaN passes
+        close = np.zeros(later.size, dtype=bool)
+        close[row[~(dcpa >= dcpa_threshold)]] = True
+        if not close.any():
+            continue
+        screened += 2 * np.count_nonzero(close)
+        keep = close[row]
+        row, at_j, at_k = row[keep], at_j[keep], at_k[keep]
+        # k in j's domain, pair by pair in time order, then j in k's
+        own = np.concatenate([at_j, at_k])
+        target = np.concatenate([at_k, at_j])
+        hits = np.flatnonzero(_in_domain(
+            speed[own], heading[own], length[own],
+            north[target] - north[own], east[target] - east[own], dp,
+        ))
+        pair = np.concatenate([row, row + later.size])[hits]
+        first = np.flatnonzero(np.diff(pair, prepend=-1))
+        for p, cell in zip(pair[first].tolist(), hits[first].tolist()):
+            k = int(later[p % later.size])
+            tdv = float(times[own[cell]])
+            found.append((j, k, tdv) if p < later.size else (k, j, tdv))
+    return found, overlapping, screened
+
+
 def detect_encounters(
     tracks: Mapping[str, VesselTrack],
     dcpa_threshold: float = DEFAULT_DCPA_THRESHOLD,
@@ -120,60 +183,33 @@ def detect_encounters(
     sticks out of the track are dropped. Events come in order of own id,
     then target id.
 
-    Each own vessel j is scored in one block against every vessel whose
-    span overlaps its own, laid on j's grid times.
+    Each unordered pair is screened once, only at the samples both tracks
+    share, with both orders checked in one pass; the pairs are taken one
+    track at a time, against the later tracks in id order whose span
+    overlaps its own, so memory stays that of one track's pairs.
     """
-    dp = domain_params or DomainParams()
     ids = sorted(tracks)
     ordered = [tracks[i] for i in ids]
-    starts = np.array([tr.t_start for tr in ordered])
-    ends = np.array([tr.t_end for tr in ordered])
-    columns = (
-        [tr.north for tr in ordered],
-        [tr.east for tr in ordered],
-        [tr.speed * np.cos(tr.heading) for tr in ordered],
-        [tr.speed * np.sin(tr.heading) for tr in ordered],
+    found, overlapping, screened = _violations(
+        ordered, dcpa_threshold, domain_params or DomainParams()
     )
     events: list[EncounterEvent] = []
-    overlapping = screened = dropped = 0
-    for j, own in enumerate(ordered):
-        overlap = (starts <= ends[j]) & (ends >= starts[j])
-        overlap[j] = False
-        rows = np.flatnonzero(overlap)
-        if rows.size == 0:
+    dropped = 0
+    for own_index, target_index, tdv in sorted(found):
+        target = ordered[target_index]
+        rate = speed_change_at(target, tdv, window)
+        if rate is None:
+            dropped += 1
             continue
-        overlapping += rows.size
-        present, (d_north, d_east, rv_north, rv_east) = _grid_offsets(
-            own.times,
-            [ordered[k] for k in rows],
-            *((column[j], [column[k] for k in rows]) for column in columns),
-        )
-        dcpa = _forward_dcpa(d_north, d_east, rv_north, rv_east)
-        minimum = np.where(present, dcpa, np.inf).min(axis=1)
-        # a pair passes unless its minimum reaches the threshold: NaN passes
-        close = np.flatnonzero(~(minimum >= dcpa_threshold))
-        if close.size == 0:
-            continue
-        screened += close.size
-        first = _first_violations(own, d_north[close], d_east[close], present[close], dp)
-        for row, col in zip(close, first):
-            if col < 0:
-                continue
-            target = ordered[rows[row]]
-            tdv = float(own.times[col])
-            rate = speed_change_at(target, tdv, window)
-            if rate is None:
-                dropped += 1
-                continue
-            events.append(
-                EncounterEvent(
-                    own_id=ids[j],
-                    target_id=ids[rows[row]],
-                    tdv=tdv,
-                    speed_change=rate,
-                    vessel_type=target.vessel_type,
-                )
+        events.append(
+            EncounterEvent(
+                own_id=ids[own_index],
+                target_id=ids[target_index],
+                tdv=tdv,
+                speed_change=rate,
+                vessel_type=target.vessel_type,
             )
+        )
     log.info(
         "encounters: %d ordered pairs overlap in time, %d pass the DCPA screen, "
         "%d events, %d dropped for a rate window outside the track",

@@ -1,4 +1,6 @@
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,26 +142,34 @@ def reference_find_tdv(track_j, track_k, params=None):
     return float(times[hits[0]])
 
 
-def reference_detect_encounters(
+def reference_tally(
     tracks, dcpa_threshold=DEFAULT_DCPA_THRESHOLD, domain_params=None, window=DEFAULT_WINDOW
 ):
-    """Encounter detection one ordered pair at a time."""
+    """Encounter detection one ordered pair at a time: the events, and the
+    four numbers of the ``encounters:`` log line (ordered pairs whose spans
+    overlap, pairs that pass the DCPA screen, events, and events dropped
+    for a rate window outside the track)."""
     dp = domain_params or DomainParams()
     events = []
+    overlapping = screened = dropped = 0
     ids = sorted(tracks)
     for own_id in ids:
         for target_id in ids:
             if own_id == target_id:
                 continue
             own, target = tracks[own_id], tracks[target_id]
+            if own.t_start <= target.t_end and target.t_start <= own.t_end:
+                overlapping += 1
             dcpa = reference_min_forward_dcpa(own, target)
             if dcpa is None or dcpa >= dcpa_threshold:
                 continue
+            screened += 1
             tdv = reference_find_tdv(own, target, dp)
             if tdv is None:
                 continue
             rate = speed_change_at(target, tdv, window)
             if rate is None:
+                dropped += 1
                 continue
             events.append(
                 EncounterEvent(
@@ -170,7 +180,59 @@ def reference_detect_encounters(
                     vessel_type=target.vessel_type,
                 )
             )
-    return events
+    return events, (overlapping, screened, len(events), dropped)
+
+
+def reference_detect_encounters(
+    tracks, dcpa_threshold=DEFAULT_DCPA_THRESHOLD, domain_params=None, window=DEFAULT_WINDOW
+):
+    """Encounter detection one ordered pair at a time."""
+    return reference_tally(tracks, dcpa_threshold, domain_params, window)[0]
+
+
+def lane_track(track_id, times, n0, e0, v0, rate, heading, length, vessel_type):
+    """A vessel on a straight course through ``times``, its speed changing
+    at ``rate`` (never below 0.5 m/s), its position the trapezoid integral
+    of that speed."""
+    speed = np.maximum(0.5, v0 + rate * (times - times[0]))
+    dist = np.concatenate([[0.0], np.cumsum(0.5 * (speed[:-1] + speed[1:]) * np.diff(times))])
+    return VesselTrack(
+        track_id, times, n0 + dist * math.cos(heading), e0 + dist * math.sin(heading),
+        speed, np.full(times.size, heading), length, vessel_type,
+    )
+
+
+def lane_scene():
+    """A two-way lane of 46 tracks along north: 40 vessels departing every
+    40 s from either end at speeds of 3 to 6.5 m/s, some speeding up or
+    slowing down, on four lateral offsets, so they meet head-on and
+    overtake; every ninth on a 5 s grid, every ninth another on a 20 s
+    grid and every ninth another 5 s out of phase; one vessel split in
+    two at a gap (``g#0``, ``g#1``); and four single-sample vessels lying
+    in the lane."""
+    types = list(VesselType)
+    tracks = {}
+    for i in range(40):
+        north_bound = i % 2 == 0
+        dt, phase = {4: (5.0, 0.0), 6: (20.0, 0.0), 7: (10.0, 5.0)}.get(i % 9, (10.0, 0.0))
+        times = 40.0 * i + phase + dt * np.arange(int(1500.0 / dt))
+        tracks[f"v{i:02d}"] = lane_track(
+            f"v{i:02d}", times, 0.0 if north_bound else 8000.0, 60.0 * (i % 4) - 60.0,
+            3.0 + 0.5 * (i % 8), (-0.002, 0.0, 0.001)[i % 3], 0.0 if north_bound else math.pi,
+            60.0 + 15.0 * (i % 7), types[i % len(types)],
+        )
+    split = lane_track("g", 300.0 + 10.0 * np.arange(160), 8000.0, 30.0, 4.5, 0.0, math.pi,
+                       120.0, VesselType.TANKER)
+    for part, keep in (("g#0", slice(None, 70)), ("g#1", slice(100, None))):
+        tracks[part] = VesselTrack(
+            part, split.times[keep], split.north[keep], split.east[keep],
+            split.speed[keep], split.heading[keep], split.length, split.vessel_type,
+        )
+    for i, (t, n0) in enumerate([(600.0, 2000.0), (900.0, 4000.0), (1200.0, 2500.0),
+                                 (1500.0, 6000.0)]):
+        tracks[f"s{i}"] = VesselTrack(f"s{i}", [t], [n0], [40.0 * i], [0.0], [0.0], 40.0,
+                                      VesselType.PILOT)
+    return tracks
 
 
 def _random_track(track_id, rng, times, vessel_type):
@@ -291,6 +353,47 @@ class TestBlockMatchesPairLoop:
         assert detect_encounters(tracks, dcpa) == []
         assert len(detect_encounters(tracks, math.nextafter(dcpa, math.inf))) == 2
 
+
+
+class TestManyTracks:
+    @pytest.mark.parametrize(
+        "threshold, dp, window",
+        [(DEFAULT_DCPA_THRESHOLD, DomainParams(), DEFAULT_WINDOW),
+         (150.0, DomainParams(2.0, 0.0, 0.8, 0.9), 25.0)],
+    )
+    def test_lane_scene_equals_pair_loop(self, threshold, dp, window):
+        tracks = lane_scene()
+        found = detect_encounters(tracks, threshold, dp, window)
+        assert found == reference_detect_encounters(tracks, threshold, dp, window)
+
+    def test_no_track_or_one_track_no_event(self):
+        assert detect_encounters({}) == []
+        assert detect_encounters({"v00": lane_scene()["v00"]}) == []
+
+    def test_log_counts_equal_pair_loop(self, caplog):
+        tracks = lane_scene()
+        with caplog.at_level(logging.INFO, logger="seamanship.speedmodel"):
+            detect_encounters(tracks)
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("encounters:")]
+        _, counts = reference_tally(tracks)
+        assert record.args == counts
+        overlapping, screened, events, dropped = counts
+        # the scene exercises every count: pairs screened out, and drops
+        assert overlapping > screened > events > dropped > 0
+
+    def test_memory_bounded_by_own_blocks(self):
+        # one own track's shared samples at a time: gathering every pair's
+        # shared samples first peaked at about 24 MB on this scene, against
+        # 1.4 MB here
+        tracks = lane_scene()
+        tracemalloc.start()
+        try:
+            found = detect_encounters(tracks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) > 0
+        assert peak < 2_000_000
 
 def make_events(rates, vtype=VesselType.CARGO):
     return [
