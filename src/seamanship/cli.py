@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import hashlib
 import json
 import logging
 import sys
 from pathlib import Path
 
 from .geometry import DomainParams, VesselType, is_finite
-from .ingest import AisSchema, ChartError, IngestParams, Scenario, build_scenario, sha256_file
+from .ingest import AisSchema, ChartError, IngestParams, Scenario, build_scenario
 from .planner import (
     Hyperparameters,
     KinodynamicParams,
@@ -199,27 +200,36 @@ def _output_dir(config: dict, args) -> Path:
 _BAD_DOC_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
 
 
-def _load_archive(path: Path) -> Scenario:
+def _read_input(path: Path) -> tuple[bytes, dict]:
+    """The bytes of an input file and its provenance entry, the path and
+    the sha256 of those same bytes: what is digested is what is parsed."""
+    data = path.read_bytes()
+    return data, {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _load_archive(path: Path) -> tuple[Scenario, dict]:
+    """The scenario archive at ``path`` and its provenance entry."""
+    data, entry = _read_input(path)
     try:
-        return Scenario.load(path)
+        return Scenario.load(data), entry
     except _BAD_DOC_ERRORS as exc:
         raise CliError(f"bad scenario archive {path}: {exc}", path=str(path))
 
 
-def _load_model_file(path: Path) -> SpeedChangeModel:
+def _load_model_file(path: Path) -> tuple[SpeedChangeModel, dict]:
+    """The speed model at ``path`` and its provenance entry."""
+    data, entry = _read_input(path)
     try:
-        return SpeedChangeModel.load(path)
+        return SpeedChangeModel.load(data), entry
     except _BAD_DOC_ERRORS as exc:
         raise CliError(f"bad speed model {path}: {exc}", path=str(path))
 
 
-def _provenance(inputs: dict[str, Path], blocks: dict) -> dict:
-    """Input digests and the parameter echo that every output embeds."""
+def _provenance(inputs: dict[str, dict], blocks: dict) -> dict:
+    """Input digests, given as each input name's provenance entry, and
+    the parameter echo that every output embeds."""
     return {
-        "inputs": {
-            name: {"path": str(path), "sha256": sha256_file(path)}
-            for name, path in sorted(inputs.items())
-        },
+        "inputs": dict(sorted(inputs.items())),
         "parameters": {
             name: dataclasses.asdict(block) if dataclasses.is_dataclass(block) else block
             for name, block in blocks.items()
@@ -277,7 +287,8 @@ def cmd_ingest(args) -> int:
         "skipped_rows": scenario.metadata["ingest"]["skipped_rows"],
     }
     write_json(outdir / "summary.json", summary)
-    provenance = _provenance(inputs, {"ingest": params, "schema": schema})
+    # build_scenario digests each source it read, under the same names
+    provenance = _provenance(scenario.metadata["sources"], {"ingest": params, "schema": schema})
     write_manifest(outdir, "ingest", provenance, ["scenario.json", "summary.json"])
     return EXIT_OK
 
@@ -288,9 +299,9 @@ def cmd_fit_speed_model(args) -> int:
     scenario_paths = _input_files(config, args, *SCENARIO_FILES, required=True)
     dp = build_block("domain", config)
     speed = build_block("speed", config)
-    events = []
-    for path in scenario_paths.values():
-        scenario = _load_archive(path)
+    events, entries = [], {}
+    for name, path in scenario_paths.items():
+        scenario, entries[name] = _load_archive(path)
         events.extend(
             detect_encounters(
                 scenario.tracks,
@@ -315,7 +326,7 @@ def cmd_fit_speed_model(args) -> int:
         }
     write_json(outdir / "fit_report.json", report)
     outputs.append("fit_report.json")
-    provenance = _provenance(scenario_paths, {"domain": dp, "speed": speed})
+    provenance = _provenance(entries, {"domain": dp, "speed": speed})
     write_manifest(outdir, "fit-speed-model", provenance, outputs)
     return EXIT_OK
 
@@ -326,15 +337,16 @@ SCENE_BLOCKS = ("domain", "risk", "kinodynamics", "search")
 
 def _scene(args, command: str):
     """The set-up score and safest-path share: (config, run directory,
-    scenario input files, the one archive, the ownship, found in that
-    archive, and the SCENE_BLOCKS parameter blocks by name)."""
+    the provenance entry of the scenario input by name, the one archive,
+    the ownship, found in that archive, and the SCENE_BLOCKS parameter
+    blocks by name)."""
     config = load_config(args)
     outdir = _output_dir(config, args)
     inputs = _input_files(config, args, *SCENARIO_FILES, required=True)
     if len(inputs) > 1:
         raise CliError(f"{command} expects exactly one scenario archive")
-    (path,) = inputs.values()
-    scenario = _load_archive(path)
+    ((key, path),) = inputs.items()
+    scenario, entry = _load_archive(path)
     ownship = _setting(config, args, "ownship", str)
     if ownship is None:
         raise CliError("no ownship id given (flag --ownship or config 'ownship')")
@@ -344,7 +356,7 @@ def _scene(args, command: str):
             available=sorted(scenario.tracks),
         )
     blocks = {name: build_block(name, config) for name in SCENE_BLOCKS}
-    return config, outdir, inputs, scenario, ownship, blocks
+    return config, outdir, {key: entry}, scenario, ownship, blocks
 
 
 def _window(config: dict, args, track) -> tuple[float, float]:
@@ -367,9 +379,9 @@ def cmd_score(args) -> int:
     config, outdir, inputs, scenario, ownship, blocks = _scene(args, "score")
     dp, rp, kin, hyper = (blocks[name] for name in SCENE_BLOCKS)
     model_paths = _input_files(config, args, "model", ("models",), None)
-    models, model_of_type = {}, {}
-    for path in model_paths.values():
-        model = _load_model_file(path)
+    models, model_of_type, model_entries = {}, {}, {}
+    for name, path in model_paths.items():
+        model, model_entries[name] = _load_model_file(path)
         vtype = model.vessel_type
         if vtype in models:
             raise CliError(
@@ -400,7 +412,7 @@ def cmd_score(args) -> int:
     proposed = score_series(ownship, series.times, series.scenario, sr_star, sp, rp)
     baseline = score_series(ownship, series.times, series.scenario, None, sp, rp)
     provenance = _provenance(
-        {**inputs, **model_paths},
+        {**inputs, **model_entries},
         {**blocks, "score": sp, "speed": speed, "window": [t_start, t_end], "ownship": ownship},
     )
 

@@ -350,6 +350,68 @@ def _domain_frame(heading, d_north, d_east):
     return x, y
 
 
+class _Quadratic(NamedTuple):
+    """The terms of the scale-factor quadratic (see :func:`_scale_factor_xy`)
+    that depend on the domain alone: the squared axes, the center offsets
+    and A. Built once, they serve any number of target positions."""
+
+    a2: np.ndarray
+    b2: np.ndarray
+    off_f: np.ndarray
+    # None where the starboard offset is 0 throughout
+    off_s: np.ndarray | None
+    coef_a: np.ndarray
+
+    @classmethod
+    def of(cls, a, b, off_f, off_s) -> "_Quadratic":
+        """The terms of the domain with axes (a, b) and center offsets
+        (off_f, off_s); raises ValueError where A >= 0, which puts the
+        vessel on or outside its own domain."""
+        a2 = np.asarray(a, dtype=float) ** 2
+        b2 = np.asarray(b, dtype=float) ** 2
+        coef_a = off_f * off_f * b2 + off_s * off_s * a2 - a2 * b2
+        if (coef_a >= 0.0).any():
+            raise ValueError(
+                "domain center offsets place the vessel on or outside its own domain"
+            )
+        return cls(a2, b2, off_f, off_s if np.any(off_s) else None, coef_a)
+
+    def solve(self, x, y) -> np.ndarray:
+        """Scale factors of targets at (x, y) in the domain frame, as an
+        array of the shape that x, y and the terms broadcast to.
+
+        Each step works in place on arrays of that shape that this call
+        allocates, never on ``x`` or ``y``. The lateral term of B is
+        skipped when ``off_s`` is 0: it could only turn a zero B into a
+        zero of the other sign, and B enters the root as B^2 and as
+        sqrt(B^2 - 4AC) - B, which reads the same for either zero.
+        """
+        shape = np.broadcast(x, y, self.coef_a).shape
+        coef_c = np.multiply(x, x, out=np.empty(shape))
+        coef_c *= self.b2
+        # B's array holds y^2 a^2 until C is summed
+        coef_b = np.multiply(y, y, out=np.empty(shape))
+        coef_b *= self.a2
+        coef_c += coef_b
+        np.multiply(x, self.off_f, out=coef_b)
+        coef_b *= self.b2
+        if self.off_s is not None:
+            coef_b += y * self.off_s * self.a2
+        coef_b *= -2.0
+        den = np.multiply(coef_b, coef_b, out=np.empty(shape))
+        den -= np.multiply(4.0 * self.coef_a, coef_c, out=np.empty(shape))
+        np.maximum(den, 0.0, out=den)
+        np.sqrt(den, out=den)
+        den -= coef_b
+        # den is 0 only at the vessel position; NaN geometry stays NaN
+        zero = den == 0.0
+        np.copyto(den, 1.0, where=zero)
+        coef_c *= 2.0
+        coef_c /= den
+        np.copyto(coef_c, 0.0, where=zero)
+        return coef_c
+
+
 def _scale_factor_xy(a, b, off_f, off_s, x, y):
     """Scale factor for targets given in the domain frame.
 
@@ -363,23 +425,11 @@ def _scale_factor_xy(a, b, off_f, off_s, x, y):
         B = -2 (x off_f b^2 + y off_s a^2)
         C = x^2 b^2 + y^2 a^2                     (>= 0)
     which then has exactly one non-negative root, evaluated in the
-    cancellation-free form 2C / (sqrt(B^2 - 4AC) - B).
+    cancellation-free form 2C / (sqrt(B^2 - 4AC) - B). The domain's terms
+    are :class:`_Quadratic`'s, which a caller scoring many targets against
+    one domain builds once.
     """
-    a2 = np.asarray(a, dtype=float) ** 2
-    b2 = np.asarray(b, dtype=float) ** 2
-    coef_a = off_f * off_f * b2 + off_s * off_s * a2 - a2 * b2
-    if np.any(coef_a >= 0.0):
-        raise ValueError(
-            "domain center offsets place the vessel on or outside its own domain"
-        )
-    coef_b = -2.0 * (x * off_f * b2 + y * off_s * a2)
-    coef_c = x * x * b2 + y * y * a2
-    disc = coef_b * coef_b - 4.0 * coef_a * coef_c
-    root = np.sqrt(np.maximum(disc, 0.0))
-    den = root - coef_b
-    # den is 0 only at the vessel position; NaN geometry stays NaN
-    safe = np.where(den == 0.0, 1.0, den)
-    return np.where(den == 0.0, 0.0, 2.0 * coef_c / safe)
+    return _Quadratic.of(a, b, off_f, off_s).solve(x, y)
 
 
 def scale_factor(domain: DomainSpec, target: LocalPoint, own_position: LocalPoint) -> float:

@@ -24,9 +24,10 @@ window.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .geometry import (
     LocalPoint,
     StateArrays,
     VesselTrack,
+    _Quadratic,
     _domain_frame,
     _scale_factor_xy,
     domain_axes,
@@ -47,9 +49,10 @@ MUTUAL_MODES = ("max", "prob_or")
 # rates sampled by the density-weighted collision risk
 DEFAULT_GRID_N = 64
 # elements of the (own, targets, rates, offsets) grid scored per kernel
-# pass: about a dozen temporaries of this size are alive at once, so a tied
-# planner level (up to 64 x 39 candidates) stays within a couple of
-# megabytes instead of tens
+# pass: at most 11 temporaries of this size are alive at once (16 with
+# paired targets, whose horizon is built per pass; tracemalloc peaks of
+# a 2,496 x 19 level), so a tied planner level (up to 64 x 39 candidates)
+# stays within about a megabyte instead of tens
 KERNEL_CHUNK_ELEMS = 8192
 # meters added to the shared arena prefilter radius so that rounding never
 # drops a point the exact per-state test would keep
@@ -149,29 +152,67 @@ def _domain_index(
     return risk_index(f, rp)
 
 
-def _mutual_index(
-    own: StateArrays, tgt: StateArrays, rates: np.ndarray, rp: RiskParams, dp: DomainParams
-) -> np.ndarray:
+class _Horizon(NamedTuple):
+    """Vessels advanced over the horizon offsets, with the terms of their
+    domains that do not depend on the other vessel. The other vessel is
+    given by the displacement of the target from the own vessel; ``frame``
+    holds the (x north, x east, y north, y east) coefficients that rotate
+    it into this side's domain frame, negated on the target side, whose
+    domain sees the displacement reversed (negation is exact, so the
+    rotated values are those of the reversed displacement)."""
+
+    north: np.ndarray
+    east: np.ndarray
+    frame: tuple
+    quad: _Quadratic
+
+    @classmethod
+    def of(cls, states: StateArrays, offsets, rates, dp: DomainParams, target: bool):
+        """``states`` shaped to broadcast against ``offsets`` and ``rates``."""
+        north, east, speed = predict_positions(states, offsets, rates)
+        semi_major, semi_minor = domain_axes(speed, states.length, dp)
+        c, s = np.cos(states.heading), np.sin(states.heading)
+        frame = (-c, -s, s, -c) if target else (c, s, -s, c)
+        quad = _Quadratic.of(semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0)
+        return cls(north, east, frame, quad)
+
+    def scale_factor(self, d_north, d_east) -> np.ndarray:
+        xn, xe, yn, ye = self.frame
+        return self.quad.solve(xn * d_north + xe * d_east, yn * d_north + ye * d_east)
+
+
+def _own_horizon(own: StateArrays, offsets: np.ndarray, dp: DomainParams) -> _Horizon:
+    """Own vessels, holding speed and course, as (own, 1, 1, offsets)."""
+    return _Horizon.of(own.expand(0, 4), offsets, 0.0, dp, target=False)
+
+
+def _target_horizon(
+    tgt: StateArrays, offsets: np.ndarray, rates: np.ndarray, dp: DomainParams
+) -> _Horizon:
+    """Targets changing speed at each rate, as (targets, rates, offsets)
+    when shared or (own, targets, rates, offsets) when paired."""
+    g = StateArrays(*(a[..., None, None] for a in tgt))
+    return _Horizon.of(g, offsets, rates[:, None], dp, target=True)
+
+
+def _mutual_index(own: _Horizon, tgt: _Horizon, rp: RiskParams) -> np.ndarray:
     """Horizon-max mutual domain index, shape (own, targets, rates).
 
-    Own vessels hold speed and course; each target changes speed at each
-    rate. Both directed indices are evaluated on the (own, targets, rates,
-    horizon offsets) grid and combined per ``rp.mutual_mode``. Target
-    fields are shared, shape (targets,), or paired, shape (own, targets).
+    Both directed scale factors are evaluated on the (own, targets, rates,
+    horizon offsets) grid. With ``mutual_mode`` "max" the smaller of the
+    two is taken and minimized over the offsets before the risk index is
+    applied once per (own, target, rate): the index never rises with f, so
+    the largest index is the index of the smallest f. "prob_or" combines
+    the two directed indices at each offset and takes their maximum.
     """
-    offsets = rp.horizon_offsets()
-    o = own.expand(0, 4)
-    # shared targets broadcast as (1, targets, 1, 1), paired ones are their own rows
-    g = StateArrays(*(a[..., None, None] for a in tgt))
-    on, oe, ov = predict_positions(o, offsets, 0.0)
-    tn, te, tv = predict_positions(g, offsets, rates[:, None])
-    r_own = _domain_index(o.heading, *domain_axes(ov, o.length, dp), tn - on, te - oe, rp, dp)
-    r_tgt = _domain_index(g.heading, *domain_axes(tv, g.length, dp), on - tn, oe - te, rp, dp)
+    d_north = tgt.north - own.north
+    d_east = tgt.east - own.east
+    f_own = own.scale_factor(d_north, d_east)
+    f_tgt = tgt.scale_factor(d_north, d_east)
     if rp.mutual_mode == "prob_or":
-        combined = r_own + r_tgt - r_own * r_tgt
-    else:
-        combined = np.maximum(r_own, r_tgt)
-    return combined.max(axis=-1)
+        r_own, r_tgt = risk_index(f_own, rp), risk_index(f_tgt, rp)
+        return (r_own + r_tgt - r_own * r_tgt).max(axis=-1)
+    return risk_index(np.minimum(f_own, f_tgt, out=f_own).min(axis=-1), rp)
 
 
 def collision_risk_grid(
@@ -182,25 +223,30 @@ def collision_risk_grid(
 
     Target fields have shape (targets,), shared by every own state, or
     (own, targets), one row of targets per own state. The horizon-max
-    mutual index is weighted by the instantaneous arena index, a logistic
-    of distance over arena radius. Own states are taken in chunks of about
-    ``KERNEL_CHUNK_ELEMS`` grid elements, which bounds the size of the
-    temporaries.
+    mutual index (:func:`_mutual_index`) is weighted by the instantaneous
+    arena index, a logistic of distance over arena radius. Own states are
+    taken in chunks of about ``KERNEL_CHUNK_ELEMS`` grid elements, which
+    bounds the size of the temporaries. Shared targets are advanced over
+    the horizon, and their domain terms built, once per call; paired
+    targets once per chunk, for that chunk's rows.
     """
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
+    offsets = rp.horizon_offsets()
     n_own = own.north.size
     n_tgt = tgt.north.shape[-1]
     paired = tgt.north.ndim == 2
     out = np.empty((n_own, n_tgt, rates.size))
-    per_own = n_tgt * rates.size * rp.horizon_offsets().size
+    per_own = n_tgt * rates.size * offsets.size
     chunk = max(1, KERNEL_CHUNK_ELEMS // max(per_own, 1))
+    shared = None if paired else _target_horizon(tgt, offsets, rates, dp)
     for lo in range(0, n_own, chunk):
         rows = slice(lo, lo + chunk)
         part = own.select(rows)
         near = tgt.select(rows) if paired else tgt
         dist = np.hypot(part.north[:, None] - near.north, part.east[:, None] - near.east)
         arena = risk_index(dist / rp.arena_radius, rp)
-        out[rows] = _mutual_index(part, near, rates, rp, dp) * arena[:, :, None]
+        targets = _target_horizon(near, offsets, rates, dp) if paired else shared
+        out[rows] = _mutual_index(_own_horizon(part, offsets, dp), targets, rp) * arena[:, :, None]
     return out
 
 
@@ -222,9 +268,12 @@ def mutual_collision_risk(
     """
     rp = params or RiskParams()
     dp = domain_params or DomainParams()
-    own = StateArrays.of([track_j.state_at(t)])
-    tgt = StateArrays.of([track_k.state_at(t)])
-    return float(_mutual_index(own, tgt, np.array([float(rate)]), rp, dp)[0, 0, 0])
+    offsets = rp.horizon_offsets()
+    own = _own_horizon(StateArrays.of([track_j.state_at(t)]), offsets, dp)
+    tgt = _target_horizon(
+        StateArrays.of([track_k.state_at(t)]), offsets, np.array([float(rate)]), dp
+    )
+    return float(_mutual_index(own, tgt, rp)[0, 0, 0])
 
 
 def overall_collision_risk(
@@ -275,12 +324,32 @@ class ObstacleSet:
     def is_empty(self) -> bool:
         return len(self.polygons) == 0
 
+    @functools.cached_property
+    def _by_north(self) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the boundary points in north order, and their north
+        coordinates in that order; built at the first arena scan."""
+        order = np.argsort(self.boundary_points[:, 0])
+        return order, self.boundary_points[order, 0]
+
     def points_in_arena(self, arena: ArenaSpec) -> np.ndarray:
         """Boundary points strictly inside the arena circle, (M, 2), in
-        their original order."""
-        pts = self.boundary_points
-        d = pts - np.array([arena.center.north, arena.center.east])
-        return pts[np.hypot(d[:, 0], d[:, 1]) < arena.radius]
+        their original order.
+
+        Only the points whose north coordinate lies within the radius of
+        the center's, widened by a margin far above rounding error, take
+        the exact distance test, which is the one every point would take.
+        A point it keeps has |north offset| <= distance < radius, so none
+        is lost.
+        """
+        north, east, radius = arena.center.north, arena.center.east, arena.radius
+        order, sorted_north = self._by_north
+        reach = radius + 1e-9 * (abs(north) + radius)
+        lo = np.searchsorted(sorted_north, north - reach, side="left")
+        hi = np.searchsorted(sorted_north, north + reach, side="right")
+        band = order[lo:hi]
+        d = self.boundary_points[band] - np.array([north, east])
+        inside = np.sort(band[np.hypot(d[:, 0], d[:, 1]) < radius])
+        return self.boundary_points[inside]
 
 
 def densify_boundaries(polygons: Sequence[np.ndarray], spacing: float) -> np.ndarray:

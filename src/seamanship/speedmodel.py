@@ -12,6 +12,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -310,9 +311,11 @@ class SpeedChangeModel:
             fh.write("\n")
 
     @classmethod
-    def load(cls, path) -> "SpeedChangeModel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+    def load(cls, source) -> "SpeedChangeModel":
+        """The model in the file at path ``source``, or in ``source``
+        itself when it is the file's bytes, already read."""
+        data = source if isinstance(source, bytes) else Path(source).read_bytes()
+        return cls.from_dict(json.loads(data.decode("utf-8")))
 
 
 def fit_model(

@@ -16,7 +16,11 @@ from seamanship.geometry import (
     VesselState,
     VesselTrack,
     VesselType,
+    _domain_frame,
+    _scale_factor_xy,
+    domain_axes,
     make_domain,
+    predict_positions,
     predict_state,
     scale_factor,
 )
@@ -76,6 +80,34 @@ class TestRiskIndex:
         with np.errstate(over="raise"):
             assert risk_index(1e9) == 0.0
             assert risk_index(-1e9) == 1.0
+
+    @given(
+        f=st.lists(
+            st.one_of(
+                st.floats(allow_nan=False),
+                st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+                # exp overflows above f = 71.98 at the default kappa and f50
+                st.floats(72.0, 1e308),
+            ),
+            min_size=1,
+            max_size=64,
+        ),
+        kappa=st.floats(0.1, 50.0),
+        f50=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_index_of_minimum_is_maximum_of_indices(self, f, kappa, f50):
+        # the collision kernel takes the index of the smallest scale factor
+        # for the largest index; that needs the index never to rise with f
+        # in floating point, which each value and its neighbours check
+        rp = RiskParams(kappa=kappa, f50=f50)
+        f = np.array(f)
+        with np.errstate(over="ignore"):  # the neighbour above the largest float is inf
+            below, above = np.nextafter(f, -math.inf), np.nextafter(f, math.inf)
+        for g in (below, f, above):
+            got = risk_index(np.minimum(f, g), rp)
+            expected = np.maximum(risk_index(f, rp), risk_index(g, rp))
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_strictly_decreasing(self):
         # band and minimum gap chosen so consecutive logistic values stay
@@ -146,6 +178,50 @@ class TestMutualAndOverall:
 
 def points_in_arena(polygons, arena, spacing):
     return ObstacleSet(polygons, spacing=spacing).points_in_arena(arena)
+
+
+def reference_points_in_arena(points, arena):
+    """The exact distance test over every point, the reference for the
+    north-band cut."""
+    d = points - np.array([arena.center.north, arena.center.east])
+    return points[np.hypot(d[:, 0], d[:, 1]) < arena.radius]
+
+
+@st.composite
+def arena_scans(draw):
+    """An arena and a ring of points around it: on the circle (on the
+    axes and at drawn bearings), inside and outside it, and on rows of one
+    north coordinate each, including the band's edges."""
+    cn, ce = draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4))
+    radius = draw(st.floats(1.0, 5e3))
+    on_circle = [(cn + radius, ce), (cn - radius, ce), (cn, ce + radius), (cn, ce - radius)]
+    on_circle += [
+        (cn + radius * math.cos(a), ce + radius * math.sin(a))
+        for a in draw(st.lists(st.floats(0.0, 2.0 * math.pi), max_size=8))
+    ]
+    rows = [cn - radius, cn, cn + radius]
+    rows += [cn + k * radius for k in draw(st.lists(st.floats(-2.0, 2.0), max_size=3))]
+    scattered = draw(st.lists(st.tuples(st.sampled_from(rows), st.floats(-2.0, 2.0)), max_size=40))
+    points = draw(st.permutations(on_circle + [(n, ce + k * radius) for n, k in scattered]))
+    return ArenaSpec(radius, LocalPoint(cn, ce)), np.array(points + [points[0]])
+
+
+class TestArenaBandCut:
+    @given(arena_scans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_scan(self, scan):
+        arena, ring = scan
+        # spacing above every edge: each ring vertex is one boundary point
+        obstacles = ObstacleSet([ring], spacing=1e9)
+        expected = reference_points_in_arena(obstacles.boundary_points, arena)
+        for _ in range(2):  # the north index is built by the first scan
+            got = obstacles.points_in_arena(arena)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_empty_chart(self):
+        arena = ArenaSpec(926.0, LocalPoint(0.0, 0.0))
+        assert ObstacleSet([]).points_in_arena(arena).shape == (0, 2)
 
 
 class TestObstacleSampling:
@@ -701,6 +777,51 @@ def reference_collision_risk(own, tgt, rate, rp, dp):
     return mutual * risk_index(dist / rp.arena_radius, rp)
 
 
+def reference_scale_factor_xy(a, b, off_f, off_s, x, y):
+    """The scale-factor quadratic written as one expression per term."""
+    a2 = np.asarray(a, dtype=float) ** 2
+    b2 = np.asarray(b, dtype=float) ** 2
+    coef_a = off_f * off_f * b2 + off_s * off_s * a2 - a2 * b2
+    coef_b = -2.0 * (x * off_f * b2 + y * off_s * a2)
+    coef_c = x * x * b2 + y * y * a2
+    disc = coef_b * coef_b - 4.0 * coef_a * coef_c
+    root = np.sqrt(np.maximum(disc, 0.0))
+    den = root - coef_b
+    safe = np.where(den == 0.0, 1.0, den)
+    return np.where(den == 0.0, 0.0, 2.0 * coef_c / safe)
+
+
+def reference_collision_risk_grid(own, tgt, rates, rp, dp):
+    """The collision kernel with both directed risk indices on the whole
+    (own, targets, rates, offsets) grid, combined per ``mutual_mode`` and
+    maximized over the offsets, in one pass: each element is computed on
+    its own, so chunking cannot change it. Both sides are built here from
+    the states."""
+    rates = np.atleast_1d(np.asarray(rates, dtype=float))
+    offsets = rp.horizon_offsets()
+    o = own.expand(0, 4)
+    g = StateArrays(*(a[..., None, None] for a in tgt))
+    on, oe, ov = predict_positions(o, offsets, 0.0)
+    tn, te, tv = predict_positions(g, offsets, rates[:, None])
+
+    def index(heading, speed, length, d_north, d_east):
+        semi_major, semi_minor = domain_axes(speed, length, dp)
+        x, y = _domain_frame(heading, d_north, d_east)
+        f = reference_scale_factor_xy(
+            semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0, x, y
+        )
+        return risk_index(f, rp)
+
+    r_own = index(o.heading, ov, o.length, tn - on, te - oe)
+    r_tgt = index(g.heading, tv, g.length, on - tn, oe - te)
+    if rp.mutual_mode == "prob_or":
+        combined = r_own + r_tgt - r_own * r_tgt
+    else:
+        combined = np.maximum(r_own, r_tgt)
+    dist = np.hypot(own.north[:, None] - tgt.north, own.east[:, None] - tgt.east)
+    return combined.max(axis=-1) * risk_index(dist / rp.arena_radius, rp)[:, :, None]
+
+
 def random_states(rng, n):
     return [
         VesselState(
@@ -711,7 +832,73 @@ def random_states(rng, n):
     ]
 
 
+def random_state_arrays(rng, shape):
+    states = StateArrays.of(random_states(rng, math.prod(shape)))
+    return StateArrays(*(a.reshape(shape) for a in states))
+
+
+@st.composite
+def kernel_cases(draw):
+    """Own and target states, shared or paired, with one rate or 64 (the
+    lowest of which stops an 8 m/s target after 160 s, inside the longest
+    horizon), and maybe an own state co-located with a target, both at
+    rest, so that the displacement is 0 at every offset."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_own, n_tgt = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    paired = draw(st.booleans())
+    own = random_state_arrays(rng, (n_own,))
+    tgt = random_state_arrays(rng, (n_own, n_tgt) if paired else (n_tgt,))
+    if n_tgt and draw(st.booleans()):
+        c = draw(st.integers(0, n_own - 1))
+        at = (c, 0) if paired else 0
+        tgt.north[at], tgt.east[at] = own.north[c], own.east[c]
+        own.speed[c] = tgt.speed[at] = 0.0
+    if draw(st.booleans()):
+        rates = np.linspace(-0.05, 0.05, 64)
+    else:
+        rates = rng.uniform(-0.05, 0.05, 1)
+    horizon_T, horizon_step = draw(st.sampled_from([(600.0, 30.0), (300.0, 45.0), (0.0, 30.0)]))
+    rp = RiskParams(
+        horizon_T=horizon_T, horizon_step=horizon_step,
+        mutual_mode=draw(st.sampled_from(MUTUAL_MODES)),
+    )
+    return own, tgt, rates, rp
+
+
 class TestCollisionKernel:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        off_s=st.sampled_from([0.0, -0.0, 20.0, -35.5]),
+        shapes=st.sampled_from([((), (), ()), ((), (7,), ()), ((3, 1), (5,), (3, 5))]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_scale_factor_matches_reference_bitwise(self, seed, off_s, shapes):
+        # domain terms, x and y of different shapes broadcast together
+        rng = np.random.default_rng(seed)
+        domain_shape, x_shape, y_shape = shapes
+        a = rng.uniform(100.0, 800.0, domain_shape)
+        b = rng.uniform(50.0, 300.0, domain_shape)
+        off_f = a * rng.uniform(-0.5, 0.5, domain_shape)
+        x, y = rng.uniform(-1e3, 1e3, x_shape), rng.uniform(-1e3, 1e3, y_shape)
+        if np.ndim(x) and np.ndim(y):
+            x[0], y.flat[0] = 0.0, 0.0  # the vessel position
+        got = _scale_factor_xy(a, b, off_f, off_s, x, y)
+        expected = reference_scale_factor_xy(a, b, off_f, off_s, x, y)
+        assert got.shape == expected.shape
+        assert np.array_equal(np.asarray(got).view(np.int64), expected.view(np.int64))
+
+    # an element budget of 25 gives one own state per pass
+    @given(kernel_cases(), st.sampled_from([25, risk.KERNEL_CHUNK_ELEMS]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_bitwise(self, case, chunk_elems):
+        own, tgt, rates, rp = case
+        dp = DomainParams()
+        with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk_elems):
+            got = collision_risk_grid(own, tgt, rates, rp, dp)
+        expected = reference_collision_risk_grid(own, tgt, rates, rp, dp)
+        assert got.shape == expected.shape == (own.north.size, tgt.north.shape[-1], rates.size)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         mode=st.sampled_from(MUTUAL_MODES),

@@ -10,7 +10,10 @@ of each workload (set-up ingest, ingest, fit-speed-model, each score
 window and each safest-path sweep) runs once through
 ``seamanship.cli.main``, in plan order. Each scene workload then scores
 one long window of its first score's ownship (``LONG_WINDOWS``), whose
-many step times the planner searches together, in several root blocks.
+many step times the planner searches together, in several root blocks,
+and its first score window again with a risk setting off its default
+(``BRANCH_WINDOWS``), so that the listing covers every branch of the risk
+kernels, not only the default ones.
 One line is printed per output file, ``<sha256>  <workload>/<path>``,
 sorted by path; the generated inputs are not listed.
 
@@ -51,25 +54,38 @@ import workloads  # noqa: E402
 NARROW_BEAM = ["--set", "search.beam_width=16"]
 LONG_WINDOWS = {"open_sea": ["--t-start", "0", "--t-end", "90", *NARROW_BEAM],
                 "channel_chart": NARROW_BEAM}
+# (output name, flags) of the first score window rerun per scene workload:
+# the "prob_or" mutual index in open water, and the horizon-max grounding
+# index against a chart
+BRANCH_WINDOWS = {
+    "open_sea": ("score-prob-or", ["--set", "risk.mutual_mode=prob_or"]),
+    "channel_chart": ("score-grounding-max", ["--set", "risk.grounding_horizon_max=true"]),
+}
 
 
 def operations(name: str, plan) -> list[list[str]]:
     """Command lines of the set-up operations, then of each cycle
     operation the first time its key appears, so every distinct operation
-    runs once, then of the workload's long score window, if it has one."""
+    runs once, then of the workload's long score window and its branch
+    window, where it has them."""
     ops, seen = [op.argv for op in plan.prepare], set()
     for op in plan.cycle:
         if op.key not in seen:
             seen.add(op.key)
             ops.append(op.argv)
-    if name in LONG_WINDOWS:
+
+    def first_score(drop: tuple[str, ...], flags: list[str], output: str) -> list[str]:
         # the subcommand, then each flag with its value
         score = next(op.argv for op in plan.cycle if op.kind == "score")
         pairs = zip(score[1::2], score[2::2])
-        argv = [score[0]] + [a for pair in pairs
-                             if pair[0] not in ("--t-start", "--t-end", "--output") for a in pair]
-        out = Path(name) / "out" / "score-long"
-        ops.append(argv + LONG_WINDOWS[name] + ["--output", str(out)])
+        kept = [a for pair in pairs if pair[0] not in (*drop, "--output") for a in pair]
+        return [score[0], *kept, *flags, "--output", str(Path(name) / "out" / output)]
+
+    if name in LONG_WINDOWS:
+        ops.append(first_score(("--t-start", "--t-end"), LONG_WINDOWS[name], "score-long"))
+    if name in BRANCH_WINDOWS:
+        output, flags = BRANCH_WINDOWS[name]
+        ops.append(first_score((), flags, output))
     return ops
 
 
