@@ -1,6 +1,12 @@
 """Local-frame geometry: projection, ship domain and arena shapes, domain
 scale factors, and constant-course motion prediction.
 
+Every scale factor in the package is computed one way: a :class:`_Frame`,
+built from a heading, rotates displacements into the domain frame, and a
+:class:`_Quadratic`, built from the domain's axes and center offsets,
+solves for the scale factor there. Each is built once and serves many
+displacements.
+
 Conventions used throughout the package: positions are north/east meters in
 a local tangent plane, headings are radians clockwise from true north in
 [0, 2*pi), speeds are m/s, times are seconds since the scenario epoch.
@@ -337,23 +343,46 @@ def make_domain(state: VesselState, params: DomainParams | None = None) -> Domai
     )
 
 
-def _domain_frame(heading, d_north, d_east):
-    """Rotate world displacements into the domain frame.
+class _Frame(NamedTuple):
+    """The coefficients that rotate world displacements (d_north, d_east)
+    into a domain frame: x along the heading, y positive to starboard.
+    Called on a displacement, it returns (x, y); all arguments broadcast."""
 
-    Returns (x, y): x along the heading, y positive to starboard. Accepts
-    scalars or arrays.
-    """
-    c = np.cos(heading)
-    s = np.sin(heading)
-    x = c * d_north + s * d_east
-    y = -s * d_north + c * d_east
-    return x, y
+    xn: np.ndarray
+    xe: np.ndarray
+    yn: np.ndarray
+    ye: np.ndarray
+
+    @classmethod
+    def of(cls, heading, reverse: bool = False) -> "_Frame":
+        """The frame of a domain with ``heading``. With ``reverse`` the
+        coefficients are negated, for a domain that sees the displacement
+        reversed: negation is exact, so the rotated values are those of
+        the reversed displacement."""
+        c, s = np.cos(heading), np.sin(heading)
+        return cls(-c, -s, s, -c) if reverse else cls(c, s, -s, c)
+
+    def __call__(self, d_north, d_east):
+        return self.xn * d_north + self.xe * d_east, self.yn * d_north + self.ye * d_east
 
 
 class _Quadratic(NamedTuple):
-    """The terms of the scale-factor quadratic (see :func:`_scale_factor_xy`)
-    that depend on the domain alone: the squared axes, the center offsets
-    and A. Built once, they serve any number of target positions."""
+    """The terms of the scale-factor quadratic that depend on the domain
+    alone: the squared axes, the center offsets and A. Built once, they
+    serve any number of target positions, which :meth:`solve` takes in the
+    domain frame (:class:`_Frame`).
+
+    The scale factor f >= 0 puts a target at (x, y) on the boundary of the
+    domain scaled by f about the vessel position (axes f*a, f*b, center
+    offsets f*off_f, f*off_s). The boundary condition is the quadratic
+    A f^2 + B f + C = 0 with
+        A = off_f^2 b^2 + off_s^2 a^2 - a^2 b^2   (< 0 when the vessel is
+                                                   inside its own domain)
+        B = -2 (x off_f b^2 + y off_s a^2)
+        C = x^2 b^2 + y^2 a^2                     (>= 0)
+    which then has exactly one non-negative root, evaluated in the
+    cancellation-free form 2C / (sqrt(B^2 - 4AC) - B).
+    """
 
     a2: np.ndarray
     b2: np.ndarray
@@ -412,26 +441,6 @@ class _Quadratic(NamedTuple):
         return coef_c
 
 
-def _scale_factor_xy(a, b, off_f, off_s, x, y):
-    """Scale factor for targets given in the domain frame.
-
-    Solves for f >= 0 such that (x, y) lies on the boundary of the domain
-    scaled by f about the vessel position (axes f*a, f*b, center offsets
-    f*off_f, f*off_s). All arguments broadcast.
-
-    The boundary condition is the quadratic A f^2 + B f + C = 0 with
-        A = off_f^2 b^2 + off_s^2 a^2 - a^2 b^2   (< 0 when the vessel is
-                                                   inside its own domain)
-        B = -2 (x off_f b^2 + y off_s a^2)
-        C = x^2 b^2 + y^2 a^2                     (>= 0)
-    which then has exactly one non-negative root, evaluated in the
-    cancellation-free form 2C / (sqrt(B^2 - 4AC) - B). The domain's terms
-    are :class:`_Quadratic`'s, which a caller scoring many targets against
-    one domain builds once.
-    """
-    return _Quadratic.of(a, b, off_f, off_s).solve(x, y)
-
-
 def scale_factor(domain: DomainSpec, target: LocalPoint, own_position: LocalPoint) -> float:
     """Multiplier that puts ``target`` exactly on the scaled domain boundary.
 
@@ -440,21 +449,14 @@ def scale_factor(domain: DomainSpec, target: LocalPoint, own_position: LocalPoin
     inside the unit domain; f = 0 means it coincides with the vessel
     position.
     """
-    x, y = _domain_frame(
-        domain.heading,
-        target.north - own_position.north,
-        target.east - own_position.east,
+    x, y = _Frame.of(domain.heading)(
+        target.north - own_position.north, target.east - own_position.east
     )
-    return float(
-        _scale_factor_xy(
-            domain.semi_major,
-            domain.semi_minor,
-            domain.center_offset_fwd,
-            domain.center_offset_stb,
-            x,
-            y,
-        )
+    quad = _Quadratic.of(
+        domain.semi_major, domain.semi_minor,
+        domain.center_offset_fwd, domain.center_offset_stb,
     )
+    return float(quad.solve(x, y))
 
 
 def ddv(f):
@@ -638,9 +640,9 @@ def _in_domain(speed, heading, length, d_north, d_east, params: DomainParams) ->
     vessel of ``speed``, ``heading`` and ``length``, lies inside that
     vessel's domain: a scale factor below 1. All arguments broadcast."""
     semi_major, semi_minor = domain_axes(speed, length, params)
-    x, y = _domain_frame(heading, d_north, d_east)
-    f = _scale_factor_xy(semi_major, semi_minor, params.offset_fraction * semi_major, 0.0, x, y)
-    return f < 1.0
+    x, y = _Frame.of(heading)(d_north, d_east)
+    quad = _Quadratic.of(semi_major, semi_minor, params.offset_fraction * semi_major, 0.0)
+    return quad.solve(x, y) < 1.0
 
 
 def find_tdv(

@@ -12,8 +12,9 @@ for many own states against many targets at many target speed-change rates
 in one array pass; the single-pair functions call it with one of each. A
 second kernel scores grounding for many own states against the chart
 points strictly inside their arenas in one pass, channel-width adjustment
-included. Chart boundaries are densified in one array pass over all polygon
-edges.
+included; its horizon maximum is a shift of the points aft along the
+heading, not a prediction per offset. Chart boundaries are densified in
+one array pass over all polygon edges.
 
 :func:`scenario_risks` has a time axis: its own states share one time (a
 planner level) or each carry their own (a recorded passage). Targets are
@@ -37,9 +38,8 @@ from .geometry import (
     LocalPoint,
     StateArrays,
     VesselTrack,
+    _Frame,
     _Quadratic,
-    _domain_frame,
-    _scale_factor_xy,
     domain_axes,
     predict_positions,
     require_finite,
@@ -82,7 +82,10 @@ class RiskParams:
         mutual_mode: "max" combines the two directed domain indices by
             maximum; "prob_or" uses a + b - a*b.
         grounding_horizon_max: apply the horizon-max to the grounding
-            domain index instead of evaluating it instantaneously.
+            domain index instead of evaluating it instantaneously. The
+            vessel holds course and speed, so at offset t each point is
+            scored speed * t further aft in the same (channel-adjusted)
+            domain.
         channel_adjust: shrink the domain beam inside narrow channels.
         channel_gamma: fraction of the measured channel width the adjusted
             domain beam may occupy.
@@ -139,31 +142,16 @@ def risk_index(f, params: RiskParams | None = None):
     return float(out) if out.ndim == 0 else out
 
 
-def _domain_index(
-    heading, semi_major, semi_minor, d_north, d_east, rp: RiskParams, dp: DomainParams
-):
-    """Domain index of points displaced (d_north, d_east) from a vessel with
-    the given heading and domain axes, the center ``offset_fraction`` of the
-    semi-major axis ahead. All arguments broadcast."""
-    x, y = _domain_frame(heading, d_north, d_east)
-    f = _scale_factor_xy(
-        semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0, x, y
-    )
-    return risk_index(f, rp)
-
-
 class _Horizon(NamedTuple):
     """Vessels advanced over the horizon offsets, with the terms of their
     domains that do not depend on the other vessel. The other vessel is
-    given by the displacement of the target from the own vessel; ``frame``
-    holds the (x north, x east, y north, y east) coefficients that rotate
-    it into this side's domain frame, negated on the target side, whose
-    domain sees the displacement reversed (negation is exact, so the
-    rotated values are those of the reversed displacement)."""
+    given by the displacement of the target from the own vessel, which
+    ``frame`` rotates into this side's domain frame, reversed on the
+    target side, whose domain sees the displacement reversed."""
 
     north: np.ndarray
     east: np.ndarray
-    frame: tuple
+    frame: _Frame
     quad: _Quadratic
 
     @classmethod
@@ -171,14 +159,12 @@ class _Horizon(NamedTuple):
         """``states`` shaped to broadcast against ``offsets`` and ``rates``."""
         north, east, speed = predict_positions(states, offsets, rates)
         semi_major, semi_minor = domain_axes(speed, states.length, dp)
-        c, s = np.cos(states.heading), np.sin(states.heading)
-        frame = (-c, -s, s, -c) if target else (c, s, -s, c)
+        frame = _Frame.of(states.heading, reverse=target)
         quad = _Quadratic.of(semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0)
         return cls(north, east, frame, quad)
 
     def scale_factor(self, d_north, d_east) -> np.ndarray:
-        xn, xe, yn, ye = self.frame
-        return self.quad.solve(xn * d_north + xe * d_east, yn * d_north + ye * d_east)
+        return self.quad.solve(*self.frame(d_north, d_east))
 
 
 def _own_horizon(own: StateArrays, offsets: np.ndarray, dp: DomainParams) -> _Horizon:
@@ -389,7 +375,8 @@ def _grounding_grid(
     Each point acts as a zero-speed virtual vessel: its risk is the domain
     index times the instantaneous arena index. The domain index is
     instantaneous, or with ``rp.grounding_horizon_max`` its maximum over
-    the horizon offsets (vessel moves, points stand still).
+    the horizon offsets (vessel moves, points stand still): at offset t a
+    point at (x, y) in the domain frame sits at (x - speed * t, y).
 
     With ``rp.channel_adjust`` the beam shrinks in a narrow channel. Its
     width is the nearest perpendicular distance to port plus the nearest to
@@ -404,7 +391,7 @@ def _grounding_grid(
     dist = np.hypot(d_north, d_east)
     inside = dist < rp.arena_radius
     semi_major, semi_minor = domain_axes(o.speed, o.length, dp)
-    x, y = _domain_frame(o.heading, d_north, d_east)
+    x, y = _Frame.of(o.heading)(d_north, d_east)
     if rp.channel_adjust:
         corridor = semi_major if rp.channel_corridor is None else rp.channel_corridor
         ahead = inside & (x >= 0.0) & (x <= corridor)
@@ -415,20 +402,15 @@ def _grounding_grid(
         new_minor = np.maximum(rp.channel_gamma * width / 2.0, 1e-3)
         shrink = (2.0 * semi_minor > width) & (new_minor < semi_minor)
         semi_minor = np.where(shrink, new_minor, semi_minor)
+    quad = _Quadratic.of(semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0)
     if rp.grounding_horizon_max:
-        o3 = own.expand(0, 3)
-        on, oe, ov = predict_positions(o3, rp.horizon_offsets()[:, None], 0.0)
-        # semi-minor is speed-independent, so the channel-adjusted value
-        # holds across the whole horizon
-        r_d = _domain_index(
-            o3.heading, domain_axes(ov, o3.length, dp)[0], semi_minor[:, :, None],
-            pts[:, 0] - on, pts[:, 1] - oe, rp, dp,
-        ).max(axis=1)
+        # offsets lead, (offsets, own, points); the smallest f gives the
+        # largest index
+        shift = rp.horizon_offsets()[:, None, None] * o.speed
+        f = quad.solve(x - shift, y).min(axis=0)
     else:
-        f = _scale_factor_xy(
-            semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0, x, y
-        )
-        r_d = risk_index(f, rp)
+        f = quad.solve(x, y)
+    r_d = risk_index(f, rp)
     r_a = risk_index(dist / rp.arena_radius, rp)
     return np.where(inside, r_d * r_a, 0.0)
 

@@ -15,7 +15,8 @@ from seamanship.geometry import (
     VesselState,
     VesselTrack,
     VesselType,
-    _scale_factor_xy,
+    _Frame,
+    _Quadratic,
     ddv,
     find_tdv,
     interp_heading,
@@ -237,9 +238,9 @@ class TestScaleFactor:
 
     def test_nan_geometry_stays_nan(self):
         # NaN must not read as f = 0, which is risk of about 1
-        f = _scale_factor_xy(200.0, 100.0, 50.0, 0.0, np.array([math.nan, 0.0]), 0.0)
+        f = _Quadratic.of(200.0, 100.0, 50.0, 0.0).solve(np.array([math.nan, 0.0]), 0.0)
         assert math.isnan(f[0]) and f[1] == 0.0
-        assert math.isnan(_scale_factor_xy(math.nan, 100.0, 50.0, 0.0, 30.0, 40.0))
+        assert math.isnan(_Quadratic.of(math.nan, 100.0, 50.0, 0.0).solve(30.0, 40.0))
 
     def test_vessel_outside_own_domain_rejected(self):
         d = DomainSpec(200.0, 100.0, 199.0, 99.0, 0.0)
@@ -274,6 +275,28 @@ class TestScaleFactor:
         f1 = scale_factor(d, LocalPoint(x, y), own)
         f2 = scale_factor(d, LocalPoint(lam * x, lam * y), own)
         assert f2 == pytest.approx(lam * f1, rel=1e-9, abs=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_reversed_frame_rotates_reversed_displacement_bitwise(self, seed):
+        # the first four displacements pair each signed zero with each
+        rng = np.random.default_rng(seed)
+        heading = rng.uniform(0.0, 2.0 * math.pi, (5, 1))
+        dn, de = rng.uniform(-2e3, 2e3, (2, 5, 8))
+        dn[:, :4] = [0.0, 0.0, -0.0, -0.0]
+        de[:, :4] = [0.0, -0.0, 0.0, -0.0]
+        c, s = np.cos(heading), np.sin(heading)
+
+        def forward(d_north, d_east):
+            return c * d_north + s * d_east, -s * d_north + c * d_east
+
+        for got, expected in (
+            (_Frame.of(heading)(dn, de), forward(dn, de)),
+            (_Frame.of(heading, reverse=True)(dn, de), forward(-dn, -de)),
+        ):
+            for g, e in zip(got, expected):
+                assert g.shape == e.shape == (5, 8)
+                assert np.array_equal(g.view(np.int64), e.view(np.int64))
 
 
 class TestDdv:

@@ -16,8 +16,7 @@ from seamanship.geometry import (
     VesselState,
     VesselTrack,
     VesselType,
-    _domain_frame,
-    _scale_factor_xy,
+    _Quadratic,
     domain_axes,
     make_domain,
     predict_positions,
@@ -806,7 +805,8 @@ def reference_collision_risk_grid(own, tgt, rates, rp, dp):
 
     def index(heading, speed, length, d_north, d_east):
         semi_major, semi_minor = domain_axes(speed, length, dp)
-        x, y = _domain_frame(heading, d_north, d_east)
+        c, s = np.cos(heading), np.sin(heading)
+        x, y = c * d_north + s * d_east, -s * d_north + c * d_east
         f = reference_scale_factor_xy(
             semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0, x, y
         )
@@ -882,7 +882,7 @@ class TestCollisionKernel:
         x, y = rng.uniform(-1e3, 1e3, x_shape), rng.uniform(-1e3, 1e3, y_shape)
         if np.ndim(x) and np.ndim(y):
             x[0], y.flat[0] = 0.0, 0.0  # the vessel position
-        got = _scale_factor_xy(a, b, off_f, off_s, x, y)
+        got = _Quadratic.of(a, b, off_f, off_s).solve(x, y)
         expected = reference_scale_factor_xy(a, b, off_f, off_s, x, y)
         assert got.shape == expected.shape
         assert np.array_equal(np.asarray(got).view(np.int64), expected.view(np.int64))
@@ -1077,7 +1077,106 @@ def reference_grounding(state, points, rp, dp):
     return domain, best
 
 
+def reference_domain_index(heading, semi_major, semi_minor, d_north, d_east, rp, dp):
+    """Domain index of points displaced (d_north, d_east) from a vessel with
+    the given heading and domain axes, the center ``offset_fraction`` of the
+    semi-major axis ahead. All arguments broadcast."""
+    c, s = np.cos(heading), np.sin(heading)
+    x, y = c * d_north + s * d_east, -s * d_north + c * d_east
+    f = reference_scale_factor_xy(
+        semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0, x, y
+    )
+    return risk_index(f, rp)
+
+
+def reference_grounding_grid(own, pts, rp, dp):
+    """The grounding kernel with the horizon maximum taken offset by offset:
+    the own vessels predicted at each offset, every point rotated into
+    each predicted domain and indexed there, and the largest index kept."""
+    o = own.expand(0, 2)
+    d_north = pts[:, 0] - o.north
+    d_east = pts[:, 1] - o.east
+    dist = np.hypot(d_north, d_east)
+    inside = dist < rp.arena_radius
+    semi_major, semi_minor = domain_axes(o.speed, o.length, dp)
+    c, s = np.cos(o.heading), np.sin(o.heading)
+    x, y = c * d_north + s * d_east, -s * d_north + c * d_east
+    if rp.channel_adjust:
+        corridor = semi_major if rp.channel_corridor is None else rp.channel_corridor
+        ahead = inside & (x >= 0.0) & (x <= corridor)
+        cap = rp.arena_radius
+        starboard = np.min(np.where(ahead & (y > 0.0), y, cap), axis=1, keepdims=True, initial=cap)
+        port = np.min(np.where(ahead & (y < 0.0), -y, cap), axis=1, keepdims=True, initial=cap)
+        width = port + starboard
+        new_minor = np.maximum(rp.channel_gamma * width / 2.0, 1e-3)
+        shrink = (2.0 * semi_minor > width) & (new_minor < semi_minor)
+        semi_minor = np.where(shrink, new_minor, semi_minor)
+    if rp.grounding_horizon_max:
+        o3 = own.expand(0, 3)
+        on, oe, ov = predict_positions(o3, rp.horizon_offsets()[:, None], 0.0)
+        # semi-minor is speed-independent, so the channel-adjusted value
+        # holds across the whole horizon
+        r_d = reference_domain_index(
+            o3.heading, domain_axes(ov, o3.length, dp)[0], semi_minor[:, :, None],
+            pts[:, 0] - on, pts[:, 1] - oe, rp, dp,
+        ).max(axis=1)
+    else:
+        f = reference_scale_factor_xy(
+            semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0, x, y
+        )
+        r_d = risk_index(f, rp)
+    r_a = risk_index(dist / rp.arena_radius, rp)
+    return np.where(inside, r_d * r_a, 0.0)
+
+
+def lane_scene(rng):
+    """A 200 m lane between two banks plus a shoal off its southern end, and
+    own states: four in the lane, three anywhere, and a last one that sees
+    no chart point inside its arena."""
+    walls = [
+        np.array([[-600.0, e0], [-600.0, e1], [600.0, e1], [600.0, e0], [-600.0, e0]])
+        for e0, e1 in ((-300.0, -100.0), (100.0, 300.0))
+    ]
+    obstacles = ObstacleSet(
+        walls + [closed_square(-900.0, 0.0, 60.0)], spacing=float(rng.uniform(40.0, 100.0))
+    )
+    in_lane = [
+        VesselState(0.0, rng.uniform(-700.0, 700.0), rng.uniform(-90.0, 90.0),
+                    rng.uniform(0.0, 8.0), rng.uniform(0.0, 2.0 * math.pi),
+                    rng.uniform(50.0, 250.0))
+        for _ in range(4)
+    ]
+    far = VesselState(0.0, 9000.0, 9000.0, 3.0, 1.0, 100.0)
+    return in_lane + random_states(rng, 3) + [far], obstacles
+
+
 class TestGroundingKernel:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        channel_adjust=st.booleans(),
+        corridor=st.sampled_from([None, 150.0]),
+        horizon=st.sampled_from([(600.0, 30.0), (300.0, 45.0), (0.0, 30.0)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_grid_matches_offset_by_offset_reference(self, seed, channel_adjust, corridor, horizon):
+        # the default branch bitwise; the horizon maximum, a shift along the
+        # heading in place of a prediction per offset, to rounding
+        rng = np.random.default_rng(seed)
+        owns, obstacles = lane_scene(rng)
+        own, pts, dp = StateArrays.of(owns), obstacles.boundary_points, DomainParams()
+        for horizon_max in (False, True):
+            rp = RiskParams(
+                horizon_T=horizon[0], horizon_step=horizon[1], channel_adjust=channel_adjust,
+                channel_corridor=corridor, grounding_horizon_max=horizon_max,
+            )
+            got = risk._grounding_grid(own, pts, rp, dp)
+            expected = reference_grounding_grid(own, pts, rp, dp)
+            assert got.shape == expected.shape == (len(owns), pts.shape[0])
+            if horizon_max:
+                assert np.abs(got - expected).max() <= 1e-12
+            else:
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         channel_adjust=st.booleans(),
@@ -1095,23 +1194,7 @@ class TestGroundingKernel:
             channel_corridor=corridor, grounding_horizon_max=horizon_max,
         )
         dp = DomainParams()
-        # a 200 m lane between two banks plus a shoal off its southern end
-        walls = [
-            np.array([[-600.0, e0], [-600.0, e1], [600.0, e1], [600.0, e0], [-600.0, e0]])
-            for e0, e1 in ((-300.0, -100.0), (100.0, 300.0))
-        ]
-        obstacles = ObstacleSet(
-            walls + [closed_square(-900.0, 0.0, 60.0)], spacing=float(rng.uniform(40.0, 100.0))
-        )
-        in_lane = [
-            VesselState(0.0, rng.uniform(-700.0, 700.0), rng.uniform(-90.0, 90.0),
-                        rng.uniform(0.0, 8.0), rng.uniform(0.0, 2.0 * math.pi),
-                        rng.uniform(50.0, 250.0))
-            for _ in range(4)
-        ]
-        # the last state sees no chart point inside its arena
-        far = VesselState(0.0, 9000.0, 9000.0, 3.0, 1.0, 100.0)
-        owns = in_lane + random_states(rng, 3) + [far]
+        owns, obstacles = lane_scene(rng)
         with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk_elems):
             got = scenario_risks(StateArrays.of(owns), 0.0, [], obstacles, rp, dp).grounding
         assert got[-1] == 0.0

@@ -12,8 +12,7 @@ from seamanship.geometry import (
     DomainParams,
     VesselTrack,
     VesselType,
-    _domain_frame,
-    _scale_factor_xy,
+    _Quadratic,
     domain_axes,
     find_tdv,
 )
@@ -128,14 +127,12 @@ def reference_find_tdv(track_j, track_k, params=None):
     ij = np.searchsorted(track_j.times, times)
     ik = np.searchsorted(track_k.times, times)
     semi_major, semi_minor = domain_axes(track_j.speed[ij], track_j.length, params)
-    x, y = _domain_frame(
-        track_j.heading[ij],
-        track_k.north[ik] - track_j.north[ij],
-        track_k.east[ik] - track_j.east[ij],
-    )
-    f = _scale_factor_xy(
-        semi_major, semi_minor, params.offset_fraction * semi_major, 0.0, x, y
-    )
+    c, s = np.cos(track_j.heading[ij]), np.sin(track_j.heading[ij])
+    d_north = track_k.north[ik] - track_j.north[ij]
+    d_east = track_k.east[ik] - track_j.east[ij]
+    x, y = c * d_north + s * d_east, -s * d_north + c * d_east
+    quad = _Quadratic.of(semi_major, semi_minor, params.offset_fraction * semi_major, 0.0)
+    f = quad.solve(x, y)
     hits = np.nonzero(f < 1.0)[0]
     if hits.size == 0:
         return None

@@ -11,7 +11,7 @@ window and each safest-path sweep) runs once through
 ``seamanship.cli.main``, in plan order. Each scene workload then scores
 one long window of its first score's ownship (``LONG_WINDOWS``), whose
 many step times the planner searches together, in several root blocks,
-and its first score window again with a risk setting off its default
+and one score window with a risk setting off its default
 (``BRANCH_WINDOWS``), so that the listing covers every branch of the risk
 kernels, not only the default ones.
 One line is printed per output file, ``<sha256>  <workload>/<path>``,
@@ -54,12 +54,20 @@ import workloads  # noqa: E402
 NARROW_BEAM = ["--set", "search.beam_width=16"]
 LONG_WINDOWS = {"open_sea": ["--t-start", "0", "--t-end", "90", *NARROW_BEAM],
                 "channel_chart": NARROW_BEAM}
-# (output name, flags) of the first score window rerun per scene workload:
-# the "prob_or" mutual index in open water, and the horizon-max grounding
-# index against a chart
+# (output name, flags) of the score window per scene workload with a risk
+# setting off its default; a flag given here replaces the first score
+# window's own. open_sea reruns that window with the "prob_or" mutual
+# index. channel_chart scores ownship 219100003's first minute with the
+# horizon-max grounding index, which there exceeds the instantaneous index
+# at three of six steps, so the later horizon offsets decide outputs; its
+# arena is widened to 1,500 m to bring the shoal ahead into the arena.
 BRANCH_WINDOWS = {
     "open_sea": ("score-prob-or", ["--set", "risk.mutual_mode=prob_or"]),
-    "channel_chart": ("score-grounding-max", ["--set", "risk.grounding_horizon_max=true"]),
+    "channel_chart": ("score-grounding-max", [
+        "--ownship", "219100003", "--t-start", "10", "--t-end", "60",
+        "--set", "risk.grounding_horizon_max=true", "--set", "risk.arena_radius=1500",
+        *NARROW_BEAM,
+    ]),
 }
 
 
@@ -75,10 +83,12 @@ def operations(name: str, plan) -> list[list[str]]:
             ops.append(op.argv)
 
     def first_score(drop: tuple[str, ...], flags: list[str], output: str) -> list[str]:
-        # the subcommand, then each flag with its value
+        # the subcommand, then each flag with its value; a flag in ``flags``
+        # replaces the score's own
         score = next(op.argv for op in plan.cycle if op.kind == "score")
         pairs = zip(score[1::2], score[2::2])
-        kept = [a for pair in pairs if pair[0] not in (*drop, "--output") for a in pair]
+        drop = (*drop, *flags[::2], "--output")
+        kept = [a for pair in pairs if pair[0] not in drop for a in pair]
         return [score[0], *kept, *flags, "--output", str(Path(name) / "out" / output)]
 
     if name in LONG_WINDOWS:
