@@ -513,13 +513,65 @@ def predict_positions(state: VesselState | StateArrays, dts: np.ndarray, rate=0.
     return north, east, speed
 
 
+def _check_tracks(ids, bounds, times, north, east, speed, heading, lengths) -> np.ndarray:
+    """Check tracks laid end to end and return their headings wrapped into
+    [0, 2*pi).
+
+    Track k is named ``ids[k]``, holds the samples ``bounds[k]:bounds[k + 1]``
+    of each array (at least one) and has hull length ``lengths[k]``. These
+    are :class:`VesselTrack`'s checks, in this order: finite times, north,
+    east, speed and heading; a finite length; times strictly increasing;
+    no negative speed; a positive length. Each takes one array pass over
+    all tracks. The first track that fails any raises ValueError naming it
+    and the first check it fails.
+
+    The wrap is ``np.mod``, with a tiny negative heading, which ``np.mod``
+    rounds up to 2*pi itself, set to 0. When every heading is already in
+    range, ``+ 0.0`` gives the same values (-0.0 turned into 0.0) at a
+    fraction of the cost.
+    """
+    bounds = np.asarray(bounds)
+    hulls = np.asarray(lengths, dtype=float)
+    increasing = np.diff(times) > 0.0
+    increasing[bounds[1:-1] - 1] = True  # a step from one track to the next
+    checks = [
+        *((np.isfinite(values), True, f"non-finite {name}") for name, values in (
+            ("times", times), ("north", north), ("east", east),
+            ("speed", speed), ("heading", heading),
+        )),
+        (np.isfinite(hulls), False, "non-finite length {}"),
+        (increasing, True, "times not strictly increasing"),
+        (speed >= 0.0, True, "negative speed"),
+        (hulls > 0.0, False, "non-positive length {}"),
+    ]
+    fault = None
+    for ok, per_sample, message in checks:
+        if not ok.all():
+            k = int(np.argmin(ok))
+            if per_sample:
+                k = int(np.searchsorted(bounds, k, side="right")) - 1
+            if fault is None or k < fault[0]:
+                fault = (k, message)
+    if fault is not None:
+        k, message = fault
+        raise ValueError(f"track {ids[k]!r}: {message.format(lengths[k])}")
+    if heading.size and heading.min() >= 0.0 and heading.max() < TWO_PI:
+        return heading + 0.0
+    heading = np.mod(heading, TWO_PI)
+    heading[heading == TWO_PI] = 0.0
+    return heading
+
+
 @dataclass
 class VesselTrack:
-    """A resampled vessel trajectory on a uniform time grid.
+    """A resampled vessel trajectory on a time grid.
 
-    All arrays share one length; ``times`` is strictly increasing with
-    constant spacing. ``length`` and ``vessel_type`` are per-vessel
-    constants.
+    All arrays share one length of at least one sample; every value is
+    finite, ``times`` strictly increases, no speed is negative and headings
+    are wrapped into [0, 2*pi). ``length`` and ``vessel_type`` are
+    per-vessel constants; ``length`` is finite and positive. Nothing checks
+    that the times are evenly spaced: a scenario archive can store only
+    tracks on its grid, which ``Scenario.to_dict`` checks.
     """
 
     track_id: str
@@ -540,28 +592,21 @@ class VesselTrack:
         n = self.times.size
         if n < 1:
             raise ValueError(f"track {self.track_id!r} is empty")
-        for name in ("times", "north", "east", "speed", "heading"):
-            values = getattr(self, name)
-            if values.size != n:
+        for name in ("north", "east", "speed", "heading"):
+            if getattr(self, name).size != n:
                 raise ValueError(f"track {self.track_id!r}: {name} length mismatch")
-            if not np.isfinite(values).all():
-                raise ValueError(f"track {self.track_id!r}: non-finite {name}")
-        if not math.isfinite(self.length):
-            raise ValueError(f"track {self.track_id!r}: non-finite length {self.length}")
-        if self.heading.min() >= 0.0 and self.heading.max() < TWO_PI:
-            # what np.mod gives here, at a fraction of its cost: the same
-            # values, with -0.0 turned into 0.0
-            self.heading = self.heading + 0.0
-        else:
-            self.heading = np.mod(self.heading, TWO_PI)
-            # np.mod rounds a tiny negative up to the modulus itself
-            self.heading[self.heading == TWO_PI] = 0.0
-        if n > 1 and np.any(np.diff(self.times) <= 0.0):
-            raise ValueError(f"track {self.track_id!r}: times not strictly increasing")
-        if np.any(self.speed < 0.0):
-            raise ValueError(f"track {self.track_id!r}: negative speed")
-        if self.length <= 0.0:
-            raise ValueError(f"track {self.track_id!r}: non-positive length {self.length}")
+        self.heading = _check_tracks(
+            [self.track_id], [0, n], self.times, self.north, self.east, self.speed,
+            self.heading, [self.length],
+        )
+
+    @classmethod
+    def _checked(cls, **values) -> "VesselTrack":
+        """A track of fields that :func:`_check_tracks` has passed, with the
+        headings it returned, built without checking them again."""
+        track = cls.__new__(cls)
+        vars(track).update(values)
+        return track
 
     @property
     def t_start(self) -> float:

@@ -33,6 +33,7 @@ from .geometry import (
     KNOTS_TO_MPS,
     VesselTrack,
     VesselType,
+    _check_tracks,
     project_arrays,
     require_finite,
 )
@@ -489,7 +490,8 @@ def load_chart(
     attribute is missing (land) or shallower than ``draught_threshold``.
     Unclosed rings are closed with a warning; all rings of an obstacle
     polygon, holes included, contribute boundary. A file that is not such
-    GeoJSON raises :class:`ChartError`, naming the feature at fault.
+    GeoJSON raises :class:`ChartError`, naming the feature at fault, and so
+    does a chart whose boundary ``obstacle_spacing`` cannot discretize.
     """
     p = params or IngestParams()
     with open(path, encoding="utf-8") as fh:
@@ -517,10 +519,9 @@ def load_chart(
     if unclosed:
         log.warning("%s: closed %d unclosed ring(s)", path, unclosed)
     try:
-        polygons = _ring_coords(rings, origin)
+        return ObstacleSet(_ring_coords(rings, origin), spacing=p.obstacle_spacing)
     except ValueError as exc:
         raise ChartError(path, str(exc)) from None
-    return ObstacleSet(polygons, spacing=p.obstacle_spacing)
 
 
 def sha256_file(path) -> str:
@@ -548,6 +549,31 @@ def _unpack(text: str, where: str = "array", columns: int | None = None) -> np.n
         return values if columns is None else values.reshape(-1, columns)
     except (ValueError, TypeError) as exc:  # binascii.Error is a ValueError
         raise ValueError(f"{where}: {exc}") from exc
+
+
+def _hex_text(value, where: str, columns: int | None = None) -> str:
+    """``value`` when it is a string whose length holds whole rows of
+    ``columns`` float64 values (whole values when None), 16 digits each.
+    Only the length is read here; the digits are checked by
+    :func:`_unpack_all`. Any other value raises the error :func:`_unpack`
+    gives it, prefixed with ``where``."""
+    if isinstance(value, str) and len(value) % (16 * (columns or 1)) == 0:
+        return value
+    _unpack(value, where, columns)
+    raise ValueError(f"{where}: not a string")  # bytes, which no JSON document holds
+
+
+def _unpack_all(texts: Sequence[str], where) -> np.ndarray:
+    """The values of :func:`_hex_text` texts laid end to end, flat, decoded
+    by one ``binascii.a2b_hex`` call. When that call refuses the joined
+    text, the first text :func:`_unpack` refuses raises, its message
+    prefixed with ``where(i)`` for text ``i``."""
+    try:
+        return np.frombuffer(binascii.a2b_hex("".join(texts)), dtype="<f8").astype(float)
+    except ValueError:  # binascii.Error is a ValueError
+        for i, text in enumerate(texts):
+            _unpack(text, where(i))
+        raise
 
 
 def _grid_range(track: VesselTrack, dt: float) -> list[int]:
@@ -583,14 +609,24 @@ def _archived_times(grid, dt: float, size: int) -> np.ndarray:
     return _grid_times(dt, i0, n)
 
 
+def _json_number(value) -> float:
+    """``float`` of a JSON number: an int or a float, not a bool, which
+    ``float`` takes as 0 or 1, nor text, which it would read as a number."""
+    number = float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return number
+
+
 def _track_field(td: Mapping, tid: str, name: str, convert=None):
-    """Field ``name`` of archived track ``tid``, decoded by :func:`_unpack`
-    or passed through ``convert``; errors name the track and the field."""
+    """Field ``name`` of archived track ``tid``: hex text checked by
+    :func:`_hex_text`, or the value passed through ``convert``; errors name
+    the track and the field."""
     where = f"track {tid!r} {name}"
     if name not in td:
         raise ValueError(f"{where}: missing")
     if convert is None:
-        return _unpack(td[name], where)
+        return _hex_text(td[name], where)
     try:
         return convert(td[name])
     except (ValueError, TypeError, OverflowError) as exc:
@@ -649,6 +685,14 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Scenario":
+        """The scenario of an archive document, read one array field at a
+        time. Each track's grid range, hull length, vessel type and array
+        text lengths are checked track by track. Then each array field of
+        all tracks, and all obstacle rings, are decoded by one
+        ``binascii.a2b_hex`` call each, and :class:`VesselTrack`'s checks
+        run once over all tracks laid end to end. Each track holds slices
+        of those arrays. A damaged archive raises ValueError naming the
+        track field or ring at fault."""
         version = doc.get("schema_version")
         if version != SCENARIO_SCHEMA_VERSION:
             raise ValueError(
@@ -658,24 +702,47 @@ class Scenario:
         dt = float(doc["dt"])
         if not 0.0 < dt < math.inf:  # every track's times are built from it
             raise ValueError(f"dt {dt!r} is not a positive finite number")
-        tracks = {}
+        names = ("north", "east", "speed", "heading")
+        ids, times, lengths, types, texts = [], [], [], [], [[] for _ in names]
         for tid, td in doc["tracks"].items():
             north = _track_field(td, tid, "north")
-            tracks[tid] = VesselTrack(
+            size = len(north) // 16
+            times.append(_track_field(td, tid, "grid", lambda g: _archived_times(g, dt, size)))
+            row = [north, *(_track_field(td, tid, name) for name in names[1:])]
+            lengths.append(_track_field(td, tid, "length", _json_number))
+            types.append(_track_field(td, tid, "vessel_type", VesselType))
+            for name, text, column in zip(names, row, texts):
+                if len(text) != len(north):
+                    raise ValueError(f"track {tid!r}: {name} length mismatch")
+                column.append(text)
+            ids.append(tid)
+        bounds = [0, *itertools.accumulate(t.size for t in times)]
+        times = np.concatenate(times) if times else np.empty(0)
+        north, east, speed, heading = (
+            _unpack_all(column, lambda i, name=name: f"track {ids[i]!r} {name}")
+            for name, column in zip(names, texts)
+        )
+        heading = _check_tracks(ids, bounds, times, north, east, speed, heading, lengths)
+        tracks = {}
+        for tid, a, b, length, vessel_type in zip(ids, bounds, bounds[1:], lengths, types):
+            tracks[tid] = VesselTrack._checked(
                 track_id=tid,
-                times=_track_field(td, tid, "grid", lambda g: _archived_times(g, dt, north.size)),
-                north=north,
-                east=_track_field(td, tid, "east"),
-                speed=_track_field(td, tid, "speed"),
-                heading=_track_field(td, tid, "heading"),
-                length=_track_field(td, tid, "length", float),
-                vessel_type=_track_field(td, tid, "vessel_type", VesselType),
+                times=times[a:b],
+                north=north[a:b],
+                east=east[a:b],
+                speed=speed[a:b],
+                heading=heading[a:b],
+                length=length,
+                vessel_type=vessel_type,
             )
+        rings = [
+            _hex_text(ring, f"obstacle ring {i}", columns=2)
+            for i, ring in enumerate(doc["obstacles"]["polygons"])
+        ]
+        points = _unpack_all(rings, lambda i: f"obstacle ring {i}").reshape(-1, 2)
+        ends = [0, *itertools.accumulate(len(ring) // 32 for ring in rings)]
         obstacles = ObstacleSet(
-            [
-                _unpack(ring, f"obstacle ring {i}", columns=2)
-                for i, ring in enumerate(doc["obstacles"]["polygons"])
-            ],
+            [points[a:b] for a, b in zip(ends, ends[1:])],
             spacing=float(doc["obstacles"]["spacing"]),
         )
         return cls(

@@ -344,10 +344,12 @@ def densify_boundaries(polygons: Sequence[np.ndarray], spacing: float) -> np.nda
     Each edge of length L contributes ceil(L / spacing) points starting at
     the edge's first vertex; the shared end vertex belongs to the next
     edge, so rings produce no duplicates. All edges are handled in one
-    array pass. Returns the (N, 2) points.
+    array pass. Returns the (N, 2) points. A spacing that is not positive
+    and finite, or so small that the point count is no integer an array can
+    hold, raises ValueError.
     """
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
+    if not 0.0 < spacing < math.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
     if not polygons:
         return np.empty((0, 2))
     start = np.concatenate([ring[:-1] for ring in polygons])
@@ -355,9 +357,11 @@ def densify_boundaries(polygons: Sequence[np.ndarray], spacing: float) -> np.nda
     edge_len = np.hypot(edge[:, 0], edge[:, 1])
     if not np.isfinite(edge_len).all():
         raise ValueError("polygon coordinates must be finite")
-    n = np.where(
-        edge_len == 0.0, 0, np.maximum(1, np.ceil(edge_len / spacing - 1e-12))
-    ).astype(int)
+    n = np.where(edge_len == 0.0, 0, np.maximum(1, np.ceil(edge_len / spacing - 1e-12)))
+    total = n.sum()
+    if not total < 2.0**63:  # an edge's count may even be inf
+        raise ValueError(f"spacing {spacing} gives {total:g} boundary points, too many to hold")
+    n = n.astype(int)
     # k-th point of its edge: position in the output minus the edge's first slot
     first = np.cumsum(n) - n
     k = np.arange(n.sum()) - np.repeat(first, n)

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -201,6 +202,20 @@ class TestIngestCommand:
         assert err["message"].startswith(f"{chart_file}: {named}"), err
         assert err["detail"]["path"] == str(chart_file)
 
+    def test_spacing_too_small_for_the_chart_exits_2_naming_chart(
+        self, head_on_ais, chart_file, tmp_path, capsys
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                "ingest", "--ais", head_on_ais, "--chart", chart_file,
+                "--output", tmp_path / "o", "--set", "ingest.obstacle_spacing=1e-300",
+            )
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["detail"]["path"] == str(chart_file)
+        assert err["message"].startswith(f"{chart_file}: spacing 1e-300 gives"), err
+
     def test_empty_ais_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text(",".join(COLUMNS) + "\n", encoding="utf-8")
@@ -278,6 +293,41 @@ def _regrid(change):
         _own(doc)["grid"] = change(*_own(doc)["grid"])
 
     return damage
+
+
+def _other(doc):
+    """The second track, whose arrays lie after the first's when each array
+    field of all tracks is decoded at once."""
+    return doc["tracks"]["111000002"]
+
+
+def _repack(track, name, change):
+    """Damage that replaces array ``name`` of ``track(doc)`` by ``change``
+    of its values, packed again."""
+
+    def damage(doc):
+        values = _unpack(track(doc)[name])
+        track(doc)[name] = _pack(change(values))
+
+    return damage
+
+
+def _hex_damage(holder, name):
+    """Damage that swaps the last digit of the hex text at
+    ``holder(doc)[name]`` for a non-hex one, keeping its length."""
+
+    def damage(doc):
+        holder(doc)[name] = holder(doc)[name][:-1] + "g"
+
+    return damage
+
+
+def _last_ring(doc):
+    """The obstacle rings with a copy of the first appended, so that the
+    last is not the first."""
+    polygons = doc["obstacles"]["polygons"]
+    polygons.append(polygons[0])
+    return polygons
 
 
 class TestFitSpeedModelCommand:
@@ -441,6 +491,56 @@ class TestFitSpeedModelCommand:
             ),
             pytest.param(_odd_ring, ["obstacle ring 0: ", "reshape"], id="odd_ring_coordinates"),
             pytest.param(_pack_nan, ["track '111000001': ", "non-finite north"], id="packed_nan"),
+            pytest.param(
+                lambda doc: _own(doc).update(length=True),
+                ["track '111000001' length: ", "True is not a number"],
+                id="length_true",
+            ),
+            pytest.param(
+                lambda doc: _own(doc).update(length="120"),
+                ["track '111000001' length: ", "'120' is not a number"],
+                id="length_numeric_text",
+            ),
+            pytest.param(
+                lambda doc: doc["obstacles"].update(spacing=math.inf),
+                ["spacing must be positive and finite, got inf"],
+                id="spacing_infinity",
+            ),
+            pytest.param(
+                lambda doc: doc["obstacles"].update(spacing=math.nan),
+                ["spacing must be positive and finite, got nan"],
+                id="spacing_nan",
+            ),
+            pytest.param(
+                _repack(_other, "east", lambda values: values[:-1]),
+                ["track '111000002': east length mismatch"],
+                id="short_east",
+            ),
+            pytest.param(
+                _repack(_other, "speed", lambda values: -values),
+                ["track '111000002': negative speed"],
+                id="negative_speed",
+            ),
+            pytest.param(
+                _repack(_other, "north", lambda values: np.append(values[:-1], np.inf)),
+                ["track '111000002': non-finite north"],
+                id="later_track_infinite_north",
+            ),
+            pytest.param(
+                _regrid(lambda i0, n: [2**60, n]),
+                ["track '111000001': times not strictly increasing"],
+                id="repeated_times",
+            ),
+            pytest.param(
+                _hex_damage(_other, "heading"),
+                ["track '111000002' heading: ", "Non-hexadecimal digit"],
+                id="later_track_not_hex",
+            ),
+            pytest.param(
+                _hex_damage(_last_ring, 1),
+                ["obstacle ring 1: ", "Non-hexadecimal digit"],
+                id="last_ring_not_hex",
+            ),
             pytest.param(_as_schema_1, ["seamanship ingest"], id="schema_1"),
             pytest.param(_as_schema_2, ["seamanship ingest"], id="schema_2"),
         ],

@@ -20,13 +20,17 @@ from seamanship.ingest import (
     DEFAULT_LENGTHS,
     DMA_TIMESTAMP_FORMAT,
     HEADING_UNAVAILABLE,
+    SCENARIO_SCHEMA_VERSION,
     AisSchema,
     IngestParams,
     RawTrack,
     Scenario,
+    _archived_times,
     _dma_seconds,
+    _pack,
     _parse_timestamp,
     _ring_coords,
+    _unpack,
     build_scenario,
     load_chart,
     parse_ais,
@@ -545,6 +549,64 @@ def reference_ring_coords(ring, origin):
     return np.asarray(pts, dtype=float)
 
 
+def reference_track_field(td, tid, name, convert=None):
+    """Field ``name`` of archived track ``tid``, decoded by ``_unpack`` or
+    passed through ``convert``; errors name the track and the field."""
+    where = f"track {tid!r} {name}"
+    if name not in td:
+        raise ValueError(f"{where}: missing")
+    if convert is None:
+        return _unpack(td[name], where)
+    try:
+        return convert(td[name])
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def reference_from_dict(doc):
+    """The per-track loader: each track's arrays decoded one text at a time
+    and checked by its own ``VesselTrack``, each ring decoded alone."""
+    version = doc.get("schema_version")
+    if version != SCENARIO_SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported scenario schema {version} (expected {SCENARIO_SCHEMA_VERSION}); "
+            "re-run `seamanship ingest` on the archive's AIS and chart sources"
+        )
+    dt = float(doc["dt"])
+    if not 0.0 < dt < math.inf:  # every track's times are built from it
+        raise ValueError(f"dt {dt!r} is not a positive finite number")
+    tracks = {}
+    for tid, td in doc["tracks"].items():
+        north = reference_track_field(td, tid, "north")
+        tracks[tid] = VesselTrack(
+            track_id=tid,
+            times=reference_track_field(
+                td, tid, "grid", lambda g: _archived_times(g, dt, north.size)
+            ),
+            north=north,
+            east=reference_track_field(td, tid, "east"),
+            speed=reference_track_field(td, tid, "speed"),
+            heading=reference_track_field(td, tid, "heading"),
+            length=reference_track_field(td, tid, "length", float),
+            vessel_type=reference_track_field(td, tid, "vessel_type", VesselType),
+        )
+    obstacles = ObstacleSet(
+        [
+            _unpack(ring, f"obstacle ring {i}", columns=2)
+            for i, ring in enumerate(doc["obstacles"]["polygons"])
+        ],
+        spacing=float(doc["obstacles"]["spacing"]),
+    )
+    return Scenario(
+        origin=(float(doc["origin"][0]), float(doc["origin"][1])),
+        epoch=float(doc["epoch"]),
+        dt=dt,
+        tracks=tracks,
+        obstacles=obstacles,
+        metadata=dict(doc.get("metadata", {})),
+    )
+
+
 def outcome(parse, text, schema):
     try:
         return parse(text, schema)
@@ -938,3 +1000,241 @@ class TestArchiveCodec:
         loaded.save(again)
         assert again.read_bytes() == first.read_bytes()
         assert loaded.tracks["t"].heading.tolist() == [0.0, 1.0]
+
+
+TRACK_ARRAYS = ("north", "east", "speed", "heading")
+# headings as a hand-written archive may hold them: in range, tiny
+# negatives, 2*pi itself, and any finite value
+ANY_HEADINGS = st.one_of(
+    HEADINGS, st.sampled_from([TWO_PI, -TWO_PI, 1e300, -1e300]), FINITE
+)
+
+
+@st.composite
+def archive_docs(draw, min_tracks=0):
+    """Archive documents written by hand, not by ``to_dict``: up to four
+    tracks (perhaps none) of one to five samples from any grid index,
+    negative ones included, with any finite heading and an int or float
+    length, and up to three rings (perhaps none)."""
+    dt = draw(ARCHIVE_DTS)
+    tracks = {}
+    for k in range(draw(st.integers(min_tracks, 4))):
+        n = draw(st.integers(1, 5))
+        values = {
+            "north": FINITE, "east": FINITE, "speed": NON_NEGATIVE, "heading": ANY_HEADINGS
+        }
+        tracks[f"t{k}"] = {
+            "grid": [draw(GRID_INDICES), n],
+            **{
+                name: _pack(np.array(draw(st.lists(kind, min_size=n, max_size=n)), dtype=float))
+                for name, kind in values.items()
+            },
+            "length": draw(st.sampled_from([5e-324, 150, 180.5, 1.7976931348623157e308])),
+            "vessel_type": draw(st.sampled_from(list(VesselType))).value,
+        }
+    rings = draw(st.lists(archived_rings(), max_size=3))
+    return {
+        "schema_version": SCENARIO_SCHEMA_VERSION,
+        "origin": [55.0, 10.0],
+        "epoch": 0.0,
+        "dt": dt,
+        "tracks": tracks,
+        # one point per edge at most, whatever the edge length
+        "obstacles": {"spacing": 1.7976931348623157e308, "polygons": [_pack(r) for r in rings]},
+        "metadata": {"k": 1},
+    }
+
+
+def load_outcome(doc):
+    """``Scenario.from_dict`` and ``reference_from_dict`` of a deep copy of
+    ``doc`` each, as the scenario or the message of the ValueError raised."""
+    results = []
+    for load in (Scenario.from_dict, reference_from_dict):
+        try:
+            results.append(load(json.loads(json.dumps(doc))))
+        except ValueError as exc:
+            results.append(str(exc))
+    return results
+
+
+def assert_same_scenario(got, ref):
+    assert list(got.tracks) == list(ref.tracks)
+    pairs = [
+        (getattr(got.tracks[tid], name), getattr(tr, name))
+        for tid, tr in ref.tracks.items()
+        for name in ("times", *TRACK_ARRAYS)
+    ] + list(zip(got.obstacles.polygons, ref.obstacles.polygons, strict=True))
+    pairs.append((got.obstacles.boundary_points, ref.obstacles.boundary_points))
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    for tid, tr in ref.tracks.items():
+        assert got.tracks[tid].length == tr.length
+        assert type(got.tracks[tid].length) is type(tr.length)
+        assert got.tracks[tid].vessel_type is tr.vessel_type
+    assert (got.origin, got.epoch, got.dt, got.metadata) == (
+        ref.origin, ref.epoch, ref.dt, ref.metadata
+    )
+    assert got.obstacles.spacing == ref.obstacles.spacing
+
+
+def _set_sample(value):
+    def change(values, k):
+        values[k] = value
+        return values
+
+    return change
+
+
+def _array_damage(name, change):
+    """A fault in the values of array ``name``, at a drawn sample."""
+
+    def damage(td, draw):
+        values = _unpack(td[name])
+        td[name] = _pack(change(values, draw(st.integers(0, values.size - 1))))
+
+    return damage
+
+
+def _text_damage(name, change):
+    """A fault in the text of array ``name``, at a drawn digit."""
+
+    def damage(td, draw):
+        td[name] = change(td[name], draw(st.integers(0, len(td[name]) - 1)))
+
+    return damage
+
+
+def _field_damage(name, value):
+    def damage(td, draw):
+        td[name] = value
+
+    return damage
+
+
+def _missing(name):
+    def damage(td, draw):
+        del td[name]
+
+    return damage
+
+
+def _regrid(change):
+    def damage(td, draw):
+        td["grid"] = change(*td["grid"])
+
+    return damage
+
+
+ARRAY_DAMAGES = {
+    "nan": _set_sample(math.nan),
+    "inf": _set_sample(math.inf),
+    "-inf": _set_sample(-math.inf),
+    "negative": _set_sample(-1.0),
+    "short": lambda values, k: values[:-1],
+}
+TEXT_DAMAGES = {
+    "not_hex": lambda text, k: text[:k] + "x" + text[k + 1:],
+    "not_ascii": lambda text, k: text[:k] + "\u00e9" + text[k + 1:],
+    "odd": lambda text, k: text[:-1],
+    "partial_float": lambda text, k: text[:-2],
+    "number": lambda text, k: 0.5,
+    "list": lambda text, k: [0.0],
+}
+# each a single fault in one track; a bool or text length and a non-finite
+# spacing are left out, as the per-track loader took them
+ONE_FAULT = [
+    *(
+        pytest.param(_array_damage(name, change), id=f"{name}-{kind}")
+        for name in TRACK_ARRAYS
+        for kind, change in ARRAY_DAMAGES.items()
+    ),
+    *(
+        pytest.param(_text_damage(name, change), id=f"{name}-{kind}")
+        for name in TRACK_ARRAYS
+        for kind, change in TEXT_DAMAGES.items()
+    ),
+    *(
+        pytest.param(_field_damage(name, value), id=f"{name}={value!r:.12}")
+        for name, value in [
+            ("length", math.inf), ("length", -math.inf), ("length", math.nan),
+            ("length", 0.0), ("length", -1.0), ("length", 10**400), ("length", "abc"),
+            ("length", [1.0]), ("vessel_type", "Carg0"), ("vessel_type", 5),
+            ("grid", "0,1"),
+        ]
+    ),
+    *(
+        pytest.param(_missing(name), id=f"no-{name}")
+        for name in ("grid", *TRACK_ARRAYS, "length", "vessel_type")
+    ),
+    pytest.param(_regrid(lambda i0, n: [i0, 0]), id="grid-zero"),
+    pytest.param(_regrid(lambda i0, n: [i0, n + 1]), id="grid-count"),
+    pytest.param(_regrid(lambda i0, n: [2**60, n]), id="grid-repeated-times"),
+    pytest.param(_regrid(lambda i0, n: [10**30, n]), id="grid-overflow"),
+]
+
+
+class TestFieldByFieldLoader:
+    """``Scenario.from_dict`` decodes each array field of all tracks at once
+    and checks all tracks in one pass; ``reference_from_dict``, the
+    per-track loader it replaced, is the reference."""
+
+    @given(doc=archive_docs())
+    @settings(max_examples=200, deadline=None)
+    @example(doc={
+        "schema_version": SCENARIO_SCHEMA_VERSION, "origin": [55.0, 10.0], "epoch": 0.0,
+        "dt": 10.0, "tracks": {}, "obstacles": {"spacing": 50.0, "polygons": []},
+    })
+    def test_matches_per_track_loader(self, doc):
+        got, ref = load_outcome(doc)
+        assert_same_scenario(got, ref)
+        headings = [tr.heading for tr in got.tracks.values()]
+        assert all(np.all((h >= 0.0) & (h < TWO_PI)) for h in headings)
+
+    @pytest.mark.parametrize("damage", ONE_FAULT)
+    @given(doc=archive_docs(min_tracks=1), data=st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_one_fault_gives_the_per_track_message(self, damage, doc, data):
+        damage(doc["tracks"][data.draw(st.sampled_from(sorted(doc["tracks"])))], data.draw)
+        got, ref = load_outcome(doc)
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            assert_same_scenario(got, ref)
+
+    @given(doc=archive_docs(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_ring_fault_gives_the_per_ring_message(self, doc, data):
+        rings = doc["obstacles"]["polygons"]
+        rings.append(_pack(np.arange(9.0)))  # not whole points
+        if len(rings) > 1 and data.draw(st.booleans()):
+            k = data.draw(st.integers(0, len(rings[0]) - 1))
+            rings[-1] = rings[0][:k] + "x" + rings[0][k + 1:]
+        got, ref = load_outcome(doc)
+        assert isinstance(ref, str) and got == ref
+        assert ref.startswith(f"obstacle ring {len(rings) - 1}: ")
+
+    def test_tracks_share_no_values(self):
+        def ring(north):
+            return np.array([[north, 0.0], [north, 1.0], [north + 1.0, 1.0], [north, 0.0]])
+
+        tracks = {
+            f"t{k}": VesselTrack(
+                f"t{k}", 10.0 * np.arange(k, 2 * k + 2), *np.ones((4, k + 2)), length=9.0
+            )
+            for k in range(3)
+        }
+        doc = Scenario(
+            (55.0, 10.0), 0.0, 10.0, tracks, ObstacleSet([ring(0.0), ring(5.0), ring(9.0)])
+        ).to_dict()
+        loaded, again = Scenario.from_dict(doc), Scenario.from_dict(doc)
+        for name in ("times", *TRACK_ARRAYS):
+            getattr(loaded.tracks["t1"], name)[:] = 12345.0
+        loaded.obstacles.polygons[1][:] = 12345.0
+        for tid in ("t0", "t2"):
+            for name in ("times", *TRACK_ARRAYS):
+                assert np.array_equal(
+                    getattr(loaded.tracks[tid], name), getattr(again.tracks[tid], name)
+                )
+        for k in (0, 2):
+            assert np.array_equal(loaded.obstacles.polygons[k], again.obstacles.polygons[k])
