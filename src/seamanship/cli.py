@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .geometry import DomainParams, VesselType, is_finite
-from .ingest import AisSchema, ChartError, IngestParams, Scenario, build_scenario
+from .ingest import AisSchema, ChartError, IngestParams, Scenario, build_scenario, sidecar_path
 from .planner import (
     Hyperparameters,
     KinodynamicParams,
@@ -208,10 +208,11 @@ def _read_input(path: Path) -> tuple[bytes, dict]:
 
 
 def _load_archive(path: Path) -> tuple[Scenario, dict]:
-    """The scenario archive at ``path`` and its provenance entry."""
+    """The scenario archive whose header is at ``path`` and the header's
+    provenance entry, which covers the sidecar whose sha256 it records."""
     data, entry = _read_input(path)
     try:
-        return Scenario.load(data), entry
+        return Scenario.load(path, data), entry
     except _BAD_DOC_ERRORS as exc:
         raise CliError(f"bad scenario archive {path}: {exc}", path=str(path))
 
@@ -277,7 +278,8 @@ def cmd_ingest(args) -> int:
         scenario = build_scenario(ais, chart, params, schema)
     except ValueError as exc:
         raise CliError(str(exc), path=exc.path if isinstance(exc, ChartError) else str(ais))
-    scenario.save(outdir / "scenario.json")
+    archive = outdir / "scenario.json"
+    scenario.save(archive)
     grid = scenario.time_grid
     summary = {
         "vessels": len(scenario.tracks),
@@ -289,7 +291,8 @@ def cmd_ingest(args) -> int:
     write_json(outdir / "summary.json", summary)
     # build_scenario digests each source it read, under the same names
     provenance = _provenance(scenario.metadata["sources"], {"ingest": params, "schema": schema})
-    write_manifest(outdir, "ingest", provenance, ["scenario.json", "summary.json"])
+    outputs = [archive.name, sidecar_path(archive).name, "summary.json"]
+    write_manifest(outdir, "ingest", provenance, outputs)
     return EXIT_OK
 
 

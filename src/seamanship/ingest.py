@@ -1,20 +1,23 @@
 """Building scenarios from raw AIS position reports and chart polygons.
 
 A scenario bundles resampled vessel tracks, shallow-water obstacle
-polygons, and the local projection frame into one JSON document that
-reproduces byte-for-byte across runs on the same inputs (schema 3). Every
-track lies on the scenario grid, so a track stores its grid index range
-``[i0, n]`` in place of its times, which load rebuilds bit for bit as
-``dt * np.arange(i0, i0 + n)``. Each other track array and each obstacle
-ring is stored as lowercase hex text of its little-endian float64 bytes,
-which ``binascii.a2b_hex`` decodes several times faster than base64 while
-refusing whitespace, odd lengths and non-hex digits; scalars and metadata
-are plain JSON.
+polygons, and the local projection frame into an archive of two files
+that reproduce byte-for-byte across runs on the same inputs (schema 4),
+and that travel together: a small JSON header (``scenario.json``) and a
+sidecar beside it (``scenario.f64``) of raw little-endian float64 values.
+The header holds the scalars and metadata, each track's grid index range
+``[i0, n]``, hull length and vessel type, each obstacle ring's point
+count, and the sidecar's byte count and sha256, so its digest pins both
+files. Every track lies on the scenario grid, so load rebuilds its times
+bit for bit as ``dt * np.arange(i0, i0 + n)``. The sidecar holds every
+track's north laid end to end, then east, speed and heading, then every
+ring's points, and load reads it with one ``np.frombuffer`` call. The
+README gives its load, save and size figures against schema 3, which held
+each array as hex text inside one JSON document.
 """
 
 from __future__ import annotations
 
-import binascii
 import csv
 import hashlib
 import itertools
@@ -41,7 +44,9 @@ from .risk import ObstacleSet
 
 log = logging.getLogger(__name__)
 
-SCENARIO_SCHEMA_VERSION = 3
+SCENARIO_SCHEMA_VERSION = 4
+# the track arrays an archive stores, in sidecar order
+TRACK_ARRAYS = ("north", "east", "speed", "heading")
 HEADING_UNAVAILABLE = 511.0
 DMA_TIMESTAMP_FORMAT = "%d/%m/%Y %H:%M:%S"
 # DMA_TIMESTAMP_FORMAT text with two-digit fields, a four-digit year and one
@@ -532,50 +537,6 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _pack(values: np.ndarray) -> str:
-    """Lowercase hex text of an array's values as little-endian float64
-    bytes, in C order."""
-    return np.ascontiguousarray(values, dtype="<f8").tobytes().hex()
-
-
-def _unpack(text: str, where: str = "array", columns: int | None = None) -> np.ndarray:
-    """The float64 array that :func:`_pack` wrote, native-endian and
-    writeable: flat, or in rows of ``columns``. A non-string, text that is
-    not hex (whitespace included), an odd digit count, or a byte count that
-    is not a multiple of 8 or of the row size raises ValueError, its
-    message prefixed with ``where`` (a track field or an obstacle ring)."""
-    try:
-        values = np.frombuffer(binascii.a2b_hex(text), dtype="<f8").astype(float)
-        return values if columns is None else values.reshape(-1, columns)
-    except (ValueError, TypeError) as exc:  # binascii.Error is a ValueError
-        raise ValueError(f"{where}: {exc}") from exc
-
-
-def _hex_text(value, where: str, columns: int | None = None) -> str:
-    """``value`` when it is a string whose length holds whole rows of
-    ``columns`` float64 values (whole values when None), 16 digits each.
-    Only the length is read here; the digits are checked by
-    :func:`_unpack_all`. Any other value raises the error :func:`_unpack`
-    gives it, prefixed with ``where``."""
-    if isinstance(value, str) and len(value) % (16 * (columns or 1)) == 0:
-        return value
-    _unpack(value, where, columns)
-    raise ValueError(f"{where}: not a string")  # bytes, which no JSON document holds
-
-
-def _unpack_all(texts: Sequence[str], where) -> np.ndarray:
-    """The values of :func:`_hex_text` texts laid end to end, flat, decoded
-    by one ``binascii.a2b_hex`` call. When that call refuses the joined
-    text, the first text :func:`_unpack` refuses raises, its message
-    prefixed with ``where(i)`` for text ``i``."""
-    try:
-        return np.frombuffer(binascii.a2b_hex("".join(texts)), dtype="<f8").astype(float)
-    except ValueError:  # binascii.Error is a ValueError
-        for i, text in enumerate(texts):
-            _unpack(text, where(i))
-        raise
-
-
 def _grid_range(track: VesselTrack, dt: float) -> list[int]:
     """``[i0, n]`` such that the track's times are bitwise
     ``_grid_times(dt, i0, n)``; a track off that grid raises ValueError
@@ -594,9 +555,8 @@ def _grid_range(track: VesselTrack, dt: float) -> list[int]:
     return [i0, n]
 
 
-def _archived_times(grid, dt: float, size: int) -> np.ndarray:
-    """The times of an archived grid range ``[i0, n]`` whose track holds
-    ``size`` values in each array."""
+def _archived_times(grid, dt: float) -> np.ndarray:
+    """The times of an archived grid range ``[i0, n]``."""
     if not (
         isinstance(grid, list) and len(grid) == 2 and all(type(k) is int for k in grid)
     ):
@@ -604,8 +564,6 @@ def _archived_times(grid, dt: float, size: int) -> np.ndarray:
     i0, n = grid
     if n < 1:
         raise ValueError(f"point count {n} is not positive")
-    if n != size:
-        raise ValueError(f"point count {n} does not match the {size} values of each array")
     return _grid_times(dt, i0, n)
 
 
@@ -618,19 +576,68 @@ def _json_number(value) -> float:
     return number
 
 
-def _track_field(td: Mapping, tid: str, name: str, convert=None):
-    """Field ``name`` of archived track ``tid``: hex text checked by
-    :func:`_hex_text`, or the value passed through ``convert``; errors name
-    the track and the field."""
-    where = f"track {tid!r} {name}"
-    if name not in td:
-        raise ValueError(f"{where}: missing")
-    if convert is None:
-        return _hex_text(td[name], where)
+def _json_count(value) -> int:
+    """A JSON integer that is not negative: an int, not a bool or a float."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{value!r} is not a count")
+    return value
+
+
+def _origin(value) -> tuple[float, float]:
+    """The (lat, lon) of an archived projection origin."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"{value!r} is not [lat, lon], two numbers")
+    return _json_number(value[0]), _json_number(value[1])
+
+
+def _read(holder, name, convert, where: str | None = None):
+    """Entry ``name`` of an archive header object or list passed through
+    ``convert``; errors are prefixed with ``where`` (by default ``name``)."""
+    where = where or name
     try:
-        return convert(td[name])
+        value = holder[name]
+    except (KeyError, IndexError):
+        raise ValueError(f"{where}: missing") from None
+    try:
+        return convert(value)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
+
+
+def _check_schema(doc: Mapping) -> None:
+    version = doc.get("schema_version")
+    if version != SCENARIO_SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported scenario schema {version} (expected {SCENARIO_SCHEMA_VERSION}); "
+            "re-run `seamanship ingest` on the archive's AIS and chart sources"
+        )
+
+
+def _sidecar_values(entry: Mapping, data: bytes, count: int, where: str) -> np.ndarray:
+    """The ``count`` float64 values of sidecar bytes ``data``, native-endian
+    and writeable. The header's sidecar ``entry`` must record ``count``
+    values' bytes, and ``data`` must hold that many bytes and have the
+    sha256 it records; a mismatch raises ValueError prefixed with ``where``."""
+    size = _read(entry, "bytes", _json_count, "sidecar bytes")
+    if size != 8 * count:
+        raise ValueError(f"{where}: the header's track grid ranges and ring point counts "
+                         f"call for {8 * count} bytes, but it records {size}")
+    if len(data) != size:
+        raise ValueError(f"{where}: holds {len(data)} bytes, the header records {size}")
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != entry.get("sha256"):
+        raise ValueError(f"{where}: sha256 {digest} is not the {entry.get('sha256')!r} "
+                         "that the header records")
+    return np.frombuffer(data, "<f8").astype(float)
+
+
+def sidecar_path(path) -> Path:
+    """The file of the arrays of the archive whose header is at ``path``:
+    the same name with the suffix ``.f64``, which a header cannot have."""
+    path = Path(path)
+    if path.suffix == ".f64":
+        raise ValueError(f"{path}: an archive header cannot have the sidecar suffix")
+    return path.with_suffix(".f64")
 
 
 @dataclass
@@ -655,73 +662,69 @@ class Scenario:
         i1 = int(round(hi / self.dt))
         return self.dt * np.arange(i0, i1 + 1)
 
-    def to_dict(self) -> dict:
-        """The archive document. A track whose times are not bitwise the
+    def to_archive(self) -> tuple[dict, bytes]:
+        """The archive's header document and sidecar bytes, laid out as the
+        module docstring describes. A track whose times are not bitwise the
         grid ``dt * np.arange(i0, i0 + n)`` raises ValueError naming it."""
-        tracks_doc = {}
-        for tid in sorted(self.tracks):
-            tr = self.tracks[tid]
-            tracks_doc[tid] = {
-                "grid": _grid_range(tr, self.dt),
-                "north": _pack(tr.north),
-                "east": _pack(tr.east),
-                "speed": _pack(tr.speed),
-                "heading": _pack(tr.heading),
-                "length": tr.length,
-                "vessel_type": tr.vessel_type.value,
-            }
-        return {
+        tracks = {
+            tid: (tr, _grid_range(tr, self.dt)) for tid, tr in sorted(self.tracks.items())
+        }
+        rings = self.obstacles.polygons
+        data = np.concatenate([
+            np.empty(0),
+            *(getattr(tr, name) for name in TRACK_ARRAYS for tr, _ in tracks.values()),
+            *(ring.ravel() for ring in rings),
+        ]).astype("<f8", copy=False).tobytes()
+        header = {
             "schema_version": SCENARIO_SCHEMA_VERSION,
             "origin": [self.origin[0], self.origin[1]],
             "epoch": self.epoch,
             "dt": self.dt,
-            "tracks": tracks_doc,
-            "obstacles": {
-                "spacing": self.obstacles.spacing,
-                "polygons": [_pack(poly) for poly in self.obstacles.polygons],
+            "tracks": {
+                tid: {"grid": grid, "length": tr.length, "vessel_type": tr.vessel_type.value}
+                for tid, (tr, grid) in tracks.items()
             },
+            "obstacles": {"spacing": self.obstacles.spacing, "rings": list(map(len, rings))},
+            "sidecar": {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()},
             "metadata": self.metadata,
         }
+        return header, data
 
     @classmethod
-    def from_dict(cls, doc: Mapping) -> "Scenario":
-        """The scenario of an archive document, read one array field at a
-        time. Each track's grid range, hull length, vessel type and array
-        text lengths are checked track by track. Then each array field of
-        all tracks, and all obstacle rings, are decoded by one
-        ``binascii.a2b_hex`` call each, and :class:`VesselTrack`'s checks
-        run once over all tracks laid end to end. Each track holds slices
-        of those arrays. A damaged archive raises ValueError naming the
-        track field or ring at fault."""
-        version = doc.get("schema_version")
-        if version != SCENARIO_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported scenario schema {version} (expected {SCENARIO_SCHEMA_VERSION}); "
-                "re-run `seamanship ingest` on the archive's AIS and chart sources"
-            )
-        dt = float(doc["dt"])
+    def from_archive(cls, doc: Mapping, data: bytes, where: str = "sidecar") -> "Scenario":
+        """The scenario of an archive's header document ``doc`` and sidecar
+        bytes ``data`` (called ``where`` in messages). Each track's header
+        entries are checked track by track, the sidecar against the header
+        (:func:`_sidecar_values`), and :class:`VesselTrack`'s checks run once
+        over all tracks laid end to end; each track and ring holds slices of
+        the sidecar's values. A damaged archive raises ValueError naming the
+        header entry, track, ring or sidecar at fault."""
+        _check_schema(doc)
+        dt = _read(doc, "dt", _json_number)
         if not 0.0 < dt < math.inf:  # every track's times are built from it
             raise ValueError(f"dt {dt!r} is not a positive finite number")
-        names = ("north", "east", "speed", "heading")
-        ids, times, lengths, types, texts = [], [], [], [], [[] for _ in names]
+        origin = _read(doc, "origin", _origin)
+        epoch = _read(doc, "epoch", _json_number)
+        spacing = _read(doc["obstacles"], "spacing", _json_number, "obstacle spacing")
+        rings = doc["obstacles"]["rings"]
+        ring_sizes = [
+            _read(rings, i, _json_count, f"obstacle ring {i} point count")
+            for i in range(len(rings))
+        ]
+        ids, times, lengths, types = [], [], [], []
         for tid, td in doc["tracks"].items():
-            north = _track_field(td, tid, "north")
-            size = len(north) // 16
-            times.append(_track_field(td, tid, "grid", lambda g: _archived_times(g, dt, size)))
-            row = [north, *(_track_field(td, tid, name) for name in names[1:])]
-            lengths.append(_track_field(td, tid, "length", _json_number))
-            types.append(_track_field(td, tid, "vessel_type", VesselType))
-            for name, text, column in zip(names, row, texts):
-                if len(text) != len(north):
-                    raise ValueError(f"track {tid!r}: {name} length mismatch")
-                column.append(text)
+            at = f"track {tid!r}"
+            times.append(_read(td, "grid", lambda g: _archived_times(g, dt), f"{at} grid"))
+            lengths.append(_read(td, "length", _json_number, f"{at} length"))
+            types.append(_read(td, "vessel_type", VesselType, f"{at} vessel_type"))
             ids.append(tid)
         bounds = [0, *itertools.accumulate(t.size for t in times)]
+        ends = [0, *itertools.accumulate(ring_sizes)]
+        n = bounds[-1]
+        values = _sidecar_values(_read(doc, "sidecar", dict), data, 4 * n + 2 * ends[-1], where)
+        north, east, speed, heading = values[: 4 * n].reshape(4, n)
+        points = values[4 * n:].reshape(-1, 2)
         times = np.concatenate(times) if times else np.empty(0)
-        north, east, speed, heading = (
-            _unpack_all(column, lambda i, name=name: f"track {ids[i]!r} {name}")
-            for name, column in zip(names, texts)
-        )
         heading = _check_tracks(ids, bounds, times, north, east, speed, heading, lengths)
         tracks = {}
         for tid, a, b, length, vessel_type in zip(ids, bounds, bounds[1:], lengths, types):
@@ -735,44 +738,41 @@ class Scenario:
                 length=length,
                 vessel_type=vessel_type,
             )
-        rings = [
-            _hex_text(ring, f"obstacle ring {i}", columns=2)
-            for i, ring in enumerate(doc["obstacles"]["polygons"])
-        ]
-        points = _unpack_all(rings, lambda i: f"obstacle ring {i}").reshape(-1, 2)
-        ends = [0, *itertools.accumulate(len(ring) // 32 for ring in rings)]
-        obstacles = ObstacleSet(
-            [points[a:b] for a, b in zip(ends, ends[1:])],
-            spacing=float(doc["obstacles"]["spacing"]),
-        )
         return cls(
-            origin=(float(doc["origin"][0]), float(doc["origin"][1])),
-            epoch=float(doc["epoch"]),
+            origin=origin,
+            epoch=epoch,
             dt=dt,
             tracks=tracks,
-            obstacles=obstacles,
+            obstacles=ObstacleSet([points[a:b] for a, b in zip(ends, ends[1:])], spacing=spacing),
             metadata=dict(doc.get("metadata", {})),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def save(self, path) -> None:
-        """Write :meth:`to_json` and a newline, streamed: the document's
-        text is never held whole. A track :meth:`to_dict` refuses leaves
-        the file untouched."""
-        doc = self.to_dict()
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        """Write the archive: :meth:`to_archive`'s header, as indented JSON
+        and a newline, to ``path`` and its sidecar to :func:`sidecar_path`
+        of ``path``. Both are built before either file is opened, so a
+        track :meth:`to_archive` refuses writes nothing."""
+        header, data = self.to_archive()
+        text = json.dumps(header, indent=2, sort_keys=True) + "\n"
+        sidecar_path(path).write_bytes(data)
+        Path(path).write_text(text, encoding="utf-8")
 
     @classmethod
-    def load(cls, source) -> "Scenario":
-        """The archive in the file at path ``source``, or in ``source``
-        itself when it is the file's bytes, already read. The bytes are
-        decoded before parsing, which ``json.loads`` does faster on str."""
-        data = source if isinstance(source, bytes) else Path(source).read_bytes()
-        return cls.from_dict(json.loads(data.decode("utf-8")))
+    def load(cls, source, header: bytes | None = None) -> "Scenario":
+        """The archive whose header is the file at path ``source`` and
+        whose sidecar lies beside it (:func:`sidecar_path`); ``header`` is
+        the header file's bytes when they are already read. Each file is
+        read once, and the bytes checked are the bytes parsed. A sidecar
+        that cannot be read raises ValueError naming it."""
+        path = Path(source)
+        doc = json.loads((path.read_bytes() if header is None else header).decode("utf-8"))
+        _check_schema(doc)  # before the sidecar, which an older schema has none of
+        sidecar = sidecar_path(path)
+        try:
+            data = sidecar.read_bytes()
+        except OSError as exc:
+            raise ValueError(f"{sidecar}: {exc.strerror}") from None
+        return cls.from_archive(doc, data, str(sidecar))
 
 
 def build_scenario(

@@ -57,6 +57,9 @@ KERNEL_CHUNK_ELEMS = 8192
 # meters added to the shared arena prefilter radius so that rounding never
 # drops a point the exact per-state test would keep
 ARENA_SLACK = 1.0
+# boundary points a chart may be densified into: 16 bytes each, and a few
+# times that while they are built
+MAX_BOUNDARY_POINTS = 10_000_000
 
 # glibc gives the top of the heap back to the system whenever more than
 # 128 KiB lies free there, so each kernel chunk's temporaries would be
@@ -345,8 +348,8 @@ def densify_boundaries(polygons: Sequence[np.ndarray], spacing: float) -> np.nda
     the edge's first vertex; the shared end vertex belongs to the next
     edge, so rings produce no duplicates. All edges are handled in one
     array pass. Returns the (N, 2) points. A spacing that is not positive
-    and finite, or so small that the point count is no integer an array can
-    hold, raises ValueError.
+    and finite, or so small that the point count exceeds
+    ``MAX_BOUNDARY_POINTS``, raises ValueError before any point is made.
     """
     if not 0.0 < spacing < math.inf:
         raise ValueError(f"spacing must be positive and finite, got {spacing}")
@@ -359,8 +362,9 @@ def densify_boundaries(polygons: Sequence[np.ndarray], spacing: float) -> np.nda
         raise ValueError("polygon coordinates must be finite")
     n = np.where(edge_len == 0.0, 0, np.maximum(1, np.ceil(edge_len / spacing - 1e-12)))
     total = n.sum()
-    if not total < 2.0**63:  # an edge's count may even be inf
-        raise ValueError(f"spacing {spacing} gives {total:g} boundary points, too many to hold")
+    if not total <= MAX_BOUNDARY_POINTS:  # an edge's count may even be inf
+        raise ValueError(f"spacing {spacing} gives {total:g} boundary points, "
+                         f"more than the {MAX_BOUNDARY_POINTS:,} a chart may have")
     n = n.astype(int)
     # k-th point of its edge: position in the output minus the edge's first slot
     first = np.cumsum(n) - n

@@ -2,12 +2,14 @@
 
 import base64
 import csv
+import importlib.util
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -17,10 +19,12 @@ import pytest
 
 from seamanship.cli import main
 from seamanship.geometry import VesselState, VesselType
-from seamanship.ingest import _pack, _unpack
+from seamanship.ingest import sidecar_path
 from seamanship.planner import KinodynamicParams, step_kinodynamics
 from seamanship.risk import RiskParams
 from seamanship.scoring import ScoreParams, score_series
+
+from .test_ingest import inline_arrays, lay_out
 
 LAT_PER_METER = math.degrees(1.0 / 6_371_000.0)
 MPS_10_KNOTS = 10.0 * 1852.0 / 3600.0
@@ -153,7 +157,7 @@ class TestIngestCommand:
         assert manifest["command"] == "ingest"
         assert sorted(manifest["inputs"]) == ["ais", "chart"]
         assert len(manifest["inputs"]["ais"]["sha256"]) == 64
-        assert "scenario.json" in manifest["outputs"]
+        assert manifest["outputs"] == ["scenario.f64", "scenario.json", "summary.json"]
 
     def test_missing_chart_exits_2_with_path(self, head_on_ais, tmp_path, capsys):
         missing = tmp_path / "nope.json"
@@ -216,6 +220,27 @@ class TestIngestCommand:
         assert err["detail"]["path"] == str(chart_file)
         assert err["message"].startswith(f"{chart_file}: spacing 1e-300 gives"), err
 
+    def test_spacing_over_the_point_budget_exits_2_naming_chart(
+        self, head_on_ais, chart_file, tmp_path, capsys
+    ):
+        # 7e10 boundary points on the one-square chart, over 1 TB as float64
+        # pairs; refused before any is made
+        tracemalloc.start()
+        try:
+            code = run(
+                "ingest", "--ais", head_on_ais, "--chart", chart_file,
+                "--output", tmp_path / "o", "--set", "ingest.obstacle_spacing=1e-8",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["detail"]["path"] == str(chart_file)
+        assert err["message"].startswith(f"{chart_file}: spacing 1e-08 gives"), err
+        assert "more than the 10,000,000 a chart may have" in err["message"]
+        assert peak < 10_000_000
+
     def test_empty_ais_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text(",".join(COLUMNS) + "\n", encoding="utf-8")
@@ -236,6 +261,7 @@ class TestIngestCommand:
         a = ingest(head_on_ais, tmp_path / "r1", chart_file)
         b = ingest(head_on_ais, tmp_path / "r2", chart_file)
         assert a.read_bytes() == b.read_bytes()
+        assert sidecar_path(a).read_bytes() == sidecar_path(b).read_bytes()
         m1 = (tmp_path / "r1" / "manifest.json").read_bytes()
         m2 = (tmp_path / "r2" / "manifest.json").read_bytes()
         assert m1 == m2
@@ -245,26 +271,64 @@ def _own(doc):
     return doc["tracks"]["111000001"]
 
 
-def _odd_ring(doc):
-    doc["obstacles"]["polygons"][0] = _pack(np.arange(9.0))
+def _other(doc):
+    """The second track, whose values lie after the first's in each array
+    field of the sidecar."""
+    return doc["tracks"]["111000002"]
 
 
-def _pack_nan(doc):
-    north = _unpack(_own(doc)["north"])
-    north[1] = math.nan
-    _own(doc)["north"] = _pack(north)
+def rewrite_archive(archive, damage):
+    """Apply ``damage`` to the archive whose header is at ``archive``.
+
+    ``damage(doc)`` edits the header document, into which the sidecar's
+    values are put first (:func:`inline_arrays`). Those values are then laid
+    out into the sidecar again and its byte count and sha256 recorded in the
+    header (:func:`lay_out`), unless ``damage`` returns sidecar bytes of its
+    own, which are written as they are. A header left with no ``sidecar``
+    entry, as an older schema wrote, is written without a sidecar.
+    """
+    sidecar = sidecar_path(archive)
+    doc = inline_arrays(json.loads(archive.read_text(encoding="utf-8")), sidecar.read_bytes())
+    data = damage(doc)
+    if not isinstance(data, bytes):
+        data = lay_out(doc) if "sidecar" in doc else None
+    archive.write_text(json.dumps(doc), encoding="utf-8")
+    if data is None:
+        sidecar.unlink()
+    else:
+        sidecar.write_bytes(data)
+
+
+def _sidecar_damage(change, record=lambda entry: None):
+    """Damage that writes ``change`` of the sidecar's bytes and applies
+    ``record`` to the header's record of them."""
+
+    def damage(doc):
+        data = lay_out(doc)
+        record(doc["sidecar"])
+        return change(data)
+
+    return damage
+
+
+def _flip_first_byte(data):
+    return bytes([data[0] ^ 1]) + data[1:]
 
 
 def _encode_arrays(doc, encode):
-    """Every array of the archive encoded by ``encode``, each track's times
-    in place of its grid range: the layout of schemas 1 and 2."""
+    """Every array of the archive encoded by ``encode`` in the header, with
+    no sidecar: each track's times in place of its grid range for schemas 1
+    and 2, and the rings as ``polygons``."""
+    del doc["sidecar"]
     for track in doc["tracks"].values():
-        i0, n = track.pop("grid")
-        track["times"] = encode(doc["dt"] * np.arange(i0, i0 + n))
+        if doc["schema_version"] < 3:
+            i0, n = track.pop("grid")
+            track["times"] = encode(doc["dt"] * np.arange(i0, i0 + n))
         for name in ("north", "east", "speed", "heading"):
-            track[name] = encode(_unpack(track[name]))
-    polygons = doc["obstacles"]["polygons"]
-    polygons[:] = [encode(_unpack(ring, columns=2)) for ring in polygons]
+            track[name] = encode(track[name])
+    obstacles = doc["obstacles"]
+    obstacles["polygons"] = [encode(ring) for ring in obstacles["polygons"]]
+    del obstacles["rings"]
 
 
 def _as_schema_1(doc):
@@ -280,10 +344,11 @@ def _as_schema_2(doc):
     _encode_arrays(doc, lambda a: base64.b64encode(a.astype("<f8").tobytes()).decode("ascii"))
 
 
-def _wrap_north(doc):
-    """A line break inside the north hex text; the digit count stays even."""
-    text = _own(doc)["north"]
-    _own(doc)["north"] = text[:16] + "\r\n" + text[16:]
+def _as_schema_3(doc):
+    """The archive as schema 3 wrote it: each track's grid range, and every
+    other array as hex text of its little-endian float64 bytes."""
+    doc["schema_version"] = 3
+    _encode_arrays(doc, lambda a: a.astype("<f8").tobytes().hex())
 
 
 def _regrid(change):
@@ -295,39 +360,24 @@ def _regrid(change):
     return damage
 
 
-def _other(doc):
-    """The second track, whose arrays lie after the first's when each array
-    field of all tracks is decoded at once."""
-    return doc["tracks"]["111000002"]
-
-
-def _repack(track, name, change):
+def _revalue(track, name, change):
     """Damage that replaces array ``name`` of ``track(doc)`` by ``change``
-    of its values, packed again."""
+    of its values."""
 
     def damage(doc):
-        values = _unpack(track(doc)[name])
-        track(doc)[name] = _pack(change(values))
+        track(doc)[name] = change(track(doc)[name])
 
     return damage
 
 
-def _hex_damage(holder, name):
-    """Damage that swaps the last digit of the hex text at
-    ``holder(doc)[name]`` for a non-hex one, keeping its length."""
+def _recount_ring(change):
+    """Damage that replaces the first ring's point count n by ``change(n)``."""
 
     def damage(doc):
-        holder(doc)[name] = holder(doc)[name][:-1] + "g"
+        rings = doc["obstacles"]["rings"]
+        rings[0] = change(rings[0])
 
     return damage
-
-
-def _last_ring(doc):
-    """The obstacle rings with a copy of the first appended, so that the
-    last is not the first."""
-    polygons = doc["obstacles"]["polygons"]
-    polygons.append(polygons[0])
-    return polygons
 
 
 class TestFitSpeedModelCommand:
@@ -354,6 +404,7 @@ class TestFitSpeedModelCommand:
         scenario = ingest(head_on_ais, tmp_path / "ing")
         copy = tmp_path / "copy.json"
         shutil.copy(scenario, copy)
+        shutil.copy(sidecar_path(scenario), sidecar_path(copy))
         out = tmp_path / "fit2"
         assert run(
             "fit-speed-model", "--scenario", scenario, "--scenario", copy,
@@ -399,22 +450,69 @@ class TestFitSpeedModelCommand:
         "damage, named",
         [
             pytest.param(
-                lambda doc: _own(doc).update(north="not hex!"),
-                ["track '111000001' north: ", "Non-hexadecimal digit"],
-                id="not_hex",
+                _sidecar_damage(lambda data: data[:-8]),
+                ["scenario.f64: holds ", "bytes, the header records "],
+                id="sidecar_truncated",
             ),
             pytest.param(
-                lambda doc: _own(doc).update(north=_own(doc)["north"][:-1]),
-                ["track '111000001' north: ", "Odd-length"],
-                id="odd_length",
+                _sidecar_damage(lambda data: data[:-1]),
+                ["scenario.f64: holds ", "bytes, the header records "],
+                id="sidecar_partial_value",
             ),
             pytest.param(
-                _wrap_north, ["track '111000001' north: ", "Non-hexadecimal digit"], id="whitespace"
+                _sidecar_damage(lambda data: data + b"\0"),
+                ["scenario.f64: holds ", "bytes, the header records "],
+                id="sidecar_extra_byte",
             ),
             pytest.param(
-                lambda doc: _own(doc).update(speed=bytes(59).hex()),
-                ["track '111000001' speed: ", "multiple of element size"],
-                id="partial_float",
+                _sidecar_damage(_flip_first_byte),
+                ["scenario.f64: sha256 ", "is not the", "that the header records"],
+                id="sidecar_digest_mismatch",
+            ),
+            pytest.param(
+                _regrid(lambda i0, n: [i0, n + 1]),
+                ["scenario.f64: the header's track grid ranges and ring point counts call for"],
+                id="header_track_count_disagrees",
+            ),
+            pytest.param(
+                _recount_ring(lambda n: n + 1),
+                ["scenario.f64: the header's track grid ranges and ring point counts call for"],
+                id="header_ring_count_disagrees",
+            ),
+            pytest.param(
+                _revalue(_other, "east", lambda values: values[:-1]),
+                ["scenario.f64: the header's track grid ranges and ring point counts call for"],
+                id="short_east",
+            ),
+            pytest.param(
+                _recount_ring(lambda n: True),
+                ["obstacle ring 0 point count: True is not a count"],
+                id="ring_count_true",
+            ),
+            pytest.param(
+                _recount_ring(float),
+                ["obstacle ring 0 point count: 5.0 is not a count"],
+                id="ring_count_float",
+            ),
+            pytest.param(
+                _recount_ring(lambda n: -n),
+                ["obstacle ring 0 point count: -5 is not a count"],
+                id="ring_count_negative",
+            ),
+            pytest.param(
+                _sidecar_damage(lambda data: data, lambda entry: entry.clear()),
+                ["sidecar bytes: missing"],
+                id="sidecar_bytes_missing",
+            ),
+            pytest.param(
+                _sidecar_damage(lambda data: data, lambda entry: entry.update(bytes=True)),
+                ["sidecar bytes: True is not a count"],
+                id="sidecar_bytes_true",
+            ),
+            pytest.param(
+                _sidecar_damage(lambda data: data, lambda entry: entry.update(bytes="8")),
+                ["sidecar bytes: '8' is not a count"],
+                id="sidecar_bytes_text",
             ),
             pytest.param(
                 lambda doc: _own(doc).pop("grid"),
@@ -447,28 +545,13 @@ class TestFitSpeedModelCommand:
                 id="grid_negative_count",
             ),
             pytest.param(
-                _regrid(lambda i0, n: [i0, n + 1]),
-                ["track '111000001' grid: ", "does not match"],
-                id="grid_count_mismatch",
-            ),
-            pytest.param(
                 _regrid(lambda i0, n: [10**30, n]),
                 ["track '111000001' grid: ", "too large"],
                 id="grid_overflow",
             ),
             pytest.param(
-                lambda doc: _own(doc).update(heading=0.5),
-                ["track '111000001' heading: ", "not 'float'"],
-                id="number",
-            ),
-            pytest.param(
-                lambda doc: _own(doc).update(east=[0.0, 1.0]),
-                ["track '111000001' east: ", "not 'list'"],
-                id="list",
-            ),
-            pytest.param(
-                lambda doc: _own(doc).pop("heading"),
-                ["track '111000001' heading: ", "missing"],
+                lambda doc: _own(doc).pop("vessel_type"),
+                ["track '111000001' vessel_type: ", "missing"],
                 id="missing_key",
             ),
             pytest.param(
@@ -489,8 +572,36 @@ class TestFitSpeedModelCommand:
             pytest.param(
                 lambda doc: doc.update(dt=-10.0), ["dt -10.0 is not a positive"], id="negative_dt"
             ),
-            pytest.param(_odd_ring, ["obstacle ring 0: ", "reshape"], id="odd_ring_coordinates"),
-            pytest.param(_pack_nan, ["track '111000001': ", "non-finite north"], id="packed_nan"),
+            pytest.param(lambda doc: doc.update(dt=True), ["dt: True is not a number"], id="dt_true"),
+            pytest.param(lambda doc: doc.update(dt="10"), ["dt: '10' is not a number"], id="dt_text"),
+            pytest.param(
+                lambda doc: doc.update(epoch=True), ["epoch: True is not a number"], id="epoch_true"
+            ),
+            pytest.param(
+                lambda doc: doc.update(origin=["55", doc["origin"][1]]),
+                ["origin: '55' is not a number"],
+                id="origin_text_latitude",
+            ),
+            pytest.param(
+                lambda doc: doc.update(origin=[doc["origin"][0], True]),
+                ["origin: True is not a number"],
+                id="origin_true_longitude",
+            ),
+            pytest.param(
+                lambda doc: doc.update(origin=doc["origin"][:1]),
+                ["origin: ", "is not [lat, lon], two numbers"],
+                id="origin_one_number",
+            ),
+            pytest.param(
+                lambda doc: doc["obstacles"].update(spacing="50"),
+                ["obstacle spacing: '50' is not a number"],
+                id="spacing_text",
+            ),
+            pytest.param(
+                _revalue(_own, "north", lambda values: np.where(np.arange(values.size) == 1, np.nan, values)),
+                ["track '111000001': ", "non-finite north"],
+                id="stored_nan",
+            ),
             pytest.param(
                 lambda doc: _own(doc).update(length=True),
                 ["track '111000001' length: ", "True is not a number"],
@@ -512,17 +623,12 @@ class TestFitSpeedModelCommand:
                 id="spacing_nan",
             ),
             pytest.param(
-                _repack(_other, "east", lambda values: values[:-1]),
-                ["track '111000002': east length mismatch"],
-                id="short_east",
-            ),
-            pytest.param(
-                _repack(_other, "speed", lambda values: -values),
+                _revalue(_other, "speed", lambda values: -values),
                 ["track '111000002': negative speed"],
                 id="negative_speed",
             ),
             pytest.param(
-                _repack(_other, "north", lambda values: np.append(values[:-1], np.inf)),
+                _revalue(_other, "north", lambda values: np.append(values[:-1], np.inf)),
                 ["track '111000002': non-finite north"],
                 id="later_track_infinite_north",
             ),
@@ -531,44 +637,51 @@ class TestFitSpeedModelCommand:
                 ["track '111000001': times not strictly increasing"],
                 id="repeated_times",
             ),
-            pytest.param(
-                _hex_damage(_other, "heading"),
-                ["track '111000002' heading: ", "Non-hexadecimal digit"],
-                id="later_track_not_hex",
-            ),
-            pytest.param(
-                _hex_damage(_last_ring, 1),
-                ["obstacle ring 1: ", "Non-hexadecimal digit"],
-                id="last_ring_not_hex",
-            ),
             pytest.param(_as_schema_1, ["seamanship ingest"], id="schema_1"),
             pytest.param(_as_schema_2, ["seamanship ingest"], id="schema_2"),
+            pytest.param(_as_schema_3, ["schema 3 (expected 4)", "seamanship ingest"], id="schema_3"),
         ],
     )
     def test_undecodable_archive_exits_2(
         self, head_on_ais, chart_file, tmp_path, capsys, damage, named
     ):
         archive = ingest(head_on_ais, tmp_path / "ing", chart_file)
-        doc = json.loads(archive.read_text(encoding="utf-8"))
-        damage(doc)
-        archive.write_text(json.dumps(doc), encoding="utf-8")
+        rewrite_archive(archive, damage)
         code = run(
             "score", "--scenario", archive, "--ownship", "111000001",
             "--output", tmp_path / "o", *FAST_SEARCH,
         )
         assert code == 2
         message = json.loads(capsys.readouterr().err)["message"]
-        assert "bad scenario archive" in message
+        assert message.startswith(f"bad scenario archive {archive}: "), message
         assert all(part in message for part in named), message
+
+    @pytest.mark.parametrize("fault", ["missing", "other_archive"])
+    def test_missing_or_foreign_sidecar_exits_2_naming_it(
+        self, head_on_ais, solo_ais, tmp_path, capsys, fault
+    ):
+        archive = ingest(head_on_ais, tmp_path / "ing")
+        sidecar = sidecar_path(archive)
+        if fault == "missing":
+            sidecar.unlink()
+            named = f"{sidecar}: No such file or directory"
+        else:
+            shutil.copy(sidecar_path(ingest(solo_ais, tmp_path / "solo")), sidecar)
+            named = f"{sidecar}: holds {sidecar.stat().st_size} bytes, the header records "
+        code = run("fit-speed-model", "--scenario", archive, "--output", tmp_path / "o")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].startswith(f"bad scenario archive {archive}: {named}"), err
+        assert err["detail"]["path"] == str(archive)
 
     @pytest.mark.parametrize(
         "damage, named",
         [
-            pytest.param(_as_schema_2, ["seamanship ingest"], id="schema_2"),
+            pytest.param(_as_schema_3, ["seamanship ingest"], id="schema_3"),
             pytest.param(
-                lambda doc: _own(doc).update(north="not hex!"),
-                ["track '111000001' north: ", "Non-hexadecimal digit"],
-                id="not_hex",
+                _sidecar_damage(_flip_first_byte),
+                ["scenario.f64: sha256 ", "that the header records"],
+                id="sidecar_digest_mismatch",
             ),
         ],
     )
@@ -584,9 +697,7 @@ class TestFitSpeedModelCommand:
         self, head_on_ais, tmp_path, capsys, damage, named, command
     ):
         archive = ingest(head_on_ais, tmp_path / "ing")
-        doc = json.loads(archive.read_text(encoding="utf-8"))
-        damage(doc)
-        archive.write_text(json.dumps(doc), encoding="utf-8")
+        rewrite_archive(archive, damage)
         code = run(command[0], "--scenario", archive, "--output", tmp_path / "o", *command[1:])
         assert code == 2
         message = json.loads(capsys.readouterr().err)["message"]
@@ -1106,3 +1217,21 @@ class TestInputsNotDroppedSilently:
         (line,) = capsys.readouterr().err.splitlines()
         message = json.loads(line)["message"]
         assert all(name in message for name in named), message
+
+
+def test_digest_tool_flags_outputs_the_manifest_does_not_list(head_on_ais, tmp_path):
+    """``tools/output_digests.py`` refuses an output directory holding a file
+    that its manifest does not list, which the benchmark's rerun check would
+    not digest; an ingest run's directory holds none."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    out = tmp_path / "ing"
+    ingest(head_on_ais, out)
+    assert tool.unlisted(sorted(out.iterdir())) == []
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest["outputs"].remove("scenario.f64")
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    (out / "stray.json").write_text("{}", encoding="utf-8")
+    assert tool.unlisted(sorted(out.iterdir())) == [out / "scenario.f64", out / "stray.json"]

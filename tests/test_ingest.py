@@ -1,6 +1,9 @@
 """Tests for AIS parsing, resampling, chart loading, and scenario archives."""
 
+import copy
 import csv
+import hashlib
+import itertools
 import json
 import logging
 import math
@@ -21,20 +24,26 @@ from seamanship.ingest import (
     DMA_TIMESTAMP_FORMAT,
     HEADING_UNAVAILABLE,
     SCENARIO_SCHEMA_VERSION,
+    TRACK_ARRAYS,
     AisSchema,
     IngestParams,
     RawTrack,
     Scenario,
     _archived_times,
+    _check_schema,
+    _json_count,
+    _json_number,
+    _origin,
+    _read,
+    _sidecar_values,
     _dma_seconds,
-    _pack,
     _parse_timestamp,
     _ring_coords,
-    _unpack,
     build_scenario,
     load_chart,
     parse_ais,
     resample,
+    sidecar_path,
 )
 from seamanship.risk import ObstacleSet
 
@@ -399,7 +408,7 @@ class TestScenario:
         path = tmp_path / "scenario.json"
         scenario.save(path)
         loaded = Scenario.load(path)
-        assert loaded.to_json() == scenario.to_json()
+        assert loaded.to_archive() == scenario.to_archive()
         for tid, track in scenario.tracks.items():
             other = loaded.tracks[tid]
             assert np.array_equal(track.north, other.north)
@@ -413,13 +422,14 @@ class TestScenario:
         scenario.save(p1)
         self.build(tmp_path).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+        assert sidecar_path(p1).read_bytes() == sidecar_path(p2).read_bytes()
 
     def test_schema_version_checked(self, tmp_path):
         scenario = self.build(tmp_path)
-        doc = scenario.to_dict()
+        doc, data = scenario.to_archive()
         doc["schema_version"] = 99
         with pytest.raises(ValueError, match="schema"):
-            Scenario.from_dict(doc)
+            Scenario.from_archive(doc, data)
 
     def test_no_usable_rows_raises(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -549,60 +559,80 @@ def reference_ring_coords(ring, origin):
     return np.asarray(pts, dtype=float)
 
 
-def reference_track_field(td, tid, name, convert=None):
-    """Field ``name`` of archived track ``tid``, decoded by ``_unpack`` or
-    passed through ``convert``; errors name the track and the field."""
-    where = f"track {tid!r} {name}"
-    if name not in td:
-        raise ValueError(f"{where}: missing")
-    if convert is None:
-        return _unpack(td[name], where)
-    try:
-        return convert(td[name])
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+def inline_arrays(doc, data):
+    """Archive header ``doc`` with the values of its sidecar bytes ``data``
+    put in it, as :func:`lay_out` takes them: each track's arrays under
+    their names, and the obstacle rings as ``polygons``."""
+    values = np.frombuffer(data, "<f8").astype(float)
+    tracks = list(doc["tracks"].values())
+    bounds = [0, *itertools.accumulate(td["grid"][1] for td in tracks)]
+    n = bounds[-1]
+    for name, column in zip(TRACK_ARRAYS, values[: 4 * n].reshape(4, n)):
+        for td, a, b in zip(tracks, bounds, bounds[1:]):
+            td[name] = column[a:b].copy()
+    points = values[4 * n:].reshape(-1, 2)
+    ends = [0, *itertools.accumulate(doc["obstacles"]["rings"])]
+    doc["obstacles"]["polygons"] = [points[a:b].copy() for a, b in zip(ends, ends[1:])]
+    return doc
 
 
-def reference_from_dict(doc):
-    """The per-track loader: each track's arrays decoded one text at a time
-    and checked by its own ``VesselTrack``, each ring decoded alone."""
-    version = doc.get("schema_version")
-    if version != SCENARIO_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported scenario schema {version} (expected {SCENARIO_SCHEMA_VERSION}); "
-            "re-run `seamanship ingest` on the archive's AIS and chart sources"
-        )
-    dt = float(doc["dt"])
-    if not 0.0 < dt < math.inf:  # every track's times are built from it
+def lay_out(doc) -> bytes:
+    """The sidecar bytes of an archive header written with its values in
+    it: each track's arrays and the obstacle ``polygons`` are taken out of
+    ``doc`` and laid end to end in sidecar order, and their byte count and
+    sha256 recorded in its ``sidecar`` entry. The ring point counts and grid
+    ranges are left as ``doc`` has them."""
+    tracks = list(doc["tracks"].values())
+    parts = [np.asarray(td.pop(name), dtype=float) for name in TRACK_ARRAYS for td in tracks]
+    parts += [np.asarray(ring, dtype=float).ravel() for ring in doc["obstacles"].pop("polygons")]
+    data = np.concatenate([np.empty(0), *parts]).astype("<f8").tobytes()
+    doc["sidecar"] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    return data
+
+
+def reference_from_archive(doc, data):
+    """The per-track loader: each track's arrays read from its own offsets
+    in the sidecar's values and checked by its own ``VesselTrack``, and
+    each ring read alone. The header is read as the archive loader does."""
+    _check_schema(doc)
+    dt = _read(doc, "dt", _json_number)
+    if not 0.0 < dt < math.inf:
         raise ValueError(f"dt {dt!r} is not a positive finite number")
-    tracks = {}
+    origin = _read(doc, "origin", _origin)
+    epoch = _read(doc, "epoch", _json_number)
+    spacing = _read(doc["obstacles"], "spacing", _json_number, "obstacle spacing")
+    rings = doc["obstacles"]["rings"]
+    sizes = [
+        _read(rings, i, _json_count, f"obstacle ring {i} point count") for i in range(len(rings))
+    ]
+    fields = {}
     for tid, td in doc["tracks"].items():
-        north = reference_track_field(td, tid, "north")
-        tracks[tid] = VesselTrack(
-            track_id=tid,
-            times=reference_track_field(
-                td, tid, "grid", lambda g: _archived_times(g, dt, north.size)
-            ),
-            north=north,
-            east=reference_track_field(td, tid, "east"),
-            speed=reference_track_field(td, tid, "speed"),
-            heading=reference_track_field(td, tid, "heading"),
-            length=reference_track_field(td, tid, "length", float),
-            vessel_type=reference_track_field(td, tid, "vessel_type", VesselType),
+        fields[tid] = dict(
+            times=_read(td, "grid", lambda g: _archived_times(g, dt), f"track {tid!r} grid"),
+            length=_read(td, "length", _json_number, f"track {tid!r} length"),
+            vessel_type=_read(td, "vessel_type", VesselType, f"track {tid!r} vessel_type"),
         )
-    obstacles = ObstacleSet(
-        [
-            _unpack(ring, f"obstacle ring {i}", columns=2)
-            for i, ring in enumerate(doc["obstacles"]["polygons"])
-        ],
-        spacing=float(doc["obstacles"]["spacing"]),
-    )
+    n = sum(f["times"].size for f in fields.values())
+    values = _sidecar_values(doc["sidecar"], data, 4 * n + 2 * sum(sizes), "sidecar")
+    tracks, offset = {}, 0
+    for tid, f in fields.items():
+        size = f["times"].size
+        arrays = {
+            name: values[k * n + offset: k * n + offset + size].copy()
+            for k, name in enumerate(TRACK_ARRAYS)
+        }
+        tracks[tid] = VesselTrack(track_id=tid, **arrays, **f)
+        offset += size
+    rings, offset = [], 4 * n
+    for size in sizes:
+        rings.append(values[offset: offset + 2 * size].reshape(size, 2).copy())
+        offset += 2 * size
     return Scenario(
-        origin=(float(doc["origin"][0]), float(doc["origin"][1])),
-        epoch=float(doc["epoch"]),
+        origin=origin,
+        epoch=epoch,
         dt=dt,
         tracks=tracks,
-        obstacles=obstacles,
+        obstacles=ObstacleSet(rings, spacing=spacing),
         metadata=dict(doc.get("metadata", {})),
     )
 
@@ -963,6 +993,7 @@ class TestArchiveCodec:
         again = path.with_name("again.json")
         loaded.save(again)
         assert again.read_bytes() == path.read_bytes()
+        assert sidecar_path(again).read_bytes() == sidecar_path(path).read_bytes()
 
     @given(tracks=archive_tracks(), data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -982,11 +1013,11 @@ class TestArchiveCodec:
             origin=(55.0, 10.0), epoch=0.0, dt=dt, tracks=tracks, obstacles=ObstacleSet([])
         )
         with pytest.raises(ValueError, match=r"track 'off': times are not on the scenario grid"):
-            scenario.to_dict()
+            scenario.to_archive()
         path = tmp_path_factory.mktemp("archive") / "scenario.json"
         with pytest.raises(ValueError, match="track 'off'"):
             scenario.save(path)
-        assert not path.exists()
+        assert not path.exists() and not sidecar_path(path).exists()
 
     @pytest.mark.parametrize("tiny", [-1e-17, -5e-324])
     def test_tiny_negative_heading_is_byte_stable(self, tmp_path, tiny):
@@ -999,10 +1030,10 @@ class TestArchiveCodec:
         loaded = Scenario.load(first)
         loaded.save(again)
         assert again.read_bytes() == first.read_bytes()
+        assert sidecar_path(again).read_bytes() == sidecar_path(first).read_bytes()
         assert loaded.tracks["t"].heading.tolist() == [0.0, 1.0]
 
 
-TRACK_ARRAYS = ("north", "east", "speed", "heading")
 # headings as a hand-written archive may hold them: in range, tiny
 # negatives, 2*pi itself, and any finite value
 ANY_HEADINGS = st.one_of(
@@ -1012,10 +1043,11 @@ ANY_HEADINGS = st.one_of(
 
 @st.composite
 def archive_docs(draw, min_tracks=0):
-    """Archive documents written by hand, not by ``to_dict``: up to four
-    tracks (perhaps none) of one to five samples from any grid index,
-    negative ones included, with any finite heading and an int or float
-    length, and up to three rings (perhaps none)."""
+    """Archive headers written by hand, not by ``to_archive``, with their
+    values in them as :func:`lay_out` takes them: up to four tracks
+    (perhaps none) of one to five samples from any grid index, negative
+    ones included, with any finite heading and an int or float length, and
+    up to three rings (perhaps none)."""
     dt = draw(ARCHIVE_DTS)
     tracks = {}
     for k in range(draw(st.integers(min_tracks, 4))):
@@ -1026,7 +1058,7 @@ def archive_docs(draw, min_tracks=0):
         tracks[f"t{k}"] = {
             "grid": [draw(GRID_INDICES), n],
             **{
-                name: _pack(np.array(draw(st.lists(kind, min_size=n, max_size=n)), dtype=float))
+                name: np.array(draw(st.lists(kind, min_size=n, max_size=n)), dtype=float)
                 for name, kind in values.items()
             },
             "length": draw(st.sampled_from([5e-324, 150, 180.5, 1.7976931348623157e308])),
@@ -1040,18 +1072,25 @@ def archive_docs(draw, min_tracks=0):
         "dt": dt,
         "tracks": tracks,
         # one point per edge at most, whatever the edge length
-        "obstacles": {"spacing": 1.7976931348623157e308, "polygons": [_pack(r) for r in rings]},
+        "obstacles": {
+            "spacing": 1.7976931348623157e308,
+            "rings": [len(r) for r in rings],
+            "polygons": rings,
+        },
         "metadata": {"k": 1},
     }
 
 
 def load_outcome(doc):
-    """``Scenario.from_dict`` and ``reference_from_dict`` of a deep copy of
-    ``doc`` each, as the scenario or the message of the ValueError raised."""
+    """``Scenario.from_archive`` and ``reference_from_archive`` of a deep
+    copy of ``doc`` each, its values laid out by :func:`lay_out`, as the
+    scenario or the message of the ValueError raised."""
     results = []
-    for load in (Scenario.from_dict, reference_from_dict):
+    for load in (Scenario.from_archive, reference_from_archive):
+        header = copy.deepcopy(doc)
+        data = lay_out(header)
         try:
-            results.append(load(json.loads(json.dumps(doc))))
+            results.append(load(header, data))
         except ValueError as exc:
             results.append(str(exc))
     return results
@@ -1090,17 +1129,8 @@ def _array_damage(name, change):
     """A fault in the values of array ``name``, at a drawn sample."""
 
     def damage(td, draw):
-        values = _unpack(td[name])
-        td[name] = _pack(change(values, draw(st.integers(0, values.size - 1))))
-
-    return damage
-
-
-def _text_damage(name, change):
-    """A fault in the text of array ``name``, at a drawn digit."""
-
-    def damage(td, draw):
-        td[name] = change(td[name], draw(st.integers(0, len(td[name]) - 1)))
+        values = td[name].copy()
+        td[name] = change(values, draw(st.integers(0, values.size - 1)))
 
     return damage
 
@@ -1133,16 +1163,7 @@ ARRAY_DAMAGES = {
     "negative": _set_sample(-1.0),
     "short": lambda values, k: values[:-1],
 }
-TEXT_DAMAGES = {
-    "not_hex": lambda text, k: text[:k] + "x" + text[k + 1:],
-    "not_ascii": lambda text, k: text[:k] + "\u00e9" + text[k + 1:],
-    "odd": lambda text, k: text[:-1],
-    "partial_float": lambda text, k: text[:-2],
-    "number": lambda text, k: 0.5,
-    "list": lambda text, k: [0.0],
-}
-# each a single fault in one track; a bool or text length and a non-finite
-# spacing are left out, as the per-track loader took them
+# each a single fault in one track
 ONE_FAULT = [
     *(
         pytest.param(_array_damage(name, change), id=f"{name}-{kind}")
@@ -1150,22 +1171,18 @@ ONE_FAULT = [
         for kind, change in ARRAY_DAMAGES.items()
     ),
     *(
-        pytest.param(_text_damage(name, change), id=f"{name}-{kind}")
-        for name in TRACK_ARRAYS
-        for kind, change in TEXT_DAMAGES.items()
-    ),
-    *(
         pytest.param(_field_damage(name, value), id=f"{name}={value!r:.12}")
         for name, value in [
             ("length", math.inf), ("length", -math.inf), ("length", math.nan),
             ("length", 0.0), ("length", -1.0), ("length", 10**400), ("length", "abc"),
-            ("length", [1.0]), ("vessel_type", "Carg0"), ("vessel_type", 5),
+            ("length", [1.0]), ("length", True), ("length", "120"),
+            ("vessel_type", "Carg0"), ("vessel_type", 5),
             ("grid", "0,1"),
         ]
     ),
     *(
         pytest.param(_missing(name), id=f"no-{name}")
-        for name in ("grid", *TRACK_ARRAYS, "length", "vessel_type")
+        for name in ("grid", "length", "vessel_type")
     ),
     pytest.param(_regrid(lambda i0, n: [i0, 0]), id="grid-zero"),
     pytest.param(_regrid(lambda i0, n: [i0, n + 1]), id="grid-count"),
@@ -1175,15 +1192,15 @@ ONE_FAULT = [
 
 
 class TestFieldByFieldLoader:
-    """``Scenario.from_dict`` decodes each array field of all tracks at once
-    and checks all tracks in one pass; ``reference_from_dict``, the
-    per-track loader it replaced, is the reference."""
+    """``Scenario.from_archive`` slices each array field of all tracks from
+    the sidecar's values and checks all tracks in one pass;
+    ``reference_from_archive``, a per-track loader, is the reference."""
 
     @given(doc=archive_docs())
     @settings(max_examples=200, deadline=None)
     @example(doc={
         "schema_version": SCENARIO_SCHEMA_VERSION, "origin": [55.0, 10.0], "epoch": 0.0,
-        "dt": 10.0, "tracks": {}, "obstacles": {"spacing": 50.0, "polygons": []},
+        "dt": 10.0, "tracks": {}, "obstacles": {"spacing": 50.0, "rings": [], "polygons": []},
     })
     def test_matches_per_track_loader(self, doc):
         got, ref = load_outcome(doc)
@@ -1205,14 +1222,23 @@ class TestFieldByFieldLoader:
     @given(doc=archive_docs(), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_one_ring_fault_gives_the_per_ring_message(self, doc, data):
-        rings = doc["obstacles"]["polygons"]
-        rings.append(_pack(np.arange(9.0)))  # not whole points
-        if len(rings) > 1 and data.draw(st.booleans()):
-            k = data.draw(st.integers(0, len(rings[0]) - 1))
-            rings[-1] = rings[0][:k] + "x" + rings[0][k + 1:]
+        """A last ring that is open, has too few points, or whose point
+        count is no count."""
+        obstacles, k = doc["obstacles"], len(doc["obstacles"]["rings"])
+        fault = data.draw(st.sampled_from(["open", "short", "count"]))
+        ring = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+        if fault == "short":
+            ring = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        count = data.draw(st.sampled_from([True, -1, 4.0, "4"])) if fault == "count" else len(ring)
+        obstacles["polygons"].append(ring)
+        obstacles["rings"].append(count)
         got, ref = load_outcome(doc)
         assert isinstance(ref, str) and got == ref
-        assert ref.startswith(f"obstacle ring {len(rings) - 1}: ")
+        assert ref.startswith({
+            "open": f"polygon {k} is not closed",
+            "short": f"polygon {k} is not a closed ring",
+            "count": f"obstacle ring {k} point count: {count!r} is not a count",
+        }[fault])
 
     def test_tracks_share_no_values(self):
         def ring(north):
@@ -1224,10 +1250,10 @@ class TestFieldByFieldLoader:
             )
             for k in range(3)
         }
-        doc = Scenario(
+        archive = Scenario(
             (55.0, 10.0), 0.0, 10.0, tracks, ObstacleSet([ring(0.0), ring(5.0), ring(9.0)])
-        ).to_dict()
-        loaded, again = Scenario.from_dict(doc), Scenario.from_dict(doc)
+        ).to_archive()
+        loaded, again = Scenario.from_archive(*archive), Scenario.from_archive(*archive)
         for name in ("times", *TRACK_ARRAYS):
             getattr(loaded.tracks["t1"], name)[:] = 12345.0
         loaded.obstacles.polygons[1][:] = 12345.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -964,6 +965,26 @@ class TestDensify:
 
     def test_empty_polygon_list(self):
         assert densify_boundaries([], 50.0).shape == (0, 2)
+
+    def test_point_budget(self, monkeypatch):
+        # a 200 m square: 16 points at 50 m spacing, 8 at 100 m
+        ring = closed_square(0.0, 0.0, 100.0)
+        monkeypatch.setattr(risk, "MAX_BOUNDARY_POINTS", 8)
+        assert densify_boundaries([ring], 100.0).shape == (8, 2)
+        with pytest.raises(ValueError, match="spacing 50.0 gives 16 boundary points, more than the 8"):
+            densify_boundaries([ring], 50.0)
+
+    def test_spacing_over_budget_allocates_nothing(self):
+        # 8e10 points at 1e-8 m spacing, 1.3 TB as float64 pairs
+        ring = closed_square(0.0, 0.0, 100.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="gives 8e\\+10 boundary points, more than the"):
+                densify_boundaries([ring], 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_non_finite_vertex_rejected(self):
         ring = closed_square(0.0, 0.0, 50.0)

@@ -22,7 +22,10 @@ them the listing, do not depend on where ROOT is. Two listings are
 compared with ``diff``: run on a parent and a change to check that the
 change keeps every output byte, or run twice under different
 ``PYTHONHASHSEED`` values to check that outputs do not depend on the
-process. Exits 1 if an operation fails.
+process. Exits 1 if an operation fails, or if an output directory holds
+a file that its ``manifest.json`` does not list: the benchmark's rerun
+check digests only the files a manifest lists, so an unlisted output
+would escape it.
 
 With ``--results`` each output is digested without the digests of its
 inputs: the ``# inputs`` line of a CSV output, ``provenance.inputs`` of a
@@ -115,6 +118,18 @@ def result_bytes(path: Path) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+def unlisted(outputs: list[Path]) -> list[Path]:
+    """The output files that the ``manifest.json`` beside them does not
+    list, or that have no manifest beside them."""
+    listed: dict[Path, set[str]] = {}
+    for path in outputs:
+        manifest = path.parent / "manifest.json"
+        if path.parent not in listed:
+            doc = json.loads(manifest.read_text(encoding="utf-8")) if manifest.is_file() else {}
+            listed[path.parent] = {"manifest.json", *doc.get("outputs", [])}
+    return [path for path in outputs if path.name not in listed[path.parent]]
+
+
 def main(argv: list[str]) -> int:
     results = argv[:1] == ["--results"]
     if results:
@@ -141,6 +156,11 @@ def main(argv: list[str]) -> int:
                 return 1
         inputs = Path(name) / "inputs"
         outputs += [p for p in Path(name).rglob("*") if p.is_file() and inputs not in p.parents]
+    stray = unlisted(outputs)
+    for path in stray:
+        print(f"{path.as_posix()}: not listed in the manifest beside it", file=sys.stderr)
+    if stray:
+        return 1
     read = result_bytes if results else Path.read_bytes
     for path in sorted(outputs, key=lambda p: p.as_posix()):
         print(f"{hashlib.sha256(read(path)).hexdigest()}  {path.as_posix()}")
