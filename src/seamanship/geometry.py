@@ -571,7 +571,7 @@ class VesselTrack:
     are wrapped into [0, 2*pi). ``length`` and ``vessel_type`` are
     per-vessel constants; ``length`` is finite and positive. Nothing checks
     that the times are evenly spaced: a scenario archive can store only
-    tracks on its grid, which ``Scenario.to_dict`` checks.
+    tracks on its grid, which ``Scenario.to_archive`` checks.
     """
 
     track_id: str

@@ -2,6 +2,7 @@
 
 import base64
 import csv
+import hashlib
 import importlib.util
 import json
 import math
@@ -19,7 +20,7 @@ import pytest
 
 from seamanship.cli import main
 from seamanship.geometry import VesselState, VesselType
-from seamanship.ingest import sidecar_path
+from seamanship.ingest import TRACK_ARRAYS, sidecar_path
 from seamanship.planner import KinodynamicParams, step_kinodynamics
 from seamanship.risk import RiskParams
 from seamanship.scoring import ScoreParams, score_series
@@ -297,6 +298,20 @@ def rewrite_archive(archive, damage):
         sidecar.unlink()
     else:
         sidecar.write_bytes(data)
+
+
+def overwrite_sidecar_value(archive, index, change):
+    """Replace float64 value ``index`` of the sidecar of the archive whose
+    header is at ``archive`` by ``change`` of it, and record the new bytes'
+    sha256 in the header, so that only that value is at fault."""
+    sidecar = sidecar_path(archive)
+    values = np.frombuffer(sidecar.read_bytes(), "<f8").copy()
+    values[index] = change(values[index])
+    data = values.tobytes()
+    sidecar.write_bytes(data)
+    header = json.loads(archive.read_text(encoding="utf-8"))
+    header["sidecar"]["sha256"] = hashlib.sha256(data).hexdigest()
+    archive.write_text(json.dumps(header), encoding="utf-8")
 
 
 def _sidecar_damage(change, record=lambda entry: None):
@@ -673,6 +688,57 @@ class TestFitSpeedModelCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["message"].startswith(f"bad scenario archive {archive}: {named}"), err
         assert err["detail"]["path"] == str(archive)
+
+    @pytest.mark.parametrize("track", [0, 1], ids=["first_track", "last_track"])
+    @pytest.mark.parametrize("field", TRACK_ARRAYS)
+    def test_sidecar_value_is_read_into_its_track_and_field(
+        self, head_on_ais, tmp_path, capsys, field, track
+    ):
+        """A NaN over the last value of one track's run of one array field,
+        at the offset the documented layout gives it (every track's
+        ``north`` in header order, then ``east``, ``speed``, ``heading``),
+        is refused naming that track and field."""
+        archive = ingest(head_on_ais, tmp_path / "ing")
+        header = json.loads(archive.read_text(encoding="utf-8"))
+        ids = list(header["tracks"])
+        counts = [header["tracks"][tid]["grid"][1] for tid in ids]
+        index = TRACK_ARRAYS.index(field) * sum(counts) + sum(counts[: track + 1]) - 1
+        overwrite_sidecar_value(archive, index, lambda value: math.nan)
+        code = run("fit-speed-model", "--scenario", archive, "--output", tmp_path / "o")
+        assert code == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message == f"bad scenario archive {archive}: track {ids[track]!r}: non-finite {field}"
+
+    @pytest.mark.parametrize("coordinate", [0, 1])
+    @pytest.mark.parametrize("ring", [0, 1], ids=["first_ring", "last_ring"])
+    def test_sidecar_point_is_read_into_its_ring(
+        self, head_on_ais, tmp_path, capsys, ring, coordinate
+    ):
+        """One coordinate of a ring's closing point moved, at the offset the
+        documented layout gives it (each ring's points as (x, y) pairs after
+        the track arrays, ring by ring, as many as the header counts), opens
+        that ring and no other."""
+        squares = [
+            [[11.006, 55.014], [11.008, 55.014], [11.008, 55.016], [11.006, 55.016], [11.006, 55.014]],
+            [[11.010, 55.014], [11.012, 55.014], [11.011, 55.016], [11.010, 55.014]],
+        ]
+        chart = tmp_path / "two_rings.json"
+        chart.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [square]},
+             "properties": {"depth": 4.0}}
+            for square in squares
+        ]}), encoding="utf-8")
+        archive = ingest(head_on_ais, tmp_path / "ing", chart)
+        header = json.loads(archive.read_text(encoding="utf-8"))
+        points = header["obstacles"]["rings"]
+        assert points == [5, 4]
+        n = sum(entry["grid"][1] for entry in header["tracks"].values())
+        index = 4 * n + 2 * (sum(points[: ring + 1]) - 1) + coordinate
+        overwrite_sidecar_value(archive, index, lambda value: value + 1.0)
+        code = run("fit-speed-model", "--scenario", archive, "--output", tmp_path / "o")
+        assert code == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message == f"bad scenario archive {archive}: polygon {ring} is not closed"
 
     @pytest.mark.parametrize(
         "damage, named",
