@@ -555,8 +555,10 @@ def _grid_range(track: VesselTrack, dt: float) -> list[int]:
     return [i0, n]
 
 
-def _archived_times(grid, dt: float) -> np.ndarray:
-    """The times of an archived grid range ``[i0, n]``."""
+def _archived_grid(grid) -> tuple[int, int]:
+    """An archived grid range ``[i0, n]``: a first index and a positive
+    count whose indices all fit in int64. It builds no times, so a header
+    can name a count that no sidecar backs without allocating it."""
     if not (
         isinstance(grid, list) and len(grid) == 2 and all(type(k) is int for k in grid)
     ):
@@ -564,7 +566,9 @@ def _archived_times(grid, dt: float) -> np.ndarray:
     i0, n = grid
     if n < 1:
         raise ValueError(f"point count {n} is not positive")
-    return _grid_times(dt, i0, n)
+    if not -(2**63) <= i0 <= i0 + n <= 2**63:
+        raise ValueError(f"index range [{i0}, {i0 + n}) is too large for int64")
+    return i0, n
 
 
 def _json_number(value) -> float:
@@ -602,15 +606,6 @@ def _read(holder, name, convert, where: str | None = None):
         return convert(value)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
-
-
-def _check_schema(doc: Mapping) -> None:
-    version = doc.get("schema_version")
-    if version != SCENARIO_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported scenario schema {version} (expected {SCENARIO_SCHEMA_VERSION}); "
-            "re-run `seamanship ingest` on the archive's AIS and chart sources"
-        )
 
 
 def _sidecar_values(entry: Mapping, data: bytes, count: int, where: str) -> np.ndarray:
@@ -698,8 +693,9 @@ class Scenario:
         (:func:`_sidecar_values`), and :class:`VesselTrack`'s checks run once
         over all tracks laid end to end; each track and ring holds slices of
         the sidecar's values. A damaged archive raises ValueError naming the
-        header entry, track, ring or sidecar at fault."""
-        _check_schema(doc)
+        header entry, track, ring or sidecar at fault. The header's schema
+        is :meth:`load`'s to check. No track's times are built before the
+        sidecar's size has bounded the header's counts."""
         dt = _read(doc, "dt", _json_number)
         if not 0.0 < dt < math.inf:  # every track's times are built from it
             raise ValueError(f"dt {dt!r} is not a positive finite number")
@@ -711,20 +707,20 @@ class Scenario:
             _read(rings, i, _json_count, f"obstacle ring {i} point count")
             for i in range(len(rings))
         ]
-        ids, times, lengths, types = [], [], [], []
+        ids, grids, lengths, types = [], [], [], []
         for tid, td in doc["tracks"].items():
             at = f"track {tid!r}"
-            times.append(_read(td, "grid", lambda g: _archived_times(g, dt), f"{at} grid"))
+            grids.append(_read(td, "grid", _archived_grid, f"{at} grid"))
             lengths.append(_read(td, "length", _json_number, f"{at} length"))
             types.append(_read(td, "vessel_type", VesselType, f"{at} vessel_type"))
             ids.append(tid)
-        bounds = [0, *itertools.accumulate(t.size for t in times)]
+        bounds = [0, *itertools.accumulate(count for _, count in grids)]
         ends = [0, *itertools.accumulate(ring_sizes)]
         n = bounds[-1]
         values = _sidecar_values(_read(doc, "sidecar", dict), data, 4 * n + 2 * ends[-1], where)
         north, east, speed, heading = values[: 4 * n].reshape(4, n)
         points = values[4 * n:].reshape(-1, 2)
-        times = np.concatenate(times) if times else np.empty(0)
+        times = np.concatenate([np.empty(0), *(_grid_times(dt, i0, k) for i0, k in grids)])
         heading = _check_tracks(ids, bounds, times, north, east, speed, heading, lengths)
         tracks = {}
         for tid, a, b, length, vessel_type in zip(ids, bounds, bounds[1:], lengths, types):
@@ -766,7 +762,12 @@ class Scenario:
         that cannot be read raises ValueError naming it."""
         path = Path(source)
         doc = json.loads((path.read_bytes() if header is None else header).decode("utf-8"))
-        _check_schema(doc)  # before the sidecar, which an older schema has none of
+        version = doc.get("schema_version")
+        if version != SCENARIO_SCHEMA_VERSION:  # before the sidecar, which older ones lack
+            raise ValueError(
+                f"unsupported scenario schema {version} (expected {SCENARIO_SCHEMA_VERSION}); "
+                "re-run `seamanship ingest` on the archive's AIS and chart sources"
+            )
         sidecar = sidecar_path(path)
         try:
             data = sidecar.read_bytes()

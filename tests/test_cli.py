@@ -500,6 +500,16 @@ class TestFitSpeedModelCommand:
                 id="short_east",
             ),
             pytest.param(
+                _regrid(lambda i0, n: [i0, 10**12]),
+                ["scenario.f64: the header's track grid ranges and ring point counts call for"],
+                id="grid_huge_count",
+            ),
+            pytest.param(
+                _regrid(lambda i0, n: [2**63 - 1, n]),
+                ["track '111000001' grid: ", "too large for int64"],
+                id="grid_past_int64",
+            ),
+            pytest.param(
                 _recount_ring(lambda n: True),
                 ["obstacle ring 0 point count: True is not a count"],
                 id="ring_count_true",
@@ -670,6 +680,25 @@ class TestFitSpeedModelCommand:
         message = json.loads(capsys.readouterr().err)["message"]
         assert message.startswith(f"bad scenario archive {archive}: "), message
         assert all(part in message for part in named), message
+
+    def test_huge_grid_count_allocates_nothing(self, head_on_ais, tmp_path, capsys):
+        """A grid count of 10**12 points, 8 TB of times, is refused against
+        the sidecar's size before any track's times are built."""
+        archive = ingest(head_on_ais, tmp_path / "ing")
+        rewrite_archive(archive, _regrid(lambda i0, n: [i0, 10**12]))
+        tracemalloc.start()
+        try:
+            code = run("fit-speed-model", "--scenario", archive, "--output", tmp_path / "o")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message.startswith(
+            f"bad scenario archive {archive}: {sidecar_path(archive)}: the header's track grid "
+            "ranges and ring point counts call for "
+        ), message
+        assert peak < 10_000_000
 
     @pytest.mark.parametrize("fault", ["missing", "other_archive"])
     def test_missing_or_foreign_sidecar_exits_2_naming_it(

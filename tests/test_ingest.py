@@ -29,13 +29,6 @@ from seamanship.ingest import (
     IngestParams,
     RawTrack,
     Scenario,
-    _archived_times,
-    _check_schema,
-    _json_count,
-    _json_number,
-    _origin,
-    _read,
-    _sidecar_values,
     _dma_seconds,
     _parse_timestamp,
     _ring_coords,
@@ -425,11 +418,13 @@ class TestScenario:
         assert sidecar_path(p1).read_bytes() == sidecar_path(p2).read_bytes()
 
     def test_schema_version_checked(self, tmp_path):
-        scenario = self.build(tmp_path)
-        doc, data = scenario.to_archive()
+        path = tmp_path / "s.json"
+        self.build(tmp_path).save(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
         doc["schema_version"] = 99
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValueError, match="schema"):
-            Scenario.from_archive(doc, data)
+            Scenario.load(path)
 
     def test_no_usable_rows_raises(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -590,38 +585,100 @@ def lay_out(doc) -> bytes:
     return data
 
 
+def reference_entry(holder, name, where, check):
+    """Entry ``name`` of archive header object or list ``holder`` passed
+    through ``check``; errors are prefixed with ``where``."""
+    try:
+        value = holder[name]
+    except (KeyError, IndexError):
+        raise ValueError(f"{where}: missing") from None
+    try:
+        return check(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def reference_number(value):
+    """A JSON number as a float: ``float`` raises on text that is no
+    number and on anything but a number or text; a bool or numeric text
+    that ``float`` reads is refused after it."""
+    number = float(value)
+    if type(value) not in (int, float):
+        raise ValueError(f"{value!r} is not a number")
+    return number
+
+
+def reference_count(value):
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{value!r} is not a count")
+    return value
+
+
+def reference_origin(value):
+    if type(value) is not list or len(value) != 2:
+        raise ValueError(f"{value!r} is not [lat, lon], two numbers")
+    return reference_number(value[0]), reference_number(value[1])
+
+
+def reference_grid(grid):
+    if type(grid) is not list or len(grid) != 2 or {type(k) for k in grid} != {int}:
+        raise ValueError(f"{grid!r} is not [i0, n], two integers")
+    i0, n = grid
+    if n <= 0:
+        raise ValueError(f"point count {n} is not positive")
+    if i0 < -(2**63) or i0 + n > 2**63:
+        raise ValueError(f"index range [{i0}, {i0 + n}) is too large for int64")
+    return i0, n
+
+
 def reference_from_archive(doc, data):
-    """The per-track loader: each track's arrays read from its own offsets
-    in the sidecar's values and checked by its own ``VesselTrack``, and
-    each ring read alone. The header is read as the archive loader does."""
-    _check_schema(doc)
-    dt = _read(doc, "dt", _json_number)
+    """The per-track loader: the header read by its own checks, each
+    track's arrays read from its own offsets in the sidecar's values and
+    checked by its own ``VesselTrack``, and each ring read alone. Like the
+    archive loader, it reads the sidecar before it builds any track's
+    times, and it leaves the schema to ``Scenario.load``."""
+    dt = reference_entry(doc, "dt", "dt", reference_number)
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt {dt!r} is not a positive finite number")
-    origin = _read(doc, "origin", _origin)
-    epoch = _read(doc, "epoch", _json_number)
-    spacing = _read(doc["obstacles"], "spacing", _json_number, "obstacle spacing")
-    rings = doc["obstacles"]["rings"]
+    origin = reference_entry(doc, "origin", "origin", reference_origin)
+    epoch = reference_entry(doc, "epoch", "epoch", reference_number)
+    obstacles = doc["obstacles"]
+    spacing = reference_entry(obstacles, "spacing", "obstacle spacing", reference_number)
     sizes = [
-        _read(rings, i, _json_count, f"obstacle ring {i} point count") for i in range(len(rings))
+        reference_entry(obstacles["rings"], i, f"obstacle ring {i} point count", reference_count)
+        for i in range(len(obstacles["rings"]))
     ]
     fields = {}
     for tid, td in doc["tracks"].items():
         fields[tid] = dict(
-            times=_read(td, "grid", lambda g: _archived_times(g, dt), f"track {tid!r} grid"),
-            length=_read(td, "length", _json_number, f"track {tid!r} length"),
-            vessel_type=_read(td, "vessel_type", VesselType, f"track {tid!r} vessel_type"),
+            grid=reference_entry(td, "grid", f"track {tid!r} grid", reference_grid),
+            length=reference_entry(td, "length", f"track {tid!r} length", reference_number),
+            vessel_type=reference_entry(td, "vessel_type", f"track {tid!r} vessel_type", VesselType),
         )
-    n = sum(f["times"].size for f in fields.values())
-    values = _sidecar_values(doc["sidecar"], data, 4 * n + 2 * sum(sizes), "sidecar")
+    n = sum(f["grid"][1] for f in fields.values())
+    size = reference_entry(doc["sidecar"], "bytes", "sidecar bytes", reference_count)
+    if size != 8 * (4 * n + 2 * sum(sizes)):
+        raise ValueError(
+            "sidecar: the header's track grid ranges and ring point counts call for "
+            f"{8 * (4 * n + 2 * sum(sizes))} bytes, but it records {size}"
+        )
+    if len(data) != size:
+        raise ValueError(f"sidecar: holds {len(data)} bytes, the header records {size}")
+    digest, recorded = hashlib.sha256(data).hexdigest(), doc["sidecar"].get("sha256")
+    if digest != recorded:
+        raise ValueError(
+            f"sidecar: sha256 {digest} is not the {recorded!r} that the header records"
+        )
+    values = np.frombuffer(data, "<f8").astype(float)
     tracks, offset = {}, 0
     for tid, f in fields.items():
-        size = f["times"].size
+        i0, size = f.pop("grid")
         arrays = {
             name: values[k * n + offset: k * n + offset + size].copy()
             for k, name in enumerate(TRACK_ARRAYS)
         }
-        tracks[tid] = VesselTrack(track_id=tid, **arrays, **f)
+        times = dt * np.arange(i0, i0 + size, dtype=np.int64)
+        tracks[tid] = VesselTrack(track_id=tid, times=times, **arrays, **f)
         offset += size
     rings, offset = [], 4 * n
     for size in sizes:
@@ -1188,6 +1245,8 @@ ONE_FAULT = [
     pytest.param(_regrid(lambda i0, n: [i0, n + 1]), id="grid-count"),
     pytest.param(_regrid(lambda i0, n: [2**60, n]), id="grid-repeated-times"),
     pytest.param(_regrid(lambda i0, n: [10**30, n]), id="grid-overflow"),
+    pytest.param(_regrid(lambda i0, n: [2**63 - n, n + 1]), id="grid-past-int64"),
+    pytest.param(_regrid(lambda i0, n: [i0, 10**12]), id="grid-huge-count"),
 ]
 
 
