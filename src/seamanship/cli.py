@@ -22,7 +22,9 @@ import sys
 from pathlib import Path
 
 from .geometry import DomainParams, VesselType, is_finite
-from .ingest import AisSchema, ChartError, IngestParams, Scenario, build_scenario, sidecar_path
+from .ingest import (
+    AisSchema, ChartError, IngestParams, Scenario, build_scenario, json_text, sidecar_path,
+)
 from .planner import (
     Hyperparameters,
     KinodynamicParams,
@@ -195,35 +197,15 @@ def _output_dir(config: dict, args) -> Path:
     return out
 
 
-# malformed documents surface as assorted lookup/shape errors, and an
-# integer too large for a float as OverflowError
-_BAD_DOC_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
-
-
-def _read_input(path: Path) -> tuple[bytes, dict]:
-    """The bytes of an input file and its provenance entry, the path and
-    the sha256 of those same bytes: what is digested is what is parsed."""
+def _load(path: Path, kind: str, load) -> tuple:
+    """``load(path, data)`` of input file ``path``'s bytes ``data`` and its provenance
+    entry, the path and sha256 of those bytes; a damaged ``kind`` of document is refused."""
     data = path.read_bytes()
-    return data, {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
-
-
-def _load_archive(path: Path) -> tuple[Scenario, dict]:
-    """The scenario archive whose header is at ``path`` and the header's
-    provenance entry, which covers the sidecar whose sha256 it records."""
-    data, entry = _read_input(path)
+    entry = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
     try:
-        return Scenario.load(path, data), entry
-    except _BAD_DOC_ERRORS as exc:
-        raise CliError(f"bad scenario archive {path}: {exc}", path=str(path))
-
-
-def _load_model_file(path: Path) -> tuple[SpeedChangeModel, dict]:
-    """The speed model at ``path`` and its provenance entry."""
-    data, entry = _read_input(path)
-    try:
-        return SpeedChangeModel.load(data), entry
-    except _BAD_DOC_ERRORS as exc:
-        raise CliError(f"bad speed model {path}: {exc}", path=str(path))
+        return load(path, data), entry
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise CliError(f"bad {kind} {path}: {exc}", path=str(path))
 
 
 def _provenance(inputs: dict[str, dict], blocks: dict) -> dict:
@@ -239,7 +221,7 @@ def _provenance(inputs: dict[str, dict], blocks: dict) -> dict:
 
 
 def write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json_text(doc), encoding="utf-8")
 
 
 def write_manifest(outdir: Path, command: str, provenance: dict, outputs: list[str]) -> None:
@@ -304,7 +286,7 @@ def cmd_fit_speed_model(args) -> int:
     speed = build_block("speed", config)
     events, entries = [], {}
     for name, path in scenario_paths.items():
-        scenario, entries[name] = _load_archive(path)
+        scenario, entries[name] = _load(path, "scenario archive", Scenario.load)
         events.extend(
             detect_encounters(
                 scenario.tracks,
@@ -349,7 +331,7 @@ def _scene(args, command: str):
     if len(inputs) > 1:
         raise CliError(f"{command} expects exactly one scenario archive")
     ((key, path),) = inputs.items()
-    scenario, entry = _load_archive(path)
+    scenario, entry = _load(path, "scenario archive", Scenario.load)
     ownship = _setting(config, args, "ownship", str)
     if ownship is None:
         raise CliError("no ownship id given (flag --ownship or config 'ownship')")
@@ -384,7 +366,7 @@ def cmd_score(args) -> int:
     model_paths = _input_files(config, args, "model", ("models",), None)
     models, model_of_type, model_entries = {}, {}, {}
     for name, path in model_paths.items():
-        model, model_entries[name] = _load_model_file(path)
+        model, model_entries[name] = _load(path, "speed model", SpeedChangeModel.load)
         vtype = model.vessel_type
         if vtype in models:
             raise CliError(
@@ -410,10 +392,10 @@ def cmd_score(args) -> int:
         sr_star = sr_star_series(
             scenario.tracks, ownship, series.times, hyper, kin, rp, dp, scenario.obstacles
         )
+        proposed = score_series(ownship, series.times, series.scenario, sr_star, sp, rp)
+        baseline = score_series(ownship, series.times, series.scenario, None, sp, rp)
     except ValueError as exc:
         raise CliError(str(exc))
-    proposed = score_series(ownship, series.times, series.scenario, sr_star, sp, rp)
-    baseline = score_series(ownship, series.times, series.scenario, None, sp, rp)
     provenance = _provenance(
         {**inputs, **model_entries},
         {**blocks, "score": sp, "speed": speed, "window": [t_start, t_end], "ownship": ownship},

@@ -587,11 +587,29 @@ def _json_count(value) -> int:
     return value
 
 
-def _origin(value) -> tuple[float, float]:
-    """The (lat, lon) of an archived projection origin."""
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ValueError(f"{value!r} is not [lat, lon], two numbers")
-    return _json_number(value[0]), _json_number(value[1])
+def _number_pair(names: str):
+    """The reader of ``[names]``, two JSON numbers: an archive origin or model support."""
+    def read(value) -> tuple[float, float]:
+        if not (isinstance(value, list) and len(value) == 2):
+            raise ValueError(f"{value!r} is not [{names}], two numbers")
+        return _json_number(value[0]), _json_number(value[1])
+    return read
+
+
+def _json_numbers(value) -> np.ndarray:
+    """A flat JSON list of numbers as a float array, its entries' types
+    checked in one pass: ``np.asarray`` reads a bool or a text as a number."""
+    if not isinstance(value, list):
+        raise ValueError(f"{value!r} is not a list of numbers")
+    if not set(map(type, value)) <= {int, float}:
+        bad = next(v for v in value if type(v) not in (int, float))
+        raise ValueError(f"{bad!r} is not a number")
+    return np.array(value, dtype=float)
+
+
+def json_text(doc) -> str:
+    """The text of every JSON document the pipeline writes."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _read(holder, name, convert, where: str | None = None):
@@ -699,7 +717,7 @@ class Scenario:
         dt = _read(doc, "dt", _json_number)
         if not 0.0 < dt < math.inf:  # every track's times are built from it
             raise ValueError(f"dt {dt!r} is not a positive finite number")
-        origin = _read(doc, "origin", _origin)
+        origin = _read(doc, "origin", _number_pair("lat, lon"))
         epoch = _read(doc, "epoch", _json_number)
         spacing = _read(doc["obstacles"], "spacing", _json_number, "obstacle spacing")
         rings = doc["obstacles"]["rings"]
@@ -744,12 +762,12 @@ class Scenario:
         )
 
     def save(self, path) -> None:
-        """Write the archive: :meth:`to_archive`'s header, as indented JSON
-        and a newline, to ``path`` and its sidecar to :func:`sidecar_path`
+        """Write the archive: :meth:`to_archive`'s header, as
+        :func:`json_text`, to ``path`` and its sidecar to :func:`sidecar_path`
         of ``path``. Both are built before either file is opened, so a
         track :meth:`to_archive` refuses writes nothing."""
         header, data = self.to_archive()
-        text = json.dumps(header, indent=2, sort_keys=True) + "\n"
+        text = json_text(header)
         sidecar_path(path).write_bytes(data)
         Path(path).write_text(text, encoding="utf-8")
 

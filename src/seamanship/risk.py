@@ -60,6 +60,9 @@ ARENA_SLACK = 1.0
 # boundary points a chart may be densified into: 16 bytes each, and a few
 # times that while they are built
 MAX_BOUNDARY_POINTS = 10_000_000
+# steps a look-ahead horizon may be sampled in: a kernel pass holds at least
+# one own state's whole horizon per target and rate (the defaults take 20)
+MAX_HORIZON_STEPS = 10_000
 
 # glibc gives the top of the heap back to the system whenever more than
 # 128 KiB lies free there, so each kernel chunk's temporaries would be
@@ -113,6 +116,9 @@ class RiskParams:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if self.horizon_T < 0.0 or self.horizon_step <= 0.0:
             raise ValueError("horizon_T must be >= 0 and horizon_step > 0")
+        if not self.horizon_T / self.horizon_step <= MAX_HORIZON_STEPS:
+            raise ValueError(f"horizon_step {self.horizon_step!r} divides horizon_T "
+                             f"{self.horizon_T!r} into more than {MAX_HORIZON_STEPS:,} steps")
         if self.arena_radius <= 0.0:
             raise ValueError("arena_radius must be positive")
         if self.mutual_mode not in MUTUAL_MODES:

@@ -48,6 +48,9 @@ class ScoreParams:
             raise ValueError("sr_star_eps must lie in (0, 0.5)")
         if not 0.0 < self.risk_clamp_eps < 0.5:
             raise ValueError("risk_clamp_eps must lie in (0, 0.5)")
+        for name in ("sr_max_eps", "consistency_tol"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
 
     def clamp(self, r: float) -> float:
         return min(max(r, self.risk_clamp_eps), 1.0 - self.risk_clamp_eps)

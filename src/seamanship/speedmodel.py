@@ -26,6 +26,7 @@ from .geometry import (
     _shared_samples,
     require_finite,
 )
+from .ingest import _json_count, _json_number, _json_numbers, _number_pair, _read, json_text
 from .risk import DEFAULT_GRID_N, RiskParams, collision_risk_grid, rate_weighted_mean
 
 log = logging.getLogger(__name__)
@@ -291,30 +292,29 @@ class SpeedChangeModel:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "SpeedChangeModel":
-        if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-            raise ValueError(f"unsupported model schema {doc.get('schema_version')}")
+        """The model of a :meth:`to_dict` document, read as an archive header is."""
+        if _read(doc, "schema_version", _json_count) != MODEL_SCHEMA_VERSION:
+            raise ValueError(f"unsupported model schema {doc['schema_version']}")
         degenerate = doc.get("degenerate", False)
         if not isinstance(degenerate, bool):
             raise ValueError(f"degenerate must be true or false, got {degenerate!r}")
         return cls(
-            vessel_type=VesselType(doc["vessel_type"]),
-            samples=np.asarray(doc["samples"], dtype=float),
-            bandwidth=float(doc["bandwidth"]),
-            support=(float(doc["support"][0]), float(doc["support"][1])),
+            vessel_type=_read(doc, "vessel_type", VesselType),
+            samples=_read(doc, "samples", _json_numbers),
+            bandwidth=_read(doc, "bandwidth", _json_number),
+            support=_read(doc, "support", _number_pair("lo, hi")),
             degenerate=degenerate,
             metadata=dict(doc.get("metadata", {})),
         )
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        Path(path).write_text(json_text(self.to_dict()), encoding="utf-8")
 
     @classmethod
-    def load(cls, source) -> "SpeedChangeModel":
-        """The model in the file at path ``source``, or in ``source``
-        itself when it is the file's bytes, already read."""
-        data = source if isinstance(source, bytes) else Path(source).read_bytes()
+    def load(cls, source, data: bytes | None = None) -> "SpeedChangeModel":
+        """The model in the file at path ``source``; ``data`` is the file's
+        bytes when they are already read."""
+        data = Path(source).read_bytes() if data is None else data
         return cls.from_dict(json.loads(data.decode("utf-8")))
 
 

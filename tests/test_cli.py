@@ -870,6 +870,18 @@ class TestScoreCommand:
             ("support", [-math.inf, 0.05], "bandwidth and support must be finite"),
             ("samples", [math.nan], "samples must be finite"),
             ("bandwidth", 10**400, "int too large to convert to float"),
+            # each field read as an archive header's fields are
+            ("support", [], "support: [] is not [lo, hi], two numbers"),
+            ("support", [1.0], "support: [1.0] is not [lo, hi], two numbers"),
+            ("support", [0, 1, 2], "support: [0, 1, 2] is not [lo, hi], two numbers"),
+            ("support", ["0", "1"], "support: '0' is not a number"),
+            ("support", [False, True], "support: False is not a number"),
+            ("bandwidth", True, "bandwidth: True is not a number"),
+            ("bandwidth", "0.01", "bandwidth: '0.01' is not a number"),
+            ("samples", [[0.01, 0.02]], "samples: [0.01, 0.02] is not a number"),
+            ("samples", ["0.01"], "samples: '0.01' is not a number"),
+            ("samples", [True], "samples: True is not a number"),
+            ("schema_version", True, "schema_version: True is not a count"),
         ],
     )
     def test_bad_model_file_exits_2(self, head_on_ais, tmp_path, capsys, field, value, named):
@@ -890,7 +902,25 @@ class TestScoreCommand:
         )
         assert code == 2
         message = json.loads(capsys.readouterr().err)["message"]
-        assert message.startswith("bad speed model") and named in message, message
+        assert message.startswith(f"bad speed model {model}: ") and named in message, message
+
+    def test_scoring_refusal_exits_2(self, head_on_ais, tmp_path, capsys, monkeypatch):
+        """A series that grading refuses exits 2, as one that the risk
+        series or the floor refuses does, not 3."""
+
+        def refuse(*args, **kwargs):
+            raise ValueError("best-achievable risk exceeds taken risk")
+
+        monkeypatch.setattr("seamanship.cli.score_series", refuse)
+        scenario = ingest(head_on_ais, tmp_path / "ing")
+        capsys.readouterr()
+        code = run(
+            "score", "--scenario", scenario, "--ownship", "111000001",
+            "--output", tmp_path / "score", *FAST_SEARCH,
+        )
+        assert code == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message == "best-achievable risk exceeds taken risk"
 
     def test_window_flags_clip_series(self, head_on_ais, tmp_path):
         scenario = ingest(head_on_ais, tmp_path / "ing")
@@ -1105,6 +1135,9 @@ class TestConfigHandling:
             ('risk.grounding_horizon_max="false"', "grounding_horizon_max must be a bool"),
             ("risk.grounding_horizon_max=0", "grounding_horizon_max must be a bool"),
             ("risk.grounding_horizon_max=1", "grounding_horizon_max must be a bool"),
+            # FAST_SEARCH's 120 s horizon in 1e-9 s steps: 1.2e11 offsets
+            ("risk.horizon_step=1e-9", "horizon_step 1e-09 divides horizon_T 120 into more"),
+            ("risk.horizon_step=1e-300", "horizon_step 1e-300 divides horizon_T 120 into more"),
         ],
     )
     def test_bad_parameter_value_exits_2(self, head_on_ais, tmp_path, capsys, setting, message):
@@ -1136,6 +1169,10 @@ class TestConfigHandling:
             ("score", "--ownship", ["--set", "ownship=111000001"], "ownship must be a non-empty"),
             ("ingest", None, ["--set", "schema.timestamp_formats=[5]"], "timestamp_formats must be"),
             ("ingest", None, ["--set", 'schema.timestamp_formats="%Y"'], "timestamp_formats must"),
+            ("score", None, ["--set", "score.consistency_tol=-0.5"],
+             "consistency_tol must not be negative, got -0.5"),
+            ("score", None, ["--set", "score.sr_max_eps=-1e-9"],
+             "sr_max_eps must not be negative, got -1e-09"),
         ],
     )
     def test_malformed_run_setting_exits_2(
@@ -1314,14 +1351,83 @@ class TestInputsNotDroppedSilently:
         assert all(name in message for name in named), message
 
 
-def test_digest_tool_flags_outputs_the_manifest_does_not_list(head_on_ais, tmp_path):
-    """``tools/output_digests.py`` refuses an output directory holding a file
-    that its manifest does not list, which the benchmark's rerun check would
-    not digest; an ingest run's directory holds none."""
+def test_every_json_output_is_json_text(head_on_ais, chart_file, tmp_path):
+    """Every JSON file that one run of each subcommand writes (archive
+    header, speed models, summaries, grades, paths and manifests) is
+    ``json_text`` of its own document: one text form for them all."""
+    from seamanship.ingest import json_text
+
+    assert json_text({"b": 1, "a": [0.5]}) == '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'
+    scenario, fit = tmp_path / "ing" / "scenario.json", tmp_path / "fit"
+    commands = [
+        ["ingest", "--ais", head_on_ais, "--chart", chart_file, "--output", tmp_path / "ing"],
+        ["fit-speed-model", "--scenario", scenario, "--output", fit,
+         "--set", "speed.min_samples=1"],
+        ["score", "--scenario", scenario, "--ownship", "111000001", "--output",
+         tmp_path / "score", "--model", fit / "model_cargo.json", *FAST_SEARCH],
+        ["safest-path", "--scenario", scenario, "--ownship", "111000001", "--time", "60",
+         "--output", tmp_path / "path", *FAST_SEARCH],
+    ]
+    for command in commands:
+        assert run(*command) == 0
+    written = sorted(tmp_path.glob("*/*.json"))
+    assert {path.parent.name for path in written} == {"ing", "fit", "score", "path"}
+    assert len(written) == 3 + len(VesselType) + 2 + 3 + 2
+    for path in written:
+        data = path.read_bytes()
+        assert data == json_text(json.loads(data)).encode("utf-8"), path
+
+
+def _digest_tool():
     path = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
     spec = importlib.util.spec_from_file_location("output_digests", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_digest_tool_names_the_graded_branches_no_step_takes(head_on_ais, tmp_path):
+    """``tools/output_digests.py`` refuses a listing in which no score step
+    is normalized or none falls back for want of headroom: such a listing
+    would not move when the floor-aware grade does."""
+    tool = _digest_tool()
+    scenario = ingest(head_on_ais, tmp_path / "ing")
+    outputs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert run(
+            "score", "--scenario", scenario, "--ownship", "111000001", "--output", out,
+            *FAST_SEARCH,
+        ) == 0
+        outputs += sorted(out.iterdir())
+
+    def grade(name, **flags):
+        gss = tmp_path / name / "gss.json"
+        doc = json.loads(gss.read_text(encoding="utf-8"))
+        doc["flags"].update(flags)
+        gss.write_text(json.dumps(doc), encoding="utf-8")
+
+    grade("a", normalized=0, no_headroom=0)
+    grade("b", normalized=0, no_headroom=0)
+    assert tool.ungraded(outputs) == ["normalized", "no_headroom"]
+    grade("a", normalized=2)
+    assert tool.ungraded(outputs) == ["no_headroom"]
+    grade("b", no_headroom=1)
+    assert tool.ungraded(outputs) == []
+    # the baseline grade, which has no floor, does not count
+    grade("b", no_headroom=0)
+    baseline = tmp_path / "b" / "baseline_gss.json"
+    doc = json.loads(baseline.read_text(encoding="utf-8"))
+    doc["flags"]["no_headroom"] = 3
+    baseline.write_text(json.dumps(doc), encoding="utf-8")
+    assert tool.ungraded(outputs) == ["no_headroom"]
+
+
+def test_digest_tool_flags_outputs_the_manifest_does_not_list(head_on_ais, tmp_path):
+    """``tools/output_digests.py`` refuses an output directory holding a file
+    that its manifest does not list, which the benchmark's rerun check would
+    not digest; an ingest run's directory holds none."""
+    tool = _digest_tool()
     out = tmp_path / "ing"
     ingest(head_on_ais, out)
     assert tool.unlisted(sorted(out.iterdir())) == []

@@ -951,6 +951,16 @@ def rings(draw):
     return np.array(vertices + [vertices[0]])
 
 
+def test_horizon_step_budget():
+    """A horizon may be sampled in up to ``MAX_HORIZON_STEPS`` steps; a finer
+    step is refused, naming it, before any offset is made."""
+    horizon = float(risk.MAX_HORIZON_STEPS)
+    assert RiskParams(horizon_T=horizon, horizon_step=1.0).horizon_offsets().size == horizon + 1
+    for step in (0.999, 1e-9, 5e-324):
+        with pytest.raises(ValueError, match=r"horizon_step .* into more than 10,000 steps"):
+            RiskParams(horizon_T=horizon, horizon_step=step)
+
+
 class TestDensify:
     @given(
         st.lists(rings(), max_size=4),

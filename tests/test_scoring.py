@@ -139,6 +139,14 @@ class TestGss:
         with pytest.raises(ValueError):
             gss(np.zeros(3), np.array([0.0, 2.0, 1.0]))
 
+    @pytest.mark.parametrize("field", ["sr_max_eps", "consistency_tol"])
+    def test_negative_tolerance_refused(self, field):
+        # a negative consistency_tol would call every step that rides its
+        # floor inconsistent, and a negative sr_max_eps no peak risk-free
+        with pytest.raises(ValueError, match=f"{field} must not be negative, got -0.5"):
+            ScoreParams(**{field: -0.5})
+        assert getattr(ScoreParams(**{field: 0.0}), field) == 0.0
+
 
 class TestScoreSeries:
     def test_report_fields_consistent(self):

@@ -13,7 +13,8 @@ one long window of its first score's ownship (``LONG_WINDOWS``), whose
 many step times the planner searches together, in several root blocks,
 and one score window with a risk setting off its default
 (``BRANCH_WINDOWS``), so that the listing covers every branch of the risk
-kernels, not only the default ones.
+kernels, not only the default ones. open_sea also scores the windows of
+``GRADED_WINDOWS``, whose floor is high enough for the score to normalize.
 One line is printed per output file, ``<sha256>  <workload>/<path>``,
 sorted by path; the generated inputs are not listed.
 
@@ -22,18 +23,20 @@ them the listing, do not depend on where ROOT is. Two listings are
 compared with ``diff``: run on a parent and a change to check that the
 change keeps every output byte, or run twice under different
 ``PYTHONHASHSEED`` values to check that outputs do not depend on the
-process. Exits 1 if an operation fails, or if an output directory holds
-a file that its ``manifest.json`` does not list: the benchmark's rerun
+process. Exits 1 if an operation fails, if an output directory holds
+a file that its ``manifest.json`` does not list (the benchmark's rerun
 check digests only the files a manifest lists, so an unlisted output
-would escape it.
+would escape it), or if no ``gss.json`` counts a step of each branch in
+``GRADED_BRANCHES``: a listing whose every step passes the raw risk
+through would not move when the floor-aware grade does.
 
 With ``--results`` each output is digested without the digests of its
 inputs: the ``# inputs`` line of a CSV output, ``provenance.inputs`` of a
 JSON output and ``inputs`` of a ``manifest.json`` are removed (a JSON
-output is digested as the CLI writes it, ``json.dumps(indent=2,
-sort_keys=True)`` and a newline). A change that moves the bytes of an
-input, such as the scenario archive, and no result then lists only that
-input's own file as changed.
+output is digested as the CLI writes it, with ``seamanship.ingest.json_text``
+of SRC, which ``--results`` therefore needs). A change that moves the bytes
+of an input, such as the scenario archive, and no result then lists only
+that input's own file as changed.
 """
 
 from __future__ import annotations
@@ -72,13 +75,24 @@ BRANCH_WINDOWS = {
         *NARROW_BEAM,
     ]),
 }
+# (output name, flags) of open_sea score windows, on the default grid, that
+# reach the normalization's graded branches (seed 0): 219000001's floor
+# exceeds sr_star_eps from t = 520 to 780 s, where 5 steps read "normalized"
+# and 15 "no_headroom"; 219010001 reads "no_headroom" at 17 steps of
+# t = 300-460 s, and "clamped_star" at all 17.
+GRADED_WINDOWS = {"open_sea": [
+    ("score-normalized", ["--ownship", "219000001", "--t-start", "520", "--t-end", "780"]),
+    ("score-no-headroom", ["--ownship", "219010001", "--t-start", "300", "--t-end", "460"]),
+]}
+# the normalization branches that some step of the listing must take
+GRADED_BRANCHES = ("normalized", "no_headroom")
 
 
 def operations(name: str, plan) -> list[list[str]]:
     """Command lines of the set-up operations, then of each cycle
     operation the first time its key appears, so every distinct operation
-    runs once, then of the workload's long score window and its branch
-    window, where it has them."""
+    runs once, then of the workload's long score window, its branch window
+    and its graded windows, where it has them."""
     ops, seen = [op.argv for op in plan.prepare], set()
     for op in plan.cycle:
         if op.key not in seen:
@@ -99,11 +113,14 @@ def operations(name: str, plan) -> list[list[str]]:
     if name in BRANCH_WINDOWS:
         output, flags = BRANCH_WINDOWS[name]
         ops.append(first_score((), flags, output))
+    ops += [first_score((), flags, output) for output, flags in GRADED_WINDOWS.get(name, ())]
     return ops
 
 
 def result_bytes(path: Path) -> bytes:
     """The bytes of an output file without the digests of its inputs."""
+    from seamanship.ingest import json_text
+
     data = path.read_bytes()
     if path.suffix == ".csv":
         lines = data.splitlines(keepends=True)
@@ -115,7 +132,7 @@ def result_bytes(path: Path) -> bytes:
         del doc["inputs"]
     if isinstance(doc.get("provenance"), dict):
         del doc["provenance"]["inputs"]
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return json_text(doc).encode("utf-8")
 
 
 def unlisted(outputs: list[Path]) -> list[Path]:
@@ -128,6 +145,14 @@ def unlisted(outputs: list[Path]) -> list[Path]:
             doc = json.loads(manifest.read_text(encoding="utf-8")) if manifest.is_file() else {}
             listed[path.parent] = {"manifest.json", *doc.get("outputs", [])}
     return [path for path in outputs if path.name not in listed[path.parent]]
+
+
+def ungraded(outputs: list[Path]) -> list[str]:
+    """The ``GRADED_BRANCHES`` that no step of a ``gss.json`` among the
+    outputs takes."""
+    flags = [json.loads(p.read_text(encoding="utf-8"))["flags"]
+             for p in outputs if p.name == "gss.json"]
+    return [branch for branch in GRADED_BRANCHES if not any(f[branch] for f in flags)]
 
 
 def main(argv: list[str]) -> int:
@@ -144,6 +169,9 @@ def main(argv: list[str]) -> int:
     if Path(seamanship.cli.__file__).resolve().parent != src / "seamanship":
         print(f"imported seamanship from {seamanship.cli.__file__}, not {src}", file=sys.stderr)
         return 2
+    if results and not hasattr(seamanship.ingest, "json_text"):
+        print(f"--results needs seamanship.ingest.json_text, which {src} lacks", file=sys.stderr)
+        return 2
     root.mkdir(parents=True, exist_ok=True)
     os.chdir(root)
     outputs: list[Path] = []
@@ -159,7 +187,10 @@ def main(argv: list[str]) -> int:
     stray = unlisted(outputs)
     for path in stray:
         print(f"{path.as_posix()}: not listed in the manifest beside it", file=sys.stderr)
-    if stray:
+    missing = ungraded(outputs)
+    for branch in missing:
+        print(f"no score window takes the {branch!r} normalization branch", file=sys.stderr)
+    if stray or missing:
         return 1
     read = result_bytes if results else Path.read_bytes
     for path in sorted(outputs, key=lambda p: p.as_posix()):
