@@ -17,8 +17,8 @@ every node carries its root's index, and each root is pruned on its own,
 so a root's result does not depend on the others. A level is advanced and
 scored as arrays: every child moves in one vectorized arc step, and one
 :func:`scenario_risks` call scores every child at its root's time, with
-the targets interpolated and the chart prefiltered once per distinct
-time. :func:`branch_and_bound` and :func:`exhaustive_search` search from
+the targets interpolated into one table row, and the chart prefiltered,
+once per distinct time. :func:`branch_and_bound` and :func:`exhaustive_search` search from
 one root; :func:`sr_star_series` searches all the distinct times of a
 window, in blocks of roots of bounded size (``ROOT_BLOCK_NODES``), and a
 window of one time with :func:`branch_and_bound`. Search
@@ -46,9 +46,8 @@ from .risk import ObstacleSet, RiskParams, scenario_risks
 
 ALPHA_EPS = 1e-6
 # widest level (roots x beam_width x actions) a block of sr_star_series
-# roots may reach: a block's children each carry their own row of target
-# states, so a whole-track window searched as one block would hold tens of
-# megabytes where a one-root search holds one or two
+# roots may reach: a block holds one collision column per target per child,
+# plus the level arrays (a 121-step window as one block peaks at 12-18 MiB)
 ROOT_BLOCK_NODES = 4096
 
 
@@ -331,9 +330,9 @@ def _level_search(
     Each of the ``n_t`` levels lasts ``horizon_T / n_t`` seconds; children
     are enumerated parent, then speed command, then rudder, so they stay
     grouped by root. All children of a level are scored in one
-    :func:`scenario_risks` call, each at its own root's time (one shared
-    time when the block has one root). With ``beam`` the next level
-    expands only each root's :func:`_survivors`, else every child.
+    :func:`scenario_risks` call, each at its own root's time, against one
+    row of target states per root. With ``beam`` the next level expands
+    only each root's :func:`_survivors`, else every child.
     Returns (kept nodes per level, the unscored roots first; whether any
     target was held at a child; nodes expanded).
     """
@@ -364,10 +363,8 @@ def _level_search(
         time = prev.time + dt
         root = prev.root[parent]
         children = StateArrays(north, east, v_cmd, heading, np.full(north.size, float(own.length)))
-        step = scenario_risks(
-            children, float(time[0]) if n_roots == 1 else time[root], scene.targets,
-            scene.obstacles, scene.rp, scene.dp, hold_targets=True,
-        )
+        step = scenario_risks(children, time[root], scene.targets, scene.obstacles, scene.rp,
+                              scene.dp, hold_targets=True)
         held_any = held_any or step.targets_held
         expanded += north.size
         level = _Level(

@@ -8,19 +8,20 @@ instantaneous arena proximity index; grounding risk does the same against
 points sampled on shallow-water polygon boundaries.
 
 One broadcast kernel, :func:`collision_risk_grid`, evaluates collision risk
-for many own states against many targets at many target speed-change rates
-in one array pass; the single-pair functions call it with one of each. A
+for many own states against a table of target states, one row per distinct
+time, at many target speed-change rates in one array pass; the single-pair
+functions call it with one of each. A
 second kernel scores grounding for many own states against the chart
 points strictly inside their arenas in one pass, channel-width adjustment
 included; its horizon maximum is a shift of the points aft along the
 heading, not a prediction per offset. Chart boundaries are densified in
 one array pass over all polygon edges.
 
-:func:`scenario_risks` has a time axis: its own states share one time (a
-planner level) or each carry their own (a recorded passage). Targets are
-interpolated once per distinct time and scored against each own state at
-that state's time, so :func:`compute_risk_series` is one call for a whole
-window.
+:func:`scenario_risks` has a time axis: its own states share one time or
+each carry their own (a recorded passage, or a planner level of several
+roots). Targets are interpolated once per distinct time, and each own state
+is scored against its time's row, so :func:`compute_risk_series` is one
+call for a whole window.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ MUTUAL_MODES = ("max", "prob_or")
 # rates sampled by the density-weighted collision risk
 DEFAULT_GRID_N = 64
 # elements of the (own, targets, rates, offsets) grid scored per kernel
-# pass: at most 11 temporaries of this size are alive at once (16 with
-# paired targets, whose horizon is built per pass; tracemalloc peaks of
-# a 2,496 x 19 level), so a tied planner level (up to 64 x 39 candidates)
+# pass: at most 11 temporaries of this size are alive at once (21 when
+# the pass gathers from a block of table rows; tracemalloc peaks of a
+# 2,496 x 19 level), so a tied planner level (up to 64 x 39 candidates)
 # stays within about a megabyte instead of tens
 KERNEL_CHUNK_ELEMS = 8192
 # meters added to the shared arena prefilter radius so that rounding never
@@ -175,6 +176,11 @@ class _Horizon(NamedTuple):
     def scale_factor(self, d_north, d_east) -> np.ndarray:
         return self.quad.solve(*self.frame(d_north, d_east))
 
+    def take(self, index) -> "_Horizon":
+        """The vessels at ``index`` along the first axis."""
+        frame, quad = (type(p)(*(a if a is None else a[index] for a in p)) for p in self[2:])
+        return _Horizon(self.north[index], self.east[index], frame, quad)
+
 
 def _own_horizon(own: StateArrays, offsets: np.ndarray, dp: DomainParams) -> _Horizon:
     """Own vessels, holding speed and course, as (own, 1, 1, offsets)."""
@@ -184,8 +190,8 @@ def _own_horizon(own: StateArrays, offsets: np.ndarray, dp: DomainParams) -> _Ho
 def _target_horizon(
     tgt: StateArrays, offsets: np.ndarray, rates: np.ndarray, dp: DomainParams
 ) -> _Horizon:
-    """Targets changing speed at each rate, as (targets, rates, offsets)
-    when shared or (own, targets, rates, offsets) when paired."""
+    """A (times, targets) table of targets changing speed at each rate, as
+    (times, targets, rates, offsets)."""
     g = StateArrays(*(a[..., None, None] for a in tgt))
     return _Horizon.of(g, offsets, rates[:, None], dp, target=True)
 
@@ -211,37 +217,40 @@ def _mutual_index(own: _Horizon, tgt: _Horizon, rp: RiskParams) -> np.ndarray:
 
 
 def collision_risk_grid(
-    own: StateArrays, tgt: StateArrays, rates, rp: RiskParams, dp: DomainParams
+    own: StateArrays, tgt: StateArrays, rates, rp: RiskParams, dp: DomainParams, rows=None
 ) -> np.ndarray:
     """Collision risk of every own state against every target state at
     every target speed-change rate, shape (own, targets, rates).
 
-    Target fields have shape (targets,), shared by every own state, or
-    (own, targets), one row of targets per own state. The horizon-max
-    mutual index (:func:`_mutual_index`) is weighted by the instantaneous
-    arena index, a logistic of distance over arena radius. Own states are
-    taken in chunks of about ``KERNEL_CHUNK_ELEMS`` grid elements, which
-    bounds the size of the temporaries. Shared targets are advanced over
-    the horizon, and their domain terms built, once per call; paired
-    targets once per chunk, for that chunk's rows.
+    Target fields form a (times, targets) table, one row per distinct
+    time, and ``rows`` holds each own state's row (row 0 when omitted); a
+    (targets,) field is a one-row table. The horizon-max mutual index
+    (:func:`_mutual_index`) is weighted by the instantaneous arena index,
+    a logistic of distance over arena radius. Each table row is advanced
+    over the horizon, and its domain terms built, once per call, in blocks
+    of about ``KERNEL_CHUNK_ELEMS`` grid elements, as are the chunks of own
+    states that read a block. A chunk broadcasts the horizon of a one-row
+    table and gathers its own states' rows from a larger one.
     """
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     offsets = rp.horizon_offsets()
-    n_own = own.north.size
-    n_tgt = tgt.north.shape[-1]
-    paired = tgt.north.ndim == 2
+    tgt = StateArrays(*map(np.atleast_2d, tgt))
+    n_own, (n_rows, n_tgt) = own.north.size, tgt.north.shape
+    rows = np.zeros(n_own, dtype=int) if rows is None else rows
     out = np.empty((n_own, n_tgt, rates.size))
-    per_own = n_tgt * rates.size * offsets.size
-    chunk = max(1, KERNEL_CHUNK_ELEMS // max(per_own, 1))
-    shared = None if paired else _target_horizon(tgt, offsets, rates, dp)
-    for lo in range(0, n_own, chunk):
-        rows = slice(lo, lo + chunk)
-        part = own.select(rows)
-        near = tgt.select(rows) if paired else tgt
-        dist = np.hypot(part.north[:, None] - near.north, part.east[:, None] - near.east)
-        arena = risk_index(dist / rp.arena_radius, rp)
-        targets = _target_horizon(near, offsets, rates, dp) if paired else shared
-        out[rows] = _mutual_index(_own_horizon(part, offsets, dp), targets, rp) * arena[:, :, None]
+    chunk = max(1, KERNEL_CHUNK_ELEMS // max(n_tgt * rates.size * offsets.size, 1))
+    for first in range(0, n_rows, chunk):
+        block = tgt.select(slice(first, first + chunk))
+        horizon = _target_horizon(block, offsets, rates, dp)
+        readers = np.flatnonzero((rows >= first) & (rows < first + chunk))
+        for lo in range(0, readers.size, chunk):
+            index = readers[lo:lo + chunk]
+            local = slice(None) if n_rows == 1 else rows[index] - first
+            part, near, targets = own.select(index), block.select(local), horizon.take(local)
+            dist = np.hypot(part.north[:, None] - near.north, part.east[:, None] - near.east)
+            arena = risk_index(dist / rp.arena_radius, rp)
+            mutual = _mutual_index(_own_horizon(part, offsets, dp), targets, rp)
+            out[index] = mutual * arena[:, :, None]
     return out
 
 
@@ -564,16 +573,11 @@ def scenario_risks(
     times = np.asarray(t, dtype=float)
     if times.ndim and times.shape != own.north.shape or not np.isfinite(times).all():
         raise ValueError(f"need one time or {own.north.size} times, each finite, got {t!r}")
-    if times.ndim == 0:
-        # shared targets, fields of shape (ids,)
-        distinct, rows = times.reshape(1), 0
-    else:
-        # each own state's row of the distinct times
-        distinct, rows = np.unique(times, return_inverse=True)
+    distinct, rows = np.unique(np.broadcast_to(times, own.north.shape), return_inverse=True)
     ids, table, present, held_any = _target_table(target_tracks, distinct, hold_targets)
-    tgt = StateArrays(*table[rows].swapaxes(0, -2))
+    tgt = StateArrays(*table.swapaxes(0, 1))
     present = present[rows]
-    cr = np.where(present, collision_risk_grid(own, tgt, 0.0, rp, dp)[..., 0], 0.0)
+    cr = np.where(present, collision_risk_grid(own, tgt, 0.0, rp, dp, rows)[..., 0], 0.0)
     collision = {tid: cr[:, k] for k, tid in enumerate(ids)}
     collision_wavg: dict[str, np.ndarray] = {}
     if models:
@@ -582,15 +586,14 @@ def scenario_risks(
             model = models.get(vessel_types[tid])
             if model is None:
                 continue
-            one = tgt.select(np.s_[..., k:k + 1])
+            one = tgt.select(np.s_[:, k:k + 1])
             wavg = rate_weighted_mean(
-                lambda r: collision_risk_grid(own, one, r, rp, dp)[:, 0], model, wavg_grid_n
+                lambda r: collision_risk_grid(own, one, r, rp, dp, rows)[:, 0], model, wavg_grid_n
             )
-            collision_wavg[tid] = np.where(present[..., k], wavg, 0.0)
+            collision_wavg[tid] = np.where(present[:, k], wavg, 0.0)
     grounding = np.zeros(own.north.size)
     if obstacles is not None and not obstacles.is_empty:
-        groups = [slice(None)] if times.ndim == 0 else [rows == r for r in range(distinct.size)]
-        for group in groups:
+        for group in (rows == r for r in range(distinct.size)):
             grounding[group] = _grounding_max(own.select(group), obstacles, rp, dp)
     effective = [collision_wavg.get(tid, collision[tid]) for tid in ids]
     return RiskSeries(

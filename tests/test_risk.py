@@ -840,20 +840,25 @@ def random_state_arrays(rng, shape):
 
 @st.composite
 def kernel_cases(draw):
-    """Own and target states, shared or paired, with one rate or 64 (the
-    lowest of which stops an 8 m/s target after 160 s, inside the longest
-    horizon), and maybe an own state co-located with a target, both at
-    rest, so that the displacement is 0 at every offset."""
+    """Own states, a table of 1 to one row per own state of target states
+    and each own state's row (a one-row table maybe as (targets,) fields
+    with no rows), with one rate or 64 (the lowest of which stops an 8 m/s
+    target after 160 s, inside the longest horizon), and maybe an own state
+    co-located with a target of its row, both at rest, so that the
+    displacement is 0 at every offset."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_own, n_tgt = draw(st.integers(1, 5)), draw(st.integers(0, 3))
-    paired = draw(st.booleans())
+    n_rows = draw(st.integers(1, n_own))
     own = random_state_arrays(rng, (n_own,))
-    tgt = random_state_arrays(rng, (n_own, n_tgt) if paired else (n_tgt,))
+    tgt = random_state_arrays(rng, (n_rows, n_tgt))
+    rows = rng.integers(0, n_rows, n_own)
     if n_tgt and draw(st.booleans()):
         c = draw(st.integers(0, n_own - 1))
-        at = (c, 0) if paired else 0
+        at = (rows[c], 0)
         tgt.north[at], tgt.east[at] = own.north[c], own.east[c]
         own.speed[c] = tgt.speed[at] = 0.0
+    if n_rows == 1 and draw(st.booleans()):
+        tgt, rows = StateArrays(*(a[0] for a in tgt)), None
     if draw(st.booleans()):
         rates = np.linspace(-0.05, 0.05, 64)
     else:
@@ -863,7 +868,7 @@ def kernel_cases(draw):
         horizon_T=horizon_T, horizon_step=horizon_step,
         mutual_mode=draw(st.sampled_from(MUTUAL_MODES)),
     )
-    return own, tgt, rates, rp
+    return own, tgt, rows, rates, rp
 
 
 class TestCollisionKernel:
@@ -892,11 +897,13 @@ class TestCollisionKernel:
     @given(kernel_cases(), st.sampled_from([25, risk.KERNEL_CHUNK_ELEMS]))
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_bitwise(self, case, chunk_elems):
-        own, tgt, rates, rp = case
+        own, tgt, rows, rates, rp = case
         dp = DomainParams()
         with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk_elems):
-            got = collision_risk_grid(own, tgt, rates, rp, dp)
-        expected = reference_collision_risk_grid(own, tgt, rates, rp, dp)
+            got = collision_risk_grid(own, tgt, rates, rp, dp, rows)
+        # the reference reads each own state's row of targets
+        paired = tgt if rows is None else tgt.select(rows)
+        expected = reference_collision_risk_grid(own, paired, rates, rp, dp)
         assert got.shape == expected.shape == (own.north.size, tgt.north.shape[-1], rates.size)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
