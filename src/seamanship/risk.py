@@ -226,11 +226,10 @@ def collision_risk_grid(
     time, and ``rows`` holds each own state's row (row 0 when omitted); a
     (targets,) field is a one-row table. The horizon-max mutual index
     (:func:`_mutual_index`) is weighted by the instantaneous arena index,
-    a logistic of distance over arena radius. Each table row is advanced
-    over the horizon, and its domain terms built, once per call, in blocks
-    of about ``KERNEL_CHUNK_ELEMS`` grid elements, as are the chunks of own
-    states that read a block. A chunk broadcasts the horizon of a one-row
-    table and gathers its own states' rows from a larger one.
+    a logistic of distance over arena radius. Each row's horizon is built
+    once per call, in blocks of rows, and own states go in chunks, each of
+    about ``KERNEL_CHUNK_ELEMS`` grid elements. A chunk slices its rows
+    from the block where they broadcast or line up, else gathers them.
     """
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     offsets = rp.horizon_offsets()
@@ -245,12 +244,13 @@ def collision_risk_grid(
         readers = np.flatnonzero((rows >= first) & (rows < first + chunk))
         for lo in range(0, readers.size, chunk):
             index = readers[lo:lo + chunk]
-            local = slice(None) if n_rows == 1 else rows[index] - first
+            local = rows[index] - first
+            if n_rows == 1 or (np.diff(local) == 1).all():  # one row, or one per own state
+                local = slice(local[0], local[-1] + 1)
             part, near, targets = own.select(index), block.select(local), horizon.take(local)
             dist = np.hypot(part.north[:, None] - near.north, part.east[:, None] - near.east)
-            arena = risk_index(dist / rp.arena_radius, rp)
-            mutual = _mutual_index(_own_horizon(part, offsets, dp), targets, rp)
-            out[index] = mutual * arena[:, :, None]
+            arena = risk_index(dist / rp.arena_radius, rp)[:, :, None]
+            out[index] = _mutual_index(_own_horizon(part, offsets, dp), targets, rp) * arena
     return out
 
 

@@ -705,6 +705,54 @@ class TestRiskSeriesTimeAxis:
                 scenario_risks(states, t, [], obstacles)
             assert spy.call_count == scans
 
+    @given(
+        series_scenes(),
+        st.sampled_from([-60.0, 0.0, 35.0, 100.0, 290.0]),
+        st.integers(1, 6),
+        st.booleans(),
+        st.sampled_from([25, risk.KERNEL_CHUNK_ELEMS]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equal_times_match_one_time_bitwise(self, scene, t, n_own, hold_targets, chunk_elems):
+        """Own states whose times are all equal score, bit for bit, as at
+        that one time: both read a one-row target table."""
+        tracks, obstacles, models, rp, _ = scene
+        targets = [tr for tid, tr in sorted(tracks.items()) if tid != "own"]
+        owns = StateArrays.of(random_states(np.random.default_rng(n_own), n_own))
+        with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk_elems):
+            one, each = (
+                scenario_risks(owns, times, targets, obstacles, rp, hold_targets=hold_targets,
+                               models=models, wavg_grid_n=9)
+                for times in (t, np.full(n_own, t))
+            )
+        one_arrays, each_arrays = series_arrays(one), series_arrays(each)
+        del one_arrays["times"], each_arrays["times"]
+        assert one_arrays.keys() == each_arrays.keys()
+        for name, value in one_arrays.items():
+            assert value.tobytes() == each_arrays[name].tobytes(), name
+        assert one.targets_held is each.targets_held
+
+    def test_memory_of_many_states_at_two_times(self):
+        """2,000 own states at two times against 50 targets read the two
+        rows of one target table; a copy of its row per own state (5 floats
+        per target) took the peak to 5.6 MiB."""
+        rng = np.random.default_rng(7)
+        targets = [
+            straight_track(f"t{k:02d}", 0.0, *rng.uniform(-3000.0, 3000.0, 2),
+                           rng.uniform(2.0, 8.0), rng.uniform(0.0, 2.0 * math.pi), 31)
+            for k in range(50)
+        ]
+        owns = StateArrays.of(random_states(rng, 2000))
+        times = np.repeat([100.0, 200.0], 1000)
+        tracemalloc.start()
+        try:
+            got = scenario_risks(owns, times, targets, None, hold_targets=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.scenario.shape == (2000,) and len(got.collision) == 50
+        assert peak < 3_000_000
+
     # small element budgets split the one call into several kernel passes
     @given(series_scenes(), st.sampled_from([1, 25, risk.KERNEL_CHUNK_ELEMS]))
     @settings(max_examples=60, deadline=None)
@@ -842,7 +890,8 @@ def random_state_arrays(rng, shape):
 def kernel_cases(draw):
     """Own states, a table of 1 to one row per own state of target states
     and each own state's row (a one-row table maybe as (targets,) fields
-    with no rows), with one rate or 64 (the lowest of which stops an 8 m/s
+    with no rows), so that a kernel pass broadcasts one row, lines rows up
+    or gathers them, with one rate or 64 (the lowest of which stops an 8 m/s
     target after 160 s, inside the longest horizon), and maybe an own state
     co-located with a target of its row, both at rest, so that the
     displacement is 0 at every offset."""
@@ -852,6 +901,11 @@ def kernel_cases(draw):
     own = random_state_arrays(rng, (n_own,))
     tgt = random_state_arrays(rng, (n_rows, n_tgt))
     rows = rng.integers(0, n_rows, n_own)
+    order = draw(st.sampled_from(["random", "grouped", "cycling"]))
+    if order == "grouped":  # as a planner level's children, by root
+        rows.sort()
+    elif order == "cycling":  # one row per own state, in order, when there are as many
+        rows = np.arange(n_own) % n_rows
     if n_tgt and draw(st.booleans()):
         c = draw(st.integers(0, n_own - 1))
         at = (rows[c], 0)
@@ -893,8 +947,9 @@ class TestCollisionKernel:
         assert got.shape == expected.shape
         assert np.array_equal(np.asarray(got).view(np.int64), expected.view(np.int64))
 
-    # an element budget of 25 gives one own state per pass
-    @given(kernel_cases(), st.sampled_from([25, risk.KERNEL_CHUNK_ELEMS]))
+    # an element budget of 25 gives one own state and one table row per
+    # pass, and 130 two of each on most cases
+    @given(kernel_cases(), st.sampled_from([25, 130, risk.KERNEL_CHUNK_ELEMS]))
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_bitwise(self, case, chunk_elems):
         own, tgt, rows, rates, rp = case
