@@ -228,8 +228,9 @@ def collision_risk_grid(
     (:func:`_mutual_index`) is weighted by the instantaneous arena index,
     a logistic of distance over arena radius. Each row's horizon is built
     once per call, in blocks of rows, and own states go in chunks, each of
-    about ``KERNEL_CHUNK_ELEMS`` grid elements. A chunk slices its rows
-    from the block where they broadcast or line up, else gathers them.
+    about ``KERNEL_CHUNK_ELEMS`` grid elements. A chunk uses a one-row
+    block, or one it reads row by row in order, as it is (a recorded
+    passage, where each step has its own row), and gathers rows otherwise.
     """
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     offsets = rp.horizon_offsets()
@@ -244,10 +245,9 @@ def collision_risk_grid(
         readers = np.flatnonzero((rows >= first) & (rows < first + chunk))
         for lo in range(0, readers.size, chunk):
             index = readers[lo:lo + chunk]
-            local = rows[index] - first
-            if n_rows == 1 or (np.diff(local) == 1).all():  # one row, or one per own state
-                local = slice(local[0], local[-1] + 1)
-            part, near, targets = own.select(index), block.select(local), horizon.take(local)
+            part, near, targets, local = own.select(index), block, horizon, rows[index] - first
+            if n_rows > 1 and not np.array_equal(local, np.arange(len(block.north))):
+                near, targets = block.select(local), horizon.take(local)
             dist = np.hypot(part.north[:, None] - near.north, part.east[:, None] - near.east)
             arena = risk_index(dist / rp.arena_radius, rp)[:, :, None]
             out[index] = _mutual_index(_own_horizon(part, offsets, dp), targets, rp) * arena
