@@ -466,6 +466,8 @@ def _obstacle_rings(feature, p: IngestParams) -> list[list[tuple[float, float]]]
     depth = props.get(p.depth_key)
     if depth is not None:
         try:
+            if isinstance(depth, bool):  # which float() reads as 0 or 1 m
+                raise TypeError
             depth = float(depth)
         except (TypeError, ValueError):
             raise ValueError(f"{p.depth_key} {depth!r} is not a number") from None
@@ -781,9 +783,10 @@ class Scenario:
         path = Path(source)
         doc = json.loads((path.read_bytes() if header is None else header).decode("utf-8"))
         version = doc.get("schema_version")
-        if version != SCENARIO_SCHEMA_VERSION:  # before the sidecar, which older ones lack
+        # before the sidecar, which older ones lack; 4.0 and "4" are no schema
+        if type(version) is not int or version != SCENARIO_SCHEMA_VERSION:
             raise ValueError(
-                f"unsupported scenario schema {version} (expected {SCENARIO_SCHEMA_VERSION}); "
+                f"unsupported scenario schema {version!r} (expected {SCENARIO_SCHEMA_VERSION}); "
                 "re-run `seamanship ingest` on the archive's AIS and chart sources"
             )
         sidecar = sidecar_path(path)

@@ -17,8 +17,8 @@ every node carries its root's index, and each root is pruned on its own,
 so a root's result does not depend on the others. A level is advanced and
 scored as arrays: every child moves in one vectorized arc step, and one
 :func:`scenario_risks` call scores every child at its root's time, with
-the targets interpolated into one table row, and the chart prefiltered,
-once per distinct time. :func:`branch_and_bound` and :func:`exhaustive_search` search from
+the targets interpolated and the chart prefiltered once per distinct
+time. :func:`branch_and_bound` and :func:`exhaustive_search` search from
 one root; :func:`sr_star_series` searches all the distinct times of a
 window, in blocks of roots of bounded size (``ROOT_BLOCK_NODES``), and a
 window of one time with :func:`branch_and_bound`. Search
@@ -47,8 +47,11 @@ from .risk import ObstacleSet, RiskParams, scenario_risks
 ALPHA_EPS = 1e-6
 # widest level (roots x beam_width x actions) a block of sr_star_series
 # roots may reach: a block holds one collision column per target per child,
-# plus the level arrays (a 121-step window as one block peaks at 12-18 MiB)
+# plus the level arrays (121 open_sea steps: 12.6 MiB in one block, 2.3 in blocks)
 ROOT_BLOCK_NODES = 4096
+# actions (n_alpha x n_v) a search may expand: each level holds up to
+# beam_width times this many children; the largest grid in use is 13 x 13
+MAX_ACTIONS = 1024
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,9 @@ class Hyperparameters:
         require_finite(self)
         if self.n_t < 1 or self.n_alpha < 1 or self.n_v < 1:
             raise ValueError("grid sizes must be at least 1")
+        if self.n_alpha * self.n_v > MAX_ACTIONS:
+            raise ValueError(f"n_alpha x n_v = {self.n_alpha} x {self.n_v} actions, more than "
+                             f"the {MAX_ACTIONS:,} a search may expand")
         if self.horizon_T <= 0.0:
             raise ValueError("horizon_T must be positive")
         if self.tie_eps < 0.0 or self.beam_width < 1:

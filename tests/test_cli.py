@@ -188,6 +188,10 @@ class TestIngestCommand:
             (["features", 0, "properties", "depth"], [1], "feature 0: depth [1] is not a number"),
             (["features", 0, "properties", "depth"], "deep",
              "feature 0: depth 'deep' is not a number"),
+            # a bool would read as a depth of 1 or 0 m, an obstacle either way
+            (["features", 0, "properties", "depth"], True, "feature 0: depth True is not a number"),
+            (["features", 0, "properties", "depth"], False,
+             "feature 0: depth False is not a number"),
         ],
     )
     def test_malformed_chart_exits_2_naming_chart(
@@ -665,6 +669,21 @@ class TestFitSpeedModelCommand:
             pytest.param(_as_schema_1, ["seamanship ingest"], id="schema_1"),
             pytest.param(_as_schema_2, ["seamanship ingest"], id="schema_2"),
             pytest.param(_as_schema_3, ["schema 3 (expected 4)", "seamanship ingest"], id="schema_3"),
+            pytest.param(
+                lambda doc: doc.update(schema_version=4.0),
+                ["schema 4.0 (expected 4)", "seamanship ingest"],
+                id="schema_float",
+            ),
+            pytest.param(
+                lambda doc: doc.update(schema_version="4"),
+                ["schema '4' (expected 4)", "seamanship ingest"],
+                id="schema_text",
+            ),
+            pytest.param(
+                lambda doc: doc.pop("schema_version"),
+                ["schema None (expected 4)", "seamanship ingest"],
+                id="schema_missing",
+            ),
         ],
     )
     def test_undecodable_archive_exits_2(
@@ -1138,6 +1157,9 @@ class TestConfigHandling:
             # FAST_SEARCH's 120 s horizon in 1e-9 s steps: 1.2e11 offsets
             ("risk.horizon_step=1e-9", "horizon_step 1e-09 divides horizon_T 120 into more"),
             ("risk.horizon_step=1e-300", "horizon_step 1e-300 divides horizon_T 120 into more"),
+            # FAST_SEARCH's one speed command
+            ("search.n_alpha=1025", "n_alpha x n_v = 1025 x 1 actions, more than the 1,024"),
+            ("search.n_alpha=100000000", "n_alpha x n_v = 100000000 x 1 actions, more than"),
         ],
     )
     def test_bad_parameter_value_exits_2(self, head_on_ais, tmp_path, capsys, setting, message):

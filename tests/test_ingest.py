@@ -321,6 +321,14 @@ class TestLoadChart:
         obstacles = load_chart(self.write(tmp_path, features), self.ORIGIN)
         assert len(obstacles.polygons) == 2
 
+    def test_numeric_text_depth_read_as_number(self, tmp_path):
+        # "12" m is deeper than the 10 m threshold, "4.5" m is not
+        features = [
+            square_feature(55.0, 11.0, 0.002, depth="12"),
+            square_feature(55.1, 11.0, 0.002, depth="4.5"),
+        ]
+        assert len(load_chart(self.write(tmp_path, features), self.ORIGIN).polygons) == 1
+
     def test_threshold_is_configurable(self, tmp_path):
         features = [square_feature(55.0, 11.0, 0.002, depth=20.0)]
         params = IngestParams(draught_threshold=25.0)

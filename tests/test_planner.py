@@ -116,6 +116,17 @@ class TestGrids:
     def test_numpy_integer_grid_sizes_accepted(self):
         assert Hyperparameters(n_t=np.int64(2)).n_t == 2
 
+    def test_action_grid_bounded(self):
+        """Up to ``MAX_ACTIONS`` actions are accepted; a larger grid is
+        refused, naming both sizes, before any grid is built."""
+        largest = Hyperparameters(n_alpha=planner.MAX_ACTIONS, n_v=1)
+        assert largest.alpha_grid().size == planner.MAX_ACTIONS
+        for n_alpha, n_v in ((planner.MAX_ACTIONS + 1, 1), (33, 32), (100_000_000, 3)):
+            with pytest.raises(
+                ValueError, match=f"n_alpha x n_v = {n_alpha} x {n_v} actions, more than the 1,024"
+            ):
+                Hyperparameters(n_alpha=n_alpha, n_v=n_v)
+
 
 def open_water_scene():
     own = straight_track("own", 0.0, 0.0, 0.0, 5.0, 0.0, 121)
