@@ -651,41 +651,36 @@ class VesselTrack:
         )
 
 
-def _shared_samples(times: np.ndarray, bounds: np.ndarray, own: int, targets: np.ndarray):
-    """The cells at which track ``own`` and each track of ``targets`` have
-    a sample at exactly the same time (the times ``np.intersect1d``
-    shares).
-
-    ``times`` holds the sample times of several tracks end to end, track
-    i's at ``times[bounds[i]:bounds[i + 1]]``, and ``targets`` is an index
-    array. Returns three arrays with one entry per cell: the cell's
-    position in ``targets``, and the indices into ``times`` of its own and
-    its target sample. Cells come target by target, each target's in time
-    order.
-    """
-    own_times = times[bounds[own]:bounds[own + 1]]
-    begin, end = bounds[targets], bounds[targets + 1]
-    # only the own samples inside a target's span, lo:hi, can be shared
-    lo = np.searchsorted(own_times, times[begin])
-    hi = np.searchsorted(own_times, times[end - 1], side="right")
-    counts = hi - lo
-    row = np.repeat(np.arange(targets.size), counts)
-    at_own = np.arange(row.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-    at_target = np.empty(row.size, dtype=np.intp)
-    cursor = 0
-    for a, b, first, stop in zip(lo.tolist(), hi.tolist(), begin.tolist(), end.tolist()):
-        at_target[cursor:cursor + b - a] = np.searchsorted(times[first:stop], own_times[a:b]) + first
-        cursor += b - a
-    shared = times[at_target] == own_times[at_own]
-    return row[shared], at_own[shared] + bounds[own], at_target[shared]
+def _equal_time_cells(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair the samples of tracks, laid end to end in track order in
+    ``times``, that fall at the same time (the times ``np.intersect1d``
+    shares). Returns the stable sort ``order`` of ``times``, in which a run
+    of equal times holds at most one sample per track, in track order, and
+    ``first``: sorted sample p pairs with each later one of its run as cells
+    ``first[p]`` to ``first[p + 1] - 1``, so cells count in time order."""
+    order = np.argsort(times, kind="stable")
+    ordered = times[order]
+    ends = np.append(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1, times.size)
+    later = np.repeat(ends, np.diff(ends, prepend=0))
+    later -= np.arange(1, times.size + 1)
+    return order, np.concatenate([[0], np.cumsum(later)])
 
 
-def _in_domain(speed, heading, length, d_north, d_east, params: DomainParams) -> np.ndarray:
+def _cell_samples(first: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted samples (p, q), p < q, of cells ``start`` to ``stop - 1``
+    numbered by :func:`_equal_time_cells`."""
+    lo = int(np.searchsorted(first, start, side="right")) - 1
+    hi = int(np.searchsorted(first, stop - 1, side="right"))
+    p = np.repeat(np.arange(lo, hi), np.diff(np.clip(first[lo:hi + 1], start, stop)))
+    return p, np.arange(start, stop) - first[p] + p + 1
+
+
+def _in_domain(speed, length, frame: _Frame, d_north, d_east, params: DomainParams) -> np.ndarray:
     """Whether each target, displaced by (``d_north``, ``d_east``) from a
-    vessel of ``speed``, ``heading`` and ``length``, lies inside that
+    vessel of ``speed``, ``length`` and heading ``frame``, lies inside that
     vessel's domain: a scale factor below 1. All arguments broadcast."""
     semi_major, semi_minor = domain_axes(speed, length, params)
-    x, y = _Frame.of(heading)(d_north, d_east)
+    x, y = frame(d_north, d_east)
     quad = _Quadratic.of(semi_major, semi_minor, params.offset_fraction * semi_major, 0.0)
     return quad.solve(x, y) < 1.0
 
@@ -697,16 +692,17 @@ def find_tdv(
 ) -> float | None:
     """First common grid time at which vessel k violates vessel j's domain.
 
-    Evaluates the scale factor of k's position in j's domain at every grid
-    time shared by the two tracks; returns the earliest with f < 1, or None
-    when no violation occurs (including disjoint time spans).
+    The two-track case of the equal-time pairing that
+    :func:`~seamanship.speedmodel.detect_encounters` sweeps: the earliest
+    shared grid time at which k's position has a scale factor f < 1 in j's
+    domain, or None when there is none (including disjoint time spans).
     """
     n_j = track_j.times.size
-    times = np.concatenate([track_j.times, track_k.times])
-    _, at_j, at_k = _shared_samples(times, np.array([0, n_j, times.size]), 0, np.array([1]))
+    order, first = _equal_time_cells(np.concatenate([track_j.times, track_k.times]))
+    at_j, at_k = (order[cell] for cell in _cell_samples(first, 0, first[-1]))
     at_k -= n_j
     hits = np.flatnonzero(_in_domain(
-        track_j.speed[at_j], track_j.heading[at_j], track_j.length,
+        track_j.speed[at_j], track_j.length, _Frame.of(track_j.heading[at_j]),
         track_k.north[at_k] - track_j.north[at_j], track_k.east[at_k] - track_j.east[at_j],
         params or DomainParams(),
     ))

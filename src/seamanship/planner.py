@@ -52,6 +52,10 @@ ROOT_BLOCK_NODES = 4096
 # actions (n_alpha x n_v) a search may expand: each level holds up to
 # beam_width times this many children; the largest grid in use is 13 x 13
 MAX_ACTIONS = 1024
+# children (beam_width x n_alpha x n_v) a search level may hold: the default
+# beam on the largest action grid; in open water every child ties, so a
+# wider beam keeps them all and each level multiplies them by the actions
+MAX_LEVEL_CHILDREN = 64 * MAX_ACTIONS
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,11 @@ class Hyperparameters:
             raise ValueError("horizon_T must be positive")
         if self.tie_eps < 0.0 or self.beam_width < 1:
             raise ValueError("tie_eps must be >= 0 and beam_width >= 1")
+        if self.beam_width * self.n_alpha * self.n_v > MAX_LEVEL_CHILDREN:
+            raise ValueError(
+                f"beam_width x n_alpha x n_v = {self.beam_width} x {self.n_alpha} x {self.n_v} "
+                f"children, more than the {MAX_LEVEL_CHILDREN:,} a search level may hold"
+            )
 
     def alpha_grid(self) -> np.ndarray:
         if self.n_alpha == 1:

@@ -22,11 +22,15 @@ from .geometry import (
     StateArrays,
     VesselTrack,
     VesselType,
+    _Frame,
+    _cell_samples,
+    _equal_time_cells,
     _in_domain,
-    _shared_samples,
+    domain_axes,
     require_finite,
 )
 from .ingest import _json_count, _json_number, _json_numbers, _number_pair, _read, json_text
+from . import risk
 from .risk import DEFAULT_GRID_N, RiskParams, collision_risk_grid, rate_weighted_mean
 
 log = logging.getLogger(__name__)
@@ -97,12 +101,8 @@ def _forward_dcpa(d_north, d_east, rv_north, rv_east):
     closest approach in the past counting as the current distance."""
     rv2 = rv_north * rv_north + rv_east * rv_east
     with np.errstate(divide="ignore", invalid="ignore"):
-        tcpa = np.where(
-            rv2 > 0.0,
-            -(d_north * rv_north + d_east * rv_east) / np.where(rv2 > 0.0, rv2, 1.0),
-            0.0,
-        )
-    tcpa = np.maximum(tcpa, 0.0)
+        tcpa = -(d_north * rv_north + d_east * rv_east) / np.where(rv2 > 0.0, rv2, 1.0)
+    tcpa = np.maximum(np.where(rv2 > 0.0, tcpa, 0.0), 0.0)
     return np.hypot(d_north + rv_north * tcpa, d_east + rv_east * tcpa)
 
 
@@ -111,62 +111,74 @@ def _violations(ordered: Sequence[VesselTrack], dcpa_threshold: float, dp: Domai
     the DCPA screen, as (own index, target index, TDV), and how many ordered
     pairs overlap in time and pass the screen.
 
-    Each unordered pair (j, k), j < k, is handled once, at the samples the
-    two tracks share: forward DCPA is the same from either side, so one
-    screen serves both orders, and a pair that passes has both domains
-    checked in one pass, j's against k's displacement and k's against j's.
+    One sweep in time order pairs the samples of tracks j < k at equal times
+    (:func:`~seamanship.geometry._equal_time_cells`), in blocks of
+    ``risk.KERNEL_CHUNK_ELEMS // 2`` cells read at call time. Forward DCPA is
+    the same from either side, so one screen serves both orders; a pair
+    passes when any of its cells does. A cell is tested against each domain
+    only where the other vessel lies within its reach, a quarter block of
+    tests at a time. Each ordered pair keeps its first hit in time.
     """
-    found: list[tuple[int, int, float]] = []
-    overlapping = screened = 0
-    if len(ordered) < 2:
-        return found, overlapping, screened
-    starts = np.array([tr.t_start for tr in ordered])
-    ends = np.array([tr.t_end for tr in ordered])
-    sizes = [tr.times.size for tr in ordered]
-    bounds = np.cumsum([0] + sizes)
-    # every track's samples end to end, track i's at bounds[i]:bounds[i + 1]
-    times, north, east, speed, heading = (
-        np.concatenate([getattr(tr, name) for tr in ordered])
-        for name in ("times", "north", "east", "speed", "heading")
+    n = len(ordered)
+    if n < 2:
+        return [], 0, 0
+    # an unordered pair is disjoint when one track starts after the other ends
+    starts = np.sort([tr.t_start for tr in ordered])
+    apart = n - np.searchsorted(starts, [tr.t_end for tr in ordered], side="right")
+    times = np.concatenate([tr.times for tr in ordered])
+    order, first = _equal_time_cells(times)
+    # every sample in time order: its time, track, position, speed, and the
+    # cosine and sine of its heading
+    times = times[order]
+    track = np.repeat(np.arange(n, dtype=np.int32), [tr.times.size for tr in ordered])[order]
+    north, east, speed, cos = (
+        np.concatenate([getattr(tr, name) for tr in ordered])[order]
+        for name in ("north", "east", "speed", "heading")
     )
-    length = np.repeat([tr.length for tr in ordered], sizes)
-    v_north = np.concatenate([tr.speed * np.cos(tr.heading) for tr in ordered])
-    v_east = np.concatenate([tr.speed * np.sin(tr.heading) for tr in ordered])
-    for j in range(len(ordered)):
-        later = j + 1 + np.flatnonzero((starts[j + 1:] <= ends[j]) & (ends[j + 1:] >= starts[j]))
-        if later.size == 0:
+    del order
+    sin = np.sin(cos)
+    np.cos(cos, out=cos)
+    length = np.array([tr.length for tr in ordered])
+    # no point of a track's domain lies further from the vessel than
+    # |offset_fraction| a + max(a, b) at its top speed; 1e-6 more is far
+    # above the rounding of a distance or a scale factor
+    a, b = domain_axes(np.array([tr.speed.max() for tr in ordered]), length, dp)
+    reach = (abs(dp.offset_fraction) * a + np.maximum(a, b)) * (1.0 + 1e-6)
+    n_cells, block = int(first[-1]), max(1, risk.KERNEL_CHUNK_ELEMS // 2)
+    passed, first_hit, near = set(), {}, []
+    for start in range(0, n_cells, block):
+        p, q = _cell_samples(first, start, min(start + block, n_cells))
+        j, k = track[p], track[q]
+        d_north, d_east = north[q] - north[p], east[q] - east[p]
+        dcpa = _forward_dcpa(d_north, d_east, speed[q] * cos[q] - speed[p] * cos[p],
+                             speed[q] * sin[q] - speed[p] * sin[p])
+        # a pair passes unless every one of its cells reaches the threshold: NaN passes
+        close = ~(dcpa >= dcpa_threshold)
+        keys = np.sort(j[close] * np.int64(n) + k[close])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        passed.update(keys.tolist(), (keys % n * n + keys // n).tolist())
+        # k in j's domain, cell by cell in time order, then j in k's
+        distance = np.hypot(d_north, d_east)
+        for within, own, target in ((distance < reach[j], p, q), (distance < reach[k], q, p)):
+            near.append((own[within], target[within]))
+        # one block's cells alive at a time
+        del p, q, j, k, d_north, d_east, dcpa, close, distance, within
+        if sum(own.size for own, _ in near) < block // 4 and start + block < n_cells:
             continue
-        overlapping += 2 * later.size
-        row, at_j, at_k = _shared_samples(times, bounds, j, later)
-        dcpa = _forward_dcpa(
-            north[at_k] - north[at_j],
-            east[at_k] - east[at_j],
-            v_north[at_k] - v_north[at_j],
-            v_east[at_k] - v_east[at_j],
-        )
-        # a pair passes unless its minimum reaches the threshold, that is
-        # unless every shared sample does: NaN passes
-        close = np.zeros(later.size, dtype=bool)
-        close[row[~(dcpa >= dcpa_threshold)]] = True
-        if not close.any():
-            continue
-        screened += 2 * np.count_nonzero(close)
-        keep = close[row]
-        row, at_j, at_k = row[keep], at_j[keep], at_k[keep]
-        # k in j's domain, pair by pair in time order, then j in k's
-        own = np.concatenate([at_j, at_k])
-        target = np.concatenate([at_k, at_j])
+        own, target = (np.concatenate(side) for side in zip(*near))
+        near = []
+        # the frame _Frame.of(heading) builds, from the stored cosines and sines
         hits = np.flatnonzero(_in_domain(
-            speed[own], heading[own], length[own],
+            speed[own], length[track[own]], _Frame(cos[own], sin[own], -sin[own], cos[own]),
             north[target] - north[own], east[target] - east[own], dp,
         ))
-        pair = np.concatenate([row, row + later.size])[hits]
-        first = np.flatnonzero(np.diff(pair, prepend=-1))
-        for p, cell in zip(pair[first].tolist(), hits[first].tolist()):
-            k = int(later[p % later.size])
-            tdv = float(times[own[cell]])
-            found.append((j, k, tdv) if p < later.size else (k, j, tdv))
-    return found, overlapping, screened
+        # the two orders' pairs differ, and each pair's cells come in time order
+        keys = track[own[hits]] * np.int64(n) + track[target[hits]]
+        pairs, at = np.unique(keys, return_index=True)
+        for pair, cell in zip(pairs.tolist(), own[hits[at]].tolist()):
+            first_hit.setdefault(pair, float(times[cell]))
+    found = [(*divmod(pair, n), tdv) for pair, tdv in first_hit.items() if pair in passed]
+    return found, n * (n - 1) - 2 * int(apart.sum()), len(passed)
 
 
 def detect_encounters(
@@ -185,10 +197,8 @@ def detect_encounters(
     sticks out of the track are dropped. Events come in order of own id,
     then target id.
 
-    Each unordered pair is screened once, only at the samples both tracks
-    share, with both orders checked in one pass; the pairs are taken one
-    track at a time, against the later tracks in id order whose span
-    overlaps its own, so memory stays that of one track's pairs.
+    One sweep over every sample in time order finds all pairs, a fixed
+    number of sample pairs at a time (see :func:`_violations`).
     """
     ids = sorted(tracks)
     ordered = [tracks[i] for i in ids]
@@ -203,15 +213,8 @@ def detect_encounters(
         if rate is None:
             dropped += 1
             continue
-        events.append(
-            EncounterEvent(
-                own_id=ids[own_index],
-                target_id=ids[target_index],
-                tdv=tdv,
-                speed_change=rate,
-                vessel_type=target.vessel_type,
-            )
-        )
+        events.append(EncounterEvent(ids[own_index], ids[target_index], tdv, rate,
+                                     target.vessel_type))
     log.info(
         "encounters: %d ordered pairs overlap in time, %d pass the DCPA screen, "
         "%d events, %d dropped for a rate window outside the track",

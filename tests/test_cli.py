@@ -1171,6 +1171,18 @@ class TestConfigHandling:
         assert code == 2
         assert message in json.loads(capsys.readouterr().err)["message"]
 
+    def test_unbounded_beam_exits_2(self, head_on_ais, tmp_path, capsys):
+        # the default grid (n_t 2, 13 x 3 actions): in open water every
+        # child ties, so each level of a wider beam keeps them all
+        scenario = ingest(head_on_ais, tmp_path / "ing")
+        code = run(
+            "safest-path", "--scenario", scenario, "--ownship", "111000001", "--time", "0",
+            "--output", tmp_path / "path", "--set", "search.beam_width=100000000",
+        )
+        assert code == 2
+        assert ("beam_width x n_alpha x n_v = 100000000 x 13 x 3 children, more than the 65,536"
+                in json.loads(capsys.readouterr().err)["message"])
+
     @pytest.mark.parametrize(
         "command, omitted, setting, message",
         [

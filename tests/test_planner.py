@@ -127,6 +127,22 @@ class TestGrids:
             ):
                 Hyperparameters(n_alpha=n_alpha, n_v=n_v)
 
+    def test_level_children_bounded(self):
+        """Up to ``MAX_LEVEL_CHILDREN`` children per level (beam_width x
+        actions) are accepted, the default grid and the largest in use among
+        them; a wider beam is refused, naming all three fields."""
+        assert planner.MAX_LEVEL_CHILDREN == 64 * planner.MAX_ACTIONS
+        for hyper in (Hyperparameters(), Hyperparameters(n_alpha=13, n_v=13),
+                      Hyperparameters(beam_width=planner.MAX_LEVEL_CHILDREN, n_alpha=1, n_v=1)):
+            assert hyper.beam_width * hyper.n_alpha * hyper.n_v <= planner.MAX_LEVEL_CHILDREN
+        for beam, n_alpha, n_v in ((100_000_000, 13, 3), (65, 1024, 1), (1681, 13, 3),
+                                   (planner.MAX_LEVEL_CHILDREN + 1, 1, 1)):
+            with pytest.raises(ValueError, match=(
+                f"beam_width x n_alpha x n_v = {beam} x {n_alpha} x {n_v} children, "
+                "more than the 65,536 a search level may hold"
+            )):
+                Hyperparameters(n_t=4, beam_width=beam, n_alpha=n_alpha, n_v=n_v)
+
 
 def open_water_scene():
     own = straight_track("own", 0.0, 0.0, 0.0, 5.0, 0.0, 121)

@@ -1,6 +1,7 @@
 import logging
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from seamanship.geometry import (
     domain_axes,
     find_tdv,
 )
+from seamanship import risk
 from seamanship.risk import MUTUAL_MODES, RiskParams, overall_collision_risk, rate_weighted_mean
 from seamanship.speedmodel import (
     DEFAULT_DCPA_THRESHOLD,
@@ -379,9 +381,9 @@ class TestManyTracks:
         assert overlapping > screened > events > dropped > 0
 
     def test_memory_bounded_by_own_blocks(self):
-        # one own track's shared samples at a time: gathering every pair's
-        # shared samples first peaked at about 24 MB on this scene, against
-        # 1.4 MB here
+        # every sample in time order and one block of sample pairs at a
+        # time: gathering every pair's shared samples first peaked at about
+        # 24 MB on this scene, against 1.4 MB here
         tracks = lane_scene()
         tracemalloc.start()
         try:
@@ -391,6 +393,180 @@ class TestManyTracks:
             tracemalloc.stop()
         assert len(found) > 0
         assert peak < 2_000_000
+
+def tally(tracks, *args):
+    """``detect_encounters``' events and the four numbers of its
+    ``encounters:`` log line, as ``reference_tally`` returns them."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("seamanship.speedmodel")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        events = detect_encounters(tracks, *args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    (record,) = [r for r in records if r.getMessage().startswith("encounters:")]
+    return events, record.args
+
+
+@st.composite
+def crowd_dicts(draw):
+    """Three to eight vessels reporting on one 10 s grid, each over a
+    stretch of it, so that most times pair three or more of them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = 10.0 * np.arange(draw(st.sampled_from([1, 3, 30, 60])))
+    tracks = {}
+    for i in range(draw(st.integers(3, 8))):
+        start = draw(st.integers(0, grid.size - 1))
+        stop = draw(st.integers(start + 1, grid.size))
+        vtype = draw(st.sampled_from(list(VesselType)))
+        tracks[f"c{i}"] = _random_track(f"c{i}", rng, grid[start:stop], vtype)
+    return tracks
+
+
+def crowd_scene():
+    """Six vessels bound for the origin from six bearings, due there at
+    t = 300 s, two of them slowing down, and one vessel 20 km out: all
+    seven report every 10 s."""
+    times = 10.0 * np.arange(61)
+    tracks = {}
+    for i in range(6):
+        heading = math.pi / 3.0 * i + 0.2
+        speed = 3.0 + 0.5 * i
+        tracks[f"x{i}"] = lane_track(
+            f"x{i}", times, -300.0 * speed * math.cos(heading) + 40.0 * i,
+            -300.0 * speed * math.sin(heading), speed, -0.004 * (i % 3 == 1), heading,
+            80.0 + 20.0 * i, list(VesselType)[i % len(VesselType)],
+        )
+    tracks["far"] = lane_track("far", times, 20000.0, 0.0, 4.0, 0.0, 0.0, 100.0,
+                               VesselType.CARGO)
+    return tracks
+
+
+def resting(track_id, times, north, east, length=100.0, speed=None):
+    """A vessel at (``north``, ``east``) through ``times``, with ``speed``
+    per sample (default 0): heading north at rest, south where it moves."""
+    times = np.asarray(times, dtype=float)
+    speed = np.zeros(times.size) if speed is None else np.asarray(speed, dtype=float)
+    heading = np.where(speed > 0.0, math.pi, 0.0)
+    return VesselTrack(track_id, times, np.full(times.size, north), np.full(times.size, east),
+                       speed, heading, length)
+
+
+# KERNEL_CHUNK_ELEMS values: blocks of KERNEL_CHUNK_ELEMS // 2 sample pairs,
+# at least one: 1 and 3 give one, 7 gives three, which splits the pairs of
+# a time of three or more vessels, and the default gives 4,096
+SWEEP_CHUNKS = [1, 3, 7, risk.KERNEL_CHUNK_ELEMS]
+
+
+class TestSweep:
+    @pytest.mark.parametrize("chunk", SWEEP_CHUNKS[:3])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_pair_loop_in_small_blocks(self, chunk, data):
+        tracks = data.draw(track_dicts())
+        threshold, dp, window = data.draw(detection_settings(tracks))
+        with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk):
+            assert tally(tracks, threshold, dp, window) == reference_tally(
+                tracks, threshold, dp, window
+            )
+
+    @pytest.mark.parametrize("chunk", SWEEP_CHUNKS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_crowds_equal_pair_loop(self, chunk, data):
+        tracks = data.draw(crowd_dicts())
+        threshold, dp, window = data.draw(detection_settings(tracks))
+        with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk):
+            assert tally(tracks, threshold, dp, window) == reference_tally(
+                tracks, threshold, dp, window
+            )
+
+    @pytest.mark.parametrize("chunk", SWEEP_CHUNKS)
+    def test_crowd_scene_equals_pair_loop(self, chunk):
+        tracks = crowd_scene()
+        with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk):
+            events, counts = tally(tracks)
+        assert (events, counts) == reference_tally(tracks)
+        # six vessels meet at once, the far one screened out
+        assert len({e.own_id for e in events} | {e.target_id for e in events}) >= 3
+        assert counts[0] == 42 and counts[1] == 30
+
+    @pytest.mark.parametrize("chunk", [1, 25, risk.KERNEL_CHUNK_ELEMS])
+    def test_lane_scene_counts_equal_pair_loop_in_blocks(self, chunk):
+        tracks = lane_scene()
+        with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk):
+            assert tally(tracks) == reference_tally(tracks)
+
+    @pytest.mark.parametrize("chunk", SWEEP_CHUNKS)
+    def test_first_violation_before_only_close_cell(self, chunk):
+        # b lies 200 m dead ahead of a, inside a's domain, from a's first
+        # sample at t = 100 on; at rest both, their forward DCPA is 200 m,
+        # above a 150 m threshold, except at t = 250, where b reports
+        # heading for a at 1 m/s (DCPA 0): the pair passes and yields its
+        # first violation, at t = 100
+        a = resting("a", np.arange(100.0, 310.0, 10.0), 0.0, 0.0)
+        b = resting("b", np.arange(0.0, 310.0, 10.0), 200.0, 0.0,
+                    speed=np.where(np.arange(0.0, 310.0, 10.0) == 250.0, 1.0, 0.0))
+        tracks = {"a": a, "b": b}
+        with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk):
+            events = detect_encounters(tracks, 150.0)
+        assert [(e.own_id, e.target_id, e.tdv) for e in events] == [("a", "b", 100.0)]
+        assert events == reference_detect_encounters(tracks, 150.0)
+        # without the close cell the pair is screened out
+        still = {"a": a, "b": resting("b", b.times, 200.0, 0.0)}
+        assert detect_encounters(still, 150.0) == reference_detect_encounters(still, 150.0) == []
+
+    @pytest.mark.parametrize(
+        "dp, north, east",
+        [
+            # a = 400 m and b = 160 m at rest; the center 100 m ahead
+            (DomainParams(), 500.0, 0.0),
+            (DomainParams(), -300.0, 0.0),
+            (DomainParams(offset_fraction=0.0), 400.0, 0.0),
+            (DomainParams(offset_fraction=0.0), 0.0, 160.0),
+            # the center 160 m astern: 240 m ahead, 560 m astern
+            (DomainParams(offset_fraction=-0.4), 240.0, 0.0),
+            (DomainParams(offset_fraction=-0.4), -560.0, 0.0),
+            # b = 300 m > a = 100 m: the domain reaches furthest abeam
+            (DomainParams(1.0, 0.5, 3.0, 0.0), 100.0, 0.0),
+            (DomainParams(1.0, 0.5, 3.0, 0.0), 0.0, 300.0),
+            (DomainParams(1.0, 0.5, 3.0, 0.0), 0.0, -300.0),
+            (DomainParams(1.0, 0.5, 3.0, -0.5), -150.0, 0.0),
+        ],
+    )
+    @pytest.mark.parametrize("side, hit", [(1.0 - 1e-5, True), (1.0 + 1e-5, False)])
+    def test_reach_boundary(self, dp, north, east, side, hit):
+        # a target at rest on the domain boundary of a vessel at rest,
+        # just inside or just beyond it
+        tracks = {"own": resting("own", np.arange(100.0, 200.0, 10.0), 0.0, 0.0),
+                  "target": resting("target", np.arange(0.0, 200.0, 10.0),
+                                    side * north, side * east)}
+        events = detect_encounters(tracks, domain_params=dp)
+        assert [(e.own_id, e.target_id, e.tdv) for e in events] == (
+            [("own", "target", 100.0)] if hit else []
+        )
+        assert events == reference_detect_encounters(tracks, domain_params=dp)
+
+    def test_memory_bounded_by_sweep_blocks(self):
+        # 300 vessels 2 km apart report at the same three times, so each
+        # time pairs 44,850 cells, eleven blocks; taking a time's cells at
+        # once peaked at about 5 MB, against 0.5 MB here
+        tracks = {f"m{i:03d}": resting(f"m{i:03d}", [0.0, 10.0, 20.0], 2000.0 * i, 0.0)
+                  for i in range(300)}
+        tracemalloc.start()
+        try:
+            events, counts = tally(tracks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert events == [] and counts == (300 * 299, 0, 0, 0)
+        assert peak < 1_500_000
+
 
 def make_events(rates, vtype=VesselType.CARGO):
     return [
