@@ -231,19 +231,14 @@ def write_manifest(outdir: Path, command: str, provenance: dict, outputs: list[s
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _csv_text(header: list[str], rows, provenance: dict) -> str:
+def _write_csv(path: Path, header, rows, provenance: dict) -> None:
     lines = [
         "# inputs " + json.dumps(provenance["inputs"], sort_keys=True),
         "# parameters " + json.dumps(provenance["parameters"], sort_keys=True),
         ",".join(header),
+        *(",".join(repr(float(v)) for v in row) for row in rows),
     ]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_ingest(args) -> int:
@@ -287,14 +282,15 @@ def cmd_fit_speed_model(args) -> int:
     events, entries = [], {}
     for name, path in scenario_paths.items():
         scenario, entries[name] = _load(path, "scenario archive", Scenario.load)
-        events.extend(
-            detect_encounters(
+        try:
+            events += detect_encounters(
                 scenario.tracks,
                 dcpa_threshold=speed.dcpa_threshold,
                 domain_params=dp,
                 window=speed.window,
             )
-        )
+        except ValueError as exc:
+            raise CliError(f"scenario archive {path}: {exc}", path=str(path))
     if not events:
         log.warning("no encounters detected; all models will be degenerate")
     outputs = []
@@ -401,31 +397,17 @@ def cmd_score(args) -> int:
         {**blocks, "score": sp, "speed": speed, "window": [t_start, t_end], "ownship": ownship},
     )
 
-    header = ["time"]
-    target_ids = series.target_ids()
-    header += [f"cr_{tid}" for tid in target_ids]
-    if models:
-        header += [f"cr_wavg_{tid}" for tid in sorted(series.collision_wavg)]
-    header += ["gr", "sr"]
-    rows = []
-    for i, t in enumerate(series.times):
-        row = [t]
-        row += [series.collision[tid][i] for tid in target_ids]
-        if models:
-            row += [series.collision_wavg[tid][i] for tid in sorted(series.collision_wavg)]
-        row += [series.grounding[i], series.scenario[i]]
-        rows.append(row)
-    (outdir / "risk_series.csv").write_text(
-        _csv_text(header, rows, provenance), encoding="utf-8"
-    )
-    (outdir / "sr_star.csv").write_text(
-        _csv_text(
-            ["time", "sr_star"],
-            [(t, s) for t, s in zip(series.times, sr_star)],
-            provenance,
-        ),
-        encoding="utf-8",
-    )
+    # (name, values) of each column; collision_wavg is empty without models
+    columns = [
+        ("time", series.times),
+        *((f"cr_{tid}", series.collision[tid]) for tid in series.target_ids()),
+        *((f"cr_wavg_{tid}", series.collision_wavg[tid]) for tid in sorted(series.collision_wavg)),
+        ("gr", series.grounding),
+        ("sr", series.scenario),
+    ]
+    header, values = zip(*columns)
+    _write_csv(outdir / "risk_series.csv", header, zip(*values), provenance)
+    _write_csv(outdir / "sr_star.csv", ["time", "sr_star"], zip(series.times, sr_star), provenance)
     write_json(outdir / "gss.json", {**proposed.to_dict(), "provenance": provenance})
     write_json(
         outdir / "baseline_gss.json", {**baseline.to_dict(), "provenance": provenance}
@@ -478,10 +460,8 @@ def cmd_safest_path(args) -> int:
                     scenario.tracks, ownship, t, swept, kin, rp, dp, scenario.obstacles
                 ).sr_star
             rows.append((n_t, swept.n_alpha, swept.n_v, sr))
-        (outdir / "sr_star_grid.csv").write_text(
-            _csv_text(["n_t", "n_alpha", "n_v", "sr_star"], rows, provenance),
-            encoding="utf-8",
-        )
+        header = ["n_t", "n_alpha", "n_v", "sr_star"]
+        _write_csv(outdir / "sr_star_grid.csv", header, rows, provenance)
         outputs.append("sr_star_grid.csv")
     write_manifest(outdir, "safest-path", provenance, outputs)
     return EXIT_OK

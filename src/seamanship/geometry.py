@@ -48,13 +48,23 @@ class VesselType(Enum):
         return cls.OTHER
 
 
+def _wrap_heading(angle) -> np.ndarray:
+    """Angles in radians, a float or an array, wrapped into [0, 2*pi) by
+    ``%`` (``np.mod`` on an array, the same bits), NaN and a tiny negative,
+    which ``%`` rounds up to 2*pi, read as 0. An array all in range takes
+    ``+ 0.0`` instead, the same values (-0.0 turned into 0.0) at a fraction
+    of the cost."""
+    if isinstance(angle, np.ndarray) and angle.size and 0.0 <= angle.min() <= angle.max() < TWO_PI:
+        return angle + 0.0
+    wrapped = angle % TWO_PI
+    return np.where(wrapped < TWO_PI, wrapped, 0.0)
+
+
 def normalize_heading(angle: float) -> float:
     """Wrap an angle in radians to [0, 2*pi); a non-finite angle is rejected."""
     if not math.isfinite(angle):
         raise ValueError(f"non-finite heading {angle}")
-    wrapped = float(angle) % TWO_PI
-    # float modulo may round up to the modulus itself for tiny negatives
-    return wrapped if wrapped < TWO_PI else 0.0
+    return float(_wrap_heading(angle))
 
 
 # the kind of a field annotated ``float | None``
@@ -523,12 +533,7 @@ def _check_tracks(ids, bounds, times, north, east, speed, heading, lengths) -> n
     east, speed and heading; a finite length; times strictly increasing;
     no negative speed; a positive length. Each takes one array pass over
     all tracks. The first track that fails any raises ValueError naming it
-    and the first check it fails.
-
-    The wrap is ``np.mod``, with a tiny negative heading, which ``np.mod``
-    rounds up to 2*pi itself, set to 0. When every heading is already in
-    range, ``+ 0.0`` gives the same values (-0.0 turned into 0.0) at a
-    fraction of the cost.
+    and the first check it fails. The wrap is :func:`_wrap_heading`'s.
     """
     bounds = np.asarray(bounds)
     hulls = np.asarray(lengths, dtype=float)
@@ -555,11 +560,7 @@ def _check_tracks(ids, bounds, times, north, east, speed, heading, lengths) -> n
     if fault is not None:
         k, message = fault
         raise ValueError(f"track {ids[k]!r}: {message.format(lengths[k])}")
-    if heading.size and heading.min() >= 0.0 and heading.max() < TWO_PI:
-        return heading + 0.0
-    heading = np.mod(heading, TWO_PI)
-    heading[heading == TWO_PI] = 0.0
-    return heading
+    return _wrap_heading(heading)
 
 
 @dataclass

@@ -40,7 +40,7 @@ from .geometry import (
     project_arrays,
     require_finite,
 )
-from .risk import ObstacleSet
+from .risk import MAX_TRACK_POINTS, ObstacleSet
 
 log = logging.getLogger(__name__)
 
@@ -386,7 +386,8 @@ def resample(
     interpolate linearly, heading along the shorter arc. Report gaps longer
     than ``max_gap`` split the track; segments with fewer than two grid
     points are dropped. Segment ids get a ``#k`` suffix only when a split
-    occurred.
+    occurred. A segment of more than ``MAX_TRACK_POINTS`` grid points raises
+    ValueError naming the vessel and ``dt`` before any time is built.
     """
     if raw.times.size < 2:
         return []
@@ -400,6 +401,11 @@ def resample(
         seg_t = times[a:b]
         if seg_t.size < 2:
             continue
+        # a Python float, which overflows to inf without a warning
+        count = (float(seg_t[-1]) - float(seg_t[0])) / dt
+        if not count < MAX_TRACK_POINTS:
+            raise ValueError(f"vessel {raw.mmsi!r}: dt={dt!r} puts {count:.3g} grid points on "
+                             f"one track, more than the {MAX_TRACK_POINTS:,} a track may hold")
         i0 = int(math.ceil(seg_t[0] / dt - 1e-9))
         i1 = int(math.floor(seg_t[-1] / dt + 1e-9))
         if i1 <= i0:
@@ -674,8 +680,7 @@ class Scenario:
         lo = min(tr.t_start for tr in self.tracks.values())
         hi = max(tr.t_end for tr in self.tracks.values())
         i0 = int(round(lo / self.dt))
-        i1 = int(round(hi / self.dt))
-        return self.dt * np.arange(i0, i1 + 1)
+        return _grid_times(self.dt, i0, int(round(hi / self.dt)) + 1 - i0)
 
     def to_archive(self) -> tuple[dict, bytes]:
         """The archive's header document and sidecar bytes, laid out as the

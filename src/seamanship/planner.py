@@ -35,14 +35,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geometry import (
-    TWO_PI,
     DomainParams,
     StateArrays,
     VesselState,
     VesselTrack,
+    _wrap_heading,
     require_finite,
 )
-from .risk import ObstacleSet, RiskParams, scenario_risks
+from .risk import ObstacleSet, RiskParams, _own_and_targets, scenario_risks
 
 ALPHA_EPS = 1e-6
 # widest level (roots x beam_width x actions) a block of sr_star_series
@@ -139,9 +139,7 @@ def _arc_step(
     dpsi = run * curvature
     fwd = np.where(straight, run, np.sin(dpsi) / curvature)
     stb = np.where(straight, 0.0, (1.0 - np.cos(dpsi)) / curvature)
-    turned = np.mod(heading + dpsi, TWO_PI)
-    # the modulo may round a tiny negative angle up to 2*pi itself
-    new_heading = np.where(straight, heading, np.where(turned < TWO_PI, turned, 0.0))
+    new_heading = np.where(straight, heading, _wrap_heading(heading + dpsi))
     # body-to-world: forward along heading, starboard 90 degrees clockwise
     north = north + fwd * cos_h - stb * sin_h
     east = east + fwd * sin_h + stb * cos_h
@@ -296,8 +294,8 @@ def _survivors(
 
 @dataclass(frozen=True)
 class _Scene:
-    """What a search from the ownship reads: its track, the target tracks
-    in id order, the chart and the parameter blocks."""
+    """What a search from the ownship reads: its track and targets
+    (``risk._own_and_targets``), the chart and the parameter blocks."""
 
     own: VesselTrack
     targets: list[VesselTrack]
@@ -320,9 +318,7 @@ def _scene(
 ) -> _Scene:
     """The search scene of an ownship whose track covers every one of
     ``times``; a parameter block not given takes its defaults."""
-    if ownship_id not in tracks:
-        raise KeyError(f"ownship {ownship_id!r} not among tracks")
-    own = tracks[ownship_id]
+    own, targets = _own_and_targets(tracks, ownship_id)
     for t in times:
         if not own.covers(t):
             raise ValueError(
@@ -330,9 +326,8 @@ def _scene(
                 f"(track spans [{own.t_start}, {own.t_end}])"
             )
     return _Scene(
-        own, [tr for tid, tr in sorted(tracks.items()) if tid != ownship_id], obstacles,
-        hyper or Hyperparameters(), kin or KinodynamicParams(), params or RiskParams(),
-        domain_params or DomainParams(),
+        own, targets, obstacles, hyper or Hyperparameters(), kin or KinodynamicParams(),
+        params or RiskParams(), domain_params or DomainParams(),
     )
 
 
@@ -454,8 +449,11 @@ def branch_and_bound(
     Expands the ownship state at ``t`` over the speed/rudder grid for
     ``n_t`` levels of ``horizon_T / n_t`` seconds each, keeping only nodes
     within ``tie_eps`` of each level's minimum scenario risk (at most
-    ``beam_width`` of them). Targets follow their recorded tracks, held at
-    their last state once the data runs out (flagged on the result).
+    ``beam_width`` of them). The targets are every other track of
+    ``tracks``, the ownship's other gap segments (``<mmsi>#k``) included,
+    and each takes part at every node whatever its span: it follows its
+    recorded track inside the span, held at its first state before the
+    track starts and at its last after it ends (flagged on the result).
 
     Because pruning is greedy, the result is an upper bound on the true
     minimum path risk; it is exact for a single level.

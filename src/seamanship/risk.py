@@ -61,6 +61,9 @@ ARENA_SLACK = 1.0
 # boundary points a chart may be densified into: 16 bytes each, and a few
 # times that while they are built
 MAX_BOUNDARY_POINTS = 10_000_000
+# grid points a resampled track may hold: 40 bytes each (time, north, east,
+# speed and heading), and a few times that while they are interpolated
+MAX_TRACK_POINTS = 10_000_000
 # steps a look-ahead horizon may be sampled in: a kernel pass holds at least
 # one own state's whole horizon per target and rate (the defaults take 20)
 MAX_HORIZON_STEPS = 10_000
@@ -254,6 +257,13 @@ def collision_risk_grid(
     return out
 
 
+def _pair_states(track_j: VesselTrack, track_k: VesselTrack, t: float, params, domain_params):
+    """Vessels j and k at time t, each as one-vessel :class:`StateArrays`,
+    and the risk and domain parameter blocks, defaults where not given."""
+    own, tgt = (StateArrays.of([track.state_at(t)]) for track in (track_j, track_k))
+    return own, tgt, params or RiskParams(), domain_params or DomainParams()
+
+
 def mutual_collision_risk(
     track_j: VesselTrack,
     track_k: VesselTrack,
@@ -270,13 +280,10 @@ def mutual_collision_risk(
     k's domain) are combined per ``params.mutual_mode``, and the maximum
     over the horizon is returned.
     """
-    rp = params or RiskParams()
-    dp = domain_params or DomainParams()
+    own, tgt, rp, dp = _pair_states(track_j, track_k, t, params, domain_params)
     offsets = rp.horizon_offsets()
-    own = _own_horizon(StateArrays.of([track_j.state_at(t)]), offsets, dp)
-    tgt = _target_horizon(
-        StateArrays.of([track_k.state_at(t)]), offsets, np.array([float(rate)]), dp
-    )
+    own = _own_horizon(own, offsets, dp)
+    tgt = _target_horizon(tgt, offsets, np.array([float(rate)]), dp)
     return float(_mutual_index(own, tgt, rp)[0, 0, 0])
 
 
@@ -290,10 +297,7 @@ def overall_collision_risk(
 ) -> float:
     """Collision risk at time t: horizon-max mutual index weighted by the
     instantaneous arena index at t."""
-    rp = params or RiskParams()
-    dp = domain_params or DomainParams()
-    own = StateArrays.of([track_j.state_at(t)])
-    tgt = StateArrays.of([track_k.state_at(t)])
+    own, tgt, rp, dp = _pair_states(track_j, track_k, t, params, domain_params)
     return float(collision_risk_grid(own, tgt, rate, rp, dp)[0, 0, 0])
 
 
@@ -487,14 +491,27 @@ class RiskSeries:
 _ABSENT = (0.0, 0.0, 0.0, 0.0, 1.0)
 
 
+def _own_and_targets(
+    tracks: Mapping[str, VesselTrack], ownship_id: str
+) -> tuple[VesselTrack, list[VesselTrack]]:
+    """The ownship's track and its targets: every other track of
+    ``tracks``, whatever its span, its own other gap segments (``<mmsi>#k``)
+    included; :func:`_target_table` orders them. An ownship not among the
+    tracks raises KeyError."""
+    if ownship_id not in tracks:
+        raise KeyError(f"ownship {ownship_id!r} not among tracks")
+    return tracks[ownship_id], [track for tid, track in tracks.items() if tid != ownship_id]
+
+
 def _target_table(
     target_tracks: Sequence[VesselTrack], times: np.ndarray, hold_targets: bool
-) -> tuple[list[str], np.ndarray, np.ndarray, bool]:
-    """Target states at each of ``times``: the sorted ids of the targets
-    present at any time, a (times, 5, ids) table of their north, east,
-    speed, heading and length (``_ABSENT``'s values where absent), the
-    (times, ids) presence mask, and whether any target was held at an end
-    of its track. Each field is a contiguous row, as the kernel reads best.
+) -> tuple[list[VesselTrack], np.ndarray, np.ndarray, bool]:
+    """Target states at each of ``times``: the tracks of the targets
+    present at any time, one per id in id order, a (times, 5, tracks)
+    table of their north, east, speed, heading and length (``_ABSENT``'s
+    values where absent), the (times, tracks) presence mask, and whether
+    any target was held at an end of its track. Each field is a
+    contiguous row, as the kernel reads best.
     """
     by_id = {track.track_id: track for track in target_tracks}
     tracks = [by_id[tid] for tid in sorted(by_id)]
@@ -512,7 +529,7 @@ def _target_table(
         for k, track in enumerate(tracks):
             if flags[k]:
                 table[i, :, k] = (*track._row_at(when[k]), track.length)
-    return [track.track_id for track in tracks], table, present, hold_targets and not covered.all()
+    return tracks, table, present, hold_targets and not covered.all()
 
 
 def _grounding_max(
@@ -558,15 +575,20 @@ def scenario_risks(
     """Scenario risk of ownship states at ``t``: one time shared by every
     own state, or an array of one time per own state.
 
-    Targets contribute deterministic collision risk from their recorded
-    states at a state's time; with ``hold_targets`` a target whose track
-    has ended is held at its last state, otherwise it scores exactly 0
-    there. A target has a column when present at any of the times. When
-    ``models`` maps a VesselType to a speed-change model, the target's
-    probabilistic risk (one rate quadrature over all own states) is used
-    in the composition instead. Collision risks fold in sorted target-id
-    order. Targets are interpolated and the chart is prefiltered once per
-    distinct time; one :func:`collision_risk_grid` call scores all pairs.
+    The targets are ``target_tracks``, one per track id (the last given of
+    tracks sharing one); :func:`compute_risk_series` and the planner pass
+    every track but the ownship's (:func:`_own_and_targets`). A target
+    takes part at the times inside its track's span, at its interpolated
+    state, and scores exactly 0 at the others; with ``hold_targets`` it
+    takes part at every time, held at its first state before its track
+    starts and at its last after it ends (``targets_held``). It has a
+    column when it takes part at any of the times. Its deterministic
+    collision risk is used in the composition; when ``models`` maps its
+    VesselType to a speed-change model, its probabilistic risk (one rate
+    quadrature over all own states) is used instead. Collision risks fold
+    in sorted target-id order. Targets are interpolated and the chart is
+    prefiltered once per distinct time; one :func:`collision_risk_grid`
+    call scores all pairs.
     """
     rp = params or RiskParams()
     dp = domain_params or DomainParams()
@@ -574,28 +596,26 @@ def scenario_risks(
     if times.ndim and times.shape != own.north.shape or not np.isfinite(times).all():
         raise ValueError(f"need one time or {own.north.size} times, each finite, got {t!r}")
     distinct, rows = np.unique(np.broadcast_to(times, own.north.shape), return_inverse=True)
-    ids, table, present, held_any = _target_table(target_tracks, distinct, hold_targets)
+    tracks, table, present, held_any = _target_table(target_tracks, distinct, hold_targets)
     tgt = StateArrays(*table.swapaxes(0, 1))
     present = present[rows]
     cr = np.where(present, collision_risk_grid(own, tgt, 0.0, rp, dp, rows)[..., 0], 0.0)
-    collision = {tid: cr[:, k] for k, tid in enumerate(ids)}
+    collision = {track.track_id: cr[:, k] for k, track in enumerate(tracks)}
     collision_wavg: dict[str, np.ndarray] = {}
-    if models:
-        vessel_types = {track.track_id: track.vessel_type for track in target_tracks}
-        for k, tid in enumerate(ids):
-            model = models.get(vessel_types[tid])
-            if model is None:
-                continue
-            one = tgt.select(np.s_[:, k:k + 1])
-            wavg = rate_weighted_mean(
-                lambda r: collision_risk_grid(own, one, r, rp, dp, rows)[:, 0], model, wavg_grid_n
-            )
-            collision_wavg[tid] = np.where(present[:, k], wavg, 0.0)
+    for k, track in enumerate(tracks if models else ()):
+        model = models.get(track.vessel_type)
+        if model is None:
+            continue
+        one = tgt.select(np.s_[:, k:k + 1])
+        wavg = rate_weighted_mean(
+            lambda r: collision_risk_grid(own, one, r, rp, dp, rows)[:, 0], model, wavg_grid_n
+        )
+        collision_wavg[track.track_id] = np.where(present[:, k], wavg, 0.0)
     grounding = np.zeros(own.north.size)
     if obstacles is not None and not obstacles.is_empty:
         for group in (rows == r for r in range(distinct.size)):
             grounding[group] = _grounding_max(own.select(group), obstacles, rp, dp)
-    effective = [collision_wavg.get(tid, collision[tid]) for tid in ids]
+    effective = [collision_wavg.get(tid, column) for tid, column in collision.items()]
     return RiskSeries(
         times=t,
         collision=collision,
@@ -653,13 +673,11 @@ def compute_risk_series(
     """Per-step risk breakdown for one vessel over [t_start, t_end].
 
     Steps are the ownship grid times inside the window, scored in one
-    :func:`scenario_risks` call. Targets absent at a step contribute zero.
-    Collision columns cover every target that appears at least once in the
-    window.
+    :func:`scenario_risks` call against :func:`_own_and_targets`' targets,
+    each zero at steps outside its track's span. Collision columns cover
+    every target that appears at least once in the window.
     """
-    if ownship_id not in tracks:
-        raise KeyError(f"ownship {ownship_id!r} not among tracks")
-    own = tracks[ownship_id]
+    own, targets = _own_and_targets(tracks, ownship_id)
     if t_end < t_start:
         raise ValueError(f"empty window [{t_start}, {t_end}]")
     mask = (own.times >= t_start - 1e-9) & (own.times <= t_end + 1e-9)
@@ -668,7 +686,6 @@ def compute_risk_series(
         raise ValueError(
             f"window [{t_start}, {t_end}] contains no grid steps of {ownship_id!r}"
         )
-    targets = [tr for tid, tr in sorted(tracks.items()) if tid != ownship_id]
     states = StateArrays(
         own.north[mask], own.east[mask], own.speed[mask], own.heading[mask],
         np.full(times.size, float(own.length)),

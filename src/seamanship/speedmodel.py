@@ -19,7 +19,6 @@ import numpy as np
 
 from .geometry import (
     DomainParams,
-    StateArrays,
     VesselTrack,
     VesselType,
     _Frame,
@@ -31,7 +30,7 @@ from .geometry import (
 )
 from .ingest import _json_count, _json_number, _json_numbers, _number_pair, _read, json_text
 from . import risk
-from .risk import DEFAULT_GRID_N, RiskParams, collision_risk_grid, rate_weighted_mean
+from .risk import DEFAULT_GRID_N, RiskParams, _pair_states, collision_risk_grid, rate_weighted_mean
 
 log = logging.getLogger(__name__)
 
@@ -392,10 +391,7 @@ def probabilistic_cr(
     deterministic risk at rate 0; a single-point support collapses to the
     risk at that rate.
     """
-    rp = params or RiskParams()
-    dp = domain_params or DomainParams()
-    own = StateArrays.of([track_j.state_at(t)])
-    tgt = StateArrays.of([track_k.state_at(t)])
+    own, tgt, rp, dp = _pair_states(track_j, track_k, t, params, domain_params)
     return rate_weighted_mean(
         lambda rates: collision_risk_grid(own, tgt, rates, rp, dp)[0, 0], model, grid_n
     )

@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 from seamanship.cli import main
-from seamanship.geometry import VesselState, VesselType
-from seamanship.ingest import TRACK_ARRAYS, sidecar_path
+from seamanship.geometry import VesselState, VesselTrack, VesselType
+from seamanship.ingest import TRACK_ARRAYS, Scenario, sidecar_path
 from seamanship.planner import KinodynamicParams, step_kinodynamics
-from seamanship.risk import RiskParams
+from seamanship.risk import ObstacleSet, RiskParams
 from seamanship.scoring import ScoreParams, score_series
 
 from .test_ingest import inline_arrays, lay_out
@@ -246,6 +246,28 @@ class TestIngestCommand:
         assert "more than the 10,000,000 a chart may have" in err["message"]
         assert peak < 10_000_000
 
+    @pytest.mark.parametrize("dt", ["5e-324", "1e-9", "1e-300"])
+    def test_dt_over_the_grid_point_budget_exits_2_naming_vessel(
+        self, head_on_ais, tmp_path, capsys, dt
+    ):
+        # 6 minutes of reports: at least 3.6e11 grid points a track, which
+        # no memory holds; refused before any grid time is made
+        tracemalloc.start()
+        try:
+            code = run(
+                "ingest", "--ais", head_on_ais, "--output", tmp_path / "o",
+                "--set", f"ingest.dt={dt}",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["detail"]["path"] == str(head_on_ais)
+        assert err["message"].startswith(f"vessel '111000001': dt={float(dt)!r} puts "), err
+        assert "more than the 10,000,000 a track may hold" in err["message"]
+        assert peak < 10_000_000
+
     def test_empty_ais_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text(",".join(COLUMNS) + "\n", encoding="utf-8")
@@ -458,6 +480,28 @@ class TestFitSpeedModelCommand:
         )
         assert code == 2
         assert "speed" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_hull_too_short_for_its_domain_exits_2_naming_archive(self, tmp_path, capsys):
+        # a 1e-100 m hull's domain terms underflow, so the domain check
+        # refuses it once another vessel lies at its position
+        times, zeros = 10.0 * np.arange(3), np.zeros(3)
+        tracks = {
+            tid: VesselTrack(tid, times, zeros, zeros, zeros, zeros, length)
+            for tid, length in (("a", 1e-100), ("b", 100.0))
+        }
+        archive = tmp_path / "tiny.json"
+        Scenario((55.0, 11.0), 0.0, 10.0, tracks, ObstacleSet([])).save(archive)
+        assert run("fit-speed-model", "--scenario", archive, "--output", tmp_path / "o") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["detail"]["path"] == str(archive)
+        assert err["message"] == (
+            f"scenario archive {archive}: "
+            "domain center offsets place the vessel on or outside its own domain"
+        )
+        assert run(
+            "score", "--scenario", archive, "--ownship", "b", "--output", tmp_path / "s",
+            *FAST_SEARCH,
+        ) == 2
 
     def test_corrupt_archive_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from seamanship.geometry import (
     EARTH_RADIUS_M,
+    TWO_PI,
     DomainParams,
     DomainSpec,
     LocalPoint,
@@ -17,6 +18,7 @@ from seamanship.geometry import (
     VesselType,
     _Frame,
     _Quadratic,
+    _wrap_heading,
     ddv,
     find_tdv,
     interp_heading,
@@ -31,7 +33,7 @@ from seamanship.geometry import (
     unproject,
 )
 from seamanship.ingest import IngestParams
-from seamanship.planner import Hyperparameters, KinodynamicParams
+from seamanship.planner import ALPHA_EPS, Hyperparameters, KinodynamicParams, _arc_step
 from seamanship.risk import RiskParams
 from seamanship.scoring import ScoreParams
 from seamanship.speedmodel import SpeedParams
@@ -478,6 +480,85 @@ class TestHeadingInterp:
         assert self.circular_gap(interp_heading(h0, h1, 1.0), h1) < 1e-9
         mid = interp_heading(h0, h1, 0.5)
         assert 0.0 <= mid < 2 * math.pi
+
+
+def old_normalize_heading(angle):
+    """normalize_heading's wrap, before the one wrap helper."""
+    wrapped = float(angle) % TWO_PI
+    return wrapped if wrapped < TWO_PI else 0.0
+
+
+def old_track_wrap(heading):
+    """The wrap of the track checks, before the one wrap helper."""
+    if heading.size and heading.min() >= 0.0 and heading.max() < TWO_PI:
+        return heading + 0.0
+    heading = np.mod(heading, TWO_PI)
+    heading[heading == TWO_PI] = 0.0
+    return heading
+
+
+def old_arc_step_heading(heading, speed, length, alpha, dt, kin):
+    """The planner's arc-step heading, before the one wrap helper."""
+    straight = np.abs(alpha) < ALPHA_EPS
+    curvature = np.where(straight, 1.0, alpha * kin.max_curvature(length))
+    turned = np.mod(heading + speed * dt * curvature, TWO_PI)
+    return np.where(straight, heading, np.where(turned < TWO_PI, turned, 0.0))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# finite angles at the edges of the wrap: signed zeros and subnormals, tiny
+# negatives that the modulo rounds up to 2*pi, 2*pi and its neighbors, and
+# large magnitudes
+WRAP_EDGES = [
+    -0.0, 0.0, 5e-324, -5e-324, -1e-17, 1e-17, -1e-300,
+    math.nextafter(TWO_PI, 0.0), TWO_PI, math.nextafter(TWO_PI, math.inf),
+    -TWO_PI, math.nextafter(-TWO_PI, 0.0), 3.0 * TWO_PI, -3.0 * TWO_PI,
+    1e17, -1e17, 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+]
+ANGLES = st.one_of(st.sampled_from(WRAP_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+IN_RANGE = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, math.nextafter(TWO_PI, 0.0)]),
+                     st.floats(0.0, TWO_PI, exclude_max=True))
+
+
+class TestHeadingWrap:
+    """The one heading wrap gives, bit for bit, what each of the three
+    wraps it replaced gave."""
+
+    @given(ANGLES)
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_matches_normalize_heading(self, angle):
+        assert same_bits(normalize_heading(angle), old_normalize_heading(angle))
+        assert same_bits(_wrap_heading(angle), old_normalize_heading(angle))
+
+    @given(st.one_of(st.lists(ANGLES, max_size=6), st.lists(IN_RANGE, max_size=6)))
+    @settings(max_examples=300, deadline=None)
+    def test_array_matches_track_check(self, angles):
+        heading = np.array(angles, dtype=float)
+        assert same_bits(_wrap_heading(heading), old_track_wrap(heading.copy()))
+        if angles:
+            track = VesselTrack("x", np.arange(heading.size), np.zeros(heading.size),
+                                np.zeros(heading.size), np.ones(heading.size), heading, 10.0)
+            assert same_bits(track.heading, old_track_wrap(heading.copy()))
+
+    @given(
+        st.lists(st.one_of(ANGLES, IN_RANGE, st.just(math.nan)), min_size=1, max_size=6),
+        st.sampled_from([-1.0, -0.5, -1e-7, 0.0, 1e-7, 0.5, 1.0]),
+        st.sampled_from([0.0, 1e-12, 3.0, 12.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_arc_step_matches_its_old_wrap(self, angles, alpha, speed):
+        heading = np.array(angles, dtype=float)
+        kin = KinodynamicParams()
+        _, _, got = _arc_step(0.0, 0.0, speed, heading, 50.0, alpha, speed, 60.0, kin)
+        assert same_bits(got, old_arc_step_heading(heading, speed, 50.0, alpha, 60.0, kin))
+        # NaN, which only the arc step can meet, reads 0 as the old wrap read it
+        assert same_bits(_wrap_heading(heading), np.where(
+            np.mod(heading, TWO_PI) < TWO_PI, np.mod(heading, TWO_PI), 0.0
+        ))
 
 
 class TestNonFiniteRejected:

@@ -564,9 +564,11 @@ class TestTargetTable:
     @settings(max_examples=200, deadline=None)
     def test_matches_per_object_table(self, scene):
         tracks, times, hold = scene
-        ids, table, present, held = risk._target_table(tracks, times, hold)
+        kept, table, present, held = risk._target_table(tracks, times, hold)
+        ids = [track.track_id for track in kept]
         ref_ids, ref_table, ref_present, ref_held = reference_target_table(tracks, times, hold)
         assert ids == ref_ids
+        assert all(any(track is given for given in tracks) for track in kept)
         assert table.shape == ref_table.shape and table.tobytes() == ref_table.tobytes()
         assert present.shape == ref_present.shape and np.array_equal(present, ref_present)
         assert held is ref_held
