@@ -257,11 +257,12 @@ def cmd_ingest(args) -> int:
         raise CliError(str(exc), path=exc.path if isinstance(exc, ChartError) else str(ais))
     archive = outdir / "scenario.json"
     scenario.save(archive)
-    grid = scenario.time_grid
+    # the grid's span (every track lies on it), without building the grid
+    spans = [(tr.t_start, tr.t_end) for tr in scenario.tracks.values()]
     summary = {
         "vessels": len(scenario.tracks),
         "track_ids": sorted(scenario.tracks),
-        "duration": float(grid[-1] - grid[0]) if grid.size else 0.0,
+        "duration": max(e for _, e in spans) - min(s for s, _ in spans) if spans else 0.0,
         "obstacle_polygons": len(scenario.obstacles.polygons),
         "skipped_rows": scenario.metadata["ingest"]["skipped_rows"],
     }

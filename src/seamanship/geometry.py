@@ -1,5 +1,7 @@
 """Local-frame geometry: projection, ship domain and arena shapes, domain
-scale factors, and constant-course motion prediction.
+scale factors, and motion: every own and target position comes from
+:func:`sail`, a distance run (:func:`travel_distance`) along an arc of
+constant curvature or, at curvature 0, a straight leg.
 
 Every scale factor in the package is computed one way: a :class:`_Frame`,
 built from a heading, rotates displacements into the domain frame, and a
@@ -51,10 +53,12 @@ class VesselType(Enum):
 def _wrap_heading(angle) -> np.ndarray:
     """Angles in radians, a float or an array, wrapped into [0, 2*pi) by
     ``%`` (``np.mod`` on an array, the same bits), NaN and a tiny negative,
-    which ``%`` rounds up to 2*pi, read as 0. An array all in range takes
-    ``+ 0.0`` instead, the same values (-0.0 turned into 0.0) at a fraction
-    of the cost."""
-    if isinstance(angle, np.ndarray) and angle.size and 0.0 <= angle.min() <= angle.max() < TWO_PI:
+    which ``%`` rounds up to 2*pi, read as 0. A float or an array all in
+    range takes ``+ 0.0`` instead, the same values (-0.0 turned into 0.0) at
+    a fraction of the cost."""
+    if (isinstance(angle, float) and 0.0 <= angle < TWO_PI) or (
+        isinstance(angle, np.ndarray) and angle.size and 0.0 <= angle.min() <= angle.max() < TWO_PI
+    ):
         return angle + 0.0
     wrapped = angle % TWO_PI
     return np.where(wrapped < TWO_PI, wrapped, 0.0)
@@ -484,43 +488,59 @@ def travel_distance(speed, dt, rate=0.0):
     if np.any(dt < 0.0):
         raise ValueError("dt must be non-negative")
     rate = np.asarray(rate, dtype=float)
-    # a decelerating vessel moves only until it stops; others move all of dt
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a decelerating vessel moves until it stops (after any dt at a subnormal rate), others all dt
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tau = np.where(rate < 0.0, np.minimum(dt, speed / -rate), dt)
     return speed * tau + 0.5 * rate * tau * tau
 
 
-def predict_state(state: VesselState, dt: float, speed_change_rate: float = 0.0) -> VesselState:
-    """Predict a state ``dt`` seconds ahead on a constant course.
+def ramp_speed(speed, dt, rate=0.0):
+    """Speed after ``dt`` seconds under a constant speed-change rate, clamped
+    at zero as in :func:`travel_distance`. Arguments broadcast together."""
+    return np.maximum(0.0, speed + rate * dt)
 
-    Heading is held; speed evolves at ``speed_change_rate`` (m/s^2) and is
-    clamped at zero. Position advances along the heading by the integral of
-    the clamped speed.
+
+def sail(north, east, heading, run, curvature=0.0):
+    """Position and heading after running ``run`` = s meters from
+    (``north``, ``east``) on ``heading`` along an arc of constant
+    ``curvature`` = k (1/m, positive to starboard): sin(k s)/k forward and
+    (1 - cos k s)/k to starboard, the heading turned by k s and wrapped.
+    Where k is 0 the run is a straight leg on a held heading; a scalar k of
+    0 computes no arc term at all. Arguments broadcast together; returns
+    (north, east, heading).
     """
-    dist = float(travel_distance(state.speed, dt, speed_change_rate))
-    new_speed = max(0.0, state.speed + speed_change_rate * dt)
-    return replace(
-        state,
-        time=state.time + dt,
-        north=state.north + dist * math.cos(state.heading),
-        east=state.east + dist * math.sin(state.heading),
-        speed=new_speed,
-    )
+    cos_h, sin_h = np.cos(heading), np.sin(heading)
+    if np.ndim(curvature) == 0 and curvature == 0.0:
+        return north + run * cos_h, east + run * sin_h, heading
+    straight = curvature == 0.0
+    curvature = np.where(straight, 1.0, curvature)
+    turn = run * curvature
+    fwd = np.where(straight, run, np.sin(turn) / curvature)
+    stb = np.where(straight, 0.0, (1.0 - np.cos(turn)) / curvature)
+    # body to world: forward along the heading, starboard 90 degrees clockwise
+    return (north + fwd * cos_h - stb * sin_h, east + fwd * sin_h + stb * cos_h,
+            np.where(straight, heading, _wrap_heading(heading + turn)))
+
+
+def predict_state(state: VesselState, dt: float, speed_change_rate: float = 0.0) -> VesselState:
+    """Predict a state ``dt`` seconds ahead on a constant course, speed
+    changing at ``speed_change_rate`` (m/s^2) and clamped at zero: a scalar
+    wrapper of :func:`sail` at curvature 0."""
+    north, east, _ = sail(state.north, state.east, state.heading,
+                          travel_distance(state.speed, dt, speed_change_rate))
+    return replace(state, time=state.time + dt, north=float(north), east=float(east),
+                   speed=float(ramp_speed(state.speed, dt, speed_change_rate)))
 
 
 def predict_positions(state: VesselState | StateArrays, dts: np.ndarray, rate=0.0):
-    """Vectorized constant-course prediction over an array of lead times.
-
-    ``state`` is one state or a :class:`StateArrays` shaped to broadcast
-    against ``dts`` and ``rate``. Returns (north, east, speed) arrays of
-    the broadcast shape.
-    """
+    """Constant-course prediction, :func:`sail` at curvature 0, over an
+    array of lead times. ``state`` is one state or a :class:`StateArrays`
+    shaped to broadcast against ``dts`` and ``rate``. Returns (north, east,
+    speed) arrays of the broadcast shape."""
     dts = np.asarray(dts, dtype=float)
-    dist = travel_distance(state.speed, dts, rate)
-    north = state.north + dist * np.cos(state.heading)
-    east = state.east + dist * np.sin(state.heading)
-    speed = np.maximum(0.0, state.speed + rate * dts)
-    return north, east, speed
+    north, east, _ = sail(state.north, state.east, state.heading,
+                          travel_distance(state.speed, dts, rate))
+    return north, east, ramp_speed(state.speed, dts, rate)
 
 
 def _check_tracks(ids, bounds, times, north, east, speed, heading, lengths) -> np.ndarray:

@@ -2,12 +2,13 @@
 
 The action space is a grid of speed commands and normalized rudder
 settings applied over a fixed number of equal time levels. Candidate
-states advance along circular arcs whose curvature scales with rudder and
-inversely with hull length; each candidate is scored by the full scenario
-risk against recorded target tracks and charted obstacles. One level-wise
-search serves two pruning policies: branch and bound keeps only the
-minimum-risk nodes (with ties) of each level, while the exhaustive
-enumerator keeps every node and provides the ground truth on small grids.
+states advance by :func:`sail` along arcs whose curvature scales with
+rudder and inversely with hull length (straight legs at zero rudder);
+each candidate is scored by the full scenario risk against recorded
+target tracks and charted obstacles. One level-wise search serves two
+pruning policies: branch and bound keeps only the minimum-risk nodes
+(with ties) of each level, while the exhaustive enumerator keeps every
+node and provides the ground truth on small grids.
 Both return their paths by one rule: every last-level path within
 ``tie_eps`` of the least path risk, stable-sorted by path risk and capped
 at ``beam_width``.
@@ -15,7 +16,7 @@ at ``beam_width``.
 One search may start from several roots, the ownship at several times:
 every node carries its root's index, and each root is pruned on its own,
 so a root's result does not depend on the others. A level is advanced and
-scored as arrays: every child moves in one vectorized arc step, and one
+scored as arrays: every child moves in one :func:`sail` call, and one
 :func:`scenario_risks` call scores every child at its root's time, with
 the targets interpolated and the chart prefiltered once per distinct
 time. :func:`branch_and_bound` and :func:`exhaustive_search` search from
@@ -29,7 +30,7 @@ are read back through those indices, and each node on them becomes one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,8 +40,9 @@ from .geometry import (
     StateArrays,
     VesselState,
     VesselTrack,
-    _wrap_heading,
     require_finite,
+    sail,
+    travel_distance,
 )
 from .risk import ObstacleSet, RiskParams, _own_and_targets, scenario_risks
 
@@ -81,6 +83,11 @@ class KinodynamicParams:
     def max_curvature(self, length: float) -> float:
         """Full-rudder curvature for a hull of the given length, 1/m."""
         return 1.0 / (self.turn_radius_lengths * length)
+
+    def curvature(self, alpha, length: float):
+        """Curvature at rudder ``alpha`` (a float or an array), 1/m: 0, a
+        straight leg, where |alpha| < ``ALPHA_EPS``."""
+        return np.where(np.abs(alpha) < ALPHA_EPS, 0.0, alpha * self.max_curvature(length))
 
 
 @dataclass(frozen=True)
@@ -124,28 +131,6 @@ class Hyperparameters:
         return np.linspace(kin.v_min, kin.v_max, self.n_v)
 
 
-def _arc_step(
-    north, east, speed, heading, length, alpha, v_cmd, dt: float, kin: KinodynamicParams
-):
-    """Constant-rudder arc step of states given as broadcastable arrays.
-
-    Returns (north, east, heading) after ``dt``; see :func:`step_kinodynamics`.
-    """
-    run = speed * dt
-    cos_h = np.cos(heading)
-    sin_h = np.sin(heading)
-    straight = np.abs(alpha) < ALPHA_EPS
-    curvature = np.where(straight, 1.0, alpha * kin.max_curvature(length))
-    dpsi = run * curvature
-    fwd = np.where(straight, run, np.sin(dpsi) / curvature)
-    stb = np.where(straight, 0.0, (1.0 - np.cos(dpsi)) / curvature)
-    new_heading = np.where(straight, heading, _wrap_heading(heading + dpsi))
-    # body-to-world: forward along heading, starboard 90 degrees clockwise
-    north = north + fwd * cos_h - stb * sin_h
-    east = east + fwd * sin_h + stb * cos_h
-    return north, east, new_heading
-
-
 def step_kinodynamics(
     state: VesselState,
     alpha: float,
@@ -153,12 +138,13 @@ def step_kinodynamics(
     dt: float,
     kin: KinodynamicParams | None = None,
 ) -> VesselState:
-    """Advance a state ``dt`` seconds along a constant-rudder arc.
+    """Advance a state ``dt`` seconds along a constant-rudder arc: a scalar
+    wrapper of :func:`sail`, which moves every search node.
 
     The vessel runs the arc at its current speed; ``v_cmd`` takes effect at
     the end of the step (it is the speed of the returned state). Rudder
     ``alpha`` in [-1, 1] sets curvature alpha * max_curvature; positive
-    turns to starboard. |alpha| below a small threshold degenerates to a
+    turns to starboard. |alpha| below ``ALPHA_EPS`` degenerates to a
     straight leg. Arc length always equals current speed times dt.
     """
     kin = kin or KinodynamicParams()
@@ -168,19 +154,10 @@ def step_kinodynamics(
         raise ValueError(f"v_cmd {v_cmd} outside [{kin.v_min}, {kin.v_max}]")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    north, east, heading = _arc_step(
-        state.north, state.east, state.speed, state.heading, state.length,
-        alpha, v_cmd, dt, kin,
-    )
-    return VesselState(
-        time=state.time + dt,
-        north=float(north),
-        east=float(east),
-        speed=float(v_cmd),
-        heading=float(heading),
-        length=state.length,
-        vessel_type=state.vessel_type,
-    )
+    run, curvature = travel_distance(state.speed, dt), kin.curvature(alpha, state.length)
+    north, east, heading = sail(state.north, state.east, state.heading, run, curvature)
+    return replace(state, time=state.time + dt, north=float(north), east=float(east),
+                   speed=float(v_cmd), heading=float(heading))
 
 
 @dataclass(frozen=True)
@@ -358,6 +335,7 @@ def _level_search(
     alpha_grid = hyper.alpha_grid()
     act_v = np.repeat(hyper.v_grid(scene.kin), alpha_grid.size)
     act_alpha = np.tile(alpha_grid, act_v.size // alpha_grid.size)
+    act_curvature = scene.kin.curvature(act_alpha, own.length)
     held_any, expanded = False, 0
     for _ in range(hyper.n_t):
         prev = levels[-1]
@@ -365,9 +343,9 @@ def _level_search(
         parent = np.repeat(np.arange(n_parents), act_v.size)
         alpha = np.tile(act_alpha, n_parents)
         v_cmd = np.tile(act_v, n_parents)
-        north, east, heading = _arc_step(
-            prev.north[parent], prev.east[parent], prev.speed[parent],
-            prev.heading[parent], own.length, alpha, v_cmd, dt, scene.kin,
+        north, east, heading = sail(
+            prev.north[parent], prev.east[parent], prev.heading[parent],
+            travel_distance(prev.speed, dt)[parent], np.tile(act_curvature, n_parents),
         )
         # accumulated level by level, as each child's time is its parent's plus dt
         time = prev.time + dt

@@ -160,6 +160,17 @@ class TestIngestCommand:
         assert len(manifest["inputs"]["ais"]["sha256"]) == 64
         assert manifest["outputs"] == ["scenario.f64", "scenario.json", "summary.json"]
 
+    def test_duration_of_vessels_millennia_apart(self, tmp_path):
+        # the union grid of these tracks would hold 2.2e10 times (165 GiB)
+        late = (datetime(9023, 9, 7, 6) - datetime(2023, 9, 7, 6)).total_seconds()
+        later = vessel_rows("111000002", 55.03, 180.0, n=2)
+        for k, row in enumerate(later):
+            row[0] = stamp(late + 60.0 * k)
+        ais = write_ais(tmp_path / "apart.csv", vessel_rows("111000001", 55.0, 0.0, n=2) + later)
+        out = tmp_path / "run"
+        ingest(ais, out)
+        assert json.loads((out / "summary.json").read_text())["duration"] == late + 60.0
+
     def test_missing_chart_exits_2_with_path(self, head_on_ais, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         code = run(

@@ -23,17 +23,20 @@ from seamanship.geometry import (
     find_tdv,
     interp_heading,
     make_domain,
+    StateArrays,
     normalize_heading,
+    predict_positions,
     predict_state,
     project,
     project_arrays,
     require_finite,
+    sail,
     scale_factor,
     travel_distance,
     unproject,
 )
 from seamanship.ingest import IngestParams
-from seamanship.planner import ALPHA_EPS, Hyperparameters, KinodynamicParams, _arc_step
+from seamanship.planner import ALPHA_EPS, Hyperparameters, KinodynamicParams
 from seamanship.risk import RiskParams
 from seamanship.scoring import ScoreParams
 from seamanship.speedmodel import SpeedParams
@@ -505,6 +508,36 @@ def old_arc_step_heading(heading, speed, length, alpha, dt, kin):
     return np.where(straight, heading, np.where(turned < TWO_PI, turned, 0.0))
 
 
+def old_arc_step(
+    north, east, speed, heading, length, alpha, v_cmd, dt: float, kin: KinodynamicParams
+):
+    """The planner's constant-rudder arc step, before the one motion model."""
+    run = speed * dt
+    cos_h = np.cos(heading)
+    sin_h = np.sin(heading)
+    straight = np.abs(alpha) < ALPHA_EPS
+    curvature = np.where(straight, 1.0, alpha * kin.max_curvature(length))
+    dpsi = run * curvature
+    fwd = np.where(straight, run, np.sin(dpsi) / curvature)
+    stb = np.where(straight, 0.0, (1.0 - np.cos(dpsi)) / curvature)
+    new_heading = np.where(straight, heading, _wrap_heading(heading + dpsi))
+    # body-to-world: forward along heading, starboard 90 degrees clockwise
+    north = north + fwd * cos_h - stb * sin_h
+    east = east + fwd * sin_h + stb * cos_h
+    return north, east, new_heading
+
+
+def old_predict_positions(state, dts, rate=0.0):
+    """The risk horizon's constant-course prediction, before the one motion
+    model."""
+    dts = np.asarray(dts, dtype=float)
+    dist = travel_distance(state.speed, dts, rate)
+    north = state.north + dist * np.cos(state.heading)
+    east = state.east + dist * np.sin(state.heading)
+    speed = np.maximum(0.0, state.speed + rate * dts)
+    return north, east, speed
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -553,12 +586,92 @@ class TestHeadingWrap:
     def test_arc_step_matches_its_old_wrap(self, angles, alpha, speed):
         heading = np.array(angles, dtype=float)
         kin = KinodynamicParams()
-        _, _, got = _arc_step(0.0, 0.0, speed, heading, 50.0, alpha, speed, 60.0, kin)
+        run = travel_distance(speed, 60.0)
+        _, _, got = sail(0.0, 0.0, heading, run, np.full(heading.shape, kin.curvature(alpha, 50.0)))
         assert same_bits(got, old_arc_step_heading(heading, speed, 50.0, alpha, 60.0, kin))
         # NaN, which only the arc step can meet, reads 0 as the old wrap read it
         assert same_bits(_wrap_heading(heading), np.where(
             np.mod(heading, TWO_PI) < TWO_PI, np.mod(heading, TWO_PI), 0.0
         ))
+
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    @pytest.mark.parametrize("angle", [0.0, -0.0, math.nextafter(TWO_PI, 0.0), -1e-17, 7.0])
+    def test_float_matches_normalize_heading(self, kind, angle):
+        # in range, a float takes the shortcut and stays a float
+        wrapped = _wrap_heading(kind(angle))
+        assert isinstance(wrapped, float) == (0.0 <= angle < TWO_PI)
+        assert same_bits(wrapped, old_normalize_heading(angle))
+        assert same_bits(normalize_heading(kind(angle)), old_normalize_heading(angle))
+        assert not np.signbit(wrapped)
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_float_nan_reads_zero_but_is_refused(self, kind):
+        assert same_bits(_wrap_heading(kind(math.nan)), 0.0)
+        with pytest.raises(ValueError, match="non-finite heading"):
+            normalize_heading(kind(math.nan))
+
+
+# the default rudder grid, and rudders just below, at and above the cutoff
+RUDDERS = np.concatenate([
+    Hyperparameters().alpha_grid(),
+    [s * a for a in (1e-8, ALPHA_EPS, 2e-6) for s in (-1.0, 1.0)],
+])
+COORDS = st.floats(-1e5, 1e5)
+HEADINGS = st.one_of(IN_RANGE, st.floats(-20.0, 20.0))
+SPEEDS = st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.0, 20.0))
+LENGTHS = st.floats(10.0, 400.0)
+
+
+class TestSail:
+    """The one motion model is, bit for bit, the planner's arc step and the
+    risk horizon's straight prediction that it replaced."""
+
+    @given(COORDS, COORDS, HEADINGS, SPEEDS, LENGTHS, st.floats(1.0, 600.0))
+    @settings(max_examples=300, deadline=None)
+    def test_arcs_match_the_old_arc_step(self, north, east, heading, speed, length, dt):
+        kin = KinodynamicParams()
+        got = sail(north, east, heading, travel_distance(speed, dt), kin.curvature(RUDDERS, length))
+        want = old_arc_step(north, east, speed, heading, length, RUDDERS, 0.0, dt, kin)
+        for g, w in zip(got, want):
+            assert np.array_equal(np.broadcast_to(g, RUDDERS.shape).view(np.int64),
+                                  np.asarray(w).view(np.int64))
+
+    @given(
+        st.lists(st.tuples(COORDS, COORDS, HEADINGS, SPEEDS), min_size=1, max_size=5),
+        st.lists(st.floats(0.0, 600.0), min_size=1, max_size=5),
+        st.one_of(st.just(0.0), st.floats(-0.2, 0.2)),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_legs_match_the_old_prediction(self, vessels, offsets, rate, rate_per_offset):
+        north, east, heading, speed = (np.array(a)[:, None] for a in zip(*vessels))
+        states = StateArrays(north, east, speed, heading, np.full(north.shape, 100.0))
+        rates = np.full(len(offsets), rate) if rate_per_offset else rate
+        got = predict_positions(states, offsets, rates)
+        want = old_predict_positions(states, offsets, rates)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g.view(np.int64), w.view(np.int64))
+
+    @given(COORDS, COORDS, IN_RANGE, st.floats(0.0, 1e4), LENGTHS)
+    @settings(max_examples=300, deadline=None)
+    def test_headings_stay_wrapped(self, north, east, heading, run, length):
+        _, _, got = sail(north, east, heading, run, KinodynamicParams().curvature(RUDDERS, length))
+        assert ((got >= 0.0) & (got < TWO_PI)).all()
+
+    @given(COORDS, COORDS, HEADINGS, st.floats(0.0, 5e3), st.floats(0.0, 5e3), LENGTHS,
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_two_runs_make_one(self, north, east, heading, s1, s2, length, scalar):
+        # the rudder grid only: near the cutoff, (1 - cos ks)/k loses up to
+        # about 1e-16/k (8e-9 m on a 50 m hull) to cancellation
+        kappa = KinodynamicParams().curvature(Hyperparameters().alpha_grid(), length)
+        kappa = 0.0 if scalar else kappa
+        mid = sail(north, east, heading, s1, kappa)
+        two = sail(*mid, s2, kappa)
+        one = sail(north, east, heading, s1 + s2, kappa)
+        assert np.abs(np.subtract(two[0], one[0])).max() < 1e-9
+        assert np.abs(np.subtract(two[1], one[1])).max() < 1e-9
 
 
 class TestNonFiniteRejected:
