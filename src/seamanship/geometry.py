@@ -427,7 +427,11 @@ class _Quadratic(NamedTuple):
         allocates, never on ``x`` or ``y``. The lateral term of B is
         skipped when ``off_s`` is 0: it could only turn a zero B into a
         zero of the other sign, and B enters the root as B^2 and as
-        sqrt(B^2 - 4AC) - B, which reads the same for either zero.
+        sqrt(B^2 - 4AC) - B, which reads the same for either zero. The
+        discriminant needs no clamp at 0: A < 0 and C >= 0, so it is at
+        least B^2, or NaN. The factors 2 and 4 stay where the formula has
+        them: dropped, they would cancel, but B^2 would overflow at other
+        coordinates (near 1e150 m) than (2B)^2 does.
         """
         shape = np.broadcast(x, y, self.coef_a).shape
         coef_c = np.multiply(x, x, out=np.empty(shape))
@@ -443,15 +447,17 @@ class _Quadratic(NamedTuple):
         coef_b *= -2.0
         den = np.multiply(coef_b, coef_b, out=np.empty(shape))
         den -= np.multiply(4.0 * self.coef_a, coef_c, out=np.empty(shape))
-        np.maximum(den, 0.0, out=den)
         np.sqrt(den, out=den)
         den -= coef_b
         # den is 0 only at the vessel position; NaN geometry stays NaN
         zero = den == 0.0
-        np.copyto(den, 1.0, where=zero)
+        at_vessel = zero.any()
+        if at_vessel:
+            np.copyto(den, 1.0, where=zero)
         coef_c *= 2.0
         coef_c /= den
-        np.copyto(coef_c, 0.0, where=zero)
+        if at_vessel:
+            np.copyto(coef_c, 0.0, where=zero)
         return coef_c
 
 
@@ -482,15 +488,20 @@ def travel_distance(speed, dt, rate=0.0):
     """Distance covered in ``dt`` seconds under a constant speed-change rate.
 
     Speed is clamped at zero: a decelerating vessel stops and stays stopped.
-    Arguments may be arrays and broadcast together.
+    Arguments may be arrays and broadcast together. Where no rate is
+    negative (rate 0, as the planner and every own horizon pass, -0.0 and
+    NaN included), the time under way is ``dt`` throughout and no stopping
+    time is computed.
     """
     dt = np.asarray(dt, dtype=float)
     if np.any(dt < 0.0):
         raise ValueError("dt must be non-negative")
     rate = np.asarray(rate, dtype=float)
+    tau = dt
     # a decelerating vessel moves until it stops (after any dt at a subnormal rate), others all dt
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tau = np.where(rate < 0.0, np.minimum(dt, speed / -rate), dt)
+    if (rate < 0.0).any():
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tau = np.where(rate < 0.0, np.minimum(dt, speed / -rate), dt)
     return speed * tau + 0.5 * rate * tau * tau
 
 

@@ -15,14 +15,16 @@ at ``beam_width``.
 
 One search may start from several roots, the ownship at several times:
 every node carries its root's index, and each root is pruned on its own,
-so a root's result does not depend on the others. A level is advanced and
-scored as arrays: every child moves in one :func:`sail` call, and one
-:func:`scenario_risks` call scores every child at its root's time, with
-the targets interpolated and the chart prefiltered once per distinct
-time. :func:`branch_and_bound` and :func:`exhaustive_search` search from
-one root; :func:`sr_star_series` searches all the distinct times of a
-window, in blocks of roots of bounded size (``ROOT_BLOCK_NODES``), and a
-window of one time with :func:`branch_and_bound`. Search
+so a root's result does not depend on the others. Every level's times are
+known up front, so a search places the targets once, in one table of a row
+per level and root. A level is advanced and scored as arrays: every child
+moves in one :func:`sail` call, and one call scores every child against
+its root's row of the level, as :func:`scenario_risks` would, with the
+chart prefiltered once per root. :func:`branch_and_bound` and
+:func:`exhaustive_search` search from one root; :func:`sr_star_series`
+searches all the distinct times of a window, in blocks of roots of bounded
+size (``ROOT_BLOCK_NODES``), and a window of one time with
+:func:`branch_and_bound`. Search
 nodes are kept as parallel arrays with parent indices; the returned paths
 are read back through those indices, and each node on them becomes one
 :class:`SearchNode` record, shared by every returned path through it.
@@ -44,7 +46,7 @@ from .geometry import (
     sail,
     travel_distance,
 )
-from .risk import ObstacleSet, RiskParams, _own_and_targets, scenario_risks
+from .risk import ObstacleSet, RiskParams, _own_and_targets, _table_risks, _target_table
 
 ALPHA_EPS = 1e-6
 # widest level (roots x beam_width x actions) a block of sr_star_series
@@ -216,8 +218,8 @@ class _Level:
     ``time`` holds one time per root of the searched block and ``root``
     each node's root index; nodes are grouped by root, in root order.
     ``speed`` is each node's speed command (the root's own speed at level
-    0); ``risk`` is its scenario risk (NaN at the roots, which the search
-    does not score); ``path_risk`` is the maximum scenario risk from level
+    0); ``risk`` is its scenario risk (NaN at the roots unless the search
+    scores them); ``path_risk`` is the maximum scenario risk from level
     1 down to the node; ``parent`` indexes the kept nodes of the previous
     level.
     """
@@ -309,35 +311,54 @@ def _scene(
 
 
 def _level_search(
-    scene: _Scene, times: np.ndarray, beam: bool
+    scene: _Scene, times: np.ndarray, beam: bool, score_roots: bool = False
 ) -> tuple[list[_Level], bool, int]:
     """Expand the ownship states at each of ``times`` (a block of roots)
     level by level over the action grid.
 
-    Each of the ``n_t`` levels lasts ``horizon_T / n_t`` seconds; children
-    are enumerated parent, then speed command, then rudder, so they stay
-    grouped by root. All children of a level are scored in one
-    :func:`scenario_risks` call, each at its own root's time, against one
-    row of target states per root. With ``beam`` the next level expands
-    only each root's :func:`_survivors`, else every child.
-    Returns (kept nodes per level, the unscored roots first; whether any
-    target was held at a child; nodes expanded).
+    Each of the ``n_t`` levels lasts ``horizon_T / n_t`` seconds, so every
+    level's times are known before any node is expanded: each root's time
+    plus dt, accumulated level by level. The targets are placed once per
+    search, in one :func:`risk._target_table` of a row per level and root
+    (with ``score_roots`` the roots' own rows too, which the roots are then
+    scored against). Children are enumerated parent, then speed command,
+    then rudder, so they stay grouped by root, and all children of a level
+    are scored in one call, each against its root's row of that level.
+    With ``beam`` the next level expands only each root's
+    :func:`_survivors`, else every child.
+    Returns (kept nodes per level, the roots first; whether any target was
+    held at a scored node; nodes expanded).
     """
     hyper, own = scene.hyper, scene.own
     roots = StateArrays.of([own.state_at(t) for t in times.tolist()])
     n_roots = times.size
+    dt = hyper.horizon_T / hyper.n_t
+    # accumulated level by level, as each child's time is its parent's plus dt
+    level_times = [times]
+    for _ in range(hyper.n_t):
+        level_times.append(level_times[-1] + dt)
+    first = 0 if score_roots else 1
+    targets, held_any = _target_table(scene.targets, np.concatenate(level_times[first:]),
+                                      hold_targets=True)
+
+    def scenario(states: StateArrays, depth: int, root: np.ndarray) -> np.ndarray:
+        """Scenario risks of ``states``, each at ``depth`` below its root."""
+        start = (depth - first) * n_roots
+        return _table_risks(states, root, targets.rows(slice(start, start + n_roots)),
+                            scene.obstacles, scene.rp, scene.dp)[-1]
+
     levels = [_Level(
         times, np.arange(n_roots), roots.north, roots.east, roots.speed, roots.heading,
         np.full(n_roots, np.nan),
-        np.full(n_roots, np.nan), np.full(n_roots, -np.inf), np.full(n_roots, -1),
+        scenario(roots, 0, np.arange(n_roots)) if score_roots else np.full(n_roots, np.nan),
+        np.full(n_roots, -np.inf), np.full(n_roots, -1),
     )]
-    dt = hyper.horizon_T / hyper.n_t
     alpha_grid = hyper.alpha_grid()
     act_v = np.repeat(hyper.v_grid(scene.kin), alpha_grid.size)
     act_alpha = np.tile(alpha_grid, act_v.size // alpha_grid.size)
     act_curvature = scene.kin.curvature(act_alpha, own.length)
-    held_any, expanded = False, 0
-    for _ in range(hyper.n_t):
+    expanded = 0
+    for depth in range(1, hyper.n_t + 1):
         prev = levels[-1]
         n_parents = prev.north.size
         parent = np.repeat(np.arange(n_parents), act_v.size)
@@ -347,17 +368,13 @@ def _level_search(
             prev.north[parent], prev.east[parent], prev.heading[parent],
             travel_distance(prev.speed, dt)[parent], np.tile(act_curvature, n_parents),
         )
-        # accumulated level by level, as each child's time is its parent's plus dt
-        time = prev.time + dt
         root = prev.root[parent]
         children = StateArrays(north, east, v_cmd, heading, np.full(north.size, float(own.length)))
-        step = scenario_risks(children, time[root], scene.targets, scene.obstacles, scene.rp,
-                              scene.dp, hold_targets=True)
-        held_any = held_any or step.targets_held
+        risk = scenario(children, depth, root)
         expanded += north.size
         level = _Level(
-            time, root, north, east, v_cmd, heading, alpha, step.scenario,
-            np.maximum(prev.path_risk[parent], step.scenario), parent,
+            level_times[depth], root, north, east, v_cmd, heading, alpha, risk,
+            np.maximum(prev.path_risk[parent], risk), parent,
         )
         if beam:
             level = level.select(
@@ -393,23 +410,18 @@ def _paths(
 def _result(
     scene: _Scene, t: float, levels: list[_Level], held_any: bool, expanded: int
 ) -> PathResult:
-    """The search result of a one-root :func:`_level_search` from ``t``:
-    the last-level paths within ``tie_eps`` of the least path risk,
-    stable-sorted by path risk (so in prune order among equals) and capped
-    at ``beam_width``. The root is scored here, for its node and for
-    ``targets_held``."""
-    root_state = scene.own.state_at(t)
-    step = scenario_risks(
-        StateArrays.of([root_state]), t, scene.targets, scene.obstacles, scene.rp, scene.dp,
-        hold_targets=True,
-    )
+    """The search result of a one-root :func:`_level_search` from ``t``
+    that scored its root: the last-level paths within ``tie_eps`` of the
+    least path risk, stable-sorted by path risk (so in prune order among
+    equals) and capped at ``beam_width``."""
     risks = levels[-1].path_risk
     best = float(risks.min())
     keep = np.flatnonzero(risks <= best + scene.hyper.tie_eps)
     keep = keep[np.argsort(risks[keep], kind="stable")][: scene.hyper.beam_width]
-    paths = _paths(levels, SearchNode(root_state, float(step.scenario[0])), keep)
+    root = SearchNode(scene.own.state_at(t), float(levels[0].risk[0]))
+    paths = _paths(levels, root, keep)
     return PathResult(states=paths[0], path_risk=best, sr_star=best, paths=paths,
-                      targets_held=step.targets_held or held_any, nodes_expanded=expanded)
+                      targets_held=held_any, nodes_expanded=expanded)
 
 
 def branch_and_bound(
@@ -437,7 +449,9 @@ def branch_and_bound(
     minimum path risk; it is exact for a single level.
     """
     scene = _scene(tracks, ownship_id, [t], hyper, kin, params, domain_params, obstacles)
-    return _result(scene, t, *_level_search(scene, np.array([t], dtype=float), beam=True))
+    return _result(scene, t, *_level_search(
+        scene, np.array([t], dtype=float), beam=True, score_roots=True
+    ))
 
 
 def exhaustive_search(
@@ -464,7 +478,9 @@ def exhaustive_search(
             f"{n_seq} action sequences exceed the exhaustive budget {max_sequences}"
         )
     scene = _scene(tracks, ownship_id, [t], hyper, kin, params, domain_params, obstacles)
-    return _result(scene, t, *_level_search(scene, np.array([t], dtype=float), beam=False))
+    return _result(scene, t, *_level_search(
+        scene, np.array([t], dtype=float), beam=False, score_roots=True
+    ))
 
 
 def sr_star_series(
@@ -482,9 +498,10 @@ def sr_star_series(
 
     The distinct times are the roots of one level search, taken in blocks
     whose widest possible level (roots x ``beam_width`` x actions) stays
-    within ``ROOT_BLOCK_NODES``; each root is pruned on its own, so the
-    blocks do not change any value. A root's value is the least path risk
-    of its last-level nodes. A window of one distinct time runs
+    within ``ROOT_BLOCK_NODES``, each block one search with one target
+    table; each root is pruned on its own, so the blocks do not change any
+    value. The roots themselves are not scored. A root's value is the least
+    path risk of its last-level nodes. A window of one distinct time runs
     :func:`branch_and_bound` itself, the search whose results the planner
     counters of ``perfbench/tracer.py`` read.
     """

@@ -21,7 +21,8 @@ one array pass over all polygon edges.
 each carry their own (a recorded passage, or a planner level of several
 roots). Targets are interpolated once per distinct time, and each own state
 is scored against its time's row, so :func:`compute_risk_series` is one
-call for a whole window.
+call for a whole window. A planner search builds one such table for all
+its levels and scores each level against its rows.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .geometry import (
+    TWO_PI,
     ArenaSpec,
     DomainParams,
     LocalPoint,
@@ -41,6 +43,7 @@ from .geometry import (
     VesselTrack,
     _Frame,
     _Quadratic,
+    _wrap_heading,
     domain_axes,
     predict_positions,
     require_finite,
@@ -168,9 +171,9 @@ class _Horizon(NamedTuple):
     quad: _Quadratic
 
     @classmethod
-    def of(cls, states: StateArrays, offsets, rates, dp: DomainParams, target: bool):
-        """``states`` shaped to broadcast against ``offsets`` and ``rates``."""
-        north, east, speed = predict_positions(states, offsets, rates)
+    def of(cls, states: StateArrays, north, east, speed, dp: DomainParams, target: bool):
+        """The vessels ``states`` at positions (``north``, ``east``), their
+        domains sized at ``speed``; all broadcast together."""
         semi_major, semi_minor = domain_axes(speed, states.length, dp)
         frame = _Frame.of(states.heading, reverse=target)
         quad = _Quadratic.of(semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0)
@@ -180,14 +183,19 @@ class _Horizon(NamedTuple):
         return self.quad.solve(*self.frame(d_north, d_east))
 
     def take(self, index) -> "_Horizon":
-        """The vessels at ``index`` along the first axis."""
+        """The vessels at ``index`` (a slice or an index array) along the
+        first axis."""
         frame, quad = (type(p)(*(a if a is None else a[index] for a in p)) for p in self[2:])
         return _Horizon(self.north[index], self.east[index], frame, quad)
 
 
 def _own_horizon(own: StateArrays, offsets: np.ndarray, dp: DomainParams) -> _Horizon:
-    """Own vessels, holding speed and course, as (own, 1, 1, offsets)."""
-    return _Horizon.of(own.expand(0, 4), offsets, 0.0, dp, target=False)
+    """Own vessels, holding speed and course: their positions as (own, 1,
+    1, offsets), and their frames and domains, the same at every offset,
+    as (own, 1, 1, 1), sized at the speed held at offset 0."""
+    o = own.expand(0, 4)
+    north, east, speed = predict_positions(o, offsets)
+    return _Horizon.of(o, north, east, speed[..., :1], dp, target=False)
 
 
 def _target_horizon(
@@ -196,7 +204,7 @@ def _target_horizon(
     """A (times, targets) table of targets changing speed at each rate, as
     (times, targets, rates, offsets)."""
     g = StateArrays(*(a[..., None, None] for a in tgt))
-    return _Horizon.of(g, offsets, rates[:, None], dp, target=True)
+    return _Horizon.of(g, *predict_positions(g, offsets, rates[:, None]), dp, target=True)
 
 
 def _mutual_index(own: _Horizon, tgt: _Horizon, rp: RiskParams) -> np.ndarray:
@@ -229,11 +237,14 @@ def collision_risk_grid(
     time, and ``rows`` holds each own state's row (row 0 when omitted); a
     (targets,) field is a one-row table. The horizon-max mutual index
     (:func:`_mutual_index`) is weighted by the instantaneous arena index,
-    a logistic of distance over arena radius. Each row's horizon is built
-    once per call, in blocks of rows, and own states go in chunks, each of
-    about ``KERNEL_CHUNK_ELEMS`` grid elements. A chunk uses a one-row
-    block, or one it reads row by row in order, as it is (a recorded
-    passage, where each step has its own row), and gathers rows otherwise.
+    a logistic of distance over arena radius. Each side is built once per
+    call: the own horizon (:func:`_own_horizon`) for every own state, and
+    each row's target horizon, in blocks of rows. Own states go in chunks,
+    each of about ``KERNEL_CHUNK_ELEMS`` grid elements; a chunk of
+    consecutive own states reads its rows of the own horizon as a slice. A
+    chunk uses a one-row block, or one it reads row by row in order, as it
+    is (a recorded passage, where each step has its own row), and gathers
+    rows otherwise.
     """
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     offsets = rp.horizon_offsets()
@@ -241,6 +252,7 @@ def collision_risk_grid(
     n_own, (n_rows, n_tgt) = own.north.size, tgt.north.shape
     rows = np.zeros(n_own, dtype=int) if rows is None else rows
     out = np.empty((n_own, n_tgt, rates.size))
+    own_horizon = _own_horizon(own, offsets, dp)
     chunk = max(1, KERNEL_CHUNK_ELEMS // max(n_tgt * rates.size * offsets.size, 1))
     for first in range(0, n_rows, chunk):
         block = tgt.select(slice(first, first + chunk))
@@ -248,12 +260,15 @@ def collision_risk_grid(
         readers = np.flatnonzero((rows >= first) & (rows < first + chunk))
         for lo in range(0, readers.size, chunk):
             index = readers[lo:lo + chunk]
-            part, near, targets, local = own.select(index), block, horizon, rows[index] - first
+            if index[-1] - index[0] == index.size - 1:  # sorted, so consecutive
+                index = slice(index[0], index[-1] + 1)
+            near, targets, local = block, horizon, rows[index] - first
             if n_rows > 1 and not np.array_equal(local, np.arange(len(block.north))):
                 near, targets = block.select(local), horizon.take(local)
-            dist = np.hypot(part.north[:, None] - near.north, part.east[:, None] - near.east)
+            dist = np.hypot(own.north[index, None] - near.north,
+                            own.east[index, None] - near.east)
             arena = risk_index(dist / rp.arena_radius, rp)[:, :, None]
-            out[index] = _mutual_index(_own_horizon(part, offsets, dp), targets, rp) * arena
+            out[index] = _mutual_index(own_horizon.take(index), targets, rp) * arena
     return out
 
 
@@ -454,18 +469,20 @@ def compose_scenario_risk(collision_risks: Iterable[float], grounding_max: float
 
     Folds collision risks and the grounding maximum with
     sr <- r + sr * (1 - r), which equals one minus the product of the
-    complements. Inputs outside [0, 1] are rejected. Each risk may also be
-    an array over own states, folded element by element.
+    complements. Inputs outside [0, 1] are rejected, the first of them
+    named, before anything is folded; all are checked in one pass. Each
+    risk may also be an array over own states, folded element by element.
     """
+    risks = [*collision_risks, grounding_max]
+    flat = np.concatenate([np.ravel(r) for r in risks])
+    if _outside_unit(flat) is not None:
+        i = next(i for i, r in enumerate(risks) if _outside_unit(r) is not None)
+        if i < len(risks) - 1:
+            raise ValueError(f"collision risk #{i} = {_outside_unit(risks[i])} outside [0, 1]")
+        raise ValueError(f"grounding risk {_outside_unit(grounding_max)} outside [0, 1]")
     sr = 0.0
-    for i, cr in enumerate(collision_risks):
-        bad = _outside_unit(cr)
-        if bad is not None:
-            raise ValueError(f"collision risk #{i} = {bad} outside [0, 1]")
+    for cr in risks[:-1]:
         sr = cr + sr * (1.0 - cr)
-    bad = _outside_unit(grounding_max)
-    if bad is not None:
-        raise ValueError(f"grounding risk {bad} outside [0, 1]")
     return grounding_max + sr * (1.0 - grounding_max)
 
 
@@ -503,15 +520,34 @@ def _own_and_targets(
     return tracks[ownship_id], [track for tid, track in tracks.items() if tid != ownship_id]
 
 
+class _Targets(NamedTuple):
+    """Targets placed at a block of times by :func:`_target_table`: their
+    tracks, one per id in id order; their states as a (times, targets)
+    table, each field a contiguous row per time, as the kernel reads best
+    (``_ABSENT``'s values where absent); and the (times, targets) presence
+    mask."""
+
+    tracks: list[VesselTrack]
+    states: StateArrays
+    present: np.ndarray
+
+    def rows(self, index: slice) -> "_Targets":
+        """The table at the times ``index`` selects."""
+        return _Targets(self.tracks, self.states.select(index), self.present[index])
+
+
 def _target_table(
     target_tracks: Sequence[VesselTrack], times: np.ndarray, hold_targets: bool
-) -> tuple[list[VesselTrack], np.ndarray, np.ndarray, bool]:
-    """Target states at each of ``times``: the tracks of the targets
-    present at any time, one per id in id order, a (times, 5, tracks)
-    table of their north, east, speed, heading and length (``_ABSENT``'s
-    values where absent), the (times, tracks) presence mask, and whether
-    any target was held at an end of its track. Each field is a
-    contiguous row, as the kernel reads best.
+) -> tuple[_Targets, bool]:
+    """The targets present at any of ``times``, placed at each, and whether
+    any was held at an end of its track.
+
+    A target's state inside its span is :meth:`VesselTrack.state_at`'s, bit
+    for bit: the sample on a grid time or at the track's end, else the
+    interpolation between the samples around it. Each track's times are
+    searched once for all of ``times``; the samples found and the next
+    ones are gathered from every track at once, and every cell is
+    interpolated in one array pass.
     """
     by_id = {track.track_id: track for track in target_tracks}
     tracks = [by_id[tid] for tid in sorted(by_id)]
@@ -522,14 +558,43 @@ def _target_table(
     present = covered | hold_targets
     keep = present.any(axis=0)
     tracks = [track for track, kept in zip(tracks, keep.tolist()) if kept]
-    present = present[:, keep]
-    table = np.empty((times.size, 5, len(tracks)))
-    table[...] = np.reshape(_ABSENT, (5, 1))
-    for i, (flags, when) in enumerate(zip(present.tolist(), clamped[:, keep].tolist())):
-        for k, track in enumerate(tracks):
-            if flags[k]:
-                table[i, :, k] = (*track._row_at(when[k]), track.length)
-    return tracks, table, present, hold_targets and not covered.all()
+    present, clamped = present[:, keep], clamped[:, keep]
+    # each cell's sample at or before its time, into the samples of each
+    # track from the first one a cell finds to the one after the last
+    found = np.empty(clamped.shape, dtype=np.intp)
+    for k, track in enumerate(tracks):
+        found[:, k] = track.times.searchsorted(clamped[:, k], "right")
+    found -= 1
+    sizes = np.array([track.times.size for track in tracks], dtype=np.intp)
+    lo = found.min(axis=0, initial=np.iinfo(np.intp).max)
+    hi = np.minimum(found.max(axis=0, initial=0) + 2, sizes)
+    # each field's samples of every track, none when there are no tracks
+    t, north, east, speed, heading = parts = tuple([np.empty(0)] for _ in range(5))
+    for track, a, b in zip(tracks, lo.tolist(), hi.tolist()):
+        cut = slice(a, b)
+        t.append(track.times[cut])
+        north.append(track.north[cut])
+        east.append(track.east[cut])
+        speed.append(track.speed[cut])
+        heading.append(track.heading[cut])
+    t, north, east, speed, heading = map(np.concatenate, parts)
+    # each cell's samples as indices into the windows laid end to end
+    last = found == sizes - 1
+    at = found + (np.cumsum(hi - lo) - hi)
+    after = np.where(last, at, at + 1)
+    exact = last | (t[at] == clamped)
+    frac = (clamped - t[at]) / np.where(exact, 1.0, t[after] - t[at])
+    table = np.empty((5, *clamped.shape))
+    for f, values in enumerate((north, east, speed)):
+        start = values[at]
+        table[f] = np.where(exact, start, start + frac * (values[after] - start))
+    # interp_heading's turn along the shorter arc, wrapped as normalize_heading wraps
+    start = heading[at]
+    turn = (heading[after] - start + math.pi) % TWO_PI - math.pi
+    table[3] = np.where(exact, start, _wrap_heading(start + frac * turn))
+    table[4] = [track.length for track in tracks]
+    table[:, ~present] = np.reshape(_ABSENT, (5, 1))
+    return _Targets(tracks, StateArrays(*table), present), hold_targets and not covered.all()
 
 
 def _grounding_max(
@@ -596,10 +661,41 @@ def scenario_risks(
     if times.ndim and times.shape != own.north.shape or not np.isfinite(times).all():
         raise ValueError(f"need one time or {own.north.size} times, each finite, got {t!r}")
     distinct, rows = np.unique(np.broadcast_to(times, own.north.shape), return_inverse=True)
-    tracks, table, present, held_any = _target_table(target_tracks, distinct, hold_targets)
-    tgt = StateArrays(*table.swapaxes(0, 1))
+    targets, held_any = _target_table(target_tracks, distinct, hold_targets)
+    collision, collision_wavg, grounding, scenario = _table_risks(
+        own, rows, targets, obstacles, rp, dp, models, wavg_grid_n
+    )
+    return RiskSeries(
+        times=t,
+        collision=collision,
+        collision_wavg=collision_wavg,
+        grounding=grounding,
+        scenario=scenario,
+        targets_held=held_any,
+    )
+
+
+def _table_risks(
+    own: StateArrays,
+    rows: np.ndarray,
+    targets: _Targets,
+    obstacles: ObstacleSet | None,
+    rp: RiskParams,
+    dp: DomainParams,
+    models: Mapping | None = None,
+    wavg_grid_n: int = DEFAULT_GRID_N,
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """The risks :func:`scenario_risks` reports, of own states each against
+    its row of a target table: ``rows`` holds each own state's row, and
+    every row has at least one own state. Returns the collision columns and
+    the weighted ones by target id, the grounding maxima and the scenario
+    risks, one entry per own state in each. A planner search builds its
+    table once and scores each level here."""
+    tracks, tgt, present = targets
+    cr = collision_risk_grid(own, tgt, 0.0, rp, dp, rows)[..., 0]
+    # each own state's presence row, not held while the kernel runs
     present = present[rows]
-    cr = np.where(present, collision_risk_grid(own, tgt, 0.0, rp, dp, rows)[..., 0], 0.0)
+    cr = np.where(present, cr, 0.0)
     collision = {track.track_id: cr[:, k] for k, track in enumerate(tracks)}
     collision_wavg: dict[str, np.ndarray] = {}
     for k, track in enumerate(tracks if models else ()):
@@ -613,17 +709,10 @@ def scenario_risks(
         collision_wavg[track.track_id] = np.where(present[:, k], wavg, 0.0)
     grounding = np.zeros(own.north.size)
     if obstacles is not None and not obstacles.is_empty:
-        for group in (rows == r for r in range(distinct.size)):
+        for group in (rows == r for r in range(tgt.north.shape[0])):
             grounding[group] = _grounding_max(own.select(group), obstacles, rp, dp)
     effective = [collision_wavg.get(tid, column) for tid, column in collision.items()]
-    return RiskSeries(
-        times=t,
-        collision=collision,
-        collision_wavg=collision_wavg,
-        grounding=grounding,
-        scenario=compose_scenario_risk(effective, grounding),
-        targets_held=held_any,
-    )
+    return collision, collision_wavg, grounding, compose_scenario_risk(effective, grounding)
 
 
 def rate_weighted_mean(

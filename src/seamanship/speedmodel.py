@@ -124,17 +124,18 @@ def _violations(ordered: Sequence[VesselTrack], dcpa_threshold: float, dp: Domai
     # an unordered pair is disjoint when one track starts after the other ends
     starts = np.sort([tr.t_start for tr in ordered])
     apart = n - np.searchsorted(starts, [tr.t_end for tr in ordered], side="right")
-    times = np.concatenate([tr.times for tr in ordered])
-    order, first = _equal_time_cells(times)
+    buffer = np.concatenate([tr.times for tr in ordered])
+    order, first = _equal_time_cells(buffer)
     # every sample in time order: its time, track, position, speed, and the
-    # cosine and sine of its heading
-    times = times[order]
+    # cosine and sine of its heading; each field is laid end to end in one
+    # reused buffer and gathered from it
+    times = buffer[order]
     track = np.repeat(np.arange(n, dtype=np.int32), [tr.times.size for tr in ordered])[order]
-    north, east, speed, cos = (
-        np.concatenate([getattr(tr, name) for tr in ordered])[order]
-        for name in ("north", "east", "speed", "heading")
-    )
-    del order
+    north, east, speed, cos = (np.empty(times.size) for _ in range(4))
+    for column, name in zip((north, east, speed, cos), ("north", "east", "speed", "heading")):
+        np.concatenate([getattr(tr, name) for tr in ordered], out=buffer)
+        np.take(buffer, order, out=column, mode="clip")  # "raise" would buffer the output
+    del order, buffer
     sin = np.sin(cos)
     np.cos(cos, out=cos)
     length = np.array([tr.length for tr in ordered])

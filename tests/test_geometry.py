@@ -674,6 +674,111 @@ class TestSail:
         assert np.abs(np.subtract(two[1], one[1])).max() < 1e-9
 
 
+def old_travel_distance(speed, dt, rate=0.0):
+    """travel_distance before it skipped the stopping time where no rate is
+    negative."""
+    dt = np.asarray(dt, dtype=float)
+    if np.any(dt < 0.0):
+        raise ValueError("dt must be non-negative")
+    rate = np.asarray(rate, dtype=float)
+    # a decelerating vessel moves until it stops (after any dt at a subnormal rate), others all dt
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tau = np.where(rate < 0.0, np.minimum(dt, speed / -rate), dt)
+    return speed * tau + 0.5 * rate * tau * tau
+
+
+def old_solve(self, x, y) -> np.ndarray:
+    """_Quadratic.solve before it dropped the clamp of the discriminant and
+    skipped the vessel-position fix where no den is 0."""
+    shape = np.broadcast(x, y, self.coef_a).shape
+    coef_c = np.multiply(x, x, out=np.empty(shape))
+    coef_c *= self.b2
+    # B's array holds y^2 a^2 until C is summed
+    coef_b = np.multiply(y, y, out=np.empty(shape))
+    coef_b *= self.a2
+    coef_c += coef_b
+    np.multiply(x, self.off_f, out=coef_b)
+    coef_b *= self.b2
+    if self.off_s is not None:
+        coef_b += y * self.off_s * self.a2
+    coef_b *= -2.0
+    den = np.multiply(coef_b, coef_b, out=np.empty(shape))
+    den -= np.multiply(4.0 * self.coef_a, coef_c, out=np.empty(shape))
+    np.maximum(den, 0.0, out=den)
+    np.sqrt(den, out=den)
+    den -= coef_b
+    # den is 0 only at the vessel position; NaN geometry stays NaN
+    zero = den == 0.0
+    np.copyto(den, 1.0, where=zero)
+    coef_c *= 2.0
+    coef_c /= den
+    np.copyto(coef_c, 0.0, where=zero)
+    return coef_c
+
+
+def extreme_coordinates(rng, shape):
+    """Coordinates of every magnitude from a millimetre to 1e150 m, either
+    sign, with exact zeros and signed zeros among them."""
+    values = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-3.0, 150.0, shape)
+    values.flat[::7] = 0.0
+    values.flat[3::11] = -0.0
+    return values
+
+
+# rates of every kind the kernel meets: 0, signed zero, NaN, a stop inside
+# the horizon, and a mix of signs
+EDGE_RATES = [0.0, -0.0, math.nan, -0.05, 0.03, -1e-300]
+
+
+class TestKernelPiecesBitwise:
+    """travel_distance and _Quadratic.solve give, bit for bit, what they
+    gave before the collision kernel built each side once per call."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(), (1,), (4, 1)]),
+        st.one_of(st.sampled_from(EDGE_RATES), st.lists(st.sampled_from(EDGE_RATES),
+                                                        min_size=5, max_size=5)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_travel_distance_matches_old(self, seed, shape, rate):
+        # a scalar rate, or one rate per lead time
+        rng = np.random.default_rng(seed)
+        speed = rng.uniform(0.0, 20.0, shape)
+        dt = np.concatenate([[0.0], rng.uniform(0.0, 600.0, 4)])
+        got, want = travel_distance(speed, dt, rate), old_travel_distance(speed, dt, rate)
+        assert same_bits(got, want)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        off_s=st.sampled_from([0.0, -0.0, 20.0, -35.5]),
+        shapes=st.sampled_from([((), (40,), (40,)), ((3, 1), (3, 40), (1, 40)),
+                                ((2, 1, 1), (1, 5, 8), (2, 5, 8))]),
+        at_vessel=st.booleans(),
+        nan=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_solve_matches_old(self, seed, off_s, shapes, at_vessel, nan):
+        # domains of hulls from 10 cm to 1 km; a target at the vessel
+        # position has den = 0, and a NaN coordinate stays NaN
+        rng = np.random.default_rng(seed)
+        domain_shape, x_shape, y_shape = shapes
+        length = 10.0 ** rng.uniform(-1.0, 3.0, domain_shape)
+        a = length * rng.uniform(4.0, 12.0, domain_shape)
+        b = length * 1.6
+        off_f = a * rng.uniform(-0.9, 0.9, domain_shape)
+        quad = _Quadratic.of(a, b, off_f, off_s * length / 100.0)
+        x, y = extreme_coordinates(rng, x_shape), extreme_coordinates(rng, y_shape)
+        if at_vessel:
+            x.flat[:5] = y.flat[:5] = 0.0
+        if nan:
+            x.flat[-1] = math.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = quad.solve(x, y), old_solve(quad, x, y)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestNonFiniteRejected:
     GOOD_STATE = dict(time=0.0, north=0.0, east=0.0, speed=5.0, heading=1.0, length=100.0)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seamanship.geometry import VesselState
+from seamanship.geometry import StateArrays, VesselState
 from seamanship.planner import (
     Hyperparameters,
     KinodynamicParams,
@@ -19,7 +19,7 @@ from seamanship.planner import (
     step_kinodynamics,
 )
 from seamanship import planner, risk
-from seamanship.risk import MUTUAL_MODES, ObstacleSet, RiskParams
+from seamanship.risk import MUTUAL_MODES, ObstacleSet, RiskParams, scenario_risks
 from .test_geometry import straight_track
 from .test_risk import closed_square, reference_scenario_risk_for_state
 
@@ -391,3 +391,53 @@ class TestBatchedLevels:
             singles = [branch_and_bound(tracks, "own", t, hyper, KIN, rp, None, obstacles).sr_star
                        for t in times]
         assert series.tolist() == singles
+
+
+class TestSearchTimeline:
+    """A search places the targets once, in one table for every level, and
+    scores each level exactly as one scenario_risks call per level would."""
+
+    def test_one_table_per_search_and_per_root_block(self):
+        tracks = crossing_scene()
+        hyper = Hyperparameters(n_t=3, n_alpha=3, n_v=2, horizon_T=120.0, beam_width=2)
+        # each table holds one row per root and level, and the roots' own
+        # rows where the roots are scored
+        with mock.patch.object(planner, "_target_table", wraps=risk._target_table) as spy:
+            branch_and_bound(tracks, "own", 50.0, hyper, KIN, TOY_RISK)
+            exhaustive_search(tracks, "own", 50.0, hyper, KIN, TOY_RISK)
+            assert [call.args[1].size for call in spy.call_args_list] == [1 + 3, 1 + 3]
+            # two roots per block (a widest level of 2 x 3 x 2 = 12 nodes):
+            # five distinct times take three blocks
+            spy.reset_mock()
+            with mock.patch.object(planner, "ROOT_BLOCK_NODES", 24):
+                sr_star_series(tracks, "own", [0.0, 10.0, 20.0, 10.0, 30.0, 40.0], hyper, KIN,
+                               TOY_RISK)
+            assert [call.args[1].size for call in spy.call_args_list] == [2 * 3, 2 * 3, 1 * 3]
+
+    @given(
+        small_scenes(),
+        st.sampled_from([[50.0], [50.0, 0.0, 600.0, 123.4]]),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([25, risk.KERNEL_CHUNK_ELEMS]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_levels_match_scenario_risks_bitwise(self, scene, roots, beam, score_roots,
+                                                 chunk_elems):
+        tracks, obstacles, rp = scene
+        hyper = Hyperparameters(n_t=2, n_alpha=3, n_v=2, horizon_T=120.0, beam_width=3)
+        search = _scene(tracks, "own", roots, hyper, KIN, rp, None, obstacles)
+        with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk_elems):
+            levels, held, _ = _level_search(search, np.array(roots), beam, score_roots)
+            scored = levels if score_roots else levels[1:]
+            helds = []
+            for level in scored:
+                states = StateArrays(level.north, level.east, level.speed, level.heading,
+                                     np.full(level.north.size, float(search.own.length)))
+                step = scenario_risks(states, level.time[level.root], search.targets,
+                                      obstacles, rp, search.dp, hold_targets=True)
+                assert np.array_equal(level.risk.view(np.int64), step.scenario.view(np.int64))
+                helds.append(step.targets_held)
+        if not score_roots:
+            assert np.isnan(levels[0].risk).all()
+        assert held is any(helds)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -17,11 +18,13 @@ from seamanship.geometry import (
     VesselState,
     VesselTrack,
     VesselType,
+    _Frame,
     _Quadratic,
     domain_axes,
     make_domain,
     predict_positions,
     predict_state,
+    sail,
     scale_factor,
 )
 from seamanship import risk
@@ -41,7 +44,15 @@ from seamanship.risk import (
     scenario_risks,
 )
 from seamanship.speedmodel import SpeedChangeModel
-from .test_geometry import reference_state_at, reference_state_at_clamped, straight_track
+from .test_geometry import (
+    EDGE_RATES,
+    extreme_coordinates,
+    old_solve,
+    old_travel_distance,
+    reference_state_at,
+    reference_state_at_clamped,
+    straight_track,
+)
 
 
 class TestRiskIndex:
@@ -564,7 +575,8 @@ class TestTargetTable:
     @settings(max_examples=200, deadline=None)
     def test_matches_per_object_table(self, scene):
         tracks, times, hold = scene
-        kept, table, present, held = risk._target_table(tracks, times, hold)
+        (kept, states, present), held = risk._target_table(tracks, times, hold)
+        table = np.stack(states, axis=1)
         ids = [track.track_id for track in kept]
         ref_ids, ref_table, ref_present, ref_held = reference_target_table(tracks, times, hold)
         assert ids == ref_ids
@@ -986,6 +998,205 @@ class TestCollisionKernel:
                 for r, rate in enumerate(rates):
                     expected = reference_collision_risk(own, tgt, float(rate), rp, dp)
                     assert abs(grid[c, k, r] - expected) <= 1e-12
+
+
+class OldQuadratic(_Quadratic):
+    """_Quadratic with the solve it had before the kernel built each side
+    once per call."""
+
+    solve = old_solve
+
+
+def old_predict_positions(state, dts, rate=0.0):
+    """predict_positions on the old travel_distance."""
+    dts = np.asarray(dts, dtype=float)
+    north, east, _ = sail(state.north, state.east, state.heading,
+                          old_travel_distance(state.speed, dts, rate))
+    return north, east, np.maximum(0.0, state.speed + rate * dts)
+
+
+class OldHorizon(NamedTuple):
+    """risk._Horizon before the kernel built each side once per call."""
+
+    north: np.ndarray
+    east: np.ndarray
+    frame: _Frame
+    quad: _Quadratic
+
+    @classmethod
+    def of(cls, states: StateArrays, offsets, rates, dp: DomainParams, target: bool):
+        """``states`` shaped to broadcast against ``offsets`` and ``rates``."""
+        north, east, speed = old_predict_positions(states, offsets, rates)
+        semi_major, semi_minor = domain_axes(speed, states.length, dp)
+        frame = _Frame.of(states.heading, reverse=target)
+        quad = OldQuadratic.of(semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0)
+        return cls(north, east, frame, quad)
+
+    def scale_factor(self, d_north, d_east) -> np.ndarray:
+        return self.quad.solve(*self.frame(d_north, d_east))
+
+    def take(self, index) -> "OldHorizon":
+        """The vessels at ``index`` along the first axis."""
+        frame, quad = (type(p)(*(a if a is None else a[index] for a in p)) for p in self[2:])
+        return OldHorizon(self.north[index], self.east[index], frame, quad)
+
+
+def old_own_horizon(own: StateArrays, offsets: np.ndarray, dp: DomainParams) -> OldHorizon:
+    """Own vessels, holding speed and course, as (own, 1, 1, offsets)."""
+    return OldHorizon.of(own.expand(0, 4), offsets, 0.0, dp, target=False)
+
+
+def old_target_horizon(tgt, offsets, rates, dp) -> OldHorizon:
+    """A (times, targets) table of targets changing speed at each rate, as
+    (times, targets, rates, offsets)."""
+    g = StateArrays(*(a[..., None, None] for a in tgt))
+    return OldHorizon.of(g, offsets, rates[:, None], dp, target=True)
+
+
+def old_collision_risk_grid(own, tgt, rates, rp, dp, rows=None) -> np.ndarray:
+    """collision_risk_grid as it was, rebuilding the own side for every
+    chunk of own states, picked by index arrays."""
+    rates = np.atleast_1d(np.asarray(rates, dtype=float))
+    offsets = rp.horizon_offsets()
+    tgt = StateArrays(*map(np.atleast_2d, tgt))
+    n_own, (n_rows, n_tgt) = own.north.size, tgt.north.shape
+    rows = np.zeros(n_own, dtype=int) if rows is None else rows
+    out = np.empty((n_own, n_tgt, rates.size))
+    chunk = max(1, risk.KERNEL_CHUNK_ELEMS // max(n_tgt * rates.size * offsets.size, 1))
+    for first in range(0, n_rows, chunk):
+        block = tgt.select(slice(first, first + chunk))
+        horizon = old_target_horizon(block, offsets, rates, dp)
+        readers = np.flatnonzero((rows >= first) & (rows < first + chunk))
+        for lo in range(0, readers.size, chunk):
+            index = readers[lo:lo + chunk]
+            part, near, targets, local = own.select(index), block, horizon, rows[index] - first
+            if n_rows > 1 and not np.array_equal(local, np.arange(len(block.north))):
+                near, targets = block.select(local), horizon.take(local)
+            dist = np.hypot(part.north[:, None] - near.north, part.east[:, None] - near.east)
+            arena = risk_index(dist / rp.arena_radius, rp)[:, :, None]
+            own_side = old_own_horizon(part, offsets, dp)
+            out[index] = risk._mutual_index(own_side, targets, rp) * arena
+    return out
+
+
+def old_outside_unit(value):
+    """First entry of ``value`` outside [0, 1] (NaN included), else None."""
+    value = np.asarray(value)
+    bad = ~((value >= 0.0) & (value <= 1.0))
+    return value[bad].flat[0] if bad.any() else None
+
+
+def old_compose_scenario_risk(collision_risks, grounding_max):
+    """compose_scenario_risk as it was, one range check per column."""
+    sr = 0.0
+    for i, cr in enumerate(collision_risks):
+        bad = old_outside_unit(cr)
+        if bad is not None:
+            raise ValueError(f"collision risk #{i} = {bad} outside [0, 1]")
+        sr = cr + sr * (1.0 - cr)
+    bad = old_outside_unit(grounding_max)
+    if bad is not None:
+        raise ValueError(f"grounding risk {bad} outside [0, 1]")
+    return grounding_max + sr * (1.0 - grounding_max)
+
+
+@st.composite
+def edge_kernel_cases(draw):
+    """kernel_cases' tables and row orders at realistic coordinates or at
+    coordinates up to 1e150 m, with signed-zero, NaN, negative and mixed
+    rates, and maybe a target of the own state's row at its position, both
+    at rest (den = 0 at every offset)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_own, n_tgt = draw(st.integers(1, 8)), draw(st.integers(0, 3))
+    n_rows = draw(st.integers(1, n_own))
+    own = random_state_arrays(rng, (n_own,))
+    tgt = random_state_arrays(rng, (n_rows, n_tgt))
+    if draw(st.booleans()):
+        for states in (own, tgt):
+            states.north[...] = extreme_coordinates(rng, states.north.shape)
+            states.east[...] = extreme_coordinates(rng, states.east.shape)
+    rows = rng.integers(0, n_rows, n_own)
+    order = draw(st.sampled_from(["random", "grouped", "cycling"]))
+    if order == "grouped":
+        rows.sort()
+    elif order == "cycling":
+        rows = np.arange(n_own) % n_rows
+    if n_tgt and draw(st.booleans()):
+        c = draw(st.integers(0, n_own - 1))
+        at = (rows[c], 0)
+        tgt.north[at], tgt.east[at] = own.north[c], own.east[c]
+        own.speed[c] = tgt.speed[at] = 0.0
+    if n_rows == 1 and draw(st.booleans()):
+        tgt, rows = StateArrays(*(a[0] for a in tgt)), None
+    rates = draw(st.one_of(
+        st.sampled_from(EDGE_RATES).map(lambda r: np.array([r])),
+        st.lists(st.sampled_from(EDGE_RATES), min_size=2, max_size=6).map(np.array),
+        st.just(np.linspace(-0.05, 0.05, 64)),
+    ))
+    horizon_T, horizon_step = draw(st.sampled_from([(600.0, 30.0), (300.0, 45.0), (0.0, 30.0)]))
+    rp = RiskParams(horizon_T=horizon_T, horizon_step=horizon_step,
+                    mutual_mode=draw(st.sampled_from(MUTUAL_MODES)))
+    return own, tgt, rows, rates, rp
+
+
+class TestOneSidePerCall:
+    """The collision kernel, with each side built once per call and runs of
+    own states read as slices, and the one-pass range check of the
+    composition give, bit for bit, what they gave before."""
+
+    # an element budget of 25 gives one own state and one table row per
+    # pass; one of two or three of each lets a pass read own states that are
+    # not consecutive
+    @given(edge_kernel_cases(), st.sampled_from([25, 2, 3, risk.KERNEL_CHUNK_ELEMS]))
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_matches_old(self, case, chunk_elems):
+        own, tgt, rows, rates, rp = case
+        dp = DomainParams()
+        if chunk_elems in (2, 3):  # own states and table rows per pass
+            per_state = max(tgt.north.shape[-1], 1) * rates.size * rp.horizon_offsets().size
+            chunk_elems *= per_state
+        with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk_elems), \
+                np.errstate(over="ignore", invalid="ignore"):
+            got = collision_risk_grid(own, tgt, rates, rp, dp, rows)
+            want = old_collision_risk_grid(own, tgt, rates, rp, dp, rows)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(
+        st.integers(0, 5),
+        st.sampled_from([(), (1,), (7,)]),
+        st.lists(st.one_of(
+            st.floats(0.0, 1.0),
+            st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1.0 - 2**-53]),
+            st.sampled_from([-1e-300, 1.0000000000000002, math.nan, 2, -1, math.inf]),
+        ), min_size=48, max_size=48),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_compose_matches_old(self, n_columns, shape, values, scalar_grounding):
+        # columns and the grounding broadcast together; values are drawn
+        # in order, so an out-of-range one may fall in any column
+        pool = iter(values)
+        size = math.prod(shape)
+
+        def column():
+            picked = [next(pool) for _ in range(size)]
+            return picked[0] if shape == () else np.array(picked).reshape(shape)
+
+        columns = [column() for _ in range(n_columns)]
+        grounding = next(pool) if scalar_grounding else column()
+        outcomes = []
+        for compose in (compose_scenario_risk, old_compose_scenario_risk):
+            try:
+                outcomes.append(np.asarray(compose(columns, grounding), dtype=float))
+            except ValueError as error:
+                outcomes.append(str(error))
+        got, want = outcomes
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str) and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def reference_densify(polygons, spacing):
