@@ -292,7 +292,7 @@ class ArenaSpec:
     center: LocalPoint
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0:
+        if not self.radius > 0.0:  # NaN included
             raise ValueError(f"arena radius must be positive, got {self.radius}")
 
 

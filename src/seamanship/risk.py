@@ -11,11 +11,12 @@ One broadcast kernel, :func:`collision_risk_grid`, evaluates collision risk
 for many own states against a table of target states, one row per distinct
 time, at many target speed-change rates in one array pass; the single-pair
 functions call it with one of each. A
-second kernel scores grounding for many own states against the chart
-points strictly inside their arenas in one pass, channel-width adjustment
+second kernel scores grounding for many own states, each against only the
+chart points strictly inside its arena, channel-width adjustment
 included; its horizon maximum is a shift of the points aft along the
-heading, not a prediction per offset. Chart boundaries are densified in
-one array pass over all polygon edges.
+heading, not a prediction per offset. A chart keeps its polygon edges
+with their bounding boxes, and an arena scan discretizes only the edges
+whose box comes near the arena, in one array pass.
 
 :func:`scenario_risks` has a time axis: its own states share one time or
 each carry their own (a recorded passage, or a planner level of several
@@ -316,63 +317,116 @@ def overall_collision_risk(
     return float(collision_risk_grid(own, tgt, rate, rp, dp)[0, 0, 0])
 
 
+class _Edges(NamedTuple):
+    """Polygon edges, laid end to end ring by ring: each edge's first
+    vertex and its vector to the next, (E, 2); the number of boundary
+    points it gets, (E,); and the bounding box of its two vertices, whose
+    low and high corners are (2, E), north then east."""
+
+    start: np.ndarray
+    vector: np.ndarray
+    n: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+
+    @classmethod
+    def of(cls, polygons: Sequence[np.ndarray], spacing: float) -> "_Edges":
+        """The edges of the closed rings ``polygons``, discretized at
+        intervals no longer than ``spacing``: an edge of length L gets
+        ceil(L / spacing) points, none when L is 0. A ring whose end
+        vertices differ (``np.allclose``'s test), a spacing that is not
+        positive and finite, a coordinate that is not finite, or a point
+        count above ``MAX_BOUNDARY_POINTS`` raises ValueError; no point is
+        made here."""
+        sizes = np.array([len(ring) for ring in polygons], dtype=np.intp)
+        vertices = np.concatenate([np.empty((0, 2)), *polygons])
+        ends = np.cumsum(sizes)
+        closed = np.isclose(vertices[ends - sizes], vertices[ends - 1]).all(axis=1)
+        if not closed.all():
+            raise ValueError(f"polygon {int(np.argmin(closed))} is not closed")
+        if not 0.0 < spacing < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {spacing}")
+        # an edge starts at every vertex but its ring's last
+        first = np.delete(np.arange(vertices.shape[0]), ends - 1)
+        start, stop = vertices[first], vertices[first + 1]
+        vector = stop - start
+        edge_len = np.hypot(vector[:, 0], vector[:, 1])
+        if not np.isfinite(edge_len).all():
+            raise ValueError("polygon coordinates must be finite")
+        n = np.where(edge_len == 0.0, 0, np.maximum(1, np.ceil(edge_len / spacing - 1e-12)))
+        total = n.sum()
+        if not total <= MAX_BOUNDARY_POINTS:  # an edge's count may even be inf
+            raise ValueError(f"spacing {spacing} gives {total:g} boundary points, "
+                             f"more than the {MAX_BOUNDARY_POINTS:,} a chart may have")
+        low, high = np.minimum(start, stop).T.copy(), np.maximum(start, stop).T.copy()
+        return cls(start, vector, n.astype(int), low, high)
+
+    def densify(self, index=slice(None)) -> np.ndarray:
+        """The boundary points of the edges at ``index`` (a slice or an
+        array of edge indices in ascending order), (N, 2), edge by edge:
+        the k-th of an edge's n points is its start plus k / n of its
+        vector, so it lies in the edge's box, and the shared end vertex
+        belongs to the next edge."""
+        start, vector, n = self.start[index], self.vector[index], self.n[index]
+        # k-th point of its edge: position in the output minus the edge's first slot
+        first = np.cumsum(n) - n
+        k = np.arange(n.sum()) - np.repeat(first, n)
+        fracs = k / np.repeat(n, n)
+        return np.repeat(start, n, axis=0) + fracs[:, None] * np.repeat(vector, n, axis=0)
+
+
 @dataclass
 class ObstacleSet:
-    """Shallow-water obstacle polygons with pre-densified boundary points.
+    """Shallow-water obstacle polygons, kept as their edges.
 
     ``polygons`` holds closed rings as (N, 2) north/east arrays (first
     vertex repeated last). ``boundary_points`` is the concatenation of all
-    ring boundaries discretized at ``spacing`` meters.
+    ring boundaries discretized at ``spacing`` meters
+    (:func:`densify_boundaries`), built when first read. An arena scan
+    (:meth:`points_in_arena`) makes only the points of the edges whose
+    bounding box comes near the arena. Rings, coordinates, spacing and the
+    point budget are checked when the set is made.
     """
 
     polygons: list[np.ndarray] = field(default_factory=list)
     spacing: float = 50.0
-    boundary_points: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.polygons = [np.asarray(p, dtype=float) for p in self.polygons]
         for i, poly in enumerate(self.polygons):
             if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 4:
                 raise ValueError(f"polygon {i} is not a closed ring of 2d points")
-        if self.polygons:
-            # np.allclose's test, on every ring's end vertices at once
-            first = np.array([poly[0] for poly in self.polygons])
-            last = np.array([poly[-1] for poly in self.polygons])
-            closed = np.isclose(first, last).all(axis=1)
-            if not closed.all():
-                raise ValueError(f"polygon {int(np.argmin(closed))} is not closed")
-        self.boundary_points = densify_boundaries(self.polygons, self.spacing)
+        self._edges = _Edges.of(self.polygons, self.spacing)
 
     @property
     def is_empty(self) -> bool:
         return len(self.polygons) == 0
 
     @functools.cached_property
-    def _by_north(self) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the boundary points in north order, and their north
-        coordinates in that order; built at the first arena scan."""
-        order = np.argsort(self.boundary_points[:, 0])
-        return order, self.boundary_points[order, 0]
+    def boundary_points(self) -> np.ndarray:
+        return self._edges.densify()
 
     def points_in_arena(self, arena: ArenaSpec) -> np.ndarray:
         """Boundary points strictly inside the arena circle, (M, 2), in
         their original order.
 
-        Only the points whose north coordinate lies within the radius of
-        the center's, widened by a margin far above rounding error, take
-        the exact distance test, which is the one every point would take.
-        A point it keeps has |north offset| <= distance < radius, so none
-        is lost.
+        Only the edges whose box lies within the radius of the center in
+        both coordinates, widened by a margin far above rounding error,
+        are densified, and their points take the exact distance test,
+        which is the one every point would take. A point it keeps lies in
+        its edge's box and has |offset| <= distance < radius in each
+        coordinate, so none is lost.
         """
         north, east, radius = arena.center.north, arena.center.east, arena.radius
-        order, sorted_north = self._by_north
-        reach = radius + 1e-9 * (abs(north) + radius)
-        lo = np.searchsorted(sorted_north, north - reach, side="left")
-        hi = np.searchsorted(sorted_north, north + reach, side="right")
-        band = order[lo:hi]
-        d = self.boundary_points[band] - np.array([north, east])
-        inside = np.sort(band[np.hypot(d[:, 0], d[:, 1]) < radius])
-        return self.boundary_points[inside]
+        reach = radius + 1e-9 * (abs(north) + abs(east) + radius)
+        low, high = self._edges.low, self._edges.high
+        near = np.flatnonzero(
+            (low[0] <= north + reach) & (high[0] >= north - reach)
+            & (low[1] <= east + reach) & (high[1] >= east - reach)
+        )
+        points = self._edges.densify(near)
+        d = points - np.array([north, east])
+        return points[np.hypot(d[:, 0], d[:, 1]) < radius]
 
 
 def densify_boundaries(polygons: Sequence[np.ndarray], spacing: float) -> np.ndarray:
@@ -381,80 +435,12 @@ def densify_boundaries(polygons: Sequence[np.ndarray], spacing: float) -> np.nda
     Each edge of length L contributes ceil(L / spacing) points starting at
     the edge's first vertex; the shared end vertex belongs to the next
     edge, so rings produce no duplicates. All edges are handled in one
-    array pass. Returns the (N, 2) points. A spacing that is not positive
-    and finite, or so small that the point count exceeds
-    ``MAX_BOUNDARY_POINTS``, raises ValueError before any point is made.
+    array pass. Returns the (N, 2) points. A ring that is not closed, a
+    spacing that is not positive and finite, or one so small that the
+    point count exceeds ``MAX_BOUNDARY_POINTS``, raises ValueError before
+    any point is made.
     """
-    if not 0.0 < spacing < math.inf:
-        raise ValueError(f"spacing must be positive and finite, got {spacing}")
-    if not polygons:
-        return np.empty((0, 2))
-    start = np.concatenate([ring[:-1] for ring in polygons])
-    edge = np.concatenate([ring[1:] for ring in polygons]) - start
-    edge_len = np.hypot(edge[:, 0], edge[:, 1])
-    if not np.isfinite(edge_len).all():
-        raise ValueError("polygon coordinates must be finite")
-    n = np.where(edge_len == 0.0, 0, np.maximum(1, np.ceil(edge_len / spacing - 1e-12)))
-    total = n.sum()
-    if not total <= MAX_BOUNDARY_POINTS:  # an edge's count may even be inf
-        raise ValueError(f"spacing {spacing} gives {total:g} boundary points, "
-                         f"more than the {MAX_BOUNDARY_POINTS:,} a chart may have")
-    n = n.astype(int)
-    # k-th point of its edge: position in the output minus the edge's first slot
-    first = np.cumsum(n) - n
-    k = np.arange(n.sum()) - np.repeat(first, n)
-    fracs = k / np.repeat(n, n)
-    return np.repeat(start, n, axis=0) + fracs[:, None] * np.repeat(edge, n, axis=0)
-
-
-def _grounding_grid(
-    own: StateArrays, pts: np.ndarray, rp: RiskParams, dp: DomainParams
-) -> np.ndarray:
-    """Grounding risk of every own state against every point, shape
-    (own, points); points at or beyond the arena radius of a state score 0
-    and take no part in its channel width.
-
-    Each point acts as a zero-speed virtual vessel: its risk is the domain
-    index times the instantaneous arena index. The domain index is
-    instantaneous, or with ``rp.grounding_horizon_max`` its maximum over
-    the horizon offsets (vessel moves, points stand still): at offset t a
-    point at (x, y) in the domain frame sits at (x - speed * t, y).
-
-    With ``rp.channel_adjust`` the beam shrinks in a narrow channel. Its
-    width is the nearest perpendicular distance to port plus the nearest to
-    starboard over the points in the forward corridor (``channel_corridor``,
-    default the semi-major axis), each side capped at the arena radius, so
-    open water never shrinks it. When twice the semi-minor axis exceeds the
-    width, the beam shrinks to ``channel_gamma * width / 2`` (at least 1 mm).
-    """
-    o = own.expand(0, 2)
-    d_north = pts[:, 0] - o.north
-    d_east = pts[:, 1] - o.east
-    dist = np.hypot(d_north, d_east)
-    inside = dist < rp.arena_radius
-    semi_major, semi_minor = domain_axes(o.speed, o.length, dp)
-    x, y = _Frame.of(o.heading)(d_north, d_east)
-    if rp.channel_adjust:
-        corridor = semi_major if rp.channel_corridor is None else rp.channel_corridor
-        ahead = inside & (x >= 0.0) & (x <= corridor)
-        cap = rp.arena_radius
-        starboard = np.min(np.where(ahead & (y > 0.0), y, cap), axis=1, keepdims=True, initial=cap)
-        port = np.min(np.where(ahead & (y < 0.0), -y, cap), axis=1, keepdims=True, initial=cap)
-        width = port + starboard
-        new_minor = np.maximum(rp.channel_gamma * width / 2.0, 1e-3)
-        shrink = (2.0 * semi_minor > width) & (new_minor < semi_minor)
-        semi_minor = np.where(shrink, new_minor, semi_minor)
-    quad = _Quadratic.of(semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0)
-    if rp.grounding_horizon_max:
-        # offsets lead, (offsets, own, points); the smallest f gives the
-        # largest index
-        shift = rp.horizon_offsets()[:, None, None] * o.speed
-        f = quad.solve(x - shift, y).min(axis=0)
-    else:
-        f = quad.solve(x, y)
-    r_d = risk_index(f, rp)
-    r_a = risk_index(dist / rp.arena_radius, rp)
-    return np.where(inside, r_d * r_a, 0.0)
+    return _Edges.of(polygons, spacing).densify()
 
 
 def _outside_unit(value):
@@ -603,11 +589,31 @@ def _grounding_max(
     """Maximum grounding risk of each own state against the charted points
     strictly inside its arena, 0 when there are none; shape (own,).
 
+    Each point acts as a zero-speed virtual vessel: its risk is the domain
+    index times the instantaneous arena index. The domain index is
+    instantaneous, or with ``rp.grounding_horizon_max`` its maximum over
+    the horizon offsets (vessel moves, points stand still): at offset t a
+    point at (x, y) in the domain frame sits at (x - speed * t, y).
+
+    With ``rp.channel_adjust`` the beam shrinks in a narrow channel. Its
+    width is the nearest perpendicular distance to port plus the nearest to
+    starboard over the points in the forward corridor (``channel_corridor``,
+    default the semi-major axis), each side capped at the arena radius, so
+    open water never shrinks it. When twice the semi-minor axis exceeds the
+    width, the beam shrinks to ``channel_gamma * width / 2`` (at least 1 mm).
+
     The chart is scanned once for points near any of the states (within
     the arena radius plus the states' spread around their centroid). Own
-    states are then scored against that subset in chunks of about
-    ``KERNEL_CHUNK_ELEMS`` grid elements (states x horizon offsets x
-    points), which bounds the size of the temporaries.
+    states then go in blocks, and one distance pass per block keeps the
+    (state, point) pairs strictly inside each state's arena. Only those
+    are scored: a point at or beyond the radius would score exactly 0 and
+    take no part in the channel width. Each state's channel sides and
+    maximum reduce its run of pairs, and min and max are exact in any
+    order. A block is sized for about ``KERNEL_CHUNK_ELEMS`` elements of
+    (horizon offsets, pairs), at the pairs per state kept so far (the first
+    as if every point were kept), and its distance pass, three floats and
+    a flag per (state, point), holds at most four times that many cells,
+    so the temporaries stay within a megabyte or two.
     """
     n_own = own.north.size
     out = np.zeros(n_own)
@@ -618,11 +624,51 @@ def _grounding_max(
     )
     if near.size == 0:
         return out
-    per_own = near.shape[0] * (rp.horizon_offsets().size if rp.grounding_horizon_max else 1)
-    chunk = max(1, KERNEL_CHUNK_ELEMS // per_own)
-    for lo in range(0, n_own, chunk):
-        part = own.select(slice(lo, lo + chunk))
-        out[lo:lo + chunk] = _grounding_grid(part, near, rp, dp).max(axis=1)
+    offsets = rp.horizon_offsets()[:, None] if rp.grounding_horizon_max else None
+    budget = max(1, KERNEL_CHUNK_ELEMS // (1 if offsets is None else offsets.size))
+    near_north, near_east = np.ascontiguousarray(near.T)
+    radius = rp.arena_radius
+    lo, rows, kept = 0, max(1, budget // near_north.size), 0
+    while lo < n_own:
+        block = slice(lo, lo + rows)
+        o = own.select(block)
+        d_north = near_north - o.north[:, None]
+        d_east = near_east - o.east[:, None]
+        dist = np.hypot(d_north, d_east)
+        inside = dist < radius
+        d_north, d_east, dist = d_north[inside], d_east[inside], dist[inside]
+        counts = np.count_nonzero(inside, axis=1)
+        lo, kept = lo + rows, kept + dist.size
+        rows = max(1, min(budget * lo // max(kept, 1), 4 * KERNEL_CHUNK_ELEMS // near_north.size))
+        if dist.size == 0:
+            continue
+        # each state's pairs form a run; runs start where their state has any
+        some = counts > 0
+        runs = (np.cumsum(counts) - counts)[some]
+        semi_major, semi_minor = domain_axes(o.speed, o.length, dp)
+        x, y = _Frame(*(np.repeat(c, counts) for c in _Frame.of(o.heading)))(d_north, d_east)
+        if rp.channel_adjust:
+            corridor = (np.repeat(semi_major, counts) if rp.channel_corridor is None
+                        else rp.channel_corridor)
+            ahead = (x >= 0.0) & (x <= corridor)
+            starboard, port = np.full(counts.size, radius), np.full(counts.size, radius)
+            starboard[some] = np.minimum.reduceat(np.where(ahead & (y > 0.0), y, radius), runs)
+            port[some] = np.minimum.reduceat(np.where(ahead & (y < 0.0), -y, radius), runs)
+            # capped at the radius, as a side with no point reads
+            width = np.minimum(port, radius) + np.minimum(starboard, radius)
+            new_minor = np.maximum(rp.channel_gamma * width / 2.0, 1e-3)
+            shrink = (2.0 * semi_minor > width) & (new_minor < semi_minor)
+            semi_minor = np.where(shrink, new_minor, semi_minor)
+        quad = _Quadratic.of(semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0)
+        quad = _Quadratic(*(a if a is None else np.repeat(a, counts) for a in quad))
+        if offsets is None:
+            f = quad.solve(x, y)
+        else:
+            # offsets lead, (offsets, pairs); the smallest f gives the
+            # largest index
+            f = quad.solve(x - offsets * np.repeat(o.speed, counts), y).min(axis=0)
+        risk = risk_index(f, rp) * risk_index(dist / radius, rp)
+        out[block][some] = np.maximum.reduceat(risk, runs)
     return out
 
 

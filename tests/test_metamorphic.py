@@ -4,13 +4,14 @@ in a way the risk model must not notice.
 - Rigid motion: rotating and translating every track and the chart together.
 - Relabelling: renaming the targets.
 - Time shift: adding one constant to every time.
+- Mirror: reflecting every track and the chart across the north axis.
 
 Each compares per-target collision, grounding and scenario risk over the
 ownship's whole span (``compute_risk_series``) and the floor of an
 ``exhaustive_search``, which keeps every node, so ties cannot reorder what
-a beam would cut. Rigid motion and time shifts move values by rounding
-only, to 1e-9; relabelling moves them by no more than the fold order of
-the collision risks, to 1e-12.
+a beam would cut. Rigid motion, time shifts and the mirror move values by
+rounding only, to 1e-9; relabelling moves them by no more than the fold
+order of the collision risks, to 1e-12.
 """
 
 import dataclasses
@@ -148,5 +149,23 @@ def test_one_constant_added_to_every_time(scene, shift):
     shifted = {tid: dataclasses.replace(tr, times=tr.times + shift) for tid, tr in tracks.items()}
     assert_same(
         outcome(shifted, rings, rp, shift, root + shift), outcome(tracks, rings, rp, 0.0, root),
+        same_names(tracks), 1e-9,
+    )
+
+
+@given(scenes())
+@settings(max_examples=40, deadline=None)
+def test_mirror_image_of_tracks_and_chart(scene):
+    # east -> -east and heading -> -heading reflect the scene across the
+    # north axis: port and starboard swap, so a channel's two sides do
+    # too. This holds while no domain has a lateral offset.
+    tracks, rings, rp, root = scene
+    mirrored = {
+        tid: dataclasses.replace(tr, east=-tr.east, heading=-tr.heading)
+        for tid, tr in tracks.items()
+    }
+    mirrored_rings = [ring * [1.0, -1.0] for ring in rings]
+    assert_same(
+        outcome(mirrored, mirrored_rings, rp, 0.0, root), outcome(tracks, rings, rp, 0.0, root),
         same_names(tracks), 1e-9,
     )

@@ -51,6 +51,7 @@ from .test_geometry import (
     old_travel_distance,
     reference_state_at,
     reference_state_at_clamped,
+    same_bits,
     straight_track,
 )
 
@@ -193,16 +194,115 @@ def points_in_arena(polygons, arena, spacing):
 
 def reference_points_in_arena(points, arena):
     """The exact distance test over every point, the reference for the
-    north-band cut."""
+    edge-box cut."""
     d = points - np.array([arena.center.north, arena.center.east])
     return points[np.hypot(d[:, 0], d[:, 1]) < arena.radius]
+
+
+# Verbatim copies of the chart and grounding code that the edge index and
+# the per-state grounding pairs replaced: the densified chart, its scan of
+# a north band of sorted points, the dense (states, points) grounding grid
+# and the maximum over it. The replacements must give the same bits.
+
+
+def old_densify_boundaries(polygons, spacing):
+    """``risk.densify_boundaries`` before the chart kept its edges."""
+    if not 0.0 < spacing < math.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+    if not polygons:
+        return np.empty((0, 2))
+    start = np.concatenate([ring[:-1] for ring in polygons])
+    edge = np.concatenate([ring[1:] for ring in polygons]) - start
+    edge_len = np.hypot(edge[:, 0], edge[:, 1])
+    if not np.isfinite(edge_len).all():
+        raise ValueError("polygon coordinates must be finite")
+    n = np.where(edge_len == 0.0, 0, np.maximum(1, np.ceil(edge_len / spacing - 1e-12)))
+    total = n.sum()
+    if not total <= risk.MAX_BOUNDARY_POINTS:  # an edge's count may even be inf
+        raise ValueError(f"spacing {spacing} gives {total:g} boundary points, "
+                         f"more than the {risk.MAX_BOUNDARY_POINTS:,} a chart may have")
+    n = n.astype(int)
+    # k-th point of its edge: position in the output minus the edge's first slot
+    first = np.cumsum(n) - n
+    k = np.arange(n.sum()) - np.repeat(first, n)
+    fracs = k / np.repeat(n, n)
+    return np.repeat(start, n, axis=0) + fracs[:, None] * np.repeat(edge, n, axis=0)
+
+
+def old_points_in_arena(boundary_points, arena):
+    """``ObstacleSet.points_in_arena`` as a scan of a north band, with the
+    north order that the set used to cache built here."""
+    order = np.argsort(boundary_points[:, 0])
+    sorted_north = boundary_points[order, 0]
+    north, east, radius = arena.center.north, arena.center.east, arena.radius
+    reach = radius + 1e-9 * (abs(north) + radius)
+    lo = np.searchsorted(sorted_north, north - reach, side="left")
+    hi = np.searchsorted(sorted_north, north + reach, side="right")
+    band = order[lo:hi]
+    d = boundary_points[band] - np.array([north, east])
+    inside = np.sort(band[np.hypot(d[:, 0], d[:, 1]) < radius])
+    return boundary_points[inside]
+
+
+def old_grounding_grid(own, pts, rp, dp):
+    """``risk._grounding_grid``: grounding risk of every own state against
+    every point, (own, points), 0 at or beyond a state's arena radius."""
+    o = own.expand(0, 2)
+    d_north = pts[:, 0] - o.north
+    d_east = pts[:, 1] - o.east
+    dist = np.hypot(d_north, d_east)
+    inside = dist < rp.arena_radius
+    semi_major, semi_minor = domain_axes(o.speed, o.length, dp)
+    x, y = _Frame.of(o.heading)(d_north, d_east)
+    if rp.channel_adjust:
+        corridor = semi_major if rp.channel_corridor is None else rp.channel_corridor
+        ahead = inside & (x >= 0.0) & (x <= corridor)
+        cap = rp.arena_radius
+        starboard = np.min(np.where(ahead & (y > 0.0), y, cap), axis=1, keepdims=True, initial=cap)
+        port = np.min(np.where(ahead & (y < 0.0), -y, cap), axis=1, keepdims=True, initial=cap)
+        width = port + starboard
+        new_minor = np.maximum(rp.channel_gamma * width / 2.0, 1e-3)
+        shrink = (2.0 * semi_minor > width) & (new_minor < semi_minor)
+        semi_minor = np.where(shrink, new_minor, semi_minor)
+    quad = _Quadratic.of(semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0)
+    if rp.grounding_horizon_max:
+        # offsets lead, (offsets, own, points); the smallest f gives the
+        # largest index
+        shift = rp.horizon_offsets()[:, None, None] * o.speed
+        f = quad.solve(x - shift, y).min(axis=0)
+    else:
+        f = quad.solve(x, y)
+    r_d = risk_index(f, rp)
+    r_a = risk_index(dist / rp.arena_radius, rp)
+    return np.where(inside, r_d * r_a, 0.0)
+
+
+def old_grounding_max(own, boundary_points, rp, dp):
+    """``risk._grounding_max`` over the dense grid, against a chart's
+    densified points."""
+    n_own = own.north.size
+    out = np.zeros(n_own)
+    center_n, center_e = float(np.mean(own.north)), float(np.mean(own.east))
+    spread = float(np.max(np.hypot(own.north - center_n, own.east - center_e)))
+    near = old_points_in_arena(
+        boundary_points,
+        ArenaSpec(rp.arena_radius + spread + risk.ARENA_SLACK, LocalPoint(center_n, center_e)),
+    )
+    if near.size == 0:
+        return out
+    per_own = near.shape[0] * (rp.horizon_offsets().size if rp.grounding_horizon_max else 1)
+    chunk = max(1, risk.KERNEL_CHUNK_ELEMS // per_own)
+    for lo in range(0, n_own, chunk):
+        part = own.select(slice(lo, lo + chunk))
+        out[lo:lo + chunk] = old_grounding_grid(part, near, rp, dp).max(axis=1)
+    return out
 
 
 @st.composite
 def arena_scans(draw):
     """An arena and a ring of points around it: on the circle (on the
     axes and at drawn bearings), inside and outside it, and on rows of one
-    north coordinate each, including the band's edges."""
+    north coordinate each, at, inside and beyond the radius."""
     cn, ce = draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4))
     radius = draw(st.floats(1.0, 5e3))
     on_circle = [(cn + radius, ce), (cn - radius, ce), (cn, ce + radius), (cn, ce - radius)]
@@ -225,7 +325,7 @@ class TestArenaBandCut:
         # spacing above every edge: each ring vertex is one boundary point
         obstacles = ObstacleSet([ring], spacing=1e9)
         expected = reference_points_in_arena(obstacles.boundary_points, arena)
-        for _ in range(2):  # the north index is built by the first scan
+        for _ in range(2):  # a scan leaves the set as it found it
             got = obstacles.points_in_arena(arena)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
@@ -233,6 +333,13 @@ class TestArenaBandCut:
     def test_empty_chart(self):
         arena = ArenaSpec(926.0, LocalPoint(0.0, 0.0))
         assert ObstacleSet([]).points_in_arena(arena).shape == (0, 2)
+
+    @pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0, -math.inf])
+    def test_radius_not_positive_refused(self, radius):
+        # a NaN radius used to pass, and its arena then held no point, so
+        # grounding read 0
+        with pytest.raises(ValueError, match="arena radius must be positive"):
+            ArenaSpec(radius, LocalPoint(0.0, 0.0))
 
 
 class TestObstacleSampling:
@@ -262,11 +369,123 @@ class TestObstacleSampling:
         assert np.all(gaps <= 40.0 + 1e-9)
 
 
+
+@st.composite
+def edge_scenes(draw):
+    """A chart around an origin up to 1e7 m out, and own states near it.
+
+    The chart holds a lane wall with 12 km sides, up to three small rings
+    whose vertices often repeat (zero-length edges), and sometimes a ring
+    1,000 km off. Vertices and own positions are whole meters, so that a
+    vertex, which is its edge's first boundary point, sits exactly at the
+    arena radius of the state 3k north and 4k east of it (radius 5k); one
+    state sits there at radius 500 m and one on a vertex. Also returns
+    arenas centered on corners of edge boxes and 3k, 4k off a vertex, and
+    the arena radius for the states (500 m or the default)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    origin = np.array([draw(st.sampled_from([0.0, 123457.0, 1e7, -1e7])) for _ in range(2)])
+    wall = float(rng.integers(100, 300))
+    rings = [origin + np.array(
+        [[-6000.0, wall], [6000.0, wall], [6000.0, wall + 200.0], [-6000.0, wall + 200.0],
+         [-6000.0, wall]]
+    )]
+    for _ in range(draw(st.integers(0, 3))):
+        center = rng.integers(-1500, 1500, 2)
+        vertices = [center + rng.integers(-300, 300, 2) for _ in range(rng.integers(3, 7))]
+        vertices = [v for v in vertices for _ in range(rng.integers(1, 3))]
+        rings.append(origin + np.array(vertices + [vertices[0]], dtype=float))
+    if draw(st.booleans()):
+        rings.append(closed_square(origin[0] + 1e6, origin[1] - 1e6, 500.0))
+    spacing = draw(st.one_of(st.sampled_from([3.0, 50.0, 700.0]), st.floats(2.0, 900.0)))
+    vertex = rings[-1][0] if len(rings) > 1 else rings[0][1]
+    arenas = []
+    for _ in range(4):
+        ring = rings[rng.integers(len(rings))]
+        i = rng.integers(len(ring) - 1)
+        pick = rng.integers(0, 2, 2)
+        corner = [(min, max)[pick[c]](ring[i, c], ring[i + 1, c]) for c in (0, 1)]
+        radius = float(rng.choice([1e-3, 1.0, 500.0, 926.0, 5000.0, 2e4]))
+        arenas.append(ArenaSpec(radius, LocalPoint(*corner)))
+    for k in (1.0, 60.0, 100.0):
+        arenas.append(ArenaSpec(5.0 * k, LocalPoint(vertex[0] + 3.0 * k, vertex[1] + 4.0 * k)))
+    positions = [origin + rng.integers(-1200, 1200, 2) for _ in range(draw(st.integers(0, 10)))]
+    positions += [vertex, vertex + [300.0, 400.0]]
+    n = len(positions)
+    own = StateArrays(
+        np.array([q[0] for q in positions]), np.array([q[1] for q in positions]),
+        rng.uniform(0.0, 8.0, n), rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(50.0, 250.0, n),
+    )
+    return rings, spacing, arenas, own, draw(st.sampled_from([500.0, 926.0]))
+
+
+class TestChartEdgeIndex:
+    @given(edge_scenes())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_band_scan_of_densified_chart(self, scene):
+        rings, spacing, arenas, _, _ = scene
+        obstacles = ObstacleSet(rings, spacing=spacing)
+        points = old_densify_boundaries(rings, spacing)
+        for arena in arenas:
+            assert same_bits(obstacles.points_in_arena(arena), old_points_in_arena(points, arena))
+        assert same_bits(obstacles.boundary_points, points)
+
+    def test_chart_built_only_when_read(self):
+        obstacles = ObstacleSet([closed_square(0.0, 0.0, 5000.0)], spacing=1.0)
+        obstacles.points_in_arena(ArenaSpec(926.0, LocalPoint(0.0, 5000.0)))
+        assert "boundary_points" not in vars(obstacles)
+        assert obstacles.boundary_points.shape == (40_000, 2)
+        assert obstacles.boundary_points is obstacles.boundary_points
+
+
+class TestGroundingPairs:
+    @given(
+        scene=edge_scenes(),
+        channel_adjust=st.booleans(),
+        corridor=st.sampled_from([None, 150.0]),
+        horizon_max=st.booleans(),
+        chunk_elems=st.sampled_from([1, 25, risk.KERNEL_CHUNK_ELEMS]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_grid(self, scene, channel_adjust, corridor, horizon_max, chunk_elems):
+        rings, spacing, _, own, radius = scene
+        rp = RiskParams(
+            horizon_T=300.0, horizon_step=45.0, arena_radius=radius,
+            channel_adjust=channel_adjust, channel_corridor=corridor,
+            grounding_horizon_max=horizon_max,
+        )
+        dp = DomainParams()
+        obstacles = ObstacleSet(rings, spacing=spacing)
+        points = old_densify_boundaries(rings, spacing)
+        with mock.patch.object(risk, "KERNEL_CHUNK_ELEMS", chunk_elems):
+            got = risk._grounding_max(own, obstacles, rp, dp)
+            want = old_grounding_max(own, points, rp, dp)
+        assert same_bits(got, want)
+
+    def test_memory_of_a_level_beside_a_dense_chart(self):
+        """2,496 own states, a tied default planner level, with all 1,600
+        points of a 2 m chart inside every arena: about 4 million kept
+        pairs, scored a block at a time."""
+        rng = np.random.default_rng(5)
+        obstacles = ObstacleSet([closed_square(0.0, 0.0, 400.0)], spacing=2.0)
+        n = 2496
+        own = StateArrays(
+            rng.uniform(-300.0, 300.0, n), rng.uniform(-300.0, 300.0, n),
+            rng.uniform(0.0, 8.0, n), rng.uniform(0.0, 2.0 * math.pi, n), np.full(n, 100.0),
+        )
+        tracemalloc.start()
+        try:
+            got = risk._grounding_max(own, obstacles, RiskParams(), DomainParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (n,) and (got > 0.0).all()
+        assert peak < 2_500_000
+
 def grounding_of(state, points, rp=None, dp=None):
-    """One state's per-point grounding risks from the kernel, and their
+    """One state's per-point grounding risks from the dense grid, and their
     maximum (0 without points)."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    per_point = risk._grounding_grid(
+    per_point = old_grounding_grid(
         StateArrays.of([state]), pts, rp or RiskParams(), dp or DomainParams()
     )[0]
     return per_point, float(per_point.max(initial=0.0))
@@ -1475,7 +1694,7 @@ class TestGroundingKernel:
                 horizon_T=horizon[0], horizon_step=horizon[1], channel_adjust=channel_adjust,
                 channel_corridor=corridor, grounding_horizon_max=horizon_max,
             )
-            got = risk._grounding_grid(own, pts, rp, dp)
+            got = old_grounding_grid(own, pts, rp, dp)
             expected = reference_grounding_grid(own, pts, rp, dp)
             assert got.shape == expected.shape == (len(owns), pts.shape[0])
             if horizon_max:
