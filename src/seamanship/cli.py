@@ -427,8 +427,6 @@ def _parse_sweep(raw: str | None) -> list[int] | None:
         raise CliError(f"sweep values must be comma-separated integers: {raw!r}")
     if not values:
         raise CliError(f"empty sweep list: {raw!r}")
-    if min(values) < 1:
-        raise CliError(f"sweep level counts must be at least 1: {raw!r}")
     return values
 
 
@@ -438,7 +436,10 @@ def cmd_safest_path(args) -> int:
     t = _setting(config, args, "time", float)
     if t is None:
         raise CliError("no start time given (flag --time or config 'time')")
+    sweep_nt = _parse_sweep(getattr(args, "sweep_nt", None))
     try:
+        # every swept grid is checked before any search runs
+        sweep = [dataclasses.replace(hyper, n_t=n_t) for n_t in sweep_nt or ()]
         result = branch_and_bound(
             scenario.tracks, ownship, t, hyper, kin, rp, dp, scenario.obstacles
         )
@@ -449,18 +450,16 @@ def cmd_safest_path(args) -> int:
     write_json(outdir / "path.json", {**result.to_dict(), "provenance": provenance})
     outputs = ["path.json"]
 
-    sweep_nt = _parse_sweep(getattr(args, "sweep_nt", None))
-    if sweep_nt:
+    if sweep:
         rows = []
-        for n_t in sweep_nt:
-            swept = dataclasses.replace(hyper, n_t=n_t)
-            if n_t == hyper.n_t:
+        for swept in sweep:
+            if swept.n_t == hyper.n_t:
                 sr = result.sr_star
             else:
                 sr = branch_and_bound(
                     scenario.tracks, ownship, t, swept, kin, rp, dp, scenario.obstacles
                 ).sr_star
-            rows.append((n_t, swept.n_alpha, swept.n_v, sr))
+            rows.append((swept.n_t, swept.n_alpha, swept.n_v, sr))
         header = ["n_t", "n_alpha", "n_v", "sr_star"]
         _write_csv(outdir / "sr_star_grid.csv", header, rows, provenance)
         outputs.append("sr_star_grid.csv")

@@ -5,9 +5,12 @@ constant curvature or, at curvature 0, a straight leg.
 
 Every scale factor in the package is computed one way: a :class:`_Frame`,
 built from a heading, rotates displacements into the domain frame, and a
-:class:`_Quadratic`, built from the domain's axes and center offsets,
-solves for the scale factor there. Each is built once and serves many
-displacements.
+:class:`_Quadratic`, built from the domain's axes and center offsets
+(:func:`_center_offsets`), solves for the scale factor there. Each is built
+once and serves many displacements.
+
+Every state taken off a recorded track comes from one array reader,
+:func:`_read_tracks`; :meth:`VesselTrack.state_at` reads one cell of it.
 
 Conventions used throughout the package: positions are north/east meters in
 a local tangent plane, headings are radians clockwise from true north in
@@ -132,16 +135,6 @@ def require_finite(params) -> None:
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if kind in (bool, str) and not isinstance(value, kind):
             raise ValueError(f"{f.name} must be a {kind.__name__}, got {value!r}")
-
-
-def interp_heading(h0: float, h1: float, frac: float) -> float:
-    """Interpolate between two headings along the shorter arc.
-
-    frac = 0 gives h0, frac = 1 gives h1; the path never takes the long way
-    around (350 deg -> 10 deg passes through 0 deg).
-    """
-    delta = (h1 - h0 + math.pi) % TWO_PI - math.pi
-    return normalize_heading(h0 + frac * delta)
 
 
 @dataclass(frozen=True)
@@ -340,19 +333,25 @@ def domain_axes(speed, length, params: DomainParams):
     return semi_major, params.minor_factor * length
 
 
+def _center_offsets(semi_major, params: DomainParams):
+    """Forward and starboard offsets (m) of the domain center from the vessel."""
+    return params.offset_fraction * semi_major, 0.0
+
+
 def make_domain(state: VesselState, params: DomainParams | None = None) -> DomainSpec:
     """Build the elliptic domain for a vessel state.
 
-    Axes follow :func:`domain_axes`; the center sits ahead of the vessel by
-    a fixed fraction of the semi-major axis.
+    Axes follow :func:`domain_axes` and the center offsets
+    :func:`_center_offsets`.
     """
     params = params or DomainParams()
     semi_major, semi_minor = domain_axes(state.speed, state.length, params)
+    offset_fwd, offset_stb = _center_offsets(semi_major, params)
     return DomainSpec(
         semi_major=semi_major,
         semi_minor=semi_minor,
-        center_offset_fwd=params.offset_fraction * semi_major,
-        center_offset_stb=0.0,
+        center_offset_fwd=offset_fwd,
+        center_offset_stb=offset_stb,
         heading=state.heading,
     )
 
@@ -652,35 +651,51 @@ class VesselTrack:
         return self.t_start <= t <= self.t_end
 
     def state_at(self, t: float) -> VesselState:
-        """Interpolated state at time ``t``; raises outside the track span.
-
-        Position and speed interpolate linearly; heading follows the
-        shorter arc between neighboring samples.
-        """
+        """Interpolated state at time ``t``, one cell of
+        :func:`_read_tracks`; raises outside the track span."""
         if not self.covers(t):
             raise ValueError(
                 f"track {self.track_id!r}: time {t} outside "
                 f"[{self.t_start}, {self.t_end}]"
             )
-        return VesselState(t, *self._row_at(t), self.length, self.vessel_type)
+        row = _read_tracks([self], np.array([[t]], dtype=float))[:4, 0, 0].tolist()
+        return VesselState(t, *row, self.length, self.vessel_type)
 
-    def _row_at(self, t: float) -> tuple[float, float, float, float]:
-        """North, east, speed and heading at a time ``t`` inside the span:
-        the sample on a grid time or at the end, else :meth:`state_at`'s
-        interpolation."""
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        idx = min(max(idx, 0), self.times.size - 1)
-        if idx == self.times.size - 1 or self.times[idx] == t:
-            return (float(self.north[idx]), float(self.east[idx]),
-                    float(self.speed[idx]), float(self.heading[idx]))
-        span = self.times[idx + 1] - self.times[idx]
-        frac = (t - self.times[idx]) / span
-        return (
-            float(self.north[idx] + frac * (self.north[idx + 1] - self.north[idx])),
-            float(self.east[idx] + frac * (self.east[idx + 1] - self.east[idx])),
-            float(self.speed[idx] + frac * (self.speed[idx + 1] - self.speed[idx])),
-            interp_heading(float(self.heading[idx]), float(self.heading[idx + 1]), frac),
-        )
+
+def _read_tracks(tracks: Sequence[VesselTrack], times: np.ndarray) -> np.ndarray:
+    """North, east, speed, heading and hull length of track k at each time
+    of column k of ``times`` (rows, len(tracks)), inside the track's span,
+    as a (5, rows, len(tracks)) table; a track may fill several columns.
+    A cell reads the sample on a grid time or at the track's end, else
+    interpolates linearly between the samples around it, the heading along
+    the shorter arc. Each column's track times are searched once, and every
+    cell is interpolated in one array pass."""
+    found = np.empty(times.shape, dtype=np.intp)
+    for k, track in enumerate(tracks):
+        found[:, k] = track.times.searchsorted(times[:, k], "right")
+    found -= 1
+    sizes = np.array([track.times.size for track in tracks], dtype=np.intp)
+    lo = found.min(axis=0, initial=np.iinfo(np.intp).max)
+    hi = np.minimum(found.max(axis=0, initial=0) + 2, sizes)
+    windows = [(track, slice(a, b)) for track, a, b in zip(tracks, lo.tolist(), hi.tolist())]
+    # each field's windows laid end to end, empty when there are no columns
+    t, *values = (
+        np.concatenate([np.empty(0), *(getattr(track, name)[w] for track, w in windows)])
+        for name in ("times", "north", "east", "speed", "heading")
+    )
+    # each cell's samples as indices into the windows laid end to end
+    last = found == sizes - 1
+    at = found + (np.cumsum(hi - lo) - hi)
+    after = np.where(last, at, at + 1)
+    exact = last | (t[at] == times)
+    frac = (times - t[at]) / np.where(exact, 1.0, t[after] - t[at])
+    start, end = (np.array([v[i] for v in values]) for i in (at, after))
+    table = np.empty((5, *times.shape))
+    table[:3] = np.where(exact, start[:3], start[:3] + frac * (end[:3] - start[:3]))
+    turn = (end[3] - start[3] + math.pi) % TWO_PI - math.pi
+    table[3] = np.where(exact, start[3], _wrap_heading(start[3] + frac * turn))
+    table[4] = [track.length for track in tracks]
+    return table
 
 
 def _equal_time_cells(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -713,7 +728,7 @@ def _in_domain(speed, length, frame: _Frame, d_north, d_east, params: DomainPara
     vessel's domain: a scale factor below 1. All arguments broadcast."""
     semi_major, semi_minor = domain_axes(speed, length, params)
     x, y = frame(d_north, d_east)
-    quad = _Quadratic.of(semi_major, semi_minor, params.offset_fraction * semi_major, 0.0)
+    quad = _Quadratic.of(semi_major, semi_minor, *_center_offsets(semi_major, params))
     return quad.solve(x, y) < 1.0
 
 

@@ -13,21 +13,20 @@ Both return their paths by one rule: every last-level path within
 ``tie_eps`` of the least path risk, stable-sorted by path risk and capped
 at ``beam_width``.
 
-One search may start from several roots, the ownship at several times:
-every node carries its root's index, and each root is pruned on its own,
-so a root's result does not depend on the others. Every level's times are
-known up front, so a search places the targets once, in one table of a row
-per level and root. A level is advanced and scored as arrays: every child
-moves in one :func:`sail` call, and one call scores every child against
-its root's row of the level, as :func:`scenario_risks` would, with the
-chart prefiltered once per root. :func:`branch_and_bound` and
-:func:`exhaustive_search` search from one root; :func:`sr_star_series`
-searches all the distinct times of a window, in blocks of roots of bounded
-size (``ROOT_BLOCK_NODES``), and a window of one time with
-:func:`branch_and_bound`. Search
-nodes are kept as parallel arrays with parent indices; the returned paths
-are read back through those indices, and each node on them becomes one
-:class:`SearchNode` record, shared by every returned path through it.
+One search may start from several roots, the ownship at several times,
+all read off its track in one call: every node carries its root's index,
+and each root is pruned on its own, so a root's result does not depend on
+the others. Every level's times are known up front, so a search places the
+targets once, in one table of a row per level and root. A level is
+advanced and scored as arrays: every child moves in one :func:`sail` call,
+and one call scores every child against its root's row of the level, as
+:func:`scenario_risks` would, with the chart prefiltered once per root.
+:func:`branch_and_bound` and :func:`exhaustive_search` search from one
+root; :func:`sr_star_series` searches all the distinct times of a window,
+one or many, in blocks of roots of bounded size (``ROOT_BLOCK_NODES``).
+Search nodes are kept as parallel arrays with parent indices; the returned
+paths are read back through those indices, and each node on them becomes
+one :class:`SearchNode` record, shared by every returned path through it.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .geometry import (
     StateArrays,
     VesselState,
     VesselTrack,
+    _read_tracks,
     require_finite,
     sail,
     travel_distance,
@@ -60,6 +60,9 @@ MAX_ACTIONS = 1024
 # beam on the largest action grid; in open water every child ties, so a
 # wider beam keeps them all and each level multiplies them by the actions
 MAX_LEVEL_CHILDREN = 64 * MAX_ACTIONS
+# levels (n_t) a search may run: it keeps every level's nodes and a target
+# table row per level and root, so its memory grows with the level count
+MAX_LEVELS = 10_000
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,9 @@ class Hyperparameters:
         require_finite(self)
         if self.n_t < 1 or self.n_alpha < 1 or self.n_v < 1:
             raise ValueError("grid sizes must be at least 1")
+        if self.n_t > MAX_LEVELS:
+            raise ValueError(f"n_t = {self.n_t} levels, more than the {MAX_LEVELS:,} "
+                             f"a search may run")
         if self.n_alpha * self.n_v > MAX_ACTIONS:
             raise ValueError(f"n_alpha x n_v = {self.n_alpha} x {self.n_v} actions, more than "
                              f"the {MAX_ACTIONS:,} a search may expand")
@@ -313,8 +319,9 @@ def _scene(
 def _level_search(
     scene: _Scene, times: np.ndarray, beam: bool, score_roots: bool = False
 ) -> tuple[list[_Level], bool, int]:
-    """Expand the ownship states at each of ``times`` (a block of roots)
-    level by level over the action grid.
+    """Expand the ownship states at each of ``times`` (a block of roots,
+    read off its track in one :func:`~seamanship.geometry._read_tracks`
+    call) level by level over the action grid.
 
     Each of the ``n_t`` levels lasts ``horizon_T / n_t`` seconds, so every
     level's times are known before any node is expanded: each root's time
@@ -330,7 +337,7 @@ def _level_search(
     held at a scored node; nodes expanded).
     """
     hyper, own = scene.hyper, scene.own
-    roots = StateArrays.of([own.state_at(t) for t in times.tolist()])
+    roots = StateArrays(*_read_tracks([own], times[:, None])[:, :, 0])
     n_roots = times.size
     dt = hyper.horizon_T / hyper.n_t
     # accumulated level by level, as each child's time is its parent's plus dt
@@ -413,12 +420,14 @@ def _result(
     """The search result of a one-root :func:`_level_search` from ``t``
     that scored its root: the last-level paths within ``tie_eps`` of the
     least path risk, stable-sorted by path risk (so in prune order among
-    equals) and capped at ``beam_width``."""
+    equals) and capped at ``beam_width``. The root node is level 0's."""
     risks = levels[-1].path_risk
     best = float(risks.min())
     keep = np.flatnonzero(risks <= best + scene.hyper.tie_eps)
     keep = keep[np.argsort(risks[keep], kind="stable")][: scene.hyper.beam_width]
-    root = SearchNode(scene.own.state_at(t), float(levels[0].risk[0]))
+    lv, own = levels[0], scene.own
+    state = (float(a[0]) for a in (lv.north, lv.east, lv.speed, lv.heading))
+    root = SearchNode(VesselState(t, *state, own.length, own.vessel_type), float(lv.risk[0]))
     paths = _paths(levels, root, keep)
     return PathResult(states=paths[0], path_risk=best, sr_star=best, paths=paths,
                       targets_held=held_any, nodes_expanded=expanded)
@@ -472,10 +481,12 @@ def exhaustive_search(
     (n_alpha * n_v) ** n_t must not exceed ``max_sequences``.
     """
     hyper = hyper or Hyperparameters()
-    n_seq = (hyper.n_alpha * hyper.n_v) ** hyper.n_t
+    # 2 or more actions pass any budget within its bit length of levels
+    n_seq = (hyper.n_alpha * hyper.n_v) ** min(hyper.n_t, max_sequences.bit_length())
     if n_seq > max_sequences:
         raise ValueError(
-            f"{n_seq} action sequences exceed the exhaustive budget {max_sequences}"
+            f"({hyper.n_alpha} x {hyper.n_v}) ** {hyper.n_t} action sequences exceed the "
+            f"exhaustive budget {max_sequences}"
         )
     scene = _scene(tracks, ownship_id, [t], hyper, kin, params, domain_params, obstacles)
     return _result(scene, t, *_level_search(
@@ -496,20 +507,14 @@ def sr_star_series(
     """Best-achievable path risk at each query time: the ``sr_star`` of
     :func:`branch_and_bound` at that time, aligned with ``times``.
 
-    The distinct times are the roots of one level search, taken in blocks
-    whose widest possible level (roots x ``beam_width`` x actions) stays
-    within ``ROOT_BLOCK_NODES``, each block one search with one target
-    table; each root is pruned on its own, so the blocks do not change any
-    value. The roots themselves are not scored. A root's value is the least
-    path risk of its last-level nodes. A window of one distinct time runs
-    :func:`branch_and_bound` itself, the search whose results the planner
-    counters of ``perfbench/tracer.py`` read.
+    The distinct times, one or many, are the roots of one level search,
+    taken in blocks whose widest possible level (roots x ``beam_width`` x
+    actions) stays within ``ROOT_BLOCK_NODES``, each block one search with
+    one target table; each root is pruned on its own, so the blocks do not
+    change any value. The roots themselves are not scored. A root's value
+    is the least path risk of its last-level nodes.
     """
     distinct = list(dict.fromkeys(map(float, times)))
-    if len(distinct) == 1:
-        return np.full(len(times), branch_and_bound(
-            tracks, ownship_id, distinct[0], hyper, kin, params, domain_params, obstacles
-        ).sr_star)
     scene = _scene(tracks, ownship_id, distinct, hyper, kin, params, domain_params, obstacles)
     hyper = scene.hyper
     widest = hyper.beam_width * hyper.n_alpha * hyper.v_grid(scene.kin).size

@@ -20,10 +20,11 @@ whose box comes near the arena, in one array pass.
 
 :func:`scenario_risks` has a time axis: its own states share one time or
 each carry their own (a recorded passage, or a planner level of several
-roots). Targets are interpolated once per distinct time, and each own state
-is scored against its time's row, so :func:`compute_risk_series` is one
-call for a whole window. A planner search builds one such table for all
-its levels and scores each level against its rows.
+roots). Targets are placed once per distinct time, in one table read off
+their tracks by :func:`~seamanship.geometry._read_tracks`, and each own
+state is scored against its time's row, so :func:`compute_risk_series` is
+one call for a whole window. A planner search builds one such table for
+all its levels and scores each level against its rows.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .geometry import (
-    TWO_PI,
     ArenaSpec,
     DomainParams,
     LocalPoint,
@@ -44,7 +44,8 @@ from .geometry import (
     VesselTrack,
     _Frame,
     _Quadratic,
-    _wrap_heading,
+    _center_offsets,
+    _read_tracks,
     domain_axes,
     predict_positions,
     require_finite,
@@ -177,7 +178,7 @@ class _Horizon(NamedTuple):
         domains sized at ``speed``; all broadcast together."""
         semi_major, semi_minor = domain_axes(speed, states.length, dp)
         frame = _Frame.of(states.heading, reverse=target)
-        quad = _Quadratic.of(semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0)
+        quad = _Quadratic.of(semi_major, semi_minor, *_center_offsets(semi_major, dp))
         return cls(north, east, frame, quad)
 
     def scale_factor(self, d_north, d_east) -> np.ndarray:
@@ -528,12 +529,11 @@ def _target_table(
     """The targets present at any of ``times``, placed at each, and whether
     any was held at an end of its track.
 
-    A target's state inside its span is :meth:`VesselTrack.state_at`'s, bit
-    for bit: the sample on a grid time or at the track's end, else the
-    interpolation between the samples around it. Each track's times are
-    searched once for all of ``times``; the samples found and the next
-    ones are gathered from every track at once, and every cell is
-    interpolated in one array pass.
+    A target is placed at each time clamped into its span, by one
+    :func:`~seamanship.geometry._read_tracks` call for the whole table;
+    this function decides only which targets are present where (held at
+    an end with ``hold_targets``, else ``_ABSENT``'s values) and orders
+    them by id.
     """
     by_id = {track.track_id: track for track in target_tracks}
     tracks = [by_id[tid] for tid in sorted(by_id)]
@@ -544,41 +544,8 @@ def _target_table(
     present = covered | hold_targets
     keep = present.any(axis=0)
     tracks = [track for track, kept in zip(tracks, keep.tolist()) if kept]
-    present, clamped = present[:, keep], clamped[:, keep]
-    # each cell's sample at or before its time, into the samples of each
-    # track from the first one a cell finds to the one after the last
-    found = np.empty(clamped.shape, dtype=np.intp)
-    for k, track in enumerate(tracks):
-        found[:, k] = track.times.searchsorted(clamped[:, k], "right")
-    found -= 1
-    sizes = np.array([track.times.size for track in tracks], dtype=np.intp)
-    lo = found.min(axis=0, initial=np.iinfo(np.intp).max)
-    hi = np.minimum(found.max(axis=0, initial=0) + 2, sizes)
-    # each field's samples of every track, none when there are no tracks
-    t, north, east, speed, heading = parts = tuple([np.empty(0)] for _ in range(5))
-    for track, a, b in zip(tracks, lo.tolist(), hi.tolist()):
-        cut = slice(a, b)
-        t.append(track.times[cut])
-        north.append(track.north[cut])
-        east.append(track.east[cut])
-        speed.append(track.speed[cut])
-        heading.append(track.heading[cut])
-    t, north, east, speed, heading = map(np.concatenate, parts)
-    # each cell's samples as indices into the windows laid end to end
-    last = found == sizes - 1
-    at = found + (np.cumsum(hi - lo) - hi)
-    after = np.where(last, at, at + 1)
-    exact = last | (t[at] == clamped)
-    frac = (clamped - t[at]) / np.where(exact, 1.0, t[after] - t[at])
-    table = np.empty((5, *clamped.shape))
-    for f, values in enumerate((north, east, speed)):
-        start = values[at]
-        table[f] = np.where(exact, start, start + frac * (values[after] - start))
-    # interp_heading's turn along the shorter arc, wrapped as normalize_heading wraps
-    start = heading[at]
-    turn = (heading[after] - start + math.pi) % TWO_PI - math.pi
-    table[3] = np.where(exact, start, _wrap_heading(start + frac * turn))
-    table[4] = [track.length for track in tracks]
+    present = present[:, keep]
+    table = _read_tracks(tracks, clamped[:, keep])
     table[:, ~present] = np.reshape(_ABSENT, (5, 1))
     return _Targets(tracks, StateArrays(*table), present), hold_targets and not covered.all()
 
@@ -659,7 +626,7 @@ def _grounding_max(
             new_minor = np.maximum(rp.channel_gamma * width / 2.0, 1e-3)
             shrink = (2.0 * semi_minor > width) & (new_minor < semi_minor)
             semi_minor = np.where(shrink, new_minor, semi_minor)
-        quad = _Quadratic.of(semi_major, semi_minor, dp.offset_fraction * semi_major, 0.0)
+        quad = _Quadratic.of(semi_major, semi_minor, *_center_offsets(semi_major, dp))
         quad = _Quadratic(*(a if a is None else np.repeat(a, counts) for a in quad))
         if offsets is None:
             f = quad.solve(x, y)

@@ -25,6 +25,7 @@ from .geometry import (
     _cell_samples,
     _equal_time_cells,
     _in_domain,
+    _read_tracks,
     domain_axes,
     require_finite,
 )
@@ -79,19 +80,29 @@ class EncounterEvent:
     vessel_type: VesselType
 
 
-def speed_change_at(track: VesselTrack, t: float, window: float = DEFAULT_WINDOW) -> float | None:
-    """Finite-difference speed-change rate over the window ending at t.
-
-    Returns (v(t) - v(t - window)) / window in m/s^2, or None when the
-    window straddles the start of the track.
-    """
-    if window <= 0.0:
+def _speed_changes(tracks: Sequence[VesselTrack], times, window: float) -> np.ndarray:
+    """(v(t) - v(t - window)) / window in m/s^2 for each of ``tracks`` at
+    its time t in ``times``, NaN where the window sticks out of the track;
+    every speed read in one :func:`~seamanship.geometry._read_tracks` call.
+    A window that is not positive raises ValueError."""
+    if not window > 0.0:
         raise ValueError(f"window must be positive, got {window}")
-    if t - window < track.t_start or not track.covers(t):
-        return None
-    v_now = track.state_at(t).speed
-    v_then = track.state_at(t - window).speed
-    return (v_now - v_then) / window
+    now = np.asarray(times, dtype=float)
+    then = now - window
+    inside = (then >= np.array([tr.t_start for tr in tracks])) & (
+        now <= np.array([tr.t_end for tr in tracks]))
+    rates = np.full(now.size, np.nan)
+    kept = [track for track, ok in zip(tracks, inside.tolist()) if ok]
+    speed = _read_tracks(kept, np.stack([now[inside], then[inside]]))[2]
+    rates[inside] = (speed[0] - speed[1]) / window
+    return rates
+
+
+def speed_change_at(track: VesselTrack, t: float, window: float = DEFAULT_WINDOW) -> float | None:
+    """Finite-difference speed-change rate over the window ending at t, one
+    cell of :func:`_speed_changes`: None where that is NaN."""
+    rate = float(_speed_changes([track], [t], window)[0])
+    return None if math.isnan(rate) else rate
 
 
 def _forward_dcpa(d_north, d_east, rv_north, rv_east):
@@ -198,23 +209,21 @@ def detect_encounters(
     then target id.
 
     One sweep over every sample in time order finds all pairs, a fixed
-    number of sample pairs at a time (see :func:`_violations`).
+    number of sample pairs at a time (see :func:`_violations`), and one
+    :func:`_speed_changes` call reads every pair's rate.
     """
     ids = sorted(tracks)
     ordered = [tracks[i] for i in ids]
     found, overlapping, screened = _violations(
         ordered, dcpa_threshold, domain_params or DomainParams()
     )
-    events: list[EncounterEvent] = []
-    dropped = 0
-    for own_index, target_index, tdv in sorted(found):
-        target = ordered[target_index]
-        rate = speed_change_at(target, tdv, window)
-        if rate is None:
-            dropped += 1
-            continue
-        events.append(EncounterEvent(ids[own_index], ids[target_index], tdv, rate,
-                                     target.vessel_type))
+    found.sort()
+    rates = _speed_changes([ordered[k] for _, k, _ in found], [tdv for *_, tdv in found], window)
+    events = [
+        EncounterEvent(ids[j], ids[k], tdv, rate, ordered[k].vessel_type)
+        for (j, k, tdv), rate in zip(found, rates.tolist()) if not math.isnan(rate)
+    ]
+    dropped = len(found) - len(events)
     log.info(
         "encounters: %d ordered pairs overlap in time, %d pass the DCPA screen, "
         "%d events, %d dropped for a rate window outside the track",

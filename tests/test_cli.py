@@ -1123,6 +1123,31 @@ class TestSafestPathCommand:
         assert code == 2
         assert "at least 1" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--set", "search.n_t=1000000000"], "n_t = 1000000000 levels, more than the 10,000"),
+            (["--sweep-nt", "1,1000000000"], "n_t = 1000000000 levels, more than the 10,000"),
+            (["--sweep-nt", "1,0"], "at least 1"),
+        ],
+    )
+    def test_level_count_refused_before_any_search(
+        self, solo_ais, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        scenario = ingest(solo_ais, tmp_path / "ing")
+
+        def searched(*args, **kwargs):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr("seamanship.cli.branch_and_bound", searched)
+        code = run(
+            "safest-path", "--scenario", scenario, "--ownship", "111000009",
+            "--time", "0", "--output", tmp_path / "path", *FAST_SEARCH, *flags,
+        )
+        assert code == 2
+        assert message in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "path" / "path.json").exists()
+
     def test_missing_time_exits_2(self, solo_ais, tmp_path, capsys):
         scenario = ingest(solo_ais, tmp_path / "ing")
         code = run(

@@ -18,10 +18,10 @@ from seamanship.geometry import (
     VesselType,
     _Frame,
     _Quadratic,
+    _read_tracks,
     _wrap_heading,
     ddv,
     find_tdv,
-    interp_heading,
     make_domain,
     StateArrays,
     normalize_heading,
@@ -332,27 +332,41 @@ def straight_track(track_id, t0, n0, e0, speed, heading, n_steps, dt=10.0, lengt
     )
 
 
-def reference_state_at(track, t):
-    """VesselTrack.state_at as written before the row lookup: the sample on
-    a grid time or at the end, else linear interpolation with the heading
-    along the shorter arc."""
-    if not track.covers(t):
-        raise ValueError(f"time {t} outside the track span")
+def old_interp_heading(h0: float, h1: float, frac: float) -> float:
+    """Interpolate between two headings along the shorter arc.
+
+    frac = 0 gives h0, frac = 1 gives h1; the path never takes the long way
+    around (350 deg -> 10 deg passes through 0 deg).
+    """
+    delta = (h1 - h0 + math.pi) % TWO_PI - math.pi
+    return normalize_heading(h0 + frac * delta)
+
+
+def old_row_at(track, t: float) -> tuple[float, float, float, float]:
+    """North, east, speed and heading at a time ``t`` inside the span:
+    the sample on a grid time or at the end, else :meth:`state_at`'s
+    interpolation (``VesselTrack._row_at`` before the array reader)."""
     idx = int(np.searchsorted(track.times, t, side="right")) - 1
     idx = min(max(idx, 0), track.times.size - 1)
     if idx == track.times.size - 1 or track.times[idx] == t:
-        return reference_state_at_index(track, idx, t)
+        return (float(track.north[idx]), float(track.east[idx]),
+                float(track.speed[idx]), float(track.heading[idx]))
     span = track.times[idx + 1] - track.times[idx]
     frac = (t - track.times[idx]) / span
-    return VesselState(
-        time=t,
-        north=float(track.north[idx] + frac * (track.north[idx + 1] - track.north[idx])),
-        east=float(track.east[idx] + frac * (track.east[idx + 1] - track.east[idx])),
-        speed=float(track.speed[idx] + frac * (track.speed[idx + 1] - track.speed[idx])),
-        heading=interp_heading(float(track.heading[idx]), float(track.heading[idx + 1]), frac),
-        length=track.length,
-        vessel_type=track.vessel_type,
+    return (
+        float(track.north[idx] + frac * (track.north[idx + 1] - track.north[idx])),
+        float(track.east[idx] + frac * (track.east[idx + 1] - track.east[idx])),
+        float(track.speed[idx] + frac * (track.speed[idx + 1] - track.speed[idx])),
+        old_interp_heading(float(track.heading[idx]), float(track.heading[idx + 1]), frac),
     )
+
+
+def reference_state_at(track, t):
+    """VesselTrack.state_at as written before the array reader: the span
+    check, then :func:`old_row_at`."""
+    if not track.covers(t):
+        raise ValueError(f"time {t} outside the track span")
+    return VesselState(t, *old_row_at(track, t), track.length, track.vessel_type)
 
 
 def reference_state_at_index(track, idx, t):
@@ -479,10 +493,78 @@ class TestHeadingInterp:
     )
     @settings(max_examples=200, deadline=None)
     def test_endpoints(self, h0, h1):
-        assert self.circular_gap(interp_heading(h0, h1, 0.0), h0) < 1e-9
-        assert self.circular_gap(interp_heading(h0, h1, 1.0), h1) < 1e-9
-        mid = interp_heading(h0, h1, 0.5)
+        tr = VesselTrack("x", [0.0, 10.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [h0, h1], 50.0)
+        assert self.circular_gap(tr.state_at(0.0).heading, h0) < 1e-9
+        assert self.circular_gap(tr.state_at(10.0).heading, h1) < 1e-9
+        mid = tr.state_at(5.0).heading
         assert 0.0 <= mid < 2 * math.pi
+        # halfway along the shorter arc, never the long way around
+        assert self.circular_gap(mid, h0) <= math.pi / 2 + 1e-9
+        assert self.circular_gap(mid, h1) <= math.pi / 2 + 1e-9
+
+
+@st.composite
+def read_scenes(draw):
+    """Tracks of one, two or many samples on regular or uneven grids, with
+    headings on both sides of north, and a (rows, columns) table of times
+    inside the span of each column's track: its grid times, its last
+    sample and times between samples. A track may fill several columns,
+    and there may be no columns."""
+    tracks = []
+    for k in range(draw(st.integers(1, 4))):
+        n = draw(st.sampled_from([1, 2, 5, 12]))
+        steps = draw(st.lists(st.sampled_from([0.5, 3.7, 10.0, 10.0]), min_size=n - 1,
+                              max_size=n - 1))
+        times = draw(st.floats(-100.0, 100.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+        values = st.lists(st.floats(-2000.0, 2000.0), min_size=n, max_size=n)
+        headings = st.lists(
+            st.one_of(st.floats(0.0, TWO_PI, exclude_max=True),
+                      st.sampled_from([0.0, 0.05, math.pi, TWO_PI - 0.05])),
+            min_size=n, max_size=n,
+        )
+        tracks.append(VesselTrack(
+            f"t{k}", times, draw(values), draw(values),
+            draw(st.lists(st.floats(0.0, 9.0), min_size=n, max_size=n)), draw(headings),
+            draw(st.floats(20.0, 300.0)),
+        ))
+    columns = draw(st.lists(st.sampled_from(tracks), max_size=6))
+    times = np.empty((draw(st.integers(1, 4)), len(columns)))
+    for k, track in enumerate(columns):
+        for row in range(times.shape[0]):
+            times[row, k] = draw(st.one_of(
+                st.sampled_from(track.times.tolist()), st.just(track.t_end),
+                st.floats(track.t_start, track.t_end),
+            ))
+    return columns, times
+
+
+class TestReadTracks:
+    @given(read_scenes())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_old_row_reader_bit_for_bit(self, scene):
+        tracks, times = scene
+        table = _read_tracks(tracks, times)
+        rows = [[[*old_row_at(track, t), track.length] for track, t in zip(tracks, row)]
+                for row in times.tolist()]
+        ref = np.reshape(rows, (*times.shape, 5)).transpose(2, 0, 1)
+        assert table.shape == ref.shape
+        assert np.array_equal(table.view(np.int64), np.ascontiguousarray(ref).view(np.int64))
+        for track, t in zip(tracks, times[0].tolist()):
+            state, old = track.state_at(t), reference_state_at(track, t)
+            fields = [(s.north, s.east, s.speed, s.heading) for s in (state, old)]
+            assert np.array_equal(*(np.array(f).view(np.int64) for f in fields))
+            assert state == old
+
+    def test_one_track_in_several_columns(self):
+        tr = VesselTrack("x", [0.0, 10.0, 20.0], [0.0, 10.0, 30.0], [0.0, 0.0, 0.0],
+                         [1.0, 2.0, 4.0], [6.2, 0.1, 0.3], 50.0)
+        table = _read_tracks([tr, tr], np.array([[5.0, 20.0], [10.0, 15.0]]))
+        assert table[0].tolist() == [[5.0, 30.0], [10.0, 20.0]]
+        assert table[2].tolist() == [[1.5, 4.0], [2.0, 3.0]]
+        assert table[4].tolist() == [[50.0, 50.0], [50.0, 50.0]]
+
+    def test_no_columns(self):
+        assert _read_tracks([], np.empty((3, 0))).shape == (5, 3, 0)
 
 
 def old_normalize_heading(angle):

@@ -127,6 +127,21 @@ class TestGrids:
             ):
                 Hyperparameters(n_alpha=n_alpha, n_v=n_v)
 
+    def test_level_count_bounded(self):
+        """Up to ``MAX_LEVELS`` levels are accepted; more are refused,
+        naming the budget, before any level is built."""
+        assert Hyperparameters(n_t=planner.MAX_LEVELS).n_t == 10_000
+        for n_t in (planner.MAX_LEVELS + 1, 10**9):
+            with pytest.raises(ValueError, match=f"n_t = {n_t} levels, more than the 10,000"):
+                Hyperparameters(n_t=n_t)
+
+    def test_exhaustive_budget_names_the_grid(self):
+        """The sequence budget is checked without computing the full count:
+        13 x 3 actions over 10,000 levels is a 15,911-digit number."""
+        hyper = Hyperparameters(n_t=planner.MAX_LEVELS)
+        with pytest.raises(ValueError, match=r"\(13 x 3\) \*\* 10000 action sequences exceed"):
+            planner.exhaustive_search({}, "own", 0.0, hyper)
+
     def test_level_children_bounded(self):
         """Up to ``MAX_LEVEL_CHILDREN`` children per level (beam_width x
         actions) are accepted, the default grid and the largest in use among

@@ -17,7 +17,7 @@ from seamanship.geometry import (
     domain_axes,
     find_tdv,
 )
-from seamanship import risk
+from seamanship import risk, speedmodel
 from seamanship.risk import MUTUAL_MODES, RiskParams, overall_collision_risk, rate_weighted_mean
 from seamanship.speedmodel import (
     DEFAULT_DCPA_THRESHOLD,
@@ -31,7 +31,7 @@ from seamanship.speedmodel import (
     silverman_bandwidth,
     speed_change_at,
 )
-from .test_geometry import straight_track
+from .test_geometry import reference_state_at, straight_track
 
 
 def decelerating_track(track_id, t0, n0, e0, v0, rate, heading, n_steps, dt=10.0):
@@ -63,6 +63,20 @@ class TestSpeedChangeAt:
     def test_window_before_start_dropped(self):
         tr = straight_track("a", 0.0, 0.0, 0.0, 5.0, 0.0, 20)
         assert speed_change_at(tr, 30.0) is None
+
+    def test_window_from_first_sample_kept(self):
+        tr = decelerating_track("a", 0.0, 0.0, 0.0, 6.0, -1.0 / 60.0, 0.0, 20)
+        assert speed_change_at(tr, 60.0) == pytest.approx(-1.0 / 60.0, abs=1e-9)
+
+    def test_time_past_end_dropped(self):
+        tr = straight_track("a", 0.0, 0.0, 0.0, 5.0, 0.0, 20)
+        assert speed_change_at(tr, 200.0) is None
+
+    @pytest.mark.parametrize("window", [0.0, -5.0])
+    def test_window_not_positive_raises(self, window):
+        tr = straight_track("a", 0.0, 0.0, 0.0, 5.0, 0.0, 20)
+        with pytest.raises(ValueError, match="window must be positive"):
+            speed_change_at(tr, 100.0, window)
 
 
 class TestDetectEncounters:
@@ -141,6 +155,18 @@ def reference_find_tdv(track_j, track_k, params=None):
     return float(times[hits[0]])
 
 
+def old_speed_change_at(track, t, window=DEFAULT_WINDOW):
+    """``speed_change_at`` as written before the array reader: two scalar
+    state reads per event."""
+    if window <= 0.0:
+        raise ValueError(f"window must be positive, got {window}")
+    if t - window < track.t_start or not track.covers(t):
+        return None
+    v_now = reference_state_at(track, t).speed
+    v_then = reference_state_at(track, t - window).speed
+    return (v_now - v_then) / window
+
+
 def reference_tally(
     tracks, dcpa_threshold=DEFAULT_DCPA_THRESHOLD, domain_params=None, window=DEFAULT_WINDOW
 ):
@@ -166,7 +192,7 @@ def reference_tally(
             tdv = reference_find_tdv(own, target, dp)
             if tdv is None:
                 continue
-            rate = speed_change_at(target, tdv, window)
+            rate = old_speed_change_at(target, tdv, window)
             if rate is None:
                 dropped += 1
                 continue
@@ -411,6 +437,86 @@ def tally(tracks, *args):
         logger.setLevel(level)
     (record,) = [r for r in records if r.getMessage().startswith("encounters:")]
     return events, record.args
+
+
+def old_event_loop(tracks, dcpa_threshold, dp, window):
+    """``detect_encounters``' events and dropped count as written before
+    the batched speed read: one ``speed_change_at`` per event."""
+    ids = sorted(tracks)
+    ordered = [tracks[i] for i in ids]
+    found, _, _ = speedmodel._violations(ordered, dcpa_threshold, dp)
+    events: list[EncounterEvent] = []
+    dropped = 0
+    for own_index, target_index, tdv in sorted(found):
+        target = ordered[target_index]
+        rate = old_speed_change_at(target, tdv, window)
+        if rate is None:
+            dropped += 1
+            continue
+        events.append(EncounterEvent(ids[own_index], ids[target_index], tdv, rate,
+                                     target.vessel_type))
+    return events, dropped
+
+
+def rate_bits(rates):
+    return np.array(rates, dtype=float).view(np.int64).tolist()
+
+
+@st.composite
+def rate_queries(draw):
+    """Tracks, a window and a query per event: a track and a time at which
+    the window fits the track, starts on its first sample, or sticks out
+    before its start or past its end. A track may be queried at several
+    times, and there may be no events."""
+    tracks = list(draw(track_dicts()).values())
+    window = draw(st.sampled_from([DEFAULT_WINDOW, 10.0, 25.0, 3.7]))
+    queried = draw(st.lists(st.sampled_from(tracks), max_size=8))
+    times = [
+        draw(st.one_of(
+            st.just(track.t_start + window), st.sampled_from(track.times.tolist()),
+            st.just(track.t_end), st.floats(track.t_start - 2.0 * window, track.t_end + window),
+        ))
+        for track in queried
+    ]
+    return queried, times, window
+
+
+class TestBatchedSpeedChanges:
+    @given(rate_queries())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_old_per_event_reads(self, query):
+        tracks, times, window = query
+        rates = speedmodel._speed_changes(tracks, times, window)
+        ref = [old_speed_change_at(track, t, window) for track, t in zip(tracks, times)]
+        assert rates.shape == (len(ref),)
+        assert np.isnan(rates).tolist() == [r is None for r in ref]
+        assert rate_bits(rates[~np.isnan(rates)]) == rate_bits([r for r in ref if r is not None])
+        for track, t, r in zip(tracks, times, ref):
+            one = speed_change_at(track, t, window)
+            assert one is None if r is None else rate_bits([one]) == rate_bits([r])
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_events_and_drops_match_old_loop(self, data):
+        tracks = data.draw(track_dicts())
+        threshold, dp, _ = data.draw(detection_settings(tracks))
+        window = data.draw(st.sampled_from([DEFAULT_WINDOW, 25.0, 400.0]))
+        events, counts = tally(tracks, threshold, dp, window)
+        ref_events, ref_dropped = old_event_loop(tracks, threshold, dp, window)
+        assert events == ref_events
+        assert rate_bits([e.speed_change for e in events]) == rate_bits(
+            [e.speed_change for e in ref_events])
+        assert counts[2:] == (len(ref_events), ref_dropped)
+
+    def test_lane_scene_drops_match_old_loop(self):
+        tracks = lane_scene()
+        events, counts = tally(tracks)
+        ref_events, ref_dropped = old_event_loop(
+            tracks, DEFAULT_DCPA_THRESHOLD, DomainParams(), DEFAULT_WINDOW)
+        assert events == ref_events and counts[3] == ref_dropped > 0
+
+    def test_no_events(self):
+        assert speedmodel._speed_changes([], [], DEFAULT_WINDOW).shape == (0,)
 
 
 @st.composite
