@@ -650,14 +650,16 @@ class VesselTrack:
     def covers(self, t: float) -> bool:
         return self.t_start <= t <= self.t_end
 
+    def require_covers(self, t: float) -> None:
+        """Raise ValueError naming the track when ``t`` is outside its span."""
+        if not self.covers(t):
+            raise ValueError(f"track {self.track_id!r}: time {t} outside "
+                             f"[{self.t_start}, {self.t_end}]")
+
     def state_at(self, t: float) -> VesselState:
         """Interpolated state at time ``t``, one cell of
         :func:`_read_tracks`; raises outside the track span."""
-        if not self.covers(t):
-            raise ValueError(
-                f"track {self.track_id!r}: time {t} outside "
-                f"[{self.t_start}, {self.t_end}]"
-            )
+        self.require_covers(t)
         row = _read_tracks([self], np.array([[t]], dtype=float))[:4, 0, 0].tolist()
         return VesselState(t, *row, self.length, self.vessel_type)
 
@@ -677,23 +679,21 @@ def _read_tracks(tracks: Sequence[VesselTrack], times: np.ndarray) -> np.ndarray
     sizes = np.array([track.times.size for track in tracks], dtype=np.intp)
     lo = found.min(axis=0, initial=np.iinfo(np.intp).max)
     hi = np.minimum(found.max(axis=0, initial=0) + 2, sizes)
-    windows = [(track, slice(a, b)) for track, a, b in zip(tracks, lo.tolist(), hi.tolist())]
-    # each field's windows laid end to end, empty when there are no columns
-    t, *values = (
-        np.concatenate([np.empty(0), *(getattr(track, name)[w] for track, w in windows)])
-        for name in ("times", "north", "east", "speed", "heading")
-    )
-    # each cell's samples as indices into the windows laid end to end
+    windows = list(zip(tracks, lo.tolist(), hi.tolist()))
+    # a row per field of the windows laid end to end, no columns when no cells
+    samples = np.concatenate([np.empty(0), *(getattr(track, name)[a:b] for name in (
+        "times", "north", "east", "speed", "heading") for track, a, b in windows)]).reshape(5, -1)
+    # each cell's samples as columns of the windows laid end to end
     last = found == sizes - 1
     at = found + (np.cumsum(hi - lo) - hi)
-    after = np.where(last, at, at + 1)
-    exact = last | (t[at] == times)
-    frac = (times - t[at]) / np.where(exact, 1.0, t[after] - t[at])
-    start, end = (np.array([v[i] for v in values]) for i in (at, after))
+    start = samples[:, at]
+    end = samples[:, np.where(last, at, at + 1)]
+    exact = last | (start[0] == times)
+    frac = (times - start[0]) / np.where(exact, 1.0, end[0] - start[0])
     table = np.empty((5, *times.shape))
-    table[:3] = np.where(exact, start[:3], start[:3] + frac * (end[:3] - start[:3]))
-    turn = (end[3] - start[3] + math.pi) % TWO_PI - math.pi
-    table[3] = np.where(exact, start[3], _wrap_heading(start[3] + frac * turn))
+    table[:3] = np.where(exact, start[1:4], start[1:4] + frac * (end[1:4] - start[1:4]))
+    turn = (end[4] - start[4] + math.pi) % TWO_PI - math.pi
+    table[3] = np.where(exact, start[4], _wrap_heading(start[4] + frac * turn))
     table[4] = [track.length for track in tracks]
     return table
 

@@ -22,11 +22,12 @@ advanced and scored as arrays: every child moves in one :func:`sail` call,
 and one call scores every child against its root's row of the level, as
 :func:`scenario_risks` would, with the chart prefiltered once per root.
 :func:`branch_and_bound` and :func:`exhaustive_search` search from one
-root; :func:`sr_star_series` searches all the distinct times of a window,
-one or many, in blocks of roots of bounded size (``ROOT_BLOCK_NODES``).
-Search nodes are kept as parallel arrays with parent indices; the returned
-paths are read back through those indices, and each node on them becomes
-one :class:`SearchNode` record, shared by every returned path through it.
+root; :func:`sr_star_series` searches a window's distinct times in blocks
+of roots of bounded size (``ROOT_BLOCK_NODES``), one time with
+:func:`branch_and_bound`. Search nodes are kept as parallel arrays with
+parent indices; the returned paths are read back through those indices,
+and each node on them becomes one :class:`SearchNode` record, shared by
+every returned path through it.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ from .geometry import (
 from .risk import ObstacleSet, RiskParams, _own_and_targets, _table_risks, _target_table
 
 ALPHA_EPS = 1e-6
-# widest level (roots x beam_width x actions) a block of sr_star_series
-# roots may reach: a block holds one collision column per target per child,
-# plus the level arrays (121 open_sea steps: 12.6 MiB in one block, 2.3 in blocks)
+# widest level (roots x beam_width x actions) and target table (roots x n_t
+# rows) a block of sr_star_series roots may reach: a block holds a collision
+# column per target per child and a table cell per target per row, plus the
+# level arrays (121 open_sea steps: 12.6 MiB in one block, 2.3 in blocks)
 ROOT_BLOCK_NODES = 4096
 # actions (n_alpha x n_v) a search may expand: each level holds up to
 # beam_width times this many children; the largest grid in use is 13 x 13
@@ -60,8 +62,8 @@ MAX_ACTIONS = 1024
 # beam on the largest action grid; in open water every child ties, so a
 # wider beam keeps them all and each level multiplies them by the actions
 MAX_LEVEL_CHILDREN = 64 * MAX_ACTIONS
-# levels (n_t) a search may run: it keeps every level's nodes and a target
-# table row per level and root, so its memory grows with the level count
+# levels (n_t) a search may run: a one-root search keeps every level's
+# nodes and a target table row per level, so its memory grows with n_t
 MAX_LEVELS = 10_000
 
 
@@ -414,13 +416,12 @@ def _paths(
     return [list(path) for path in zip(*reversed(columns))]
 
 
-def _result(
-    scene: _Scene, t: float, levels: list[_Level], held_any: bool, expanded: int
-) -> PathResult:
-    """The search result of a one-root :func:`_level_search` from ``t``
-    that scored its root: the last-level paths within ``tie_eps`` of the
+def _one_root_search(scene: _Scene, t: float, beam: bool) -> PathResult:
+    """The result of a one-root :func:`_level_search` from ``t`` that
+    scores its root: the last-level paths within ``tie_eps`` of the
     least path risk, stable-sorted by path risk (so in prune order among
     equals) and capped at ``beam_width``. The root node is level 0's."""
+    levels, held_any, expanded = _level_search(scene, np.array([float(t)]), beam, score_roots=True)
     risks = levels[-1].path_risk
     best = float(risks.min())
     keep = np.flatnonzero(risks <= best + scene.hyper.tie_eps)
@@ -458,9 +459,7 @@ def branch_and_bound(
     minimum path risk; it is exact for a single level.
     """
     scene = _scene(tracks, ownship_id, [t], hyper, kin, params, domain_params, obstacles)
-    return _result(scene, t, *_level_search(
-        scene, np.array([t], dtype=float), beam=True, score_roots=True
-    ))
+    return _one_root_search(scene, t, beam=True)
 
 
 def exhaustive_search(
@@ -489,9 +488,7 @@ def exhaustive_search(
             f"exhaustive budget {max_sequences}"
         )
     scene = _scene(tracks, ownship_id, [t], hyper, kin, params, domain_params, obstacles)
-    return _result(scene, t, *_level_search(
-        scene, np.array([t], dtype=float), beam=False, score_roots=True
-    ))
+    return _one_root_search(scene, t, beam=False)
 
 
 def sr_star_series(
@@ -507,18 +504,24 @@ def sr_star_series(
     """Best-achievable path risk at each query time: the ``sr_star`` of
     :func:`branch_and_bound` at that time, aligned with ``times``.
 
-    The distinct times, one or many, are the roots of one level search,
-    taken in blocks whose widest possible level (roots x ``beam_width`` x
-    actions) stays within ``ROOT_BLOCK_NODES``, each block one search with
-    one target table; each root is pruned on its own, so the blocks do not
-    change any value. The roots themselves are not scored. A root's value
-    is the least path risk of its last-level nodes.
+    The distinct times are the roots of one level search, taken in blocks
+    whose widest level (roots x ``beam_width`` x actions) and target table
+    (roots x ``n_t`` rows) stay within ``ROOT_BLOCK_NODES``, each block one
+    search; each root is pruned on its own, so the blocks do not change any
+    value. The roots are not scored. A root's value is the least path risk
+    of its last-level nodes. A window of one distinct time runs
+    :func:`branch_and_bound` itself, whose results the planner counters of
+    ``perfbench/tracer.py`` read.
     """
     distinct = list(dict.fromkeys(map(float, times)))
+    if len(distinct) == 1:
+        return np.full(len(times), branch_and_bound(
+            tracks, ownship_id, distinct[0], hyper, kin, params, domain_params, obstacles
+        ).sr_star)
     scene = _scene(tracks, ownship_id, distinct, hyper, kin, params, domain_params, obstacles)
     hyper = scene.hyper
     widest = hyper.beam_width * hyper.n_alpha * hyper.v_grid(scene.kin).size
-    per_block = max(1, ROOT_BLOCK_NODES // widest)
+    per_block = max(1, ROOT_BLOCK_NODES // max(widest, hyper.n_t))
     least: list[float] = []
     for lo in range(0, len(distinct), per_block):
         levels, _, _ = _level_search(scene, np.array(distinct[lo:lo + per_block]), beam=True)

@@ -275,9 +275,12 @@ def collision_risk_grid(
 
 
 def _pair_states(track_j: VesselTrack, track_k: VesselTrack, t: float, params, domain_params):
-    """Vessels j and k at time t, each as one-vessel :class:`StateArrays`,
-    and the risk and domain parameter blocks, defaults where not given."""
-    own, tgt = (StateArrays.of([track.state_at(t)]) for track in (track_j, track_k))
+    """Vessels j and k at time t, each as one-vessel :class:`StateArrays` of
+    one :func:`_read_tracks` call, and the parameter blocks or defaults."""
+    for track in (track_j, track_k):
+        track.require_covers(t)
+    table = _read_tracks([track_j, track_k], np.full((1, 2), t, dtype=float))
+    own, tgt = (StateArrays(*table[:, :, k]) for k in range(2))
     return own, tgt, params or RiskParams(), domain_params or DomainParams()
 
 

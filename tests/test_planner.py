@@ -288,6 +288,30 @@ class TestSrStarSeries:
         assert np.array_equal(out, np.zeros(40))
         assert peak < 2_000_000
 
+    def test_memory_bounded_by_levels_in_root_blocks(self):
+        # a beam of 1 on one action keeps the widest level at one node per
+        # root, so the target table (roots x n_t rows, a cell per target)
+        # sizes the block: 64 levels take 64 roots a block, and two blocks'
+        # window peaks as one block's; searched as one block, 128 roots
+        # held 1.9x the memory of 64
+        scene = {"own": straight_track("own", 0.0, 0.0, 0.0, 5.0, 0.0, 241)}
+        for k in range(10):
+            scene[f"t{k}"] = straight_track(f"t{k}", 0.0, 50000.0 + 1000.0 * k, 0.0, 5.0, 0.0,
+                                            241)
+        hyper = Hyperparameters(n_t=64, n_alpha=1, n_v=1, horizon_T=600.0, beam_width=1)
+        per_block = planner.ROOT_BLOCK_NODES // hyper.n_t
+        peaks = []
+        for n_roots in (per_block, 2 * per_block):
+            tracemalloc.start()
+            try:
+                out = sr_star_series(scene, "own", scene["own"].times[:n_roots], hyper, KIN,
+                                     TOY_RISK)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(out, np.zeros(n_roots))
+        assert peaks[1] < 1.25 * peaks[0]
+
     def test_uncovered_time_rejected(self):
         with pytest.raises(ValueError, match="not defined at t=2000.0"):
             sr_star_series(open_water_scene(), "own", [0.0, 2000.0])

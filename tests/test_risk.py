@@ -187,6 +187,20 @@ class TestMutualAndOverall:
         r = mutual_collision_risk(a, b, 0.0)
         assert 0.0 <= cr <= r
 
+    def test_pair_states_read_as_state_at(self):
+        """Both vessels come from one reader call with ``state_at``'s bits,
+        on and between samples and at a track's end; a time outside either
+        span raises naming that track."""
+        a = straight_track("a", 0.0, 0.0, 0.0, 4.0, 0.3, 61)
+        b = straight_track("b", 100.0, 900.0, 300.0, 6.0, 6.2, 61, length=150.0)
+        for t in (100.0, 123.4, 600.0):
+            own, tgt, _, _ = risk._pair_states(a, b, t, None, None)
+            for got, track in ((own, a), (tgt, b)):
+                assert same_bits(got, StateArrays.of([track.state_at(t)]))
+        for t, outside in ((50.0, "b"), (650.0, "a")):
+            with pytest.raises(ValueError, match=f"track '{outside}': time {t} outside"):
+                risk._pair_states(a, b, t, None, None)
+
 
 def points_in_arena(polygons, arena, spacing):
     return ObstacleSet(polygons, spacing=spacing).points_in_arena(arena)
