@@ -21,6 +21,10 @@ targets once, in one table of a row per level and root. A level is
 advanced and scored as arrays: every child moves in one :func:`sail` call,
 and one call scores every child against its root's row of the level, as
 :func:`scenario_risks` would, with the chart prefiltered once per root.
+That call scores each distinct child state once (``risk._table_risks``):
+a parent at speed 0 sails arcs of zero length, so its children are one
+state per speed command, and tied survivors that are one state get the
+same children. The nodes, their ties and the counts stay as they are.
 :func:`branch_and_bound` and :func:`exhaustive_search` search from one
 root; :func:`sr_star_series` searches a window's distinct times in blocks
 of roots of bounded size (``ROOT_BLOCK_NODES``), one time with
@@ -333,6 +337,10 @@ def _level_search(
     scored against). Children are enumerated parent, then speed command,
     then rudder, so they stay grouped by root, and all children of a level
     are scored in one call, each against its root's row of that level.
+    That call scores each distinct child once; every child stays a node.
+    Children repeat where a parent is at speed 0 (its arcs have zero
+    length, so every rudder gives the state of the parent at the commanded
+    speed) and where tied survivors are one state.
     With ``beam`` the next level expands only each root's
     :func:`_survivors`, else every child.
     Returns (kept nodes per level, the roots first; whether any target was

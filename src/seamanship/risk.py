@@ -16,7 +16,8 @@ chart points strictly inside its arena, channel-width adjustment
 included; its horizon maximum is a shift of the points aft along the
 heading, not a prediction per offset. A chart keeps its polygon edges
 with their bounding boxes, and an arena scan discretizes only the edges
-whose box comes near the arena, in one array pass.
+whose box comes near the arena, each only over its stretch near the
+arena, in one array pass.
 
 :func:`scenario_risks` has a time axis: its own states share one time or
 each carry their own (a recorded passage, or a planner level of several
@@ -24,12 +25,15 @@ roots). Targets are placed once per distinct time, in one table read off
 their tracks by :func:`~seamanship.geometry._read_tracks`, and each own
 state is scored against its time's row, so :func:`compute_risk_series` is
 one call for a whole window. A planner search builds one such table for
-all its levels and scores each level against its rows.
+all its levels and scores each level against its rows. Every such scoring
+goes through :func:`_table_risks`, which scores each distinct own state
+and row once: a planner level repeats many states.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -50,6 +54,8 @@ from .geometry import (
     predict_positions,
     require_finite,
 )
+
+log = logging.getLogger(__name__)
 
 MUTUAL_MODES = ("max", "prob_or")
 # rates sampled by the density-weighted collision risk
@@ -325,7 +331,8 @@ class _Edges(NamedTuple):
     """Polygon edges, laid end to end ring by ring: each edge's first
     vertex and its vector to the next, (E, 2); the number of boundary
     points it gets, (E,); and the bounding box of its two vertices, whose
-    low and high corners are (2, E), north then east."""
+    low and high corners are (2, E), north then east. An edge of length 0
+    gets no point and an empty box, which no arena scan comes near."""
 
     start: np.ndarray
     vector: np.ndarray
@@ -363,20 +370,26 @@ class _Edges(NamedTuple):
             raise ValueError(f"spacing {spacing} gives {total:g} boundary points, "
                              f"more than the {MAX_BOUNDARY_POINTS:,} a chart may have")
         low, high = np.minimum(start, stop).T.copy(), np.maximum(start, stop).T.copy()
+        zero = n == 0
+        low[:, zero], high[:, zero] = np.inf, -np.inf
         return cls(start, vector, n.astype(int), low, high)
 
-    def densify(self, index=slice(None)) -> np.ndarray:
+    def densify(self, index=slice(None), first=None, stop=None) -> np.ndarray:
         """The boundary points of the edges at ``index`` (a slice or an
         array of edge indices in ascending order), (N, 2), edge by edge:
         the k-th of an edge's n points is its start plus k / n of its
         vector, so it lies in the edge's box, and the shared end vertex
-        belongs to the next edge."""
+        belongs to the next edge. With ``first`` and ``stop`` (one entry
+        per edge at ``index``) an edge makes only its points first <= k <
+        stop, each with the same bits as among all its points."""
         start, vector, n = self.start[index], self.vector[index], self.n[index]
-        # k-th point of its edge: position in the output minus the edge's first slot
-        first = np.cumsum(n) - n
-        k = np.arange(n.sum()) - np.repeat(first, n)
-        fracs = k / np.repeat(n, n)
-        return np.repeat(start, n, axis=0) + fracs[:, None] * np.repeat(vector, n, axis=0)
+        first = np.zeros_like(n) if first is None else first
+        count = (n if stop is None else stop) - first
+        # k-th point of its edge: position in the output minus the slot of
+        # its edge's point 0
+        k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
+        fracs = k / np.repeat(n, count)
+        return np.repeat(start, count, axis=0) + fracs[:, None] * np.repeat(vector, count, axis=0)
 
 
 @dataclass
@@ -388,8 +401,9 @@ class ObstacleSet:
     ring boundaries discretized at ``spacing`` meters
     (:func:`densify_boundaries`), built when first read. An arena scan
     (:meth:`points_in_arena`) makes only the points of the edges whose
-    bounding box comes near the arena. Rings, coordinates, spacing and the
-    point budget are checked when the set is made.
+    bounding box comes near the arena, and of each only the stretch near
+    the arena. Rings, coordinates, spacing and the point budget are
+    checked when the set is made.
     """
 
     polygons: list[np.ndarray] = field(default_factory=list)
@@ -416,20 +430,37 @@ class ObstacleSet:
 
         Only the edges whose box lies within the radius of the center in
         both coordinates, widened by a margin far above rounding error,
-        are densified, and their points take the exact distance test,
-        which is the one every point would take. A point it keeps lies in
-        its edge's box and has |offset| <= distance < radius in each
-        coordinate, so none is lost.
+        are densified, and each only over the stretch of its points whose
+        coordinate along the edge's main axis lies within that widened
+        radius of the center, one point more each side. Those points take
+        the exact distance test, which is the one every point would take. A
+        point it keeps lies in its edge's box and has |offset| <= distance
+        < radius in each coordinate, so none is lost.
         """
         north, east, radius = arena.center.north, arena.center.east, arena.radius
         reach = radius + 1e-9 * (abs(north) + abs(east) + radius)
-        low, high = self._edges.low, self._edges.high
+        edges = self._edges
+        low, high = edges.low, edges.high
         near = np.flatnonzero(
             (low[0] <= north + reach) & (high[0] >= north - reach)
             & (low[1] <= east + reach) & (high[1] >= east - reach)
         )
-        points = self._edges.densify(near)
-        d = points - np.array([north, east])
+        center = np.array([north, east])
+        # the coordinate (0 north, 1 east) each edge moves along most
+        vector = edges.vector[near]
+        main = (np.abs(vector[:, 1]) > np.abs(vector[:, 0])).astype(np.intp)
+        # the fractions k / n at which each edge's main coordinate crosses
+        # the two sides of the widened radius, low then high; a short edge
+        # may put them beyond the float range
+        offset = center[main] - edges.start[near, main]
+        with np.errstate(over="ignore"):
+            f = (offset + np.array([[-reach], [reach]])) / edges.vector[near, main]
+        f.sort(axis=0)
+        # the points k between them, one more each side, of the edge's n
+        n = edges.n[near]
+        k = np.clip(np.floor(f.clip(-1.0, 2.0) * n) + [[-1.0], [2.0]], 0, n)
+        points = edges.densify(near, *k.astype(int))
+        d = points - center
         return points[np.hypot(d[:, 0], d[:, 1]) < radius]
 
 
@@ -691,6 +722,27 @@ def scenario_risks(
     )
 
 
+def _distinct_states(own: StateArrays, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct own states of a table scoring: the index of the first
+    state of each distinct (north, east, speed, heading, length, row), in
+    order of appearance, so rows that ascend still ascend, and each
+    state's position among them. States match when every field has the
+    same bits, one 48-byte key per state, so -0.0 never matches 0.0 and no
+    float comparison decides a match. States whose norths all differ in
+    their bits all differ, and a recorded window, or a level of moving
+    parents, is settled by that one sort."""
+    north = np.sort(np.asarray(own.north, dtype=float).view(np.int64))
+    if (north[1:] != north[:-1]).all():
+        return np.arange(rows.size), np.arange(rows.size)
+    keys = np.empty((rows.size, 6))
+    for k, values in enumerate((*own, rows)):
+        keys[:, k] = values
+    _, first, inverse = np.unique(keys.view(np.dtype((np.void, keys.itemsize * 6))).ravel(),
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
 def _table_risks(
     own: StateArrays,
     rows: np.ndarray,
@@ -706,7 +758,21 @@ def _table_risks(
     every row has at least one own state. Returns the collision columns and
     the weighted ones by target id, the grounding maxima and the scenario
     risks, one entry per own state in each. A planner search builds its
-    table once and scores each level here."""
+    table once and scores each level here.
+
+    Each distinct state (:func:`_distinct_states`) is scored once and its
+    values are read back for every state that repeats it. A planner level
+    repeats states: a parent at speed 0 sails arcs of zero length, so all
+    its rudder settings land on one state, and tied survivors that are the
+    same state each get the same children. Every value depends only on its
+    own state and row, so the merge moves no value. The states given and
+    the distinct states scored are logged at DEBUG.
+    """
+    first, inverse = _distinct_states(own, rows)
+    log.debug("table risks: %d own states, %d distinct scored", inverse.size, first.size)
+    merged = first.size < inverse.size
+    if merged:
+        own, rows = own.select(first), rows[first]
     tracks, tgt, present = targets
     cr = collision_risk_grid(own, tgt, 0.0, rp, dp, rows)[..., 0]
     # each own state's presence row, not held while the kernel runs
@@ -728,7 +794,12 @@ def _table_risks(
         for group in (rows == r for r in range(tgt.north.shape[0])):
             grounding[group] = _grounding_max(own.select(group), obstacles, rp, dp)
     effective = [collision_wavg.get(tid, column) for tid, column in collision.items()]
-    return collision, collision_wavg, grounding, compose_scenario_risk(effective, grounding)
+    scenario = compose_scenario_risk(effective, grounding)
+    if merged:
+        collision, collision_wavg = ({tid: column[inverse] for tid, column in columns.items()}
+                                     for columns in (collision, collision_wavg))
+        grounding, scenario = grounding[inverse], scenario[inverse]
+    return collision, collision_wavg, grounding, scenario
 
 
 def rate_weighted_mean(

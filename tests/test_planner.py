@@ -243,6 +243,46 @@ class TestBranchAndBound:
         assert blocked.sr_star > clear.sr_star
 
 
+class TestRepeatedChildren:
+    """A parent at speed 0 sails arcs of zero length, so its n_alpha x n_v
+    children are n_v states; each distinct child state is scored once, and
+    the search keeps, ranks and returns every child as before."""
+
+    def scored(self, search, *args):
+        """The result of ``search(*args)``, and the own states each call
+        of the collision kernel received."""
+        kernel, sizes = risk.collision_risk_grid, []
+
+        def counted(own, *rest, **kwargs):
+            sizes.append(own.north.size)
+            return kernel(own, *rest, **kwargs)
+
+        with mock.patch.object(risk, "collision_risk_grid", side_effect=counted):
+            return search(*args), sizes
+
+    def every_state(self, search, *args):
+        """The result of ``search(*args)`` with every state scored."""
+        keep_all = lambda own, rows: (np.arange(rows.size), np.arange(rows.size))  # noqa: E731
+        with mock.patch.object(risk, "_distinct_states", keep_all):
+            return search(*args)
+
+    def test_stopped_root(self):
+        tracks = crossing_scene()
+        tracks["own"] = straight_track("own", 0.0, 0.0, 0.0, 0.0, 0.3, 61)
+        hyper = Hyperparameters(n_t=2, n_alpha=13, n_v=3, horizon_T=240.0)
+        args = (tracks, "own", 50.0, hyper, KIN, TOY_RISK)
+        # the root; its 39 children, 3 states; and their 39 x 39 children:
+        # 3 states of the stopped children and 39 of each of the 2 moving
+        ex, sizes = self.scored(exhaustive_search, *args)
+        assert sizes == [1, hyper.n_v, hyper.n_v + 2 * hyper.n_alpha * hyper.n_v]
+        bb, sizes = self.scored(branch_and_bound, *args)
+        assert sizes[:2] == [1, hyper.n_v]
+        for search, result in ((exhaustive_search, ex), (branch_and_bound, bb)):
+            every = self.every_state(search, *args)
+            assert repr(result.to_dict()) == repr(every.to_dict())
+            assert repr(result.paths) == repr(every.paths)
+
+
 class TestExhaustive:
     def test_budget_enforced(self):
         hyper = Hyperparameters(n_t=3, n_alpha=13, n_v=13, horizon_T=240.0)

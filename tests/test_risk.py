@@ -451,6 +451,68 @@ class TestChartEdgeIndex:
         assert obstacles.boundary_points is obstacles.boundary_points
 
 
+@st.composite
+def long_edge_scans(draw):
+    """Rings with long edges, axis-aligned and slanted, up to 1e7 m out,
+    at a spacing that gives each edge from one point to a few thousand,
+    and arenas from 1 mm to 20 km across centered on an edge's points, on
+    its line before and after its ends, and off to one side."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    origin = np.array([draw(st.sampled_from([0.0, 123457.0, 1e7, -1e7])) for _ in range(2)])
+    rings = []
+    for _ in range(draw(st.integers(1, 3))):
+        half = rng.uniform(10.0, 6000.0, 2)
+        ring = closed_square(0.0, 0.0, 1.0) * half
+        if draw(st.booleans()):  # slanted edges
+            turn = rng.uniform(0.0, 2.0 * math.pi)
+            ring = ring @ np.array([[math.cos(turn), math.sin(turn)],
+                                    [-math.sin(turn), math.cos(turn)]])
+            ring[-1] = ring[0]
+        rings.append(origin + rng.uniform(-3000.0, 3000.0, 2) + ring)
+    spacing = draw(st.one_of(st.sampled_from([3.0, 50.0, 1e4]), st.floats(2.0, 900.0)))
+    arenas = []
+    for _ in range(6):
+        ring = rings[rng.integers(len(rings))]
+        i = rng.integers(len(ring) - 1)
+        along = draw(st.one_of(st.sampled_from([0.0, 1.0, -0.01, 1.01]), st.floats(-0.2, 1.2)))
+        point = ring[i] + along * (ring[i + 1] - ring[i]) + rng.normal(0.0, 50.0, 2)
+        radius = float(rng.choice([1e-3, 1.0, 60.0, 926.0, 5000.0, 2e4]))
+        arenas.append(ArenaSpec(radius, LocalPoint(*point)))
+    return rings, spacing, arenas
+
+
+class TestArenaStretch:
+    @given(long_edge_scans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_densify_all_then_filter(self, scan):
+        """A scan makes only the stretch of each near edge whose points lie
+        within its radius along the edge's main axis, one point more each
+        side, and keeps the same points, with the same bits and in the same
+        order, as the exact distance test over the whole densified chart."""
+        rings, spacing, arenas = scan
+        obstacles = ObstacleSet(rings, spacing=spacing)
+        points = obstacles.boundary_points
+        densify = risk._Edges.densify
+        for arena in arenas:
+            made = []
+
+            def counted(*args, **kwargs):
+                made.append(len(densify(*args, **kwargs)))
+                return densify(*args, **kwargs)
+
+            with mock.patch.object(risk._Edges, "densify", side_effect=counted, autospec=True):
+                got = obstacles.points_in_arena(arena)
+            assert same_bits(got, reference_points_in_arena(points, arena))
+            # at most the points of the whole chart within the radius of
+            # the center along their edge's main axis, and three more per
+            # edge: two for the widening, one for rounding
+            edges = obstacles._edges
+            main = np.repeat(np.argmax(np.abs(edges.vector), axis=1), edges.n)
+            d = np.abs(points - np.array([arena.center.north, arena.center.east]))
+            in_band = np.count_nonzero(d[np.arange(len(d)), main] <= 1.001 * arena.radius + 1e-6)
+            assert sum(made) <= in_band + 3 * np.count_nonzero(edges.n)
+
+
 class TestGroundingPairs:
     @given(
         scene=edge_scenes(),
@@ -1053,6 +1115,92 @@ class TestRiskSeriesTimeAxis:
             assert abs(got.scenario[c] - ref.scenario) <= 1e-12
         assert set(got.collision) == columns and set(got.collision_wavg) == wavg_columns
         assert got.targets_held is held
+
+
+@st.composite
+def repeated_states(draw):
+    """Own states with repeats, shuffled, at several times: a few states,
+    each repeated exactly, at another time, and at its position with
+    another speed, heading or length; and states that differ only in the
+    sign of a zero north, east, speed or heading."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = [-60.0, 0.0, 35.0, 100.0, 290.0]
+    states = []
+    for _ in range(draw(st.integers(1, 3))):
+        s = random_states(rng, 1)[0]
+        state = [s.north, s.east, s.speed, s.heading, s.length]
+        t = float(rng.choice(times))
+        states.append((state, t))
+        states.append((state, t))
+        states.append((state, float(rng.choice(times))))
+        changed = draw(st.sampled_from([2, 3, 4]))
+        other = list(state)
+        other[changed] = [rng.uniform(0.0, 8.0), rng.uniform(0.0, 2.0 * math.pi),
+                          rng.uniform(50.0, 250.0)][changed - 2]
+        states.append((other, t))
+    zero = draw(st.sampled_from([0, 1, 2, 3]))
+    signed = [rng.uniform(-500.0, 500.0), rng.uniform(-500.0, 500.0), 4.0, 1.0, 100.0]
+    t = float(rng.choice(times))
+    for sign in (0.0, -0.0, 0.0):
+        state = list(signed)
+        state[zero] = sign
+        states.append((state, t))
+    order = draw(st.permutations(range(len(states))))
+    own = StateArrays(*np.array([states[i][0] for i in order]).T.copy())
+    return own, np.array([states[i][1] for i in order])
+
+
+def state_key(own, times, i):
+    """The bits of own state i and its time."""
+    return np.array([*(a[i] for a in own), times[i]]).tobytes()
+
+
+class TestRepeatedStates:
+    @given(series_scenes(), repeated_states(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_each_state_scores_as_alone(self, scene, states, hold_targets):
+        """Each distinct (state, time) reaches the kernel once, and every
+        state's four outputs have the bits of that state scored alone."""
+        tracks, obstacles, models, rp, _ = scene
+        obstacles = obstacles or ObstacleSet([closed_square(300.0, -200.0, 150.0)], spacing=25.0)
+        models = models or {VesselType.CARGO: SCENE_MODELS["kde"]}
+        targets = [tr for tid, tr in sorted(tracks.items()) if tid != "own"]
+        own, times = states
+        kernel = risk.collision_risk_grid
+        sizes = []
+
+        def counted(own, *args, **kwargs):
+            sizes.append(own.north.size)
+            return kernel(own, *args, **kwargs)
+
+        with mock.patch.object(risk, "collision_risk_grid", side_effect=counted):
+            got = scenario_risks(own, times, targets, obstacles, rp, hold_targets=hold_targets,
+                                 models=models, wavg_grid_n=9)
+        distinct = {state_key(own, times, i) for i in range(times.size)}
+        assert sizes and all(size == len(distinct) for size in sizes)
+        for i in range(times.size):
+            alone = scenario_risks(own.select(slice(i, i + 1)), times[i], targets, obstacles,
+                                   rp, hold_targets=hold_targets, models=models, wavg_grid_n=9)
+            for columns, alone_columns in ((got.collision, alone.collision),
+                                           (got.collision_wavg, alone.collision_wavg)):
+                assert set(alone_columns) <= set(columns)
+                for tid, column in columns.items():
+                    assert same_bits(column[i:i + 1], alone_columns.get(tid, [0.0])), tid
+            for name in ("grounding", "scenario"):
+                assert same_bits(getattr(got, name)[i:i + 1], getattr(alone, name)), name
+
+    def test_distinct_states_compare_bits(self):
+        """A signed zero in any field, or another row, makes another state;
+        a repeat, wherever it stands, reads its first occurrence."""
+        fields = np.zeros((7, 6))
+        for k in range(5):
+            fields[k + 1, k] = -0.0
+        fields[6, 5] = 1.0
+        fields = np.concatenate([fields, fields[::-1]])
+        own = StateArrays(*fields[:, :5].T.copy())
+        first, inverse = risk._distinct_states(own, fields[:, 5].astype(int))
+        assert first.tolist() == list(range(7))
+        assert inverse.tolist() == list(range(7)) + list(range(6, -1, -1))
 
 
 def reference_collision_risk(own, tgt, rate, rp, dp):
