@@ -16,7 +16,6 @@ from .geometry import (
     VesselTrack,
     VesselType,
     ddv,
-    find_tdv,
     make_domain,
     predict_state,
     project,
@@ -65,6 +64,7 @@ from .speedmodel import (
     EncounterEvent,
     SpeedChangeModel,
     detect_encounters,
+    find_tdv,
     fit_model,
     probabilistic_cr,
     silverman_bandwidth,

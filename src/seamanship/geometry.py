@@ -11,6 +11,8 @@ once and serves many displacements.
 
 Every state taken off a recorded track comes from one array reader,
 :func:`_read_tracks`; :meth:`VesselTrack.state_at` reads one cell of it.
+Pairing tracks at equal times and finding where one violates another's
+domain belong to encounter mining, in :mod:`seamanship.speedmodel`.
 
 Conventions used throughout the package: positions are north/east meters in
 a local tangent plane, headings are radians clockwise from true north in
@@ -697,60 +699,3 @@ def _read_tracks(tracks: Sequence[VesselTrack], times: np.ndarray) -> np.ndarray
     table[4] = [track.length for track in tracks]
     return table
 
-
-def _equal_time_cells(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair the samples of tracks, laid end to end in track order in
-    ``times``, that fall at the same time (the times ``np.intersect1d``
-    shares). Returns the stable sort ``order`` of ``times``, in which a run
-    of equal times holds at most one sample per track, in track order, and
-    ``first``: sorted sample p pairs with each later one of its run as cells
-    ``first[p]`` to ``first[p + 1] - 1``, so cells count in time order."""
-    order = np.argsort(times, kind="stable")
-    ordered = times[order]
-    ends = np.append(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1, times.size)
-    later = np.repeat(ends, np.diff(ends, prepend=0))
-    later -= np.arange(1, times.size + 1)
-    return order, np.concatenate([[0], np.cumsum(later)])
-
-
-def _cell_samples(first: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted samples (p, q), p < q, of cells ``start`` to ``stop - 1``
-    numbered by :func:`_equal_time_cells`."""
-    lo = int(np.searchsorted(first, start, side="right")) - 1
-    hi = int(np.searchsorted(first, stop - 1, side="right"))
-    p = np.repeat(np.arange(lo, hi), np.diff(np.clip(first[lo:hi + 1], start, stop)))
-    return p, np.arange(start, stop) - first[p] + p + 1
-
-
-def _in_domain(speed, length, frame: _Frame, d_north, d_east, params: DomainParams) -> np.ndarray:
-    """Whether each target, displaced by (``d_north``, ``d_east``) from a
-    vessel of ``speed``, ``length`` and heading ``frame``, lies inside that
-    vessel's domain: a scale factor below 1. All arguments broadcast."""
-    semi_major, semi_minor = domain_axes(speed, length, params)
-    x, y = frame(d_north, d_east)
-    quad = _Quadratic.of(semi_major, semi_minor, *_center_offsets(semi_major, params))
-    return quad.solve(x, y) < 1.0
-
-
-def find_tdv(
-    track_j: VesselTrack,
-    track_k: VesselTrack,
-    params: DomainParams | None = None,
-) -> float | None:
-    """First common grid time at which vessel k violates vessel j's domain.
-
-    The two-track case of the equal-time pairing that
-    :func:`~seamanship.speedmodel.detect_encounters` sweeps: the earliest
-    shared grid time at which k's position has a scale factor f < 1 in j's
-    domain, or None when there is none (including disjoint time spans).
-    """
-    n_j = track_j.times.size
-    order, first = _equal_time_cells(np.concatenate([track_j.times, track_k.times]))
-    at_j, at_k = (order[cell] for cell in _cell_samples(first, 0, first[-1]))
-    at_k -= n_j
-    hits = np.flatnonzero(_in_domain(
-        track_j.speed[at_j], track_j.length, _Frame.of(track_j.heading[at_j]),
-        track_k.north[at_k] - track_j.north[at_j], track_k.east[at_k] - track_j.east[at_j],
-        params or DomainParams(),
-    ))
-    return None if hits.size == 0 else float(track_j.times[at_j[hits[0]]])

@@ -249,11 +249,12 @@ def parse_ais(path, schema: AisSchema | None = None) -> tuple[dict[str, RawTrack
 
     Rows read like ``csv.DictReader`` rows: blank lines are skipped, fields
     past the header are ignored and missing ones read as blank. Rows with
-    unparseable essentials (timestamp, position, mmsi) or a non-finite SOG,
-    COG or heading are skipped and counted. A heading of 511 (unavailable)
-    falls back to the course over ground; a blank or non-finite hull length
-    falls back to a per-type default. Duplicate (mmsi, timestamp) rows keep
-    the first occurrence.
+    unparseable essentials (timestamp, position, mmsi), a negative or
+    non-finite SOG, or a non-finite COG or heading are skipped and counted;
+    a blank SOG or COG reads as 0, and so does a SOG of -0. A heading of 511
+    (unavailable) falls back to the course over ground; a blank or
+    non-finite hull length falls back to a per-type default. Duplicate
+    (mmsi, timestamp) rows keep the first occurrence.
 
     The file is read by one ``csv.reader`` in blocks of ``_BLOCK_ROWS`` rows,
     and each block's columns are converted at once: DMA-layout timestamps
@@ -309,7 +310,7 @@ def parse_ais(path, schema: AisSchema | None = None) -> tuple[dict[str, RawTrack
                 ~np.isnan(t)
                 & np.fromiter(map(bool, mmsi), bool, n)
                 & (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
-                & np.isfinite(sog) & np.isfinite(cog) & np.isfinite(hdg)
+                & (0.0 <= sog) & (sog < math.inf) & np.isfinite(cog) & np.isfinite(hdg)
             )
             rows = np.flatnonzero(ok)
             skipped += n - rows.size
@@ -331,7 +332,7 @@ def parse_ais(path, schema: AisSchema | None = None) -> tuple[dict[str, RawTrack
                 t[rows],
                 lat[rows],
                 lon[rows],
-                np.where(speed > 0.0, speed, 0.0),
+                np.where(speed > 0.0, speed, 0.0),  # -0 reads as 0
                 np.mod(hdg, 360.0) * (math.pi / 180.0),  # math.radians, to the bit
                 np.where((length > 0.0) & (length < math.inf), length, math.nan),
             ))

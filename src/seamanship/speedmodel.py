@@ -4,6 +4,9 @@ Mines historical tracks for encounters (close-approach pairs that actually
 violate a domain), measures how the violating vessel was changing speed at
 that moment, and fits a per-vessel-type kernel density over those rates. The
 fitted density weights collision risk over candidate target speed changes.
+
+The time of domain violation (TDV) has one rule, the sweep of
+:func:`_violations`; :func:`find_tdv` is its two-track case.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ from .geometry import (
     DomainParams,
     VesselTrack,
     VesselType,
+    _center_offsets,
     _Frame,
-    _cell_samples,
-    _equal_time_cells,
-    _in_domain,
+    _Quadratic,
     _read_tracks,
     domain_axes,
     require_finite,
@@ -116,18 +118,43 @@ def _forward_dcpa(d_north, d_east, rv_north, rv_east):
     return np.hypot(d_north + rv_north * tcpa, d_east + rv_east * tcpa)
 
 
+def _equal_time_cells(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair the samples of tracks, laid end to end in track order in
+    ``times``, that fall at the same time (the times ``np.intersect1d``
+    shares). Returns the stable sort ``order`` of ``times``, in which a run
+    of equal times holds at most one sample per track, in track order, and
+    ``first``: sorted sample p pairs with each later one of its run as cells
+    ``first[p]`` to ``first[p + 1] - 1``, so cells count in time order."""
+    order = np.argsort(times, kind="stable")
+    ordered = times[order]
+    ends = np.append(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1, times.size)
+    later = np.repeat(ends, np.diff(ends, prepend=0))
+    later -= np.arange(1, times.size + 1)
+    return order, np.concatenate([[0], np.cumsum(later)])
+
+
+def _cell_samples(first: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted samples (p, q), p < q, of cells ``start`` to ``stop - 1``
+    numbered by :func:`_equal_time_cells`."""
+    lo = int(np.searchsorted(first, start, side="right")) - 1
+    hi = int(np.searchsorted(first, stop - 1, side="right"))
+    p = np.repeat(np.arange(lo, hi), np.diff(np.clip(first[lo:hi + 1], start, stop)))
+    return p, np.arange(start, stop) - first[p] + p + 1
+
+
 def _violations(ordered: Sequence[VesselTrack], dcpa_threshold: float, dp: DomainParams):
     """The first violation of each ordered pair of ``ordered`` that passes
     the DCPA screen, as (own index, target index, TDV), and how many ordered
     pairs overlap in time and pass the screen.
 
     One sweep in time order pairs the samples of tracks j < k at equal times
-    (:func:`~seamanship.geometry._equal_time_cells`), in blocks of
-    ``risk.KERNEL_CHUNK_ELEMS // 2`` cells read at call time. Forward DCPA is
-    the same from either side, so one screen serves both orders; a pair
-    passes when any of its cells does. A cell is tested against each domain
-    only where the other vessel lies within its reach, a quarter block of
-    tests at a time. Each ordered pair keeps its first hit in time.
+    (:func:`_equal_time_cells`), in blocks of ``risk.KERNEL_CHUNK_ELEMS // 2``
+    cells read at call time. Forward DCPA is the same from either side, so
+    one screen serves both orders; a pair passes when any of its cells does.
+    A cell is tested against each domain only where the other vessel lies
+    within its reach, a quarter block of tests at a time: a target is inside
+    a domain where its scale factor is below 1. Each ordered pair keeps its
+    first hit in time, its TDV.
     """
     n = len(ordered)
     if n < 2:
@@ -150,11 +177,12 @@ def _violations(ordered: Sequence[VesselTrack], dcpa_threshold: float, dp: Domai
     sin = np.sin(cos)
     np.cos(cos, out=cos)
     length = np.array([tr.length for tr in ordered])
-    # no point of a track's domain lies further from the vessel than
-    # |offset_fraction| a + max(a, b) at its top speed; 1e-6 more is far
-    # above the rounding of a distance or a scale factor
+    # no point of a track's domain lies further from the vessel than its
+    # center offsets' |forward| + |starboard| + max(a, b) at its top speed;
+    # 1e-6 more is far above the rounding of a distance or a scale factor
     a, b = domain_axes(np.array([tr.speed.max() for tr in ordered]), length, dp)
-    reach = (abs(dp.offset_fraction) * a + np.maximum(a, b)) * (1.0 + 1e-6)
+    forward, starboard = _center_offsets(a, dp)
+    reach = (abs(forward) + abs(starboard) + np.maximum(a, b)) * (1.0 + 1e-6)
     n_cells, block = int(first[-1]), max(1, risk.KERNEL_CHUNK_ELEMS // 2)
     passed, first_hit, near = set(), {}, []
     for start in range(0, n_cells, block):
@@ -178,11 +206,12 @@ def _violations(ordered: Sequence[VesselTrack], dcpa_threshold: float, dp: Domai
             continue
         own, target = (np.concatenate(side) for side in zip(*near))
         near = []
-        # the frame _Frame.of(heading) builds, from the stored cosines and sines
-        hits = np.flatnonzero(_in_domain(
-            speed[own], length[track[own]], _Frame(cos[own], sin[own], -sin[own], cos[own]),
-            north[target] - north[own], east[target] - east[own], dp,
-        ))
+        # inside the domain: a scale factor below 1, in the frame that
+        # _Frame.of(heading) builds, from the stored cosines and sines
+        x, y = _Frame(cos[own], sin[own], -sin[own], cos[own])(
+            north[target] - north[own], east[target] - east[own])
+        a, b = domain_axes(speed[own], length[track[own]], dp)
+        hits = np.flatnonzero(_Quadratic.of(a, b, *_center_offsets(a, dp)).solve(x, y) < 1.0)
         # the two orders' pairs differ, and each pair's cells come in time order
         keys = track[own[hits]] * np.int64(n) + track[target[hits]]
         pairs, at = np.unique(keys, return_index=True)
@@ -190,6 +219,20 @@ def _violations(ordered: Sequence[VesselTrack], dcpa_threshold: float, dp: Domai
             first_hit.setdefault(pair, float(times[cell]))
     found = [(*divmod(pair, n), tdv) for pair, tdv in first_hit.items() if pair in passed]
     return found, n * (n - 1) - 2 * int(apart.sum()), len(passed)
+
+
+def find_tdv(
+    track_j: VesselTrack,
+    track_k: VesselTrack,
+    params: DomainParams | None = None,
+) -> float | None:
+    """First common grid time at which vessel k violates vessel j's domain:
+    the earliest shared grid time at which k's position has a scale factor
+    f < 1 in j's domain, or None when there is none (including disjoint
+    time spans). The two-track case of :func:`_violations`, with no DCPA
+    screen."""
+    found, _, _ = _violations([track_j, track_k], math.inf, params or DomainParams())
+    return next((tdv for own, _, tdv in found if own == 0), None)
 
 
 def detect_encounters(
@@ -203,7 +246,7 @@ def detect_encounters(
     A pair (j, k) yields one event when their minimum forward DCPA over the
     grid times they share falls below ``dcpa_threshold`` and k actually
     violates j's domain at one of those times (the TDV, see
-    :func:`~seamanship.geometry.find_tdv`). The event records the violating
+    :func:`find_tdv`). The event records the violating
     vessel's speed-change rate at TDV and its type; pairs whose rate window
     sticks out of the track are dropped. Events come in order of own id,
     then target id.

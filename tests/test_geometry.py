@@ -21,7 +21,6 @@ from seamanship.geometry import (
     _read_tracks,
     _wrap_heading,
     ddv,
-    find_tdv,
     make_domain,
     StateArrays,
     normalize_heading,
@@ -385,29 +384,6 @@ def reference_state_at_clamped(track, t):
     if t > track.t_end:
         return reference_state_at_index(track, track.times.size - 1, track.t_end), True
     return reference_state_at(track, t), False
-
-
-class TestFindTdv:
-    def test_head_on_violation_before_meeting(self):
-        # closing at 10 m/s from 6 km apart: meet at t = 600 s
-        a = straight_track("a", 0.0, 0.0, 0.0, 5.0, 0.0, 61)
-        b = straight_track("b", 0.0, 6000.0, 0.0, 5.0, math.pi, 61)
-        tdv = find_tdv(a, b)
-        assert tdv is not None and tdv < 600.0
-        st_a = a.state_at(tdv)
-        st_b = b.state_at(tdv)
-        f = scale_factor(make_domain(st_a), st_b.position, st_a.position)
-        assert f < 1.0
-
-    def test_parallel_far_apart_no_violation(self):
-        a = straight_track("a", 0.0, 0.0, 0.0, 5.0, 0.0, 61)
-        b = straight_track("b", 0.0, 0.0, 5000.0, 5.0, 0.0, 61)
-        assert find_tdv(a, b) is None
-
-    def test_disjoint_spans_no_violation(self):
-        a = straight_track("a", 0.0, 0.0, 0.0, 5.0, 0.0, 10)
-        b = straight_track("b", 1000.0, 0.0, 100.0, 5.0, 0.0, 10)
-        assert find_tdv(a, b) is None
 
 
 class TestPredictState:

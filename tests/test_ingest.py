@@ -142,6 +142,24 @@ class TestParseAis:
         assert len(track.times) == 2
         assert np.all(np.isfinite(track.speed)) and np.all(np.isfinite(track.heading))
 
+    @pytest.mark.parametrize("value", ["-3", "-0.1", "-5e-324"])
+    def test_negative_sog_is_skipped_and_counted(self, tmp_path, value):
+        # a negative speed over ground is a bad report, not a vessel at rest
+        rows = simple_rows(n=3)
+        rows[1][4] = value
+        tracks, skipped = parse_ais(write_ais(tmp_path / "a.csv", rows))
+        assert skipped == 1
+        assert tracks["219000001"].lat.tolist() == [55.0, 55.002]
+
+    @pytest.mark.parametrize("value", ["-0", "-0.0"])
+    def test_negative_zero_sog_reads_as_zero(self, tmp_path, value):
+        rows = simple_rows(n=2)
+        rows[1][4] = value
+        tracks, skipped = parse_ais(write_ais(tmp_path / "a.csv", rows))
+        assert skipped == 0
+        speed = tracks["219000001"].speed[1]
+        assert speed == 0.0 and math.copysign(1.0, speed) == 1.0
+
     def test_infinite_length_defaults_by_type(self, tmp_path):
         rows = simple_rows(n=1)
         rows[0][8] = "inf"
@@ -482,9 +500,9 @@ class ListTrack:
 def reference_parse_ais(path, schema=None):
     """The ``csv.DictReader`` parser. A row too short to hold a required
     field reads None there; catching the TypeError and AttributeError that
-    follow counts it as a skipped row, which is what ``parse_ais`` does.
-    Each vessel's rows are gathered in lists and handed to ``RawTrack`` at
-    the end."""
+    follow counts it as a skipped row, which is what ``parse_ais`` does; so
+    is a row with a negative SOG. Each vessel's rows are gathered in lists
+    and handed to ``RawTrack`` at the end."""
     schema = schema or AisSchema()
     tracks, seen, skipped = {}, set(), 0
     with open(path, newline="", encoding="utf-8") as fh:
@@ -509,6 +527,8 @@ def reference_parse_ais(path, schema=None):
                 hdg = float(heading) if heading not in (None, "") else HEADING_UNAVAILABLE
                 if not (math.isfinite(sog) and math.isfinite(cog) and math.isfinite(hdg)):
                     raise ValueError("non-finite motion field")
+                if sog < 0.0:
+                    raise ValueError("negative speed over ground")
             except (ValueError, KeyError, TypeError, AttributeError):
                 skipped += 1
                 continue
@@ -844,7 +864,7 @@ AIS_FIELDS = {
         ["55.0", "55.0012345", "-0", "91.5", "", "nan", "fifty"] + FLOAT_SPELLINGS
     ),
     "Longitude": st.sampled_from(["11.0", "10.9999", "180", "-181", "inf", ""] + FLOAT_SPELLINGS),
-    "SOG": st.sampled_from(["10.0", "0", "-3", "", "nan", "1e400", "x"] + FLOAT_SPELLINGS),
+    "SOG": st.sampled_from(["10.0", "0", "-3", "-0", "", "nan", "1e400", "x"] + FLOAT_SPELLINGS),
     "COG": st.sampled_from(["45.0", "359.9", "-10", "", "inf", "720"] + FLOAT_SPELLINGS),
     "Heading": st.sampled_from(["0", "511", "511.0", "90", "", "-inf", "721"] + FLOAT_SPELLINGS),
     "Ship type": st.sampled_from(["Cargo", " tanker ", "Pilot", "", "Unknown"]),

@@ -15,7 +15,8 @@ from seamanship.geometry import (
     VesselType,
     _Quadratic,
     domain_axes,
-    find_tdv,
+    make_domain,
+    scale_factor,
 )
 from seamanship import risk, speedmodel
 from seamanship.risk import MUTUAL_MODES, RiskParams, overall_collision_risk, rate_weighted_mean
@@ -26,6 +27,7 @@ from seamanship.speedmodel import (
     SpeedChangeModel,
     SpeedParams,
     detect_encounters,
+    find_tdv,
     fit_model,
     probabilistic_cr,
     silverman_bandwidth,
@@ -77,6 +79,29 @@ class TestSpeedChangeAt:
         tr = straight_track("a", 0.0, 0.0, 0.0, 5.0, 0.0, 20)
         with pytest.raises(ValueError, match="window must be positive"):
             speed_change_at(tr, 100.0, window)
+
+
+class TestFindTdv:
+    def test_head_on_violation_before_meeting(self):
+        # closing at 10 m/s from 6 km apart: meet at t = 600 s
+        a = straight_track("a", 0.0, 0.0, 0.0, 5.0, 0.0, 61)
+        b = straight_track("b", 0.0, 6000.0, 0.0, 5.0, math.pi, 61)
+        tdv = find_tdv(a, b)
+        assert tdv is not None and tdv < 600.0
+        st_a = a.state_at(tdv)
+        st_b = b.state_at(tdv)
+        f = scale_factor(make_domain(st_a), st_b.position, st_a.position)
+        assert f < 1.0
+
+    def test_parallel_far_apart_no_violation(self):
+        a = straight_track("a", 0.0, 0.0, 0.0, 5.0, 0.0, 61)
+        b = straight_track("b", 0.0, 0.0, 5000.0, 5.0, 0.0, 61)
+        assert find_tdv(a, b) is None
+
+    def test_disjoint_spans_no_violation(self):
+        a = straight_track("a", 0.0, 0.0, 0.0, 5.0, 0.0, 10)
+        b = straight_track("b", 1000.0, 0.0, 100.0, 5.0, 0.0, 10)
+        assert find_tdv(a, b) is None
 
 
 class TestDetectEncounters:
